@@ -20,7 +20,6 @@
 #include "sim/simulation_trace.hpp"
 #include "telemetry_service/online_metrics.hpp"
 #include "telemetry_service/row_group.hpp"
-#include "thermal/numerics.hpp"
 #include "util/spsc_ring.hpp"
 #include "thermal/server_thermal_model.hpp"
 #include "thermal/steady_state.hpp"
@@ -124,34 +123,14 @@ void BM_BatchStep(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchStep)->Arg(1)->Arg(8)->Arg(64)->Arg(256);
 
-void BM_BatchStepSimd(benchmark::State& state) {
-    // The same batched plant second under the relaxed numerics tier: the
-    // thermal kernel runs the vectorized block-local integrator
-    // (rc_batch_kernels) instead of the bitwise lane loop.  Read against
-    // BM_BatchStep at the same N for the SIMD payoff; the acceptance bar
-    // is N=256 per-server cost at or below the scalar plant.
-    const std::size_t lanes = static_cast<std::size_t>(state.range(0));
-    sim::server_batch batch(sim::paper_server(), lanes, thermal::numerics_tier::relaxed);
-    workload::utilization_profile p("bench");
-    p.constant(60.0, util::seconds_t{1e9});
-    for (std::size_t l = 0; l < lanes; ++l) {
-        batch.bind_workload(l, p);
-    }
-    for (auto _ : state) {
-        batch.step(1_s);
-    }
-    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(lanes));
-    state.SetLabel("per-server simulated seconds per wall second");
-}
-BENCHMARK(BM_BatchStepSimd)->Arg(1)->Arg(8)->Arg(64)->Arg(256);
-
 void BM_FleetStep(benchmark::State& state) {
     // Sharded fleet stepping: N lanes split across K server_batch shards
     // stepped on a K-wide thread pool (sim::fleet).  args = (lanes,
     // shards); items = server-steps, directly comparable to BM_BatchStep.
     // Shard results are bitwise invariant in K (the fleet suite pins
     // that), so this family measures pure partitioning/pool overhead or
-    // payoff on the host at hand.
+    // payoff on the host at hand.  The shards step on pool threads, so
+    // throughput is reported against wall-clock time.
     const std::size_t lanes = static_cast<std::size_t>(state.range(0));
     const std::size_t shards = static_cast<std::size_t>(state.range(1));
     sim::fleet_config fc;
@@ -174,7 +153,8 @@ BENCHMARK(BM_FleetStep)
     ->Args({1024, 4})
     ->Args({10240, 1})
     ->Args({10240, 4})
-    ->Unit(benchmark::kMicrosecond);
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 void BM_TraceRecord(benchmark::State& state) {
     // Pure recording cost: one columnar row append (shared timestamp +
@@ -294,11 +274,11 @@ void BM_RolloutDecision(benchmark::State& state) {
 BENCHMARK(BM_RolloutDecision);
 
 void BM_RolloutDecisionSharded(benchmark::State& state) {
-    // The same decision with the engine's scale-out levers on: candidate
-    // lanes under the relaxed (vectorized) numerics tier, split across
-    // shards.  Scores and the argmin are shard/thread invariant (pinned
-    // by the fleet suite), so the delta vs BM_RolloutDecision is pure
-    // kernel speed plus partitioning overhead on this host.
+    // The same decision with the candidate lanes split across shards.
+    // Scores and the argmin are shard/thread invariant (pinned by the
+    // fleet suite), so the delta vs BM_RolloutDecision is pure
+    // partitioning overhead on this host.  Shards may step on pool
+    // threads, so throughput is reported against wall-clock time.
     sim::server_simulator s;
     workload::utilization_profile p("bench");
     p.constant(60.0, util::seconds_t{1e9});
@@ -311,7 +291,6 @@ void BM_RolloutDecisionSharded(benchmark::State& state) {
     cfg.lattice_radius = 2;
     cfg.engine.shards = 4;
     cfg.engine.threads = 1;
-    cfg.engine.tier = thermal::numerics_tier::relaxed;
     core::rollout_controller roll(std::make_unique<core::bang_bang_controller>(), cfg);
     const core::simulator_plant_view plant(s);
     roll.attach_plant(&plant);
@@ -328,7 +307,7 @@ void BM_RolloutDecisionSharded(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
     state.SetLabel("rollout decisions per second");
 }
-BENCHMARK(BM_RolloutDecisionSharded);
+BENCHMARK(BM_RolloutDecisionSharded)->UseRealTime();
 
 void BM_LeakageFit(benchmark::State& state) {
     sim::server_simulator s;

@@ -104,9 +104,8 @@ struct runtime_config {
 /// thread pool, and the metrics are assembled shard-major — which is
 /// global lane order, since shards own contiguous lane blocks.  Shards
 /// share no mutable state, so results are invariant under shard count
-/// and thread count (per-lane they match a plain run_controlled_batch
-/// of the same tier).  Controllers and profiles are indexed by global
-/// lane.
+/// and thread count (per-lane they match a plain run_controlled_batch).
+/// Controllers and profiles are indexed by global lane.
 [[nodiscard]] std::vector<sim::run_metrics> run_controlled_fleet(
     sim::fleet& fleet, const std::vector<fan_controller*>& controllers,
     const std::vector<workload::utilization_profile>& profiles,

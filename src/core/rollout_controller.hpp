@@ -73,11 +73,9 @@ struct rollout_controller_config {
     /// Engine lane budget (extra user-supplied candidates beyond the
     /// lattice must fit too; excess candidates are an error).
     std::size_t max_candidates = 16;
-    /// Engine topology/numerics (sharding, pool width, numerics tier).
-    /// The defaults keep the engine single-shard, serial, and bitwise —
-    /// the degenerate and prediction == realization contracts above
-    /// hold only in the bitwise tier (relaxed predictions are
-    /// tolerance-close, not bitwise, to the realized trajectory).
+    /// Engine topology (sharding, pool width).  The defaults keep the
+    /// engine single-shard and serial; the degenerate and prediction ==
+    /// realization contracts above hold for any shard and thread count.
     sim::rollout_engine_config engine;
 };
 

@@ -25,7 +25,7 @@ fleet::fleet(const server_config& config, std::size_t lanes, fleet_config cfg)
     : fleet(std::vector<server_config>(lanes, config), cfg) {}
 
 fleet::fleet(std::vector<server_config> configs, fleet_config cfg)
-    : lanes_(configs.size()), tier_(cfg.tier), pool_(resolve_threads(cfg.threads)) {
+    : lanes_(configs.size()), pool_(resolve_threads(cfg.threads)) {
     util::ensure(lanes_ > 0, "fleet: need at least one lane");
     const std::size_t shards = resolve_shards(cfg.shards, lanes_, pool_.thread_count());
     const std::size_t base = lanes_ / shards;
@@ -36,11 +36,9 @@ fleet::fleet(std::vector<server_config> configs, fleet_config cfg)
     for (std::size_t s = 0; s < shards; ++s) {
         const std::size_t count = base + (s < rem ? 1 : 0);
         offsets_[s + 1] = offsets_[s] + count;
-        shards_.push_back(std::make_unique<server_batch>(
-            std::vector<server_config>(configs.begin() + static_cast<std::ptrdiff_t>(offsets_[s]),
-                                       configs.begin() +
-                                           static_cast<std::ptrdiff_t>(offsets_[s + 1])),
-            tier_));
+        const auto first = configs.begin() + static_cast<std::ptrdiff_t>(offsets_[s]);
+        const auto last = configs.begin() + static_cast<std::ptrdiff_t>(offsets_[s + 1]);
+        shards_.push_back(std::make_unique<server_batch>(std::vector<server_config>(first, last)));
     }
 }
 

@@ -6,12 +6,10 @@
 // result assembly *is* lane order and every per-lane result is
 // independent of the shard count and thread count: lanes never share
 // mutable state across shards, each shard owns its own batch_trace
-// arena, and within a shard the server_batch numerics are already
-// packing-invariant (bitwise tier: scalar-twin equality; relaxed tier:
-// the SIMD kernel contract in thermal/numerics.hpp).  Stepping fans the
-// K shards out over the pool exactly like parallel_runner fans out
-// scenarios — an atomic index handout whose schedule cannot affect
-// results.
+// arena, and within a shard every lane is already bitwise-equal to its
+// scalar twin whatever the packing.  Stepping fans the K shards out
+// over the pool exactly like parallel_runner fans out scenarios — an
+// atomic index handout whose schedule cannot affect results.
 #pragma once
 
 #include <cstddef>
@@ -21,12 +19,11 @@
 #include <vector>
 
 #include "sim/server_batch.hpp"
-#include "thermal/numerics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ltsc::sim {
 
-/// Fleet topology/numerics knobs.
+/// Fleet topology knobs.
 struct fleet_config {
     /// Shard count; 0 means one shard per pool thread.  Clamped to the
     /// lane count.
@@ -35,8 +32,6 @@ struct fleet_config {
     /// LTSC_THREADS, falling back to one per hardware thread
     /// (parallel_runner::threads_from_env semantics).
     std::size_t threads = 0;
-    /// Thermal-kernel numerics of every shard (thermal/numerics.hpp).
-    thermal::numerics_tier tier = thermal::numerics_tier::bitwise;
 };
 
 /// Observer of fleet stepping, called per shard per step.
@@ -70,7 +65,6 @@ public:
     [[nodiscard]] std::size_t lane_count() const { return lanes_; }
     [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
     [[nodiscard]] std::size_t thread_count() const { return pool_.thread_count(); }
-    [[nodiscard]] thermal::numerics_tier tier() const { return tier_; }
 
     // --- shard addressing ---------------------------------------------------
     [[nodiscard]] server_batch& shard(std::size_t s);
@@ -137,7 +131,6 @@ public:
 
 private:
     std::size_t lanes_ = 0;
-    thermal::numerics_tier tier_ = thermal::numerics_tier::bitwise;
     util::thread_pool pool_;
     std::vector<std::unique_ptr<server_batch>> shards_;
     std::vector<std::size_t> offsets_;  ///< [shard_count + 1] lane offsets.

@@ -21,7 +21,7 @@ rollout_engine::rollout_engine(const server_config& config, std::size_t max_cand
     for (std::size_t s = 0; s < shards; ++s) {
         const std::size_t count = base + (s < rem ? 1 : 0);
         offsets_[s + 1] = offsets_[s] + count;
-        shards_.push_back(std::make_unique<server_batch>(config, count, engine_config.tier));
+        shards_.push_back(std::make_unique<server_batch>(config, count));
     }
 }
 

@@ -19,12 +19,11 @@
 // pure function of (state, candidates, options): it touches only
 // engine-owned lanes, never the live plant, and allocates nothing after
 // the first call (trace arena and snapshot buffers are reused).
-// Candidate lanes can additionally be sharded across a thread pool and
-// stepped under the relaxed numerics tier (rollout_engine_config):
-// shards own contiguous candidate blocks and share no mutable state, so
-// scores — and the argmin — are invariant under shard count and thread
-// count.  The defaults (one shard, serial, bitwise) preserve the exact
-// behavior above.
+// Candidate lanes can additionally be sharded across a thread pool
+// (rollout_engine_config): shards own contiguous candidate blocks and
+// share no mutable state, so scores — and the argmin — are invariant
+// under shard count and thread count.  The defaults (one shard, serial)
+// preserve the exact behavior above.
 #pragma once
 
 #include <cstddef>
@@ -34,7 +33,6 @@
 #include "sim/server_batch.hpp"
 #include "sim/server_config.hpp"
 #include "sim/server_state.hpp"
-#include "thermal/numerics.hpp"
 #include "util/thread_pool.hpp"
 #include "util/units.hpp"
 #include "workload/loadgen.hpp"
@@ -80,8 +78,8 @@ struct rollout_result {
     std::vector<candidate_score> scores;  ///< One per candidate, in order.
 };
 
-/// Engine topology/numerics knobs (see the header comment; the
-/// defaults reproduce the single-shard bitwise engine exactly).
+/// Engine topology knobs (see the header comment; the defaults
+/// reproduce the single-shard engine exactly).
 struct rollout_engine_config {
     /// Candidate-lane shards, each its own server_batch (>= 1, clamped
     /// to the candidate count).
@@ -89,10 +87,6 @@ struct rollout_engine_config {
     /// Pool width for stepping shards; 1 runs serially on the caller,
     /// 0 means one thread per hardware thread.
     std::size_t threads = 1;
-    /// Thermal-kernel numerics of the candidate lanes.  Relaxed trades
-    /// the bitwise prediction == realization contract for vector-speed
-    /// integration (predictions stay tolerance-close to the plant).
-    thermal::numerics_tier tier = thermal::numerics_tier::bitwise;
 };
 
 /// K-lane rollout evaluator over one plant configuration.
@@ -105,7 +99,6 @@ public:
 
     [[nodiscard]] std::size_t max_candidates() const { return max_candidates_; }
     [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-    [[nodiscard]] thermal::numerics_tier tier() const { return shards_.front()->tier(); }
 
     /// Installs the workload preview every rollout lane steps against
     /// (the plant's own loadgen — the paper's profiles are known in

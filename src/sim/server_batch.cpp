@@ -19,9 +19,9 @@ const server_config& front_checked(const std::vector<server_config>& configs) {
 
 }  // namespace
 
-server_batch::server_batch(std::vector<server_config> configs, thermal::numerics_tier tier)
+server_batch::server_batch(std::vector<server_config> configs)
     : proto_(front_checked(configs).thermal),
-      batch_(proto_.network(), configs.size(), thermal::integration_scheme::rk4, tier),
+      batch_(proto_.network(), configs.size(), thermal::integration_scheme::rk4),
       traces_(configs.size()),
       active_(configs.size(), 1) {
     lanes_.reserve(configs.size());
@@ -30,9 +30,8 @@ server_batch::server_batch(std::vector<server_config> configs, thermal::numerics
     }
 }
 
-server_batch::server_batch(const server_config& config, std::size_t lanes,
-                           thermal::numerics_tier tier)
-    : server_batch(std::vector<server_config>(lanes, config), tier) {}
+server_batch::server_batch(const server_config& config, std::size_t lanes)
+    : server_batch(std::vector<server_config>(lanes, config)) {}
 
 server_batch::lane_state& server_batch::at(std::size_t lane) {
     util::ensure(lane < lanes_.size(), "server_batch: lane out of range");
@@ -630,7 +629,7 @@ trace_view server_batch::trace(std::size_t lane) const {
 }
 
 void server_batch::clear_trace(std::size_t lane) {
-    static_cast<void>(at(lane));
+    at(lane).telemetry.clear_history();
     traces_.clear(lane);
 }
 

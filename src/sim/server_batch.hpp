@@ -45,20 +45,11 @@ namespace ltsc::sim {
 /// N simulated servers in one structure-of-arrays plant.
 class server_batch {
 public:
-    /// One lane per configuration (each validated on entry).  `tier`
-    /// picks the thermal-kernel numerics (thermal/numerics.hpp): the
-    /// bitwise default keeps the scalar-twin contract above; relaxed
-    /// steps lanes through the vectorized kernels, which are
-    /// deterministic and packing-invariant but only tolerance-equal to
-    /// scalar twins.  Everything outside the thermal integration
-    /// (power, sensors, RNG streams, telemetry, faults) is
-    /// tier-independent.
-    explicit server_batch(std::vector<server_config> configs,
-                          thermal::numerics_tier tier = thermal::numerics_tier::bitwise);
+    /// One lane per configuration (each validated on entry).
+    explicit server_batch(std::vector<server_config> configs);
 
     /// N identical lanes from one configuration.
-    server_batch(const server_config& config, std::size_t lanes,
-                 thermal::numerics_tier tier = thermal::numerics_tier::bitwise);
+    server_batch(const server_config& config, std::size_t lanes);
 
     // Sensor/telemetry closures capture lane addresses; the batch is
     // pinned in memory like the scalar plant.
@@ -68,7 +59,6 @@ public:
     server_batch& operator=(server_batch&&) = delete;
 
     [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
-    [[nodiscard]] thermal::numerics_tier tier() const { return batch_.tier(); }
 
     // --- workload binding (per lane) ---------------------------------------
     void bind_workload(std::size_t lane, workload::loadgen generator);
@@ -179,6 +169,8 @@ public:
     /// (invalidated by the next step/clear; materialize with
     /// `simulation_trace{batch.trace(l)}` to keep it).
     [[nodiscard]] trace_view trace(std::size_t lane) const;
+    /// Drops the lane's recorded trace rows and telemetry history rows
+    /// (the telemetry poll clock is untouched, so replay stays bitwise).
     void clear_trace(std::size_t lane);
 
     /// The shared lane-major recording arena (row-group publication for

@@ -433,7 +433,10 @@ void server_simulator::record(double u_target, double u_inst) {
     trace_.append(now_s_, row);
 }
 
-void server_simulator::clear_trace() { trace_.clear(); }
+void server_simulator::clear_trace() {
+    trace_.clear();
+    telemetry_.clear_history();
+}
 
 void server_simulator::bind_fault_schedule(fault_schedule schedule) {
     if (!schedule.empty()) {

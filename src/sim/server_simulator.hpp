@@ -187,6 +187,8 @@ public:
 
     // --- recording -----------------------------------------------------------
     [[nodiscard]] const simulation_trace& trace() const { return trace_; }
+    /// Drops the recorded trace rows and telemetry history rows (the
+    /// telemetry poll clock is untouched, so replay stays bitwise).
     void clear_trace();
 
     [[nodiscard]] const server_config& config() const { return config_; }

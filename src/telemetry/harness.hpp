@@ -51,6 +51,12 @@ public:
     /// harness can record a fresh run starting from t = 0.
     void reset();
 
+    /// Drops the recorded history rows only.  The poll clock and each
+    /// channel's latest-sample ring are kept, so the next poll fires
+    /// exactly when it would have without the clear and `latest()` still
+    /// answers.  Long-running plants call this to bound history memory.
+    void clear_history() { history_.clear(); }
+
     // --- poll-clock save/restore -------------------------------------------
     // Cloning a live plant (rollout snapshots) must reproduce *when* the
     // next telemetry poll fires, because polling reads the sensors and

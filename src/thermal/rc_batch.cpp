@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
-#include "thermal/rc_batch_kernels.hpp"
 #include "util/error.hpp"
 
 namespace ltsc::thermal {
 
-rc_batch::rc_batch(const rc_network& topology, std::size_t lanes, integration_scheme scheme,
-                   numerics_tier tier)
-    : topo_(topology), lanes_(lanes), nodes_(topology.node_count()), scheme_(scheme),
-      tier_(tier) {
+rc_batch::rc_batch(const rc_network& topology, std::size_t lanes, integration_scheme scheme)
+    : topo_(topology), lanes_(lanes), nodes_(topology.node_count()), scheme_(scheme) {
     util::ensure(lanes_ > 0, "rc_batch: need at least one lane");
     util::ensure(nodes_ > 0, "rc_batch: empty topology");
     util::ensure(scheme_ != integration_scheme::implicit_euler,
@@ -19,7 +16,6 @@ rc_batch::rc_batch(const rc_network& topology, std::size_t lanes, integration_sc
     temps_.resize(nodes_ * lanes_);
     powers_.assign(nodes_ * lanes_, 0.0);
     capacities_.resize(nodes_ * lanes_);
-    inv_caps_.resize(nodes_ * lanes_);
     ambient_.assign(lanes_, topology.ambient().value());
     for (std::size_t i = 0; i < nodes_; ++i) {
         const double t = topology.temperature(node_id{i}).value();
@@ -27,7 +23,6 @@ rc_batch::rc_batch(const rc_network& topology, std::size_t lanes, integration_sc
         for (std::size_t l = 0; l < lanes_; ++l) {
             temps_[i * lanes_ + l] = t;
             capacities_[i * lanes_ + l] = c;
-            inv_caps_[i * lanes_ + l] = 1.0 / c;
         }
     }
     edge_g_.resize(topology.edge_count() * lanes_);
@@ -53,7 +48,6 @@ void rc_batch::set_heat_capacity(node_id n, std::size_t lane, double c) {
     util::ensure(c > 0.0, "rc_batch::set_heat_capacity: non-positive heat capacity");
     if (capacities_[n.index * lanes_ + lane] != c) {
         capacities_[n.index * lanes_ + lane] = c;
-        inv_caps_[n.index * lanes_ + lane] = 1.0 / c;
         lane_dirty_[lane] = 1;
     }
 }
@@ -204,36 +198,8 @@ rc_batch::substep_plan rc_batch::plan_substeps(double dt, const unsigned char* a
     return plan;
 }
 
-void rc_batch::step_relaxed(bool rk4) {
-    // plan_substeps already filled scratch_.substeps / scratch_.h; the
-    // relaxed kernels derive block-level masking from the counts.
-    relaxed::step_args a;
-    a.topo = &topo_;
-    a.lanes = lanes_;
-    a.nodes = nodes_;
-    a.temps = temps_.data();
-    a.powers = powers_.data();
-    a.inv_caps = inv_caps_.data();
-    a.ambient = ambient_.data();
-    a.edge_g = edge_g_.data();
-    a.h = scratch_.h.data();
-    a.substeps = scratch_.substeps.data();
-    scratch_.relaxed.resize(relaxed::scratch_doubles(nodes_, topo_.flat_internal_edges().size(),
-                                                     topo_.flat_ambient_edges().size()));
-    a.scratch = scratch_.relaxed.data();
-    if (rk4) {
-        relaxed::step_rk4(a);
-    } else {
-        relaxed::step_euler(a);
-    }
-}
-
 void rc_batch::step_rk4(double dt, const unsigned char* active) {
     const substep_plan plan = plan_substeps(dt, active);
-    if (tier_ == numerics_tier::relaxed) {
-        step_relaxed(true);
-        return;
-    }
     const int max_sub = plan.max_sub;
     const bool uniform = plan.uniform;
     const std::size_t total = nodes_ * lanes_;
@@ -293,10 +259,6 @@ void rc_batch::step_rk4(double dt, const unsigned char* active) {
 
 void rc_batch::step_explicit(double dt, const unsigned char* active) {
     const substep_plan plan = plan_substeps(dt, active);
-    if (tier_ == numerics_tier::relaxed) {
-        step_relaxed(false);
-        return;
-    }
     const int max_sub = plan.max_sub;
     const bool uniform = plan.uniform;
     const std::size_t total = nodes_ * lanes_;

@@ -17,7 +17,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "thermal/numerics.hpp"
 #include "thermal/rc_network.hpp"
 #include "thermal/transient_solver.hpp"
 #include "util/matrix.hpp"
@@ -31,21 +30,13 @@ public:
     /// Copies `topology`'s structure and seeds every lane with its
     /// current conductances, ambient, and all-ambient temperatures.
     /// Powers start at zero; capacities at the topology's values.
-    /// `tier` picks the stepping numerics (thermal/numerics.hpp): the
-    /// bitwise default keeps the scalar-twin contract above; relaxed
-    /// steps through the vectorized kernels (rc_batch_kernels.hpp),
-    /// which are deterministic and packing-invariant but only
-    /// tolerance-equal to the scalar plant.  Everything except step()
-    /// (settle, diagonals, save/restore) is tier-independent.
     rc_batch(const rc_network& topology, std::size_t lanes,
-             integration_scheme scheme = integration_scheme::rk4,
-             numerics_tier tier = numerics_tier::bitwise);
+             integration_scheme scheme = integration_scheme::rk4);
 
     [[nodiscard]] std::size_t lane_count() const { return lanes_; }
     [[nodiscard]] std::size_t node_count() const { return nodes_; }
     [[nodiscard]] const rc_network& topology() const { return topo_; }
     [[nodiscard]] integration_scheme scheme() const { return scheme_; }
-    [[nodiscard]] numerics_tier tier() const { return tier_; }
 
     // --- per-lane state ----------------------------------------------------
     void set_power(node_id n, std::size_t lane, util::watts_t power) {
@@ -140,13 +131,11 @@ private:
     substep_plan plan_substeps(double dt, const unsigned char* active);
     void step_rk4(double dt, const unsigned char* active);
     void step_explicit(double dt, const unsigned char* active);
-    void step_relaxed(bool rk4);
 
     rc_network topo_;
     std::size_t lanes_ = 0;
     std::size_t nodes_ = 0;
     integration_scheme scheme_;
-    numerics_tier tier_ = numerics_tier::bitwise;
     bool validate_ = default_validate();
 
     // Lane-contiguous state: value(node i, lane l) = buf[i * lanes_ + l],
@@ -154,8 +143,7 @@ private:
     std::vector<double> temps_;
     std::vector<double> powers_;
     std::vector<double> capacities_;
-    std::vector<double> inv_caps_;  ///< 1/C, maintained for the relaxed kernels.
-    std::vector<double> ambient_;   ///< [lane]
+    std::vector<double> ambient_;  ///< [lane]
     std::vector<double> edge_g_;
 
     // Per-lane derived quantities (conductance diagonal, stable substep),
@@ -175,9 +163,8 @@ private:
         std::vector<double> k4;
         std::vector<int> substeps;  ///< [lane]
         std::vector<double> h;      ///< [lane]
-        std::vector<double> rhs;      ///< settle_lane right-hand side.
-        util::matrix cond;            ///< settle_lane lane matrix.
-        std::vector<double> relaxed;  ///< Relaxed-kernel block working set.
+        std::vector<double> rhs;  ///< settle_lane right-hand side.
+        util::matrix cond;        ///< settle_lane lane matrix.
     };
     mutable scratch scratch_;
 };

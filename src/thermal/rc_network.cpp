@@ -175,14 +175,6 @@ const rc_network::assembly& rc_network::assembled() const {
     return cache_;
 }
 
-const std::vector<rc_network::flat_internal_edge>& rc_network::flat_internal_edges() const {
-    return assembled().internal;
-}
-
-const std::vector<rc_network::flat_ambient_edge>& rc_network::flat_ambient_edges() const {
-    return assembled().ambient;
-}
-
 std::vector<double> rc_network::derivatives(const std::vector<double>& temps) const {
     std::vector<double> flow;
     derivatives_into(temps, flow);

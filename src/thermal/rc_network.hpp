@@ -206,29 +206,6 @@ public:
     /// Number of edges (internal + ambient) in insertion order.
     [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
 
-    // Flattened, pre-resolved edge layout (assembly-cache order: the
-    // order batch_derivatives_into accumulates in).  `g` is this
-    // network's own conductance — batch kernels ignore it and read the
-    // per-lane value at `edge_g[src * lanes + lane]` instead.
-    struct flat_internal_edge {
-        std::size_t a = 0;
-        std::size_t b = 0;
-        double g = 0.0;
-        std::size_t src = 0;  ///< Insertion-order edge index (batch g lookup).
-    };
-    struct flat_ambient_edge {
-        std::size_t n = 0;
-        double g = 0.0;
-        std::size_t src = 0;  ///< Insertion-order edge index (batch g lookup).
-    };
-
-    /// Cached flattened views of the internal / ambient edges, rebuilt
-    /// with the structure revision.  External batch kernels (the
-    /// relaxed-tier SIMD TU) iterate these instead of re-resolving the
-    /// edge list.
-    [[nodiscard]] const std::vector<flat_internal_edge>& flat_internal_edges() const;
-    [[nodiscard]] const std::vector<flat_ambient_edge>& flat_ambient_edges() const;
-
     /// Batched derivatives_into: writes dT/dt for every lane into `out`
     /// (size node_count() * lanes).  Matches derivatives_into() per lane:
     /// internal edges accumulate before ambient edges, then the
@@ -262,8 +239,24 @@ private:
         double conductance = 0.0;
     };
 
+    // Flattened, pre-resolved edge layout (assembly-cache order: the
+    // order batch_derivatives_into accumulates in).  `g` is this
+    // network's own conductance — batch kernels ignore it and read the
+    // per-lane value at `edge_g[src * lanes + lane]` instead.
+    struct flat_internal_edge {
+        std::size_t a = 0;
+        std::size_t b = 0;
+        double g = 0.0;
+        std::size_t src = 0;  ///< Insertion-order edge index (batch g lookup).
+    };
+    struct flat_ambient_edge {
+        std::size_t n = 0;
+        double g = 0.0;
+        std::size_t src = 0;  ///< Insertion-order edge index (batch g lookup).
+    };
+
     // Derived quantities that depend only on topology/conductances,
-    // plus the flattened edges declared above.  Rebuilt lazily whenever
+    // plus the flattened edges above.  Rebuilt lazily whenever
     // `revision_` moves; power, temperature, and ambient updates leave it
     // untouched, so the per-substep hot path never re-assembles anything.
     struct assembly {

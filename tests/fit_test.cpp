@@ -1,9 +1,8 @@
-// Unit tests for linear regression and Levenberg-Marquardt NLLS.
+// Unit tests for Levenberg-Marquardt NLLS.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "fit/linreg.hpp"
 #include "fit/nlls.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -11,56 +10,6 @@
 namespace {
 
 using namespace ltsc;
-
-TEST(LinReg, FitLineRecoversSlopeIntercept) {
-    std::vector<double> x;
-    std::vector<double> y;
-    for (int i = 0; i < 50; ++i) {
-        x.push_back(i);
-        y.push_back(3.0 * i + 7.0);
-    }
-    const auto r = fit::fit_line(x, y);
-    EXPECT_NEAR(r.coefficients[0], 3.0, 1e-9);
-    EXPECT_NEAR(r.coefficients[1], 7.0, 1e-9);
-    EXPECT_NEAR(r.rmse, 0.0, 1e-9);
-    EXPECT_NEAR(r.r_squared, 1.0, 1e-12);
-}
-
-TEST(LinReg, FitLineWithNoise) {
-    util::pcg32 rng(99);
-    std::vector<double> x;
-    std::vector<double> y;
-    for (int i = 0; i < 500; ++i) {
-        x.push_back(i * 0.1);
-        y.push_back(2.0 * i * 0.1 - 1.0 + rng.normal(0.0, 0.3));
-    }
-    const auto r = fit::fit_line(x, y);
-    EXPECT_NEAR(r.coefficients[0], 2.0, 0.05);
-    EXPECT_NEAR(r.coefficients[1], -1.0, 0.1);
-    EXPECT_NEAR(r.rmse, 0.3, 0.05);
-}
-
-TEST(LinReg, ProportionalFitMatchesPaperActiveModel) {
-    // P_active = k1 * U with k1 = 0.4452 (the paper's per-rail constant).
-    std::vector<double> u;
-    std::vector<double> p;
-    for (double util : {10.0, 25.0, 40.0, 50.0, 60.0, 75.0, 90.0, 100.0}) {
-        u.push_back(util);
-        p.push_back(0.4452 * util);
-    }
-    const auto r = fit::fit_proportional(u, p);
-    EXPECT_NEAR(r.coefficients[0], 0.4452, 1e-10);
-}
-
-TEST(LinReg, UnderdeterminedThrows) {
-    util::matrix design(2, 3);
-    EXPECT_THROW(fit::least_squares(design, {1.0, 2.0}), util::precondition_error);
-}
-
-TEST(LinReg, SizeMismatchThrows) {
-    util::matrix design(3, 1, 1.0);
-    EXPECT_THROW(fit::least_squares(design, {1.0, 2.0}), util::precondition_error);
-}
 
 TEST(Nlls, RecoversExponentialModel) {
     // y = a * e^(b x): the leakage functional form.

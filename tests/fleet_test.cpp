@@ -27,12 +27,10 @@ namespace {
 using namespace ltsc;
 using namespace ltsc::util::literals;
 
-sim::fleet_config fleet_cfg(std::size_t shards, std::size_t threads,
-                            thermal::numerics_tier tier = thermal::numerics_tier::bitwise) {
+sim::fleet_config fleet_cfg(std::size_t shards, std::size_t threads) {
     sim::fleet_config c;
     c.shards = shards;
     c.threads = threads;
-    c.tier = tier;
     return c;
 }
 
@@ -186,21 +184,6 @@ TEST(Fleet, ShardedLanesMatchMonolithicServerBatchBitwise) {
         ASSERT_EQ(batch.true_avg_cpu_temp(l).value(), f.true_avg_cpu_temp(l).value());
         expect_traces_identical(batch.trace(l), f.trace(l));
     }
-}
-
-TEST(Fleet, RelaxedTierIsAlsoShardInvariant) {
-    constexpr std::size_t kLanes = 10;
-    constexpr int kSteps = 120;
-    const auto configs = make_configs(kLanes);
-    const auto profiles = make_profiles(kLanes);
-
-    sim::fleet one(configs, fleet_cfg(1, 1, thermal::numerics_tier::relaxed));
-    sim::fleet four(configs, fleet_cfg(4, 2, thermal::numerics_tier::relaxed));
-    ASSERT_EQ(one.tier(), thermal::numerics_tier::relaxed);
-    ASSERT_EQ(four.shard(0).tier(), thermal::numerics_tier::relaxed);
-    drive(one, profiles, kSteps);
-    drive(four, profiles, kSteps);
-    expect_fleets_identical(one, four);
 }
 
 TEST(Fleet, RunControlledFleetMatchesRunControlledBatch) {

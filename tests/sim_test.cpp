@@ -6,6 +6,7 @@
 
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
+#include "sim/server_batch.hpp"
 #include "sim/server_simulator.hpp"
 #include "util/error.hpp"
 #include "workload/profile.hpp"
@@ -127,6 +128,75 @@ TEST(Simulator, TelemetryPollsEvery10s) {
     // Cold-start poll at t=0 plus one every 10 s.
     EXPECT_NEAR(static_cast<double>(s.telemetry().by_name("system_power").history().size()),
                 11.0, 1.0);
+}
+
+/// `cleared` must hold exactly the trailing rows of `kept`: same poll
+/// instants, same sampled values.
+void expect_history_is_tail(const util::frame& cleared, const util::frame& kept) {
+    ASSERT_FALSE(cleared.empty());
+    ASSERT_LT(cleared.size(), kept.size());
+    ASSERT_EQ(cleared.channel_count(), kept.channel_count());
+    const std::size_t skip = kept.size() - cleared.size();
+    for (std::size_t r = 0; r < cleared.size(); ++r) {
+        ASSERT_EQ(cleared.time()[r], kept.time()[skip + r]) << "row " << r;
+        for (std::size_t c = 0; c < cleared.channel_count(); ++c) {
+            ASSERT_EQ(cleared.values(c)[r], kept.values(c)[skip + r])
+                << "row " << r << " channel " << cleared.channel_name(c);
+        }
+    }
+}
+
+TEST(Simulator, ClearTraceDropsTelemetryHistoryButKeepsPollClock) {
+    workload::utilization_profile p("x");
+    p.constant(50.0, 120_s);
+    server_simulator cleared;
+    server_simulator kept;
+    for (server_simulator* s : {&cleared, &kept}) {
+        s->bind_workload(p);
+        s->force_cold_start();
+        s->advance(25_s);
+    }
+    ASSERT_FALSE(cleared.telemetry().history().empty());
+    cleared.clear_trace();
+    EXPECT_TRUE(cleared.trace().empty());
+    EXPECT_TRUE(cleared.telemetry().history().empty());
+    EXPECT_EQ(cleared.telemetry().last_poll_time(), kept.telemetry().last_poll_time());
+
+    cleared.advance(40_s);
+    kept.advance(40_s);
+    // Polls stay on the 10 s grid from the cold start: the first row
+    // after the clear is the t = 30 s poll the uncleared twin also took.
+    EXPECT_EQ(cleared.telemetry().history().time().front(), 30.0);
+    expect_history_is_tail(cleared.telemetry().history(), kept.telemetry().history());
+    EXPECT_EQ(cleared.cpu_sensor_temps(), kept.cpu_sensor_temps());
+}
+
+TEST(Simulator, BatchClearTraceDropsOnlyThatLanesTelemetryHistory) {
+    workload::utilization_profile p("x");
+    p.constant(50.0, 120_s);
+    sim::server_batch cleared(sim::paper_server(), 2);
+    sim::server_batch kept(sim::paper_server(), 2);
+    for (sim::server_batch* b : {&cleared, &kept}) {
+        for (std::size_t l = 0; l < 2; ++l) {
+            b->bind_workload(l, p);
+        }
+        b->force_cold_start();
+        for (int k = 0; k < 25; ++k) {
+            b->step(1_s);
+        }
+    }
+    cleared.clear_trace(1);
+    EXPECT_TRUE(cleared.telemetry(1).history().empty());
+    EXPECT_EQ(cleared.telemetry(0).history().size(), kept.telemetry(0).history().size());
+
+    for (sim::server_batch* b : {&cleared, &kept}) {
+        for (int k = 0; k < 40; ++k) {
+            b->step(1_s);
+        }
+    }
+    EXPECT_EQ(cleared.telemetry(1).history().time().front(), 30.0);
+    expect_history_is_tail(cleared.telemetry(1).history(), kept.telemetry(1).history());
+    EXPECT_EQ(cleared.cpu_sensor_temps(1), kept.cpu_sensor_temps(1));
 }
 
 TEST(Simulator, SensorTempsTrackTruth) {

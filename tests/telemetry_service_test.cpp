@@ -201,6 +201,9 @@ TEST(OnlineMetrics, ClosedWindowsBitwiseMatchComputeMetrics) {
     telemetry_service::service_config cfg;
     cfg.online.window_rows = 16;
     cfg.enable_http = false;
+    // Room for every step's row-group: no group can drop however late
+    // the aggregator thread is scheduled, and the checks need every row.
+    cfg.ring_slots = 128;
     telemetry_service::service svc(f, cfg);
 
     f.advance(100.0_s, 1.0_s);
@@ -231,6 +234,7 @@ TEST(OnlineMetrics, FaultedMonitoredFleetWindowsStayBitwiseEqual) {
     telemetry_service::service_config cfg;
     cfg.online.window_rows = 25;
     cfg.enable_http = false;
+    cfg.ring_slots = 128;  // every row-group fits, as above
     telemetry_service::service svc(f, cfg);
 
     f.advance(120.0_s, 1.0_s);

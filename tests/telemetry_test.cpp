@@ -1,9 +1,8 @@
-// Unit tests for the CSTH-style telemetry harness and analytics.
+// Unit tests for the CSTH-style telemetry harness.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "telemetry/analytics.hpp"
 #include "telemetry/channel.hpp"
 #include "telemetry/harness.hpp"
 #include "util/csv.hpp"
@@ -175,89 +174,6 @@ TEST(Harness, ByIndexBoundsChecked) {
     h.add_channel("a", "u", [] { return 0.0; });
     EXPECT_EQ(h.by_index(0).name(), "a");
     EXPECT_THROW(static_cast<void>(h.by_index(1)), util::precondition_error);
-}
-
-// --- analytics --------------------------------------------------------------------
-
-TEST(Ewma, ConvergesToConstant) {
-    telemetry::ewma_filter f(0.2);
-    for (int i = 0; i < 100; ++i) {
-        f.update(10.0);
-    }
-    EXPECT_NEAR(f.value().value(), 10.0, 1e-6);
-}
-
-TEST(Ewma, FirstSampleInitializes) {
-    telemetry::ewma_filter f(0.1);
-    EXPECT_FALSE(f.value().has_value());
-    EXPECT_DOUBLE_EQ(f.update(5.0), 5.0);
-}
-
-TEST(Ewma, SmoothsStep) {
-    telemetry::ewma_filter f(0.5);
-    f.update(0.0);
-    const double after_one = f.update(10.0);
-    EXPECT_DOUBLE_EQ(after_one, 5.0);
-}
-
-TEST(Ewma, BadAlphaThrows) {
-    EXPECT_THROW(telemetry::ewma_filter(0.0), util::precondition_error);
-    EXPECT_THROW(telemetry::ewma_filter(1.5), util::precondition_error);
-}
-
-TEST(RollingWindow, EvictsOldSamples) {
-    telemetry::rolling_window w(10.0);
-    w.push(0.0, 1.0);
-    w.push(5.0, 2.0);
-    w.push(12.0, 3.0);  // evicts t=0 (older than 12-10)
-    EXPECT_EQ(w.size(), 2U);
-    EXPECT_DOUBLE_EQ(w.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(w.min(), 2.0);
-    EXPECT_DOUBLE_EQ(w.max(), 3.0);
-}
-
-TEST(RollingWindow, NonMonotonicTimeThrows) {
-    telemetry::rolling_window w(10.0);
-    w.push(5.0, 1.0);
-    EXPECT_THROW(w.push(4.0, 1.0), util::precondition_error);
-}
-
-TEST(RollingWindow, EmptyStatsThrow) {
-    telemetry::rolling_window w(10.0);
-    EXPECT_THROW(static_cast<void>(w.mean()), util::precondition_error);
-}
-
-TEST(ThresholdAlarm, HysteresisBehaviour) {
-    telemetry::threshold_alarm alarm(75.0, 70.0);
-    EXPECT_FALSE(alarm.update(74.0));
-    EXPECT_TRUE(alarm.update(76.0));   // set
-    EXPECT_TRUE(alarm.update(72.0));   // still set (above clear)
-    EXPECT_FALSE(alarm.update(69.0));  // cleared
-    EXPECT_TRUE(alarm.update(80.0));   // set again
-    EXPECT_EQ(alarm.trip_count(), 2U);
-}
-
-TEST(ThresholdAlarm, InvertedThresholdsThrow) {
-    EXPECT_THROW(telemetry::threshold_alarm(70.0, 75.0), util::precondition_error);
-}
-
-TEST(Zscore, FlagsSpike) {
-    telemetry::zscore_detector d(0.1, 4.0);
-    for (int i = 0; i < 200; ++i) {
-        EXPECT_FALSE(d.update(50.0 + 0.5 * ((i % 2 == 0) ? 1.0 : -1.0)));
-    }
-    EXPECT_TRUE(d.update(80.0));  // a stuck-sensor style spike
-    EXPECT_EQ(d.anomaly_count(), 1U);
-}
-
-TEST(Zscore, SpikeDoesNotPoisonBaseline) {
-    telemetry::zscore_detector d(0.1, 4.0);
-    for (int i = 0; i < 200; ++i) {
-        d.update(50.0 + 0.5 * ((i % 2 == 0) ? 1.0 : -1.0));
-    }
-    d.update(80.0);
-    // Back to normal values: not anomalous, baseline unharmed.
-    EXPECT_FALSE(d.update(50.2));
 }
 
 }  // namespace

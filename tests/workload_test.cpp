@@ -2,7 +2,11 @@
 // paper's four test profiles.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "workload/loadgen.hpp"
 #include "workload/paper_tests.hpp"
 #include "workload/profile.hpp"
@@ -180,6 +184,62 @@ TEST(LoadGen, BadConfigThrows) {
     cfg.pwm_period = 60_s;
     cfg.stress_intensity = 0.0;
     EXPECT_THROW(loadgen(p, cfg), util::precondition_error);
+}
+
+// The O(segments) analytic measured_utilization against the retained
+// sampled reference.
+TEST(LoadGen, AnalyticMeasuredUtilizationMatchesSampledBitwise) {
+    util::pcg32 rng(0xfeedbeef, 9);
+    std::vector<workload::loadgen_config> configs;
+    configs.push_back({});  // stock: 240 s period, intensity 1
+    configs.push_back({util::seconds_t{180.5}, 1.0});   // dyadic off-round period
+    configs.push_back({util::seconds_t{240.0}, 0.97});  // peak with a long significand
+    configs.push_back({util::seconds_t{17.3}, 1.0});    // off-grid period: slot sampling
+    configs.push_back({util::seconds_t{10.0}, 1.0});    // step < 0.25 s: sampled fallback
+
+    std::vector<workload::utilization_profile> profiles;
+    profiles.push_back(workload::utilization_profile("const").constant(35.0, 20.0_min));
+    profiles.push_back(workload::utilization_profile("mix")
+                           .idle(2.0_min)
+                           .constant(72.5, 6.0_min)
+                           .ramp(72.5, 15.0, 7.0_min)
+                           .constant(100.0, 3.0_min)
+                           .constant(15.0, 4.0_min));
+    profiles.push_back(workload::utilization_profile("square").square(80.0, 20.0, 90.0_s, 5));
+    {
+        // Irrational-ish segment boundaries: exercises slot clipping.
+        workload::utilization_profile p("odd");
+        p.constant(41.7, util::seconds_t{333.33}).constant(63.9, util::seconds_t{777.77});
+        profiles.push_back(p);
+    }
+
+    for (const auto& lc : configs) {
+        for (const auto& profile : profiles) {
+            const workload::loadgen gen(profile, lc);
+            const double dur = profile.duration().value();
+            for (int i = 0; i < 40; ++i) {
+                // Integer-second instants (the runtime's cadence) plus a
+                // few off-grid stragglers that must take the fallback.
+                double t = std::floor(static_cast<double>(rng.next_u32() % 2000000) /
+                                      1000000.0 * dur);
+                double window = (i % 3 == 0) ? 240.0 : 30.0 + (rng.next_u32() % 400);
+                if (i % 7 == 0) {
+                    t += 0.125;  // still on no quarter grid after -window
+                    window = 33.7;
+                }
+                if (t <= 0.0) {
+                    t = 1.0;
+                }
+                const double analytic =
+                    gen.measured_utilization(util::seconds_t{t}, util::seconds_t{window});
+                const double sampled =
+                    gen.measured_utilization_sampled(util::seconds_t{t}, util::seconds_t{window});
+                ASSERT_EQ(analytic, sampled)
+                    << "period=" << lc.pwm_period.value() << " intensity=" << lc.stress_intensity
+                    << " profile=" << profile.name() << " t=" << t << " window=" << window;
+            }
+        }
+    }
 }
 
 // --- paper tests -----------------------------------------------------------
