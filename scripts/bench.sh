@@ -7,8 +7,11 @@
 #   FILTER='BM_Thermal' scripts/bench.sh  # subset of benchmarks
 #
 # Writes BENCH_micro.json (Google Benchmark JSON) at the repo root — the
-# perf trajectory the README's Performance section quotes — while still
-# printing the human-readable console table.
+# perf trajectory the README's Performance section points at — while
+# still printing the human-readable console table.  Every benchmark runs
+# 5 repetitions and only their aggregates (mean, median, stddev, cv) are
+# kept; scripts/perf_gate.py compares the medians, because single
+# samples on a shared host swing by more than the gate's tolerance.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -56,6 +59,8 @@ fi
 "$BUILD_DIR/bench/micro_perf" \
     --benchmark_filter="$FILTER" \
     --benchmark_min_time="$MIN_TIME" \
+    --benchmark_repetitions=5 \
+    --benchmark_report_aggregates_only=true \
     --benchmark_context=hw_threads="$HW_THREADS" \
     --benchmark_context=affine_threads="$AFFINE_THREADS" \
     --benchmark_context=pool_threads="$POOL_THREADS" \

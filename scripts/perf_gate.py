@@ -12,6 +12,10 @@ CURRENT must be at least (1 - PERF_GATE_TOLERANCE) of BASELINE.  The
 default tolerance is 0.20 (fail on a >20% regression); override with the
 PERF_GATE_TOLERANCE environment variable.
 
+Files recorded with --benchmark_repetitions carry a `median` aggregate
+per benchmark; the gate compares those, so one slow repetition cannot
+fail it.  A file without aggregates falls back to its plain entries.
+
 A gated name missing from EITHER file is a hard error (exit 2), never a
 silent pass: a benchmark that got renamed, filtered out of the CI run,
 or never recorded into the baseline must fail the gate loudly instead of
@@ -26,8 +30,9 @@ gate compares code, not hardware — required when the baseline was
 recorded on a different machine than the CI runner.
 
 --self-test exercises the gate against synthetic in-memory results and
-verifies the exit-code contract (pass=0, regression=1, missing name=2);
-CI runs it before trusting the real gate.
+verifies the exit-code contract (pass=0, regression=1, missing name=2)
+and that medians, not means or single runs, decide; CI runs it before
+trusting the real gate.
 
 Exit codes: 0 pass, 1 regression, 2 usage/missing-benchmark error.
 """
@@ -47,13 +52,21 @@ def throughput(entry):
 
 
 def load(path):
+    """Benchmark name -> the entry to compare: its median aggregate when
+    the file has one, else its first plain entry."""
     with open(path) as f:
         doc = json.load(f)
-    out = {}
+    plain = {}
+    medians = {}
     for entry in doc.get("benchmarks", []):
-        # Keep the first (aggregate-free) entry per name.
-        out.setdefault(entry["name"], entry)
-    return out
+        name = entry.get("run_name", entry["name"])
+        if entry.get("run_type") == "aggregate":
+            if entry.get("aggregate_name") == "median":
+                medians[name] = entry
+        else:
+            plain.setdefault(name, entry)
+    plain.update(medians)
+    return plain
 
 
 def missing_names(current, baseline, current_path, baseline_path, names):
@@ -112,6 +125,25 @@ def self_test():
             ]
         }
 
+    def repeated_doc(name, reps, mean, median):
+        """One benchmark recorded with repetitions: plain runs + aggregates."""
+        entries = [
+            {"name": name, "run_name": name, "run_type": "iteration", "items_per_second": r}
+            for r in reps
+        ]
+        for agg, value in (("mean", mean), ("median", median)):
+            entries.append(
+                {
+                    "name": f"{name}_{agg}",
+                    "run_name": name,
+                    "run_type": "aggregate",
+                    "aggregate_name": agg,
+                    "items_per_second": value,
+                }
+            )
+        cal = {"name": "BM_Cal", "run_name": "BM_Cal", "run_type": "iteration"}
+        return {"benchmarks": [dict(cal, items_per_second=100.0)] + entries}
+
     def write(tmpdir, filename, doc):
         path = os.path.join(tmpdir, filename)
         with open(path, "w") as f:
@@ -154,6 +186,36 @@ def self_test():
             "missing name outranks a simultaneous regression",
             run_gate(slow, base, ["BM_Hot", "BM_Ghost"], "BM_Cal", 0.20),
             2,
+        )
+        # With repetitions, the median decides: two stalled repetitions
+        # drag the mean (and the first plain run) >20% down, not the gate.
+        rep_base = write(
+            tmpdir, "rep_base.json", repeated_doc("BM_Hot", [1000.0] * 5, 1000.0, 1000.0)
+        )
+        rep_mean_slow = write(
+            tmpdir,
+            "rep_mean_slow.json",
+            repeated_doc("BM_Hot", [10.0, 10.0, 990.0, 995.0, 1000.0], 601.0, 990.0),
+        )
+        rep_median_slow = write(
+            tmpdir,
+            "rep_median_slow.json",
+            repeated_doc("BM_Hot", [1000.0, 500.0, 500.0, 500.0, 1000.0], 700.0, 500.0),
+        )
+        check(
+            "only the mean regresses: the median passes",
+            run_gate(rep_mean_slow, rep_base, ["BM_Hot"], "BM_Cal", 0.20),
+            0,
+        )
+        check(
+            "median regression fails",
+            run_gate(rep_median_slow, rep_base, ["BM_Hot"], "BM_Cal", 0.20),
+            1,
+        )
+        check(
+            "median run gated against a plain baseline",
+            run_gate(rep_mean_slow, base, ["BM_Hot"], "BM_Cal", 0.20),
+            0,
         )
 
     if failures:

@@ -16,6 +16,9 @@ fan_pair::fan_pair(const fan_spec& spec) : spec_(spec) {
 }
 
 util::rpm_t fan_pair::clamp(util::rpm_t rpm) const {
+    // std::clamp passes NaN through unchanged; every command path clamps
+    // before it mutates anything, so rejecting here keeps plants clean.
+    util::ensure(std::isfinite(rpm.value()), "fan_pair::clamp: non-finite RPM");
     return util::rpm_t{std::clamp(rpm.value(), spec_.min_rpm.value(), spec_.max_rpm.value())};
 }
 
@@ -83,30 +86,10 @@ void fan_bank::set_failed(std::size_t pair_index, bool failed) {
     failed_[pair_index] = failed ? 1 : 0;
 }
 
-bool fan_bank::failed(std::size_t pair_index) const {
-    util::ensure(pair_index < failed_.size(), "fan_bank::failed: pair index out of range");
-    return failed_[pair_index] != 0;
-}
-
-bool fan_bank::any_failed() const {
-    for (unsigned char f : failed_) {
-        if (f != 0) {
-            return true;
-        }
-    }
-    return false;
-}
-
 void fan_bank::set_tach_stuck(std::size_t pair_index, bool stuck) {
     util::ensure(pair_index < tach_stuck_.size(),
                  "fan_bank::set_tach_stuck: pair index out of range");
     tach_stuck_[pair_index] = stuck ? 1 : 0;
-}
-
-bool fan_bank::tach_stuck(std::size_t pair_index) const {
-    util::ensure(pair_index < tach_stuck_.size(),
-                 "fan_bank::tach_stuck: pair index out of range");
-    return tach_stuck_[pair_index] != 0;
 }
 
 util::rpm_t fan_bank::effective_speed(std::size_t pair_index) const {
@@ -141,14 +124,6 @@ util::watts_t fan_bank::total_power() const {
     util::watts_t acc{0.0};
     for (std::size_t i = 0; i < speeds_.size(); ++i) {
         acc += pair_power(i);
-    }
-    return acc;
-}
-
-util::cfm_t fan_bank::total_airflow() const {
-    util::cfm_t acc{0.0};
-    for (std::size_t i = 0; i < speeds_.size(); ++i) {
-        acc += pair_airflow(i);
     }
     return acc;
 }

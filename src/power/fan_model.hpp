@@ -109,13 +109,10 @@ public:
 
     /// Marks one pair (un)failed; the commanded speed is untouched.
     void set_failed(std::size_t pair_index, bool failed);
-    [[nodiscard]] bool failed(std::size_t pair_index) const;
-    [[nodiscard]] bool any_failed() const;
 
     /// Marks one pair's tachometer stuck: the rotor stops (no power, no
     /// airflow) but the tach keeps reporting the commanded speed.
     void set_tach_stuck(std::size_t pair_index, bool stuck);
-    [[nodiscard]] bool tach_stuck(std::size_t pair_index) const;
 
     /// Tachometer reading of one pair: the commanded speed, or 0 when
     /// failed.  A tach-stuck pair *lies* here — its rotor is stopped but
@@ -136,9 +133,6 @@ public:
 
     /// Total electrical power of the bank (failed pairs draw nothing).
     [[nodiscard]] util::watts_t total_power() const;
-
-    /// Total airflow through the chassis (failed pairs move nothing).
-    [[nodiscard]] util::cfm_t total_airflow() const;
 
     [[nodiscard]] const fan_pair& pair() const { return pair_; }
 

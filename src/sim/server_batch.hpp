@@ -2,42 +2,40 @@
 // instruction stream.
 //
 // A server_batch is the data-center-scale counterpart of
-// server_simulator: every lane is a full plant (workload synthesis,
-// power models, sensors with their own seeded RNG stream, telemetry
-// harness, trace), but the thermal state lives in lane-contiguous flat
-// arrays (thermal::rc_batch) and all lanes integrate through one batched
-// RK4 kernel per step.  Power evaluation (active + leakage + fan) and
-// controller decisions run as flat per-lane passes around the thermal
-// kernel.
+// server_simulator.  Every lane is a server_lane, the same per-server
+// core the scalar plant steps: workload, power models, sensors with
+// their own seeded RNG stream, telemetry harness, faults and monitor.
+// Only the thermal half differs.  Every lane's node state lives in
+// lane-contiguous flat arrays (thermal::rc_batch), all lanes integrate
+// through one batched RK4 kernel per step, and each lane's airflow
+// coupling is the thermal::server_airflow the scalar model also runs.
 //
 // Contract: every lane is *bitwise-identical* to an independent scalar
 // server_simulator driven through the same schedule — same trace, same
-// sensor noise stream, same metrics.  The batch_equivalence suite pins
-// this, including mid-run fan-speed and ambient mutations.  Lanes may
-// differ in configuration (ambient, seed, calibration), workload,
-// controller, and fan commands; only the thermal network topology is
-// shared.
+// sensor noise stream, same metrics.  Sharing the lane and airflow code
+// makes that hold by construction outside the thermal kernel; the
+// batch_equivalence suite pins it, including mid-run fan-speed and
+// ambient mutations.  Lanes may differ in configuration (ambient, seed,
+// calibration), workload, controller, and fan commands; only the
+// thermal network topology is shared.
 #pragma once
 
 #include <memory>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/fault_monitor.hpp"
-#include "power/fan_model.hpp"
-#include "power/leakage_model.hpp"
 #include "power/server_power_model.hpp"
 #include "sim/batch_trace.hpp"
 #include "sim/fault_schedule.hpp"
 #include "sim/server_config.hpp"
+#include "sim/server_lane.hpp"
 #include "sim/server_simulator.hpp"
 #include "sim/server_state.hpp"
 #include "sim/simulation_trace.hpp"
 #include "telemetry/harness.hpp"
 #include "thermal/rc_batch.hpp"
-#include "thermal/sensors.hpp"
 #include "thermal/server_thermal_model.hpp"
-#include "util/rng.hpp"
 #include "workload/loadgen.hpp"
 
 namespace ltsc::sim {
@@ -64,58 +62,91 @@ public:
     void bind_workload(std::size_t lane, workload::loadgen generator);
     void bind_workload(std::size_t lane, const workload::utilization_profile& profile);
 
-    void set_load_imbalance(std::size_t lane, double fraction_socket0);
-    [[nodiscard]] double load_imbalance(std::size_t lane) const;
+    void set_load_imbalance(std::size_t lane, double fraction_socket0) {
+        at(lane).set_load_imbalance(fraction_socket0);
+    }
+    [[nodiscard]] double load_imbalance(std::size_t lane) const {
+        return at(lane).load_imbalance();
+    }
     [[nodiscard]] double measured_socket_utilization(std::size_t lane, std::size_t socket,
-                                                     util::seconds_t window) const;
+                                                     util::seconds_t window) const {
+        return at(lane).measured_socket_utilization(socket, window);
+    }
 
     // --- fault injection (per lane; see server_simulator) -------------------
-    void bind_fault_schedule(std::size_t lane, fault_schedule schedule);
-    void clear_fault_schedule(std::size_t lane);
+    void bind_fault_schedule(std::size_t lane, fault_schedule schedule) {
+        at(lane).bind_fault_schedule(std::move(schedule));
+    }
+    void clear_fault_schedule(std::size_t lane) { at(lane).clear_fault_schedule(); }
     [[nodiscard]] const fault_schedule* bound_fault_schedule(std::size_t lane) const {
-        const auto& f = at(lane).faults;
-        return f ? &*f : nullptr;
+        return at(lane).bound_fault_schedule();
     }
     [[nodiscard]] const fault_state& current_fault_state(std::size_t lane) const {
-        return at(lane).fault;
+        return at(lane).current_fault_state();
     }
 
     /// The lane's residual monitor, or nullptr when the lane's
     /// config.monitor.enabled is false (see server_simulator::monitor).
     [[nodiscard]] const core::fault_monitor* monitor(std::size_t lane) const {
-        const auto& m = at(lane).monitor;
-        return m ? &*m : nullptr;
+        return at(lane).monitor();
     }
 
     /// Age of the lane's last telemetry poll (+infinity before any).
-    [[nodiscard]] double telemetry_age_s(std::size_t lane) const;
+    [[nodiscard]] double telemetry_age_s(std::size_t lane) const {
+        return at(lane).telemetry_age_s();
+    }
 
     // --- control surface (per lane) ----------------------------------------
     void set_fan_speed(std::size_t lane, std::size_t pair_index, util::rpm_t rpm);
     void set_all_fans(std::size_t lane, util::rpm_t rpm);
-    [[nodiscard]] util::rpm_t fan_speed(std::size_t lane, std::size_t pair_index) const;
-    [[nodiscard]] util::rpm_t average_fan_rpm(std::size_t lane) const;
-    [[nodiscard]] std::size_t fan_change_count(std::size_t lane) const;
-    void reset_fan_change_counter(std::size_t lane);
+    [[nodiscard]] util::rpm_t fan_speed(std::size_t lane, std::size_t pair_index) const {
+        return at(lane).fan_speed(pair_index);
+    }
+    [[nodiscard]] util::rpm_t average_fan_rpm(std::size_t lane) const {
+        return at(lane).average_fan_rpm();
+    }
+    [[nodiscard]] std::size_t fan_change_count(std::size_t lane) const {
+        return at(lane).fan_change_count();
+    }
+    void reset_fan_change_counter(std::size_t lane) { at(lane).reset_fan_change_counter(); }
 
-    [[nodiscard]] double measured_utilization(std::size_t lane, util::seconds_t window) const;
+    [[nodiscard]] double measured_utilization(std::size_t lane, util::seconds_t window) const {
+        return at(lane).measured_utilization(window);
+    }
 
     // --- observation surface (per lane) ------------------------------------
-    [[nodiscard]] std::vector<double> cpu_sensor_temps(std::size_t lane) const;
-    [[nodiscard]] util::celsius_t max_cpu_sensor_temp(std::size_t lane) const;
-    [[nodiscard]] util::watts_t system_power_reading(std::size_t lane) const;
-    [[nodiscard]] const telemetry::harness& telemetry(std::size_t lane) const;
+    [[nodiscard]] std::vector<double> cpu_sensor_temps(std::size_t lane) const {
+        return at(lane).cpu_sensor_reads();
+    }
+    [[nodiscard]] util::celsius_t max_cpu_sensor_temp(std::size_t lane) const {
+        return at(lane).max_cpu_sensor_temp();
+    }
+    [[nodiscard]] util::watts_t system_power_reading(std::size_t lane) const {
+        return current_power(lane).total();
+    }
+    [[nodiscard]] const telemetry::harness& telemetry(std::size_t lane) const {
+        return at(lane).telemetry();
+    }
 
     // --- ground truth (per lane) -------------------------------------------
-    [[nodiscard]] util::celsius_t true_cpu_temp(std::size_t lane, std::size_t socket) const;
-    [[nodiscard]] util::celsius_t true_avg_cpu_temp(std::size_t lane) const;
-    [[nodiscard]] util::celsius_t true_dimm_temp(std::size_t lane) const;
-    [[nodiscard]] power::power_breakdown current_power(std::size_t lane) const;
+    [[nodiscard]] util::celsius_t true_cpu_temp(std::size_t lane, std::size_t socket) const {
+        return batch_.temperature(proto_.die_node(socket), lane);
+    }
+    [[nodiscard]] util::celsius_t true_avg_cpu_temp(std::size_t lane) const {
+        const die_temps die = dies(lane);
+        return util::celsius_t{0.5 * (die[0] + die[1])};
+    }
+    [[nodiscard]] util::celsius_t true_dimm_temp(std::size_t lane) const {
+        return batch_.temperature(proto_.dimm_node(), lane);
+    }
+    [[nodiscard]] power::power_breakdown current_power(std::size_t lane) const {
+        return at(lane).breakdown_at(at(lane).instantaneous_utilization(), dies(lane));
+    }
 
     /// Changes one lane's room temperature mid-run (aisle gradients,
     /// setpoint drift).
-    void set_ambient(std::size_t lane, util::celsius_t t);
-    [[nodiscard]] util::celsius_t ambient(std::size_t lane) const;
+    void set_ambient(std::size_t lane, util::celsius_t t) { batch_.set_ambient(lane, t); }
+    [[nodiscard]] util::celsius_t ambient(std::size_t lane) const { return batch_.ambient(lane); }
 
     // --- lane state save/restore --------------------------------------------
     /// Writes one lane's complete dynamic state into `out` (overwriting
@@ -134,8 +165,7 @@ public:
 
     /// The lane's bound workload, or nullptr before any bind_workload.
     [[nodiscard]] const workload::loadgen* workload(std::size_t lane) const {
-        const auto& w = at(lane).workload;
-        return w ? &*w : nullptr;
+        return at(lane).workload();
     }
 
     // --- time ---------------------------------------------------------------
@@ -146,7 +176,9 @@ public:
     /// no-op.
     void step(util::seconds_t dt = util::seconds_t{1.0});
     void advance(util::seconds_t duration, util::seconds_t dt = util::seconds_t{1.0});
-    [[nodiscard]] util::seconds_t now(std::size_t lane) const;
+    [[nodiscard]] util::seconds_t now(std::size_t lane) const {
+        return util::seconds_t{at(lane).now_s()};
+    }
 
     /// Ragged fleets: marks one lane (in)active for subsequent steps.
     /// Lanes whose workload finishes early go inert while the rest of
@@ -177,70 +209,24 @@ public:
     /// the streaming telemetry service reads it directly).
     [[nodiscard]] const batch_trace& traces() const { return traces_; }
 
-    [[nodiscard]] const server_config& config(std::size_t lane) const;
+    [[nodiscard]] const server_config& config(std::size_t lane) const { return at(lane).config(); }
 
 private:
-    struct lane_state {
-        explicit lane_state(const server_config& cfg)
-            : config(cfg),
-              rng(cfg.seed, 0xda3e39cb94b95bdbULL),
-              fans(cfg.fan_pairs, cfg.fan, cfg.default_fan_rpm),
-              leakage(cfg.leakage),
-              active(cfg.active_coeff_w_per_pct, cfg.split, cfg.cpu_heat_shape_exponent),
-              telemetry(util::seconds_t{cfg.telemetry_period_s}) {}
-
-        server_config config;
-        util::pcg32 rng;
-        power::fan_bank fans;
-        power::leakage_model leakage;
-        power::active_model active;
-        thermal::server_sensor_suite sensors;
-        telemetry::harness telemetry;
-        std::optional<workload::loadgen> workload;
-
-        double now_s = 0.0;
-        double imbalance = 0.5;
-        std::size_t fan_changes = 0;
-        std::vector<double> last_cpu_sensor_reads;
-
-        std::optional<fault_schedule> faults;
-        fault_state fault;  ///< Always sized, so snapshots are always valid.
-        std::optional<core::fault_monitor> monitor;  ///< Present iff config.monitor.enabled.
-
-        // Mirror of server_thermal_model's per-plant scalar state; the
-        // node/edge state itself lives in the shared rc_batch lanes.
-        std::vector<double> zone_airflow_cfm;
-        double cpu_heat_w[2] = {0.0, 0.0};
-        double dimm_heat_w = 0.0;
-        double sink_g_w_per_k[2] = {0.0, 0.0};
-        double stream_capacity_w_per_k = 0.0;
-    };
-
     void init_lane(std::size_t lane, const server_config& config);
-    void register_telemetry(std::size_t lane);
-    void apply_due_faults(std::size_t lane);
-    void apply_fault_event(std::size_t lane, const fault_event& event);
-    void clear_fault_effects(std::size_t lane);
-    [[nodiscard]] double corrupt_sensor_reading(std::size_t lane, std::size_t sensor,
-                                                double raw) const;
     void apply_airflow(std::size_t lane);
-    void update_conductances(std::size_t lane);
-    void update_preheat(std::size_t lane);
     void apply_heat(std::size_t lane, double u_inst);
+    void update_preheat(std::size_t lane);
     void settle_to_steady_state(std::size_t lane);
-    void record(std::size_t lane, double u_target, double u_inst);
-    [[nodiscard]] power::power_breakdown breakdown_at(std::size_t lane, double u_inst) const;
-    [[nodiscard]] double total_airflow_cfm(std::size_t lane) const;
-    [[nodiscard]] double effective_airflow_cfm(std::size_t lane, std::size_t component_zone) const;
-    [[nodiscard]] double die_temp(std::size_t lane, std::size_t socket) const;
+    [[nodiscard]] die_temps dies(std::size_t lane) const;
 
-    [[nodiscard]] lane_state& at(std::size_t lane);
-    [[nodiscard]] const lane_state& at(std::size_t lane) const;
+    [[nodiscard]] server_lane& at(std::size_t lane);
+    [[nodiscard]] const server_lane& at(std::size_t lane) const;
 
     // Topology prototype (node/edge handles) shared by every lane.
     thermal::server_thermal_model proto_;
     thermal::rc_batch batch_;
-    std::vector<std::unique_ptr<lane_state>> lanes_;
+    std::vector<std::unique_ptr<server_lane>> lanes_;
+    std::vector<thermal::server_airflow> airflow_;  ///< One coupling per lane.
 
     // Lane-major columnar recording: all lanes of a step append into one
     // contiguous arena row-group.

@@ -1,0 +1,469 @@
+#include "sim/server_lane.hpp"
+
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
+
+#include "util/error.hpp"
+
+namespace ltsc::sim {
+
+server_lane::server_lane(const server_config& config, die_reader die_temp, dimm_reader dimm_temp)
+    : config_(validated(config)),
+      die_temp_(std::move(die_temp)),
+      rng_(config.seed, 0xda3e39cb94b95bdbULL),
+      fans_(config.fan_pairs, config.fan, config.default_fan_rpm),
+      leakage_(config.leakage),
+      active_(config.active_coeff_w_per_pct, config.split, config.cpu_heat_shape_exponent),
+      sensors_(thermal::make_server_sensors(die_temp_, dimm_temp, config.dimm_count, rng_,
+                                            config.sensor_noise_sigma, config.sensor_quantum)),
+      telemetry_(util::seconds_t{config.telemetry_period_s}) {
+    last_cpu_sensor_reads_.assign(sensors_.cpu.size(), config.thermal.ambient_c);
+    fault_.reset(fans_.pair_count(), sensors_.cpu.size());
+    register_telemetry();
+    if (config_.monitor.enabled) {
+        monitor_.emplace(config_.monitor, monitor_plant_for(config_));
+        monitor_->reset(fans_, util::celsius_t{config_.thermal.ambient_c});
+    }
+}
+
+void server_lane::register_telemetry() {
+    for (std::size_t i = 0; i < sensors_.cpu.size(); ++i) {
+        telemetry_.add_channel(sensors_.cpu[i].name(), "degC", [this, i] {
+            // The true sensor is always read first so the noise stream
+            // stays aligned with a healthy run; corruption (stuck, bias,
+            // dropout) applies between the sensor and the delivered value.
+            const double raw = sensors_.cpu[i].read().value();
+            const double v = corrupt_sensor_reading(i, raw);
+            last_cpu_sensor_reads_[i] = v;
+            return v;
+        });
+    }
+    for (std::size_t i = 0; i < sensors_.dimm.size(); ++i) {
+        telemetry_.add_channel(sensors_.dimm[i].name(), "degC",
+                               [this, i] { return sensors_.dimm[i].read().value(); },
+                               /*ring_capacity=*/512, /*record_history=*/false);
+    }
+    // Per-socket rail telemetry (the paper collects per-core V/I; the
+    // aggregate per-socket rail carries the same information here).
+    for (std::size_t s = 0; s < 2; ++s) {
+        telemetry_.add_channel("cpu" + std::to_string(s) + "_voltage", "V",
+                               [] { return 1.0; }, 16, false);
+        telemetry_.add_channel("cpu" + std::to_string(s) + "_current", "A", [this, s] {
+            const double u = instantaneous_utilization();
+            const double share = s == 0 ? imbalance_ : 1.0 - imbalance_;
+            const double rail_w = config_.cpu_idle_each_w + active_.cpu(u).value() * share +
+                                  leakage_.share_at(die_temp_(s), 2).value();
+            return rail_w / 1.0;
+        });
+    }
+    telemetry_.add_channel("system_power", "W", [this] {
+        const die_temps die = {die_temp_(0).value(), die_temp_(1).value()};
+        return breakdown_at(instantaneous_utilization(), die).total().value();
+    });
+    telemetry_.add_channel("fan_power", "W", [this] { return fans_.total_power().value(); });
+}
+
+void server_lane::bind_workload(workload::loadgen generator) {
+    workload_ = std::move(generator);
+    now_s_ = 0.0;
+    telemetry_.clear_history();
+}
+
+double server_lane::target_utilization() const {
+    return workload_ ? workload_->target_utilization(util::seconds_t{now_s_}) : 0.0;
+}
+
+double server_lane::instantaneous_utilization() const {
+    return workload_ ? workload_->instantaneous_utilization(util::seconds_t{now_s_}) : 0.0;
+}
+
+double server_lane::measured_utilization(util::seconds_t window) const {
+    return workload_ ? workload_->measured_utilization(util::seconds_t{now_s_}, window) : 0.0;
+}
+
+double server_lane::measured_socket_utilization(std::size_t socket,
+                                                util::seconds_t window) const {
+    util::ensure(socket < 2, "server_lane::measured_socket_utilization: bad socket");
+    const double share = socket == 0 ? imbalance_ : 1.0 - imbalance_;
+    // System utilization counts both sockets; one socket carrying `share`
+    // of it runs at 2 * share of its own capacity.
+    return std::min(100.0, measured_utilization(window) * 2.0 * share);
+}
+
+void server_lane::set_load_imbalance(double fraction_socket0) {
+    util::ensure(fraction_socket0 >= 0.0 && fraction_socket0 <= 1.0,
+                 "server_lane::set_load_imbalance: fraction out of [0, 1]");
+    imbalance_ = fraction_socket0;
+}
+
+bool server_lane::set_fan_speed(std::size_t pair_index, util::rpm_t rpm) {
+    // Both checks come before any mutation: an out-of-range pair or a
+    // non-finite command (fan_pair::clamp rejects it) leaves the lane
+    // untouched.
+    util::ensure(pair_index < fans_.pair_count(),
+                 "server_lane::set_fan_speed: pair index out of range");
+    const util::rpm_t clamped = fans_.pair().clamp(rpm);
+    if (monitor_) {
+        // Capture the command at the actuation boundary, before any
+        // degraded pair latches it: the command/tach residual is the
+        // monitor's view of what the controller *asked for*.
+        monitor_->observe_fan_command(pair_index, clamped);
+    }
+    if (fault_.fan_mode[pair_index] != fault_state::fan_ok) {
+        // The pair's rotor no longer answers: latch the command for
+        // recovery, deliver nothing physically, count nothing.  A
+        // tach-stuck pair still updates its (lying) tach readout so the
+        // tachometer keeps agreeing with whatever is commanded — the
+        // blind spot only the thermal cross-check can see.
+        fault_.fan_commanded_rpm[pair_index] = clamped.value();
+        if (fault_.fan_mode[pair_index] == fault_state::fan_tach) {
+            fans_.set_speed(pair_index, rpm);
+        }
+        return false;
+    }
+    const util::rpm_t before = fans_.speed(pair_index);
+    fans_.set_speed(pair_index, rpm);
+    if (fans_.speed(pair_index).value() == before.value()) {
+        return false;
+    }
+    ++fan_changes_;
+    return true;
+}
+
+bool server_lane::set_all_fans(util::rpm_t rpm) {
+    const double target = fans_.pair().clamp(rpm).value();
+    if (monitor_) {
+        monitor_->observe_all_fan_commands(util::rpm_t{target});
+    }
+    // Healthy pairs actuate, faulted pairs latch.  Any physical change
+    // counts as one command; none skips the airflow update entirely.
+    bool changed = false;
+    for (std::size_t i = 0; i < fans_.pair_count(); ++i) {
+        if (fault_.fan_mode[i] != fault_state::fan_ok) {
+            fault_.fan_commanded_rpm[i] = target;
+            if (fault_.fan_mode[i] == fault_state::fan_tach) {
+                fans_.set_speed(i, rpm);  // lying tach tracks the command
+            }
+            continue;
+        }
+        if (fans_.speed(i).value() != target) {
+            fans_.set_speed(i, rpm);
+            changed = true;
+        }
+    }
+    if (changed) {
+        ++fan_changes_;
+    }
+    return changed;
+}
+
+const std::vector<util::cfm_t>& server_lane::zone_airflow() {
+    zone_airflow_.resize(fans_.pair_count());
+    for (std::size_t i = 0; i < fans_.pair_count(); ++i) {
+        // pair_airflow is the healthy airflow unless the pair's rotor
+        // stopped, in which case its zone sees zero direct flow (the
+        // plenum cross-mixing still shares the other zones' air).
+        zone_airflow_[i] = fans_.pair_airflow(i);
+    }
+    return zone_airflow_;
+}
+
+util::celsius_t server_lane::max_cpu_sensor_temp() const {
+    util::ensure(!last_cpu_sensor_reads_.empty(), "server_lane: no CPU sensors");
+    return util::celsius_t{
+        *std::max_element(last_cpu_sensor_reads_.begin(), last_cpu_sensor_reads_.end())};
+}
+
+double server_lane::telemetry_age_s() const {
+    return telemetry_.ever_polled() ? now_s_ - telemetry_.last_poll_time()
+                                    : std::numeric_limits<double>::infinity();
+}
+
+lane_heat server_lane::heat_at(double u_inst, const die_temps& die) const {
+    const double shares[2] = {imbalance_, 1.0 - imbalance_};
+    lane_heat heat;
+    for (std::size_t s = 0; s < 2; ++s) {
+        const util::watts_t die_heat =
+            util::watts_t{config_.cpu_idle_each_w} + active_.cpu(u_inst) * shares[s] +
+            leakage_.share_at(util::celsius_t{die[s]}, 2);
+        heat.cpu_w[s] = die_heat.value();
+    }
+    heat.dimm_w = (util::watts_t{config_.dimm_idle_total_w} + active_.memory(u_inst)).value();
+    heat.other_w = active_.other(u_inst).value();
+    util::ensure(heat.cpu_w[0] >= 0.0 && heat.cpu_w[1] >= 0.0 && heat.dimm_w >= 0.0 &&
+                     heat.other_w >= 0.0,
+                 "server_lane::heat_at: negative heat");
+    return heat;
+}
+
+power::power_breakdown server_lane::breakdown_at(double u_inst, const die_temps& die) const {
+    power::power_breakdown out;
+    out.base = util::watts_t{config_.base_power_w};
+    out.active = active_.total(u_inst);
+    util::watts_t leak{0.0};
+    for (std::size_t s = 0; s < 2; ++s) {
+        leak += leakage_.share_at(util::celsius_t{die[s]}, 2);
+    }
+    out.leakage = leak;
+    out.fan = fans_.total_power();
+    return out;
+}
+
+void server_lane::advance_clock(util::seconds_t dt, double u_inst, util::celsius_t ambient) {
+    now_s_ += dt.value();
+    if (monitor_) {
+        monitor_->step(dt, u_inst, imbalance_, ambient, fans_);
+    }
+}
+
+trace_row server_lane::make_row(double u_target, double u_inst, const die_temps& die,
+                                util::celsius_t dimm) const {
+    const power::power_breakdown p = breakdown_at(u_inst, die);
+    const double avg_die = 0.5 * (die[0] + die[1]);
+    trace_row row;
+    row[trace_channel::target_util] = u_target;
+    row[trace_channel::instant_util] = u_inst;
+    row[trace_channel::cpu0_temp] = die[0];
+    row[trace_channel::cpu1_temp] = die[1];
+    row[trace_channel::avg_cpu_temp] = avg_die;
+    double max_sensor = last_cpu_sensor_reads_.empty() ? avg_die : last_cpu_sensor_reads_[0];
+    for (double v : last_cpu_sensor_reads_) {
+        max_sensor = std::max(max_sensor, v);
+    }
+    row[trace_channel::max_sensor_temp] = max_sensor;
+    row[trace_channel::dimm_temp] = dimm.value();
+    row[trace_channel::total_power] = p.total().value();
+    row[trace_channel::fan_power] = p.fan.value();
+    row[trace_channel::leakage_power] = p.leakage.value();
+    row[trace_channel::active_power] = p.active.value();
+    row[trace_channel::avg_fan_rpm] = fans_.average_speed().value();
+    // Rows are built before the step's poll check, so the age here is
+    // always finite after a cold start and grows to the poll period.
+    row[trace_channel::sensor_age] =
+        telemetry_.ever_polled() ? now_s_ - telemetry_.last_poll_time() : now_s_;
+    row[trace_channel::monitor_sensor_health] =
+        monitor_ ? static_cast<double>(static_cast<int>(monitor_->worst_sensor_health())) : 0.0;
+    row[trace_channel::monitor_fan_health] =
+        monitor_ ? static_cast<double>(static_cast<int>(monitor_->worst_fan_health())) : 0.0;
+    row[trace_channel::monitor_die_estimate] = monitor_ ? monitor_->max_die_estimate_c() : 0.0;
+    return row;
+}
+
+void server_lane::poll() {
+    telemetry_.set_poll_suppressed(fault_.telemetry_lost(now_s_));
+    if (telemetry_.poll_due(util::seconds_t{now_s_}) && monitor_) {
+        monitor_->on_poll(last_cpu_sensor_reads_);
+    }
+}
+
+void server_lane::begin_cold_start() {
+    // Faults are part of the run being restarted: clear live effects and
+    // rewind the campaign cursor with the clock.
+    clear_fault_effects();
+    fans_.set_all(config_.cold_start_fan_rpm);
+}
+
+void server_lane::finish_cold_start(util::celsius_t ambient) {
+    if (monitor_) {
+        // The twin restarts with the plant: re-latch the cold-start
+        // commands, clear verdicts, and settle to the same idle state.
+        monitor_->reset(fans_, ambient);
+        monitor_->settle(0.0, imbalance_, ambient, fans_);
+    }
+    now_s_ = 0.0;
+    fan_changes_ = 0;
+    telemetry_.reset();
+    telemetry_.poll_now(util::seconds_t{now_s_});
+    if (monitor_) {
+        monitor_->on_poll(last_cpu_sensor_reads_);
+    }
+}
+
+void server_lane::settle_monitor(double u_pct, util::celsius_t ambient) {
+    if (monitor_) {
+        monitor_->settle(u_pct, imbalance_, ambient, fans_);
+    }
+}
+
+void server_lane::save_state(server_state& out) const {
+    out.now_s = now_s_;
+    out.imbalance = imbalance_;
+    out.fan_changes = fan_changes_;
+    out.fan_rpm.resize(fans_.pair_count());
+    for (std::size_t i = 0; i < fans_.pair_count(); ++i) {
+        // Commanded (raw) speeds: a failed pair's tach reads 0, but the
+        // restore path must re-latch the command, not clamp the zero.
+        out.fan_rpm[i] = fans_.speed(i).value();
+    }
+    out.rng = rng_;
+    out.sensor_reads = last_cpu_sensor_reads_;
+    out.telemetry_last_poll_s = telemetry_.last_poll_time();
+    out.telemetry_polled = telemetry_.ever_polled();
+    out.fault = fault_;
+    if (monitor_) {
+        monitor_->save_state(out.monitor);
+    } else {
+        out.monitor = core::fault_monitor_state{};
+    }
+}
+
+void server_lane::restore_state(const server_state& state) {
+    util::ensure(state.fan_rpm.size() == fans_.pair_count(),
+                 "server_lane::restore_state: fan pair count mismatch");
+    util::ensure(state.sensor_reads.size() == last_cpu_sensor_reads_.size(),
+                 "server_lane::restore_state: sensor count mismatch");
+    util::ensure(state.fault.sized_for(fans_.pair_count(), sensors_.cpu.size()),
+                 "server_lane::restore_state: fault state shape mismatch");
+    now_s_ = state.now_s;
+    imbalance_ = state.imbalance;
+    fan_changes_ = state.fan_changes;
+    rng_ = state.rng;
+    fault_ = state.fault;
+    for (std::size_t i = 0; i < fans_.pair_count(); ++i) {
+        fans_.set_speed(i, util::rpm_t{state.fan_rpm[i]});
+        fans_.set_failed(i, fault_.fan_mode[i] == fault_state::fan_failed);
+        fans_.set_tach_stuck(i, fault_.fan_mode[i] == fault_state::fan_tach);
+    }
+    last_cpu_sensor_reads_ = state.sensor_reads;
+    telemetry_.reset();
+    telemetry_.restore_poll_clock(state.telemetry_last_poll_s, state.telemetry_polled);
+    if (monitor_) {
+        monitor_->restore_state(state.monitor, fans_);
+    }
+}
+
+void server_lane::bind_fault_schedule(fault_schedule schedule) {
+    if (!schedule.empty()) {
+        util::ensure(schedule.max_fan_target() < fans_.pair_count(),
+                     "server_lane::bind_fault_schedule: fan target out of range");
+        util::ensure(schedule.max_sensor_target() < sensors_.cpu.size(),
+                     "server_lane::bind_fault_schedule: sensor target out of range");
+    }
+    schedule_ = std::move(schedule);
+    clear_fault_effects();
+}
+
+void server_lane::clear_fault_schedule() {
+    schedule_.reset();
+    clear_fault_effects();
+}
+
+void server_lane::clear_fault_effects() {
+    fault_.reset(fans_.pair_count(), sensors_.cpu.size());
+    for (std::size_t i = 0; i < fans_.pair_count(); ++i) {
+        fans_.set_failed(i, false);
+        fans_.set_tach_stuck(i, false);
+    }
+    telemetry_.set_poll_suppressed(false);
+}
+
+bool server_lane::apply_due_faults() {
+    if (!schedule_) {
+        return false;
+    }
+    const std::vector<fault_event>& events = schedule_->events();
+    while (fault_.next_event < events.size() &&
+           events[fault_.next_event].t_s <= now_s_ + 1e-9) {
+        const bool airflow_changed = apply_fault_event(events[fault_.next_event]);
+        ++fault_.next_event;
+        if (airflow_changed) {
+            return true;
+        }
+    }
+    return false;
+}
+
+bool server_lane::apply_fault_event(const fault_event& event) {
+    switch (event.kind) {
+        case fault_kind::fan_failure:
+            fault_.fan_commanded_rpm[event.target] = fans_.speed(event.target).value();
+            fault_.fan_mode[event.target] = fault_state::fan_failed;
+            fans_.set_failed(event.target, true);
+            return true;
+        case fault_kind::fan_stuck_pwm:
+            fault_.fan_commanded_rpm[event.target] = fans_.speed(event.target).value();
+            fault_.fan_mode[event.target] = fault_state::fan_stuck;
+            if (std::isnan(event.value)) {
+                return false;
+            }
+            fans_.set_speed(event.target, util::rpm_t{event.value});
+            return true;
+        case fault_kind::fan_tach_stuck:
+            fault_.fan_commanded_rpm[event.target] = fans_.speed(event.target).value();
+            fault_.fan_mode[event.target] = fault_state::fan_tach;
+            fans_.set_tach_stuck(event.target, true);
+            return true;
+        case fault_kind::fan_recover:
+            fault_.fan_mode[event.target] = fault_state::fan_ok;
+            fans_.set_failed(event.target, false);
+            fans_.set_tach_stuck(event.target, false);
+            // Resume the last latched command (faults and latched
+            // commands are not controller actions, so no count).
+            fans_.set_speed(event.target, util::rpm_t{fault_.fan_commanded_rpm[event.target]});
+            return true;
+        case fault_kind::sensor_stuck:
+            fault_.sensor_stuck[event.target] = 1;
+            fault_.sensor_stuck_c[event.target] = std::isnan(event.value)
+                                                      ? last_cpu_sensor_reads_[event.target]
+                                                      : event.value;
+            return false;
+        case fault_kind::sensor_bias:
+            fault_.sensor_bias_c[event.target] = event.value;
+            return false;
+        case fault_kind::sensor_dropout:
+            // Windows anchor on the scheduled time, not the (step-
+            // quantized) fire time, so replays at a different sim_dt see
+            // the same span.
+            fault_.sensor_dropout_until_s[event.target] = event.t_s + event.duration_s;
+            return false;
+        case fault_kind::sensor_drift:
+            // The ramp anchors on the scheduled onset, like dropout
+            // windows, so the grown bias is dt-invariant.
+            fault_.sensor_drift_c_per_s[event.target] = event.value;
+            fault_.sensor_drift_start_s[event.target] = event.t_s;
+            return false;
+        case fault_kind::sensor_intermittent:
+            fault_.sensor_intermittent_c[event.target] = event.value;
+            fault_.sensor_intermittent_start_s[event.target] = event.t_s;
+            fault_.sensor_intermittent_until_s[event.target] = event.t_s + event.duration_s;
+            return false;
+        case fault_kind::sensor_recover:
+            fault_.sensor_stuck[event.target] = 0;
+            fault_.sensor_bias_c[event.target] = 0.0;
+            fault_.sensor_dropout_until_s[event.target] = 0.0;
+            fault_.sensor_drift_c_per_s[event.target] = 0.0;
+            fault_.sensor_drift_start_s[event.target] = 0.0;
+            fault_.sensor_intermittent_c[event.target] = 0.0;
+            fault_.sensor_intermittent_start_s[event.target] = 0.0;
+            fault_.sensor_intermittent_until_s[event.target] = 0.0;
+            return false;
+        case fault_kind::telemetry_loss:
+            fault_.telemetry_lost_until_s = event.t_s + event.duration_s;
+            return false;
+    }
+    return false;
+}
+
+double server_lane::corrupt_sensor_reading(std::size_t sensor, double raw) const {
+    if (fault_.sensor_stuck[sensor] != 0) {
+        return fault_.sensor_stuck_c[sensor];
+    }
+    if (now_s_ < fault_.sensor_dropout_until_s[sensor] - 1e-9) {
+        return last_cpu_sensor_reads_[sensor];  // hold the last delivered value
+    }
+    double offset = fault_.sensor_bias_c[sensor];
+    if (fault_.sensor_drift_c_per_s[sensor] != 0.0) {
+        offset += fault_.sensor_drift_c_per_s[sensor] *
+                  (now_s_ - fault_.sensor_drift_start_s[sensor]);
+    }
+    if (fault_.intermittent_burst_live(sensor, now_s_)) {
+        offset += fault_.sensor_intermittent_c[sensor];
+    }
+    // Exact pass-through when unbiased, so healthy runs stay bitwise.
+    return offset == 0.0 ? raw : raw + offset;
+}
+
+}  // namespace ltsc::sim

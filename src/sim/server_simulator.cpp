@@ -1,77 +1,21 @@
 #include "sim/server_simulator.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/error.hpp"
 
 namespace ltsc::sim {
 
 server_simulator::server_simulator(const server_config& config)
-    : config_(validated(config)),
-      rng_(config.seed, 0xda3e39cb94b95bdbULL),
-      fans_(config.fan_pairs, config.fan, config.default_fan_rpm),
-      leakage_(config.leakage),
-      active_(config.active_coeff_w_per_pct, config.split, config.cpu_heat_shape_exponent),
-      thermal_(config.thermal),
-      sensors_(thermal::make_server_sensors(
-          [this](std::size_t s) { return thermal_.cpu_die_temp(s); },
-          [this] { return thermal_.dimm_temp(); }, config.dimm_count, rng_,
-          config.sensor_noise_sigma, config.sensor_quantum)),
-      telemetry_(util::seconds_t{config.telemetry_period_s}) {
-    last_cpu_sensor_reads_.assign(sensors_.cpu.size(), config.thermal.ambient_c);
-    fault_.reset(fans_.pair_count(), sensors_.cpu.size());
-    register_telemetry();
+    : lane_(config, [this](std::size_t s) { return thermal_.cpu_die_temp(s); },
+            [this] { return thermal_.dimm_temp(); }),
+      thermal_(config.thermal) {
     apply_airflow();
-    apply_heat(0.0);
-    if (config_.monitor.enabled) {
-        monitor_.emplace(config_.monitor, monitor_plant_for(config_));
-        monitor_->reset(fans_, thermal_.ambient());
-    }
-}
-
-void server_simulator::register_telemetry() {
-    for (std::size_t i = 0; i < sensors_.cpu.size(); ++i) {
-        telemetry_.add_channel(sensors_.cpu[i].name(), "degC", [this, i] {
-            // The true sensor is always read first so the noise stream
-            // stays aligned with a healthy run; corruption (stuck, bias,
-            // dropout) applies between the sensor and the delivered value.
-            const double raw = sensors_.cpu[i].read().value();
-            const double v = corrupt_sensor_reading(i, raw);
-            last_cpu_sensor_reads_[i] = v;
-            return v;
-        });
-    }
-    for (std::size_t i = 0; i < sensors_.dimm.size(); ++i) {
-        telemetry_.add_channel(sensors_.dimm[i].name(), "degC",
-                               [this, i] { return sensors_.dimm[i].read().value(); },
-                               /*ring_capacity=*/512, /*record_history=*/false);
-    }
-    // Per-socket rail telemetry (the paper collects per-core V/I; the
-    // aggregate per-socket rail carries the same information here).
-    for (std::size_t s = 0; s < thermal::server_thermal_model::socket_count(); ++s) {
-        telemetry_.add_channel("cpu" + std::to_string(s) + "_voltage", "V",
-                               [] { return 1.0; }, 16, false);
-        telemetry_.add_channel("cpu" + std::to_string(s) + "_current", "A", [this, s] {
-            const double u = workload_ ? workload_->instantaneous_utilization(now()) : 0.0;
-            const double share = s == 0 ? imbalance_ : 1.0 - imbalance_;
-            const double rail_w = config_.cpu_idle_each_w +
-                                  active_.cpu(u).value() * share +
-                                  leakage_.share_at(thermal_.cpu_die_temp(s), 2).value();
-            return rail_w / 1.0;
-        });
-    }
-    telemetry_.add_channel("system_power", "W", [this] {
-        const double u = workload_ ? workload_->instantaneous_utilization(now()) : 0.0;
-        return breakdown_at(u).total().value();
-    });
-    telemetry_.add_channel("fan_power", "W", [this] { return fans_.total_power().value(); });
 }
 
 void server_simulator::bind_workload(workload::loadgen generator) {
-    workload_ = std::move(generator);
-    now_s_ = 0.0;
-    clear_trace();
+    lane_.bind_workload(std::move(generator));
+    trace_.clear();
 }
 
 void server_simulator::bind_workload(const workload::utilization_profile& profile) {
@@ -79,186 +23,38 @@ void server_simulator::bind_workload(const workload::utilization_profile& profil
 }
 
 void server_simulator::set_fan_speed(std::size_t pair_index, util::rpm_t rpm) {
-    if (monitor_) {
-        // Capture the command at the actuation boundary, before any
-        // degraded pair latches it: the command/tach residual is the
-        // monitor's view of what the controller *asked for*.
-        monitor_->observe_fan_command(pair_index, fans_.pair().clamp(rpm));
-    }
-    if (fault_.fan_mode[pair_index] != fault_state::fan_ok) {
-        // The pair's rotor no longer answers: latch the command for
-        // recovery, deliver nothing physically, count nothing.  A
-        // tach-stuck pair still updates its (lying) tach readout so the
-        // tachometer keeps agreeing with whatever is commanded — the
-        // blind spot only the thermal cross-check can see.
-        fault_.fan_commanded_rpm[pair_index] = fans_.pair().clamp(rpm).value();
-        if (fault_.fan_mode[pair_index] == fault_state::fan_tach) {
-            fans_.set_speed(pair_index, rpm);
-        }
-        return;
-    }
-    const util::rpm_t before = fans_.speed(pair_index);
-    fans_.set_speed(pair_index, rpm);
-    if (fans_.speed(pair_index).value() != before.value()) {
-        ++fan_changes_;
+    if (lane_.set_fan_speed(pair_index, rpm)) {
         apply_airflow();
     }
 }
 
 void server_simulator::set_all_fans(util::rpm_t rpm) {
-    if (monitor_) {
-        monitor_->observe_all_fan_commands(fans_.pair().clamp(rpm));
-    }
-    if (!fault_.any_fan_fault()) {
-        // Clamp once, detect a change in the same pass, and skip the
-        // airflow (and conductance) update entirely when every pair
-        // already runs at the commanded speed.
-        const double target = fans_.pair().clamp(rpm).value();
-        bool changed = false;
-        for (std::size_t i = 0; i < fans_.pair_count() && !changed; ++i) {
-            changed = fans_.speed(i).value() != target;
-        }
-        if (!changed) {
-            return;
-        }
-        fans_.set_all(rpm);
-        ++fan_changes_;
-        apply_airflow();
-        return;
-    }
-    // Degraded path: healthy pairs actuate, faulted pairs latch.  Any
-    // physical change counts as one command, like the healthy path.
-    const double target = fans_.pair().clamp(rpm).value();
-    bool changed = false;
-    for (std::size_t i = 0; i < fans_.pair_count(); ++i) {
-        if (fault_.fan_mode[i] != fault_state::fan_ok) {
-            fault_.fan_commanded_rpm[i] = target;
-            if (fault_.fan_mode[i] == fault_state::fan_tach) {
-                fans_.set_speed(i, rpm);  // lying tach tracks the command
-            }
-            continue;
-        }
-        if (fans_.speed(i).value() != target) {
-            fans_.set_speed(i, rpm);
-            changed = true;
-        }
-    }
-    if (changed) {
-        ++fan_changes_;
+    if (lane_.set_all_fans(rpm)) {
         apply_airflow();
     }
-}
-
-util::rpm_t server_simulator::fan_speed(std::size_t pair_index) const {
-    return fans_.effective_speed(pair_index);
-}
-
-util::rpm_t server_simulator::average_fan_rpm() const { return fans_.average_speed(); }
-
-double server_simulator::measured_utilization(util::seconds_t window) const {
-    if (!workload_) {
-        return 0.0;
-    }
-    return workload_->measured_utilization(now(), window);
-}
-
-std::vector<double> server_simulator::cpu_sensor_temps() const { return last_cpu_sensor_reads_; }
-
-util::celsius_t server_simulator::max_cpu_sensor_temp() const {
-    util::ensure(!last_cpu_sensor_reads_.empty(), "server_simulator: no CPU sensors");
-    return util::celsius_t{*std::max_element(last_cpu_sensor_reads_.begin(),
-                                             last_cpu_sensor_reads_.end())};
-}
-
-util::watts_t server_simulator::system_power_reading() const {
-    const double u = workload_ ? workload_->instantaneous_utilization(now()) : 0.0;
-    return breakdown_at(u).total();
-}
-
-util::celsius_t server_simulator::true_cpu_temp(std::size_t socket) const {
-    return thermal_.cpu_die_temp(socket);
-}
-
-util::celsius_t server_simulator::true_avg_cpu_temp() const { return thermal_.average_cpu_temp(); }
-
-util::celsius_t server_simulator::true_dimm_temp() const { return thermal_.dimm_temp(); }
-
-power::power_breakdown server_simulator::current_power() const {
-    const double u = workload_ ? workload_->instantaneous_utilization(now()) : 0.0;
-    return breakdown_at(u);
-}
-
-power::power_breakdown server_simulator::breakdown_at(double u_inst) const {
-    power::power_breakdown out;
-    out.base = util::watts_t{config_.base_power_w};
-    out.active = active_.total(u_inst);
-    util::watts_t leak{0.0};
-    for (std::size_t s = 0; s < thermal::server_thermal_model::socket_count(); ++s) {
-        leak += leakage_.share_at(thermal_.cpu_die_temp(s), 2);
-    }
-    out.leakage = leak;
-    out.fan = fans_.total_power();
-    return out;
-}
-
-void server_simulator::apply_airflow() {
-    std::vector<util::cfm_t> per_zone;
-    per_zone.reserve(fans_.pair_count());
-    for (std::size_t i = 0; i < fans_.pair_count(); ++i) {
-        // pair_airflow is the healthy airflow unless the pair's rotor
-        // failed, in which case its zone sees zero direct flow (the
-        // plenum cross-mixing still shares the other zones' air).
-        per_zone.push_back(fans_.pair_airflow(i));
-    }
-    thermal_.set_zone_airflow(per_zone);
-}
-
-void server_simulator::set_load_imbalance(double fraction_socket0) {
-    util::ensure(fraction_socket0 >= 0.0 && fraction_socket0 <= 1.0,
-                 "server_simulator::set_load_imbalance: fraction out of [0, 1]");
-    imbalance_ = fraction_socket0;
-}
-
-double server_simulator::measured_socket_utilization(std::size_t socket,
-                                                     util::seconds_t window) const {
-    util::ensure(socket < thermal::server_thermal_model::socket_count(),
-                 "server_simulator::measured_socket_utilization: bad socket");
-    const double share = socket == 0 ? imbalance_ : 1.0 - imbalance_;
-    // System utilization counts both sockets; one socket carrying `share`
-    // of it runs at 2 * share of its own capacity.
-    return std::min(100.0, measured_utilization(window) * 2.0 * share);
 }
 
 void server_simulator::apply_heat(double u_inst) {
-    const double shares[2] = {imbalance_, 1.0 - imbalance_};
+    const lane_heat heat = lane_.heat_at(u_inst, dies());
     for (std::size_t s = 0; s < thermal::server_thermal_model::socket_count(); ++s) {
-        const util::watts_t die_heat =
-            util::watts_t{config_.cpu_idle_each_w} + active_.cpu(u_inst) * shares[s] +
-            leakage_.share_at(thermal_.cpu_die_temp(s), 2);
-        thermal_.set_cpu_heat(s, die_heat);
+        thermal_.set_cpu_heat(s, util::watts_t{heat.cpu_w[s]});
     }
-    thermal_.set_dimm_heat(util::watts_t{config_.dimm_idle_total_w} + active_.memory(u_inst));
-    thermal_.set_other_heat(active_.other(u_inst));
+    thermal_.set_dimm_heat(util::watts_t{heat.dimm_w});
+    thermal_.set_other_heat(util::watts_t{heat.other_w});
 }
 
 void server_simulator::step(util::seconds_t dt) {
     util::ensure(dt.value() > 0.0, "server_simulator::step: non-positive dt");
-    if (fault_schedule_) {
-        apply_due_faults();
+    while (lane_.apply_due_faults()) {
+        apply_airflow();
     }
-    const double u_target = workload_ ? workload_->target_utilization(now()) : 0.0;
-    const double u_inst = workload_ ? workload_->instantaneous_utilization(now()) : 0.0;
+    const double u_target = lane_.target_utilization();
+    const double u_inst = lane_.instantaneous_utilization();
     apply_heat(u_inst);
     thermal_.step(dt);
-    now_s_ += dt.value();
-    if (monitor_) {
-        monitor_->step(dt, u_inst, imbalance_, thermal_.ambient(), fans_);
-    }
-    record(u_target, u_inst);
-    telemetry_.set_poll_suppressed(fault_.telemetry_lost(now_s_));
-    if (telemetry_.poll_due(now()) && monitor_) {
-        monitor_->on_poll(last_cpu_sensor_reads_);
-    }
+    lane_.advance_clock(dt, u_inst, thermal_.ambient());
+    trace_.append(lane_.now_s(), lane_.make_row(u_target, u_inst, dies(), thermal_.dimm_temp()));
+    lane_.poll();
 }
 
 void server_simulator::advance(util::seconds_t duration, util::seconds_t dt) {
@@ -272,10 +68,7 @@ void server_simulator::advance(util::seconds_t duration, util::seconds_t dt) {
 }
 
 void server_simulator::force_cold_start() {
-    // Faults are part of the run being restarted: clear live effects and
-    // rewind the campaign cursor with the clock.
-    clear_fault_effects();
-    fans_.set_all(config_.cold_start_fan_rpm);
+    lane_.begin_cold_start();
     apply_airflow();
     // Leakage depends on temperature, which depends on leakage; iterate
     // the outer fixed point until the idle state is self-consistent.
@@ -283,20 +76,8 @@ void server_simulator::force_cold_start() {
         apply_heat(0.0);
         thermal_.settle_to_steady_state();
     }
-    if (monitor_) {
-        // The twin restarts with the plant: re-latch the cold-start
-        // commands, clear verdicts, and settle to the same idle state.
-        monitor_->reset(fans_, thermal_.ambient());
-        monitor_->settle(0.0, imbalance_, thermal_.ambient(), fans_);
-    }
-    now_s_ = 0.0;
-    fan_changes_ = 0;
-    clear_trace();
-    telemetry_.reset();
-    telemetry_.poll_now(now());
-    if (monitor_) {
-        monitor_->on_poll(last_cpu_sensor_reads_);
-    }
+    trace_.clear();
+    lane_.finish_cold_start(thermal_.ambient());
 }
 
 void server_simulator::settle_at(double u_pct) {
@@ -304,38 +85,16 @@ void server_simulator::settle_at(double u_pct) {
         apply_heat(u_pct);
         thermal_.settle_to_steady_state();
     }
-    if (monitor_) {
-        monitor_->settle(u_pct, imbalance_, thermal_.ambient(), fans_);
-    }
+    lane_.settle_monitor(u_pct, thermal_.ambient());
 }
 
 util::watts_t server_simulator::idle_power(util::rpm_t fan_rpm) const {
-    return steady_idle_power(config_, fan_rpm);
+    return steady_idle_power(config(), fan_rpm);
 }
 
-void server_simulator::set_ambient(util::celsius_t t) { thermal_.set_ambient(t); }
-
 void server_simulator::snapshot_state(server_state& out) const {
-    out.now_s = now_s_;
-    out.imbalance = imbalance_;
-    out.fan_changes = fan_changes_;
-    out.fan_rpm.resize(fans_.pair_count());
-    for (std::size_t i = 0; i < fans_.pair_count(); ++i) {
-        // Commanded (raw) speeds: a failed pair's tach reads 0, but the
-        // restore path must re-latch the command, not clamp the zero.
-        out.fan_rpm[i] = fans_.speed(i).value();
-    }
-    out.rng = rng_;
+    lane_.save_state(out);
     thermal_.save_state(out.thermal);
-    out.sensor_reads = last_cpu_sensor_reads_;
-    out.telemetry_last_poll_s = telemetry_.last_poll_time();
-    out.telemetry_polled = telemetry_.ever_polled();
-    out.fault = fault_;
-    if (monitor_) {
-        monitor_->save_state(out.monitor);
-    } else {
-        out.monitor = core::fault_monitor_state{};
-    }
 }
 
 server_state server_simulator::snapshot_state() const {
@@ -345,34 +104,18 @@ server_state server_simulator::snapshot_state() const {
 }
 
 void server_simulator::restore_state(const server_state& state) {
-    util::ensure(state.fan_rpm.size() == fans_.pair_count(),
-                 "server_simulator::restore_state: fan pair count mismatch");
-    util::ensure(state.sensor_reads.size() == last_cpu_sensor_reads_.size(),
-                 "server_simulator::restore_state: sensor count mismatch");
-    util::ensure(state.fault.sized_for(fans_.pair_count(), sensors_.cpu.size()),
-                 "server_simulator::restore_state: fault state shape mismatch");
-    now_s_ = state.now_s;
-    imbalance_ = state.imbalance;
-    fan_changes_ = state.fan_changes;
-    rng_ = state.rng;
-    fault_ = state.fault;
-    for (std::size_t i = 0; i < fans_.pair_count(); ++i) {
-        fans_.set_speed(i, util::rpm_t{state.fan_rpm[i]});
-        fans_.set_failed(i, fault_.fan_mode[i] == fault_state::fan_failed);
-        fans_.set_tach_stuck(i, fault_.fan_mode[i] == fault_state::fan_tach);
-    }
+    lane_.restore_state(state);
+    trace_.clear();
     // Airflow-derived conductances recompute from the restored speeds to
     // the exact values the snapshot carries; restore_state then reloads
     // them (a no-op value-wise) along with temperatures and powers.
     apply_airflow();
     thermal_.restore_state(state.thermal);
-    last_cpu_sensor_reads_ = state.sensor_reads;
-    clear_trace();
-    telemetry_.reset();
-    telemetry_.restore_poll_clock(state.telemetry_last_poll_s, state.telemetry_polled);
-    if (monitor_) {
-        monitor_->restore_state(state.monitor, fans_);
-    }
+}
+
+void server_simulator::clear_trace() {
+    trace_.clear();
+    lane_.clear_telemetry_history();
 }
 
 util::watts_t steady_idle_power(const server_config& config, util::rpm_t fan_rpm) {
@@ -399,169 +142,6 @@ util::watts_t steady_idle_power(const server_config& config, util::rpm_t fan_rpm
         leak += leakage.share_at(scratch.cpu_die_temp(s), 2);
     }
     return util::watts_t{config.base_power_w} + leak + scratch_fans.total_power();
-}
-
-void server_simulator::record(double u_target, double u_inst) {
-    const power::power_breakdown p = breakdown_at(u_inst);
-    trace_row row;
-    row[trace_channel::target_util] = u_target;
-    row[trace_channel::instant_util] = u_inst;
-    row[trace_channel::cpu0_temp] = thermal_.cpu_die_temp(0).value();
-    row[trace_channel::cpu1_temp] = thermal_.cpu_die_temp(1).value();
-    row[trace_channel::avg_cpu_temp] = thermal_.average_cpu_temp().value();
-    double max_sensor = last_cpu_sensor_reads_.empty() ? thermal_.average_cpu_temp().value()
-                                                       : last_cpu_sensor_reads_[0];
-    for (double v : last_cpu_sensor_reads_) {
-        max_sensor = std::max(max_sensor, v);
-    }
-    row[trace_channel::max_sensor_temp] = max_sensor;
-    row[trace_channel::dimm_temp] = thermal_.dimm_temp().value();
-    row[trace_channel::total_power] = p.total().value();
-    row[trace_channel::fan_power] = p.fan.value();
-    row[trace_channel::leakage_power] = p.leakage.value();
-    row[trace_channel::active_power] = p.active.value();
-    row[trace_channel::avg_fan_rpm] = fans_.average_speed().value();
-    // record() runs before the step's poll check, so the age here is
-    // always finite after a cold start and grows to the poll period.
-    row[trace_channel::sensor_age] =
-        telemetry_.ever_polled() ? now_s_ - telemetry_.last_poll_time() : now_s_;
-    row[trace_channel::monitor_sensor_health] =
-        monitor_ ? static_cast<double>(static_cast<int>(monitor_->worst_sensor_health())) : 0.0;
-    row[trace_channel::monitor_fan_health] =
-        monitor_ ? static_cast<double>(static_cast<int>(monitor_->worst_fan_health())) : 0.0;
-    row[trace_channel::monitor_die_estimate] = monitor_ ? monitor_->max_die_estimate_c() : 0.0;
-    trace_.append(now_s_, row);
-}
-
-void server_simulator::clear_trace() {
-    trace_.clear();
-    telemetry_.clear_history();
-}
-
-void server_simulator::bind_fault_schedule(fault_schedule schedule) {
-    if (!schedule.empty()) {
-        util::ensure(schedule.max_fan_target() < fans_.pair_count(),
-                     "server_simulator::bind_fault_schedule: fan target out of range");
-        util::ensure(schedule.max_sensor_target() < sensors_.cpu.size(),
-                     "server_simulator::bind_fault_schedule: sensor target out of range");
-    }
-    fault_schedule_ = std::move(schedule);
-    clear_fault_effects();
-}
-
-void server_simulator::clear_fault_schedule() {
-    fault_schedule_.reset();
-    clear_fault_effects();
-}
-
-void server_simulator::clear_fault_effects() {
-    fault_.reset(fans_.pair_count(), sensors_.cpu.size());
-    for (std::size_t i = 0; i < fans_.pair_count(); ++i) {
-        fans_.set_failed(i, false);
-        fans_.set_tach_stuck(i, false);
-    }
-    telemetry_.set_poll_suppressed(false);
-}
-
-void server_simulator::apply_due_faults() {
-    const std::vector<fault_event>& events = fault_schedule_->events();
-    while (fault_.next_event < events.size() &&
-           events[fault_.next_event].t_s <= now_s_ + 1e-9) {
-        apply_fault_event(events[fault_.next_event]);
-        ++fault_.next_event;
-    }
-}
-
-void server_simulator::apply_fault_event(const fault_event& event) {
-    switch (event.kind) {
-        case fault_kind::fan_failure:
-            fault_.fan_commanded_rpm[event.target] = fans_.speed(event.target).value();
-            fault_.fan_mode[event.target] = fault_state::fan_failed;
-            fans_.set_failed(event.target, true);
-            apply_airflow();
-            break;
-        case fault_kind::fan_stuck_pwm:
-            fault_.fan_commanded_rpm[event.target] = fans_.speed(event.target).value();
-            fault_.fan_mode[event.target] = fault_state::fan_stuck;
-            if (!std::isnan(event.value)) {
-                fans_.set_speed(event.target, util::rpm_t{event.value});
-                apply_airflow();
-            }
-            break;
-        case fault_kind::fan_tach_stuck:
-            fault_.fan_commanded_rpm[event.target] = fans_.speed(event.target).value();
-            fault_.fan_mode[event.target] = fault_state::fan_tach;
-            fans_.set_tach_stuck(event.target, true);
-            apply_airflow();
-            break;
-        case fault_kind::fan_recover:
-            fault_.fan_mode[event.target] = fault_state::fan_ok;
-            fans_.set_failed(event.target, false);
-            fans_.set_tach_stuck(event.target, false);
-            // Resume the last latched command (faults and latched
-            // commands are not controller actions, so no count).
-            fans_.set_speed(event.target, util::rpm_t{fault_.fan_commanded_rpm[event.target]});
-            apply_airflow();
-            break;
-        case fault_kind::sensor_stuck:
-            fault_.sensor_stuck[event.target] = 1;
-            fault_.sensor_stuck_c[event.target] = std::isnan(event.value)
-                                                      ? last_cpu_sensor_reads_[event.target]
-                                                      : event.value;
-            break;
-        case fault_kind::sensor_bias:
-            fault_.sensor_bias_c[event.target] = event.value;
-            break;
-        case fault_kind::sensor_dropout:
-            // Windows anchor on the scheduled time, not the (step-
-            // quantized) fire time, so replays at a different sim_dt see
-            // the same span.
-            fault_.sensor_dropout_until_s[event.target] = event.t_s + event.duration_s;
-            break;
-        case fault_kind::sensor_drift:
-            // The ramp anchors on the scheduled onset, like dropout
-            // windows, so the grown bias is dt-invariant.
-            fault_.sensor_drift_c_per_s[event.target] = event.value;
-            fault_.sensor_drift_start_s[event.target] = event.t_s;
-            break;
-        case fault_kind::sensor_intermittent:
-            fault_.sensor_intermittent_c[event.target] = event.value;
-            fault_.sensor_intermittent_start_s[event.target] = event.t_s;
-            fault_.sensor_intermittent_until_s[event.target] = event.t_s + event.duration_s;
-            break;
-        case fault_kind::sensor_recover:
-            fault_.sensor_stuck[event.target] = 0;
-            fault_.sensor_bias_c[event.target] = 0.0;
-            fault_.sensor_dropout_until_s[event.target] = 0.0;
-            fault_.sensor_drift_c_per_s[event.target] = 0.0;
-            fault_.sensor_drift_start_s[event.target] = 0.0;
-            fault_.sensor_intermittent_c[event.target] = 0.0;
-            fault_.sensor_intermittent_start_s[event.target] = 0.0;
-            fault_.sensor_intermittent_until_s[event.target] = 0.0;
-            break;
-        case fault_kind::telemetry_loss:
-            fault_.telemetry_lost_until_s = event.t_s + event.duration_s;
-            break;
-    }
-}
-
-double server_simulator::corrupt_sensor_reading(std::size_t sensor, double raw) const {
-    if (fault_.sensor_stuck[sensor] != 0) {
-        return fault_.sensor_stuck_c[sensor];
-    }
-    if (now_s_ < fault_.sensor_dropout_until_s[sensor] - 1e-9) {
-        return last_cpu_sensor_reads_[sensor];  // hold the last delivered value
-    }
-    double offset = fault_.sensor_bias_c[sensor];
-    if (fault_.sensor_drift_c_per_s[sensor] != 0.0) {
-        offset += fault_.sensor_drift_c_per_s[sensor] *
-                  (now_s_ - fault_.sensor_drift_start_s[sensor]);
-    }
-    if (fault_.intermittent_burst_live(sensor, now_s_)) {
-        offset += fault_.sensor_intermittent_c[sensor];
-    }
-    // Exact pass-through when unbiased, so healthy runs stay bitwise.
-    return offset == 0.0 ? raw : raw + offset;
 }
 
 }  // namespace ltsc::sim

@@ -10,28 +10,24 @@
 // not see.
 #pragma once
 
-#include <limits>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/fault_monitor.hpp"
-#include "power/fan_model.hpp"
-#include "power/leakage_model.hpp"
 #include "power/server_power_model.hpp"
 #include "sim/fault_schedule.hpp"
 #include "sim/server_config.hpp"
+#include "sim/server_lane.hpp"
 #include "sim/server_state.hpp"
 #include "sim/simulation_trace.hpp"
 #include "telemetry/harness.hpp"
-#include "thermal/sensors.hpp"
 #include "thermal/server_thermal_model.hpp"
-#include "util/rng.hpp"
-#include "util/time_series.hpp"
 #include "workload/loadgen.hpp"
 
 namespace ltsc::sim {
 
-/// Simulated enterprise server.
+/// Simulated enterprise server: one server_lane (everything but the
+/// thermal nodes) coupled to one server_thermal_model.
 class server_simulator {
 public:
     /// Builds the plant from a configuration (validated on entry).
@@ -53,14 +49,16 @@ public:
     /// socket 0 receives `fraction_socket0` of the CPU heat (0.5 =
     /// balanced, the paper's LoadGen default).  Utilization telemetry is
     /// skewed to match.
-    void set_load_imbalance(double fraction_socket0);
-    [[nodiscard]] double load_imbalance() const { return imbalance_; }
+    void set_load_imbalance(double fraction_socket0) { lane_.set_load_imbalance(fraction_socket0); }
+    [[nodiscard]] double load_imbalance() const { return lane_.load_imbalance(); }
 
     /// Per-socket `sar` utilization: the socket's share of the measured
     /// load expressed against one socket's capacity (can exceed the
     /// system-level number under imbalance).
     [[nodiscard]] double measured_socket_utilization(std::size_t socket,
-                                                     util::seconds_t window) const;
+                                                     util::seconds_t window) const {
+        return lane_.measured_socket_utilization(socket, window);
+    }
 
     // --- fault injection ----------------------------------------------------
     /// Installs a fault campaign (copied).  Events fire at the top of the
@@ -70,76 +68,86 @@ public:
     /// against this plant's fan and sensor counts.  At least one fan
     /// pair must stay healthy at all times — a schedule failing every
     /// pair at once trips the plant's airflow precondition when it fires.
-    void bind_fault_schedule(fault_schedule schedule);
+    void bind_fault_schedule(fault_schedule schedule) {
+        lane_.bind_fault_schedule(std::move(schedule));
+    }
     /// Removes the campaign and clears every live effect.
-    void clear_fault_schedule();
+    void clear_fault_schedule() { lane_.clear_fault_schedule(); }
     /// The bound campaign, or nullptr (predictive controllers bind it to
     /// their rollout lanes like the workload preview).
     [[nodiscard]] const fault_schedule* bound_fault_schedule() const {
-        return fault_schedule_ ? &*fault_schedule_ : nullptr;
+        return lane_.bound_fault_schedule();
     }
     /// Live fault effects (which fans/sensors are degraded right now).
-    [[nodiscard]] const fault_state& current_fault_state() const { return fault_; }
+    [[nodiscard]] const fault_state& current_fault_state() const {
+        return lane_.current_fault_state();
+    }
 
     /// The residual monitor, or nullptr when config().monitor.enabled is
     /// false.  Read-only: the monitor is a passive observer of the plant
     /// (it never perturbs dynamics or the sensor RNG stream).
-    [[nodiscard]] const core::fault_monitor* monitor() const {
-        return monitor_ ? &*monitor_ : nullptr;
-    }
+    [[nodiscard]] const core::fault_monitor* monitor() const { return lane_.monitor(); }
 
     /// Age of the last telemetry poll: now minus the last poll time, or
     /// +infinity before the first poll.  Under telemetry loss this grows
     /// past the poll period — the failsafe controller's trigger.
-    [[nodiscard]] double telemetry_age_s() const {
-        return telemetry_.ever_polled() ? now_s_ - telemetry_.last_poll_time()
-                                        : std::numeric_limits<double>::infinity();
-    }
+    [[nodiscard]] double telemetry_age_s() const { return lane_.telemetry_age_s(); }
 
     // --- control surface (what the DLC-PC could actuate/poll) -------------
     /// Commands one fan pair; the plant clamps to the legal RPM range.
     /// A pair under a fan fault latches the command without actuating it
     /// (applied on recovery, like re-plugging a PWM line); latched
-    /// commands do not count as fan-speed changes.
+    /// commands do not count as fan-speed changes.  An out-of-range pair
+    /// or a non-finite RPM throws and leaves the plant untouched.
     void set_fan_speed(std::size_t pair_index, util::rpm_t rpm);
     /// Commands all pairs at once (counts as a single fan-speed change).
     void set_all_fans(util::rpm_t rpm);
     /// Tachometer reading of one pair: the commanded speed, or 0 while
     /// the pair's rotor is failed.
-    [[nodiscard]] util::rpm_t fan_speed(std::size_t pair_index) const;
-    [[nodiscard]] util::rpm_t average_fan_rpm() const;
+    [[nodiscard]] util::rpm_t fan_speed(std::size_t pair_index) const {
+        return lane_.fan_speed(pair_index);
+    }
+    [[nodiscard]] util::rpm_t average_fan_rpm() const { return lane_.average_fan_rpm(); }
     /// Cumulative number of commands that actually changed a speed.
-    [[nodiscard]] std::size_t fan_change_count() const { return fan_changes_; }
+    [[nodiscard]] std::size_t fan_change_count() const { return lane_.fan_change_count(); }
     /// Zeroes the fan-change counter (e.g. after applying a run's initial
     /// speed, which Table I does not count as a controller action).
-    void reset_fan_change_counter() { fan_changes_ = 0; }
+    void reset_fan_change_counter() { lane_.reset_fan_change_counter(); }
 
     /// `sar`-style utilization: mean instantaneous utilization over the
     /// trailing `window` (the DLC-PC polls this every second).
-    [[nodiscard]] double measured_utilization(util::seconds_t window) const;
+    [[nodiscard]] double measured_utilization(util::seconds_t window) const {
+        return lane_.measured_utilization(window);
+    }
 
     // --- observation surface (what CSTH reported) --------------------------
     /// Latest CPU sensor readings (4 values), from the last telemetry poll.
-    [[nodiscard]] std::vector<double> cpu_sensor_temps() const;
+    [[nodiscard]] std::vector<double> cpu_sensor_temps() const { return lane_.cpu_sensor_reads(); }
     /// Maximum of the CPU sensor readings at the last telemetry poll.
-    [[nodiscard]] util::celsius_t max_cpu_sensor_temp() const;
+    [[nodiscard]] util::celsius_t max_cpu_sensor_temp() const {
+        return lane_.max_cpu_sensor_temp();
+    }
     /// Whole-system power as the power sensor reports it.
-    [[nodiscard]] util::watts_t system_power_reading() const;
+    [[nodiscard]] util::watts_t system_power_reading() const { return current_power().total(); }
     /// The underlying telemetry harness (channel access, CSV export).
-    [[nodiscard]] const telemetry::harness& telemetry() const { return telemetry_; }
+    [[nodiscard]] const telemetry::harness& telemetry() const { return lane_.telemetry(); }
 
     // --- ground truth (plant internals; not visible to real controllers) ---
-    [[nodiscard]] util::celsius_t true_cpu_temp(std::size_t socket) const;
-    [[nodiscard]] util::celsius_t true_avg_cpu_temp() const;
-    [[nodiscard]] util::celsius_t true_dimm_temp() const;
-    [[nodiscard]] power::power_breakdown current_power() const;
+    [[nodiscard]] util::celsius_t true_cpu_temp(std::size_t socket) const {
+        return thermal_.cpu_die_temp(socket);
+    }
+    [[nodiscard]] util::celsius_t true_avg_cpu_temp() const { return thermal_.average_cpu_temp(); }
+    [[nodiscard]] util::celsius_t true_dimm_temp() const { return thermal_.dimm_temp(); }
+    [[nodiscard]] power::power_breakdown current_power() const {
+        return lane_.breakdown_at(lane_.instantaneous_utilization(), dies());
+    }
 
     // --- time ---------------------------------------------------------------
     /// Advances the plant by `dt` (default cadence 1 s).
     void step(util::seconds_t dt = util::seconds_t{1.0});
     /// Repeatedly steps until `duration` has elapsed.
     void advance(util::seconds_t duration, util::seconds_t dt = util::seconds_t{1.0});
-    [[nodiscard]] util::seconds_t now() const { return util::seconds_t{now_s_}; }
+    [[nodiscard]] util::seconds_t now() const { return util::seconds_t{lane_.now_s()}; }
 
     /// Applies the paper's cold-start protocol: temperatures settle to the
     /// idle steady state with fans at the cold-start speed; time rewinds
@@ -159,7 +167,7 @@ public:
     /// Changes the room (inlet) temperature mid-run; takes effect through
     /// the plant dynamics on subsequent steps (ambient sweeps and aisle
     /// drift studies mutate this while a run is in flight).
-    void set_ambient(util::celsius_t t);
+    void set_ambient(util::celsius_t t) { thermal_.set_ambient(t); }
     [[nodiscard]] util::celsius_t ambient() const { return thermal_.ambient(); }
 
     // --- state save/restore --------------------------------------------------
@@ -181,9 +189,7 @@ public:
 
     /// The bound workload, or nullptr before any bind_workload call
     /// (read-only; predictive controllers use it as the rollout preview).
-    [[nodiscard]] const workload::loadgen* workload() const {
-        return workload_ ? &*workload_ : nullptr;
-    }
+    [[nodiscard]] const workload::loadgen* workload() const { return lane_.workload(); }
 
     // --- recording -----------------------------------------------------------
     [[nodiscard]] const simulation_trace& trace() const { return trace_; }
@@ -191,40 +197,18 @@ public:
     /// telemetry poll clock is untouched, so replay stays bitwise).
     void clear_trace();
 
-    [[nodiscard]] const server_config& config() const { return config_; }
+    [[nodiscard]] const server_config& config() const { return lane_.config(); }
 
 private:
-    void apply_airflow();
+    void apply_airflow() { thermal_.set_zone_airflow(lane_.zone_airflow()); }
     void apply_heat(double u_inst);
-    [[nodiscard]] power::power_breakdown breakdown_at(double u_inst) const;
-    void record(double u_target, double u_inst);
-    void register_telemetry();
-    void apply_due_faults();
-    void apply_fault_event(const fault_event& event);
-    void clear_fault_effects();
-    [[nodiscard]] double corrupt_sensor_reading(std::size_t sensor, double raw) const;
+    [[nodiscard]] die_temps dies() const {
+        return {thermal_.cpu_die_temp(0).value(), thermal_.cpu_die_temp(1).value()};
+    }
 
-    server_config config_;
-    util::pcg32 rng_;
-    power::fan_bank fans_;
-    power::leakage_model leakage_;
-    power::active_model active_;
+    server_lane lane_;  ///< First member: validates the configuration.
     thermal::server_thermal_model thermal_;
-    thermal::server_sensor_suite sensors_;
-    telemetry::harness telemetry_;
-    std::optional<workload::loadgen> workload_;
-
-    double now_s_ = 0.0;
-    double imbalance_ = 0.5;
-    std::size_t fan_changes_ = 0;
     simulation_trace trace_;
-
-    std::optional<fault_schedule> fault_schedule_;
-    fault_state fault_;  ///< Always sized, so snapshots are always valid.
-    std::optional<core::fault_monitor> monitor_;  ///< Present iff config.monitor.enabled.
-
-    // Cached latest sensor readings (refreshed at each telemetry poll).
-    std::vector<double> last_cpu_sensor_reads_;
 };
 
 /// Steady-state idle wall power of a server described by `config` with

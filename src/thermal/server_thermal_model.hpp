@@ -40,6 +40,51 @@ struct server_thermal_config {
     double zone_mixing = 0.3;           ///< Plenum mixing between fan zones.
 };
 
+/// Airflow coupling of one server: maps per-zone fan airflow to the
+/// sink/DIMM convective conductances and the airstream capacity, and
+/// turns the heat the DIMM field gives the stream into CPU-inlet preheat.
+/// Construction validates the thermal configuration's invariants and
+/// starts from the reference airflow split evenly across the zones.
+/// server_thermal_model and every sim::server_batch lane run this one
+/// implementation, so their airflow arithmetic agrees bitwise.
+class server_airflow {
+public:
+    explicit server_airflow(const server_thermal_config& config);
+
+    /// Adopts per-zone airflow (one non-negative entry per fan zone, with
+    /// a positive total) and recomputes the airflow-derived quantities.
+    /// Zone 0 predominantly cools CPU0, zone 1 CPU1, zone 2 the shared
+    /// plenum; the zone_mixing fraction models cross-flow in the plenum.
+    void set_zone_airflow(const std::vector<util::cfm_t>& per_zone);
+
+    /// Sink-to-ambient convection of socket `s` [W/K].
+    [[nodiscard]] double sink_conductance(std::size_t s) const { return sink_g_w_per_k_[s]; }
+    /// DIMM-to-ambient convection [W/K].
+    [[nodiscard]] double dimm_conductance() const { return dimm_g_w_per_k_; }
+    /// Thermal capacity rate of the whole air stream [W/K].
+    [[nodiscard]] double stream_capacity() const { return stream_capacity_w_per_k_; }
+
+    /// Inlet-air temperature rise at the CPU heatsinks: the heat the DIMM
+    /// node convects into the stream (its conductance-matrix diagonal
+    /// times its rise over ambient, floored at zero) over the stream
+    /// capacity.
+    [[nodiscard]] double preheat_c(double dimm_diagonal_w_per_k, util::celsius_t dimm,
+                                   util::celsius_t ambient) const;
+
+private:
+    [[nodiscard]] double total_airflow_cfm() const;
+    [[nodiscard]] double effective_airflow_cfm(std::size_t component_zone) const;
+    void update();
+
+    server_thermal_config config_;
+    std::vector<double> zone_airflow_cfm_;
+    // Cached on every airflow change so the per-step preheat update does
+    // not re-evaluate pow() or the airstream capacity.
+    double sink_g_w_per_k_[2] = {0.0, 0.0};
+    double dimm_g_w_per_k_ = 0.0;
+    double stream_capacity_w_per_k_ = 0.0;
+};
+
 /// Server thermal plant: owns the RC network, maps fan-zone airflow to
 /// convective conductances, and applies DIMM-to-CPU preheat.  Heat inputs
 /// are set by the caller each step (the sim module couples this model with
@@ -52,9 +97,7 @@ public:
     /// Number of CPU sockets (fixed at 2 for the target server).
     [[nodiscard]] static constexpr std::size_t socket_count() { return 2; }
 
-    /// Sets per-zone airflow (vector size must equal fan_zones).  Zone 0
-    /// predominantly cools CPU0, zone 1 CPU1, zone 2 the shared plenum; the
-    /// zone_mixing fraction models cross-flow in the plenum.
+    /// Sets per-zone airflow (see server_airflow::set_zone_airflow).
     void set_zone_airflow(const std::vector<util::cfm_t>& per_zone);
 
     /// Total heat dissipated in socket `s`'s die (idle + active + leakage
@@ -142,10 +185,9 @@ public:
 private:
     void update_conductances();
     void update_preheat();
-    [[nodiscard]] double effective_airflow_cfm(std::size_t component_zone) const;
-    [[nodiscard]] double total_airflow_cfm() const;
 
     server_thermal_config config_;
+    server_airflow air_;  ///< Before net_: validates the config before nodes are added.
     rc_network net_;
     transient_solver solver_;
 
@@ -156,16 +198,9 @@ private:
     edge_id sink_amb_edge_[2];
     edge_id dimm_amb_edge_;
 
-    std::vector<double> zone_airflow_cfm_;
     double cpu_heat_w_[2] = {0.0, 0.0};
     double dimm_heat_w_ = 0.0;
     double other_heat_w_ = 0.0;
-
-    // Airflow-derived quantities cached by update_conductances() so the
-    // per-step preheat update does not re-evaluate pow() or the airstream
-    // capacity; they only change when the zone airflow changes.
-    double sink_g_w_per_k_[2] = {0.0, 0.0};
-    double stream_capacity_w_per_k_ = 0.0;
 };
 
 }  // namespace ltsc::thermal

@@ -624,6 +624,119 @@ TEST(FaultInjection, BatchLanesMatchScalarUnderFaults) {
     expect_traces_identical(batch.trace(1), healthy.trace());
 }
 
+void expect_states_identical(const sim::server_state& a, const sim::server_state& b) {
+    EXPECT_EQ(a.now_s, b.now_s);
+    EXPECT_EQ(a.fan_changes, b.fan_changes);
+    EXPECT_EQ(a.fan_rpm, b.fan_rpm);
+    EXPECT_EQ(a.sensor_reads, b.sensor_reads);
+    EXPECT_EQ(a.thermal.temps, b.thermal.temps);
+    EXPECT_EQ(a.thermal.edge_g, b.thermal.edge_g);
+    EXPECT_EQ(a.fault.next_event, b.fault.next_event);
+    EXPECT_EQ(a.fault.fan_mode, b.fault.fan_mode);
+    EXPECT_EQ(a.fault.fan_commanded_rpm, b.fault.fan_commanded_rpm);
+    EXPECT_EQ(a.monitor.commanded_rpm, b.monitor.commanded_rpm);
+    EXPECT_EQ(a.monitor.fan_prev_rpm, b.monitor.fan_prev_rpm);
+    EXPECT_EQ(a.monitor.fan_grace_steps, b.monitor.fan_grace_steps);
+}
+
+/// Plants for the fan-command rejection tests: a scalar plant and its
+/// twin, plus a two-lane batch whose lane 1 twins lane 0.  Pair 1 fails
+/// at 20 s and recovers at 200 s; every plant is parked at 60 s, so one
+/// healthy and one faulted (latching) pair are live.
+struct command_rig {
+    explicit command_rig(bool monitored)
+        : config(make_config(monitored)), plant(config), twin(config), batch(config, 2) {
+        const auto profile = steady(60.0, 600.0);
+        const sim::fault_schedule campaign({ev(20.0, sim::fault_kind::fan_failure, 1),
+                                            ev(200.0, sim::fault_kind::fan_recover, 1)});
+        for (sim::server_simulator* s : {&plant, &twin}) {
+            s->bind_workload(profile);
+            s->bind_fault_schedule(campaign);
+            s->force_cold_start();
+            s->set_all_fans(3000_rpm);
+            s->advance(60_s);
+        }
+        for (std::size_t l = 0; l < 2; ++l) {
+            batch.bind_workload(l, profile);
+            batch.bind_fault_schedule(l, campaign);
+            batch.force_cold_start(l);
+            batch.set_all_fans(l, 3000_rpm);
+        }
+        batch.advance(60_s);
+    }
+
+    static sim::server_config make_config(bool monitored) {
+        sim::server_config c = sim::paper_server();
+        c.monitor.enabled = monitored;
+        return c;
+    }
+
+    /// After the rejected calls nothing moved: states match the twins,
+    /// and every plant keeps stepping bitwise with its twin through the
+    /// recovery that replays the latched command.
+    void expect_untouched() {
+        expect_states_identical(plant.snapshot_state(), twin.snapshot_state());
+        sim::server_state lane0;
+        sim::server_state lane1;
+        batch.snapshot_lane_state(0, lane0);
+        batch.snapshot_lane_state(1, lane1);
+        expect_states_identical(lane0, lane1);
+        plant.clear_trace();
+        twin.clear_trace();
+        batch.clear_trace(0);
+        batch.clear_trace(1);
+        plant.advance(240_s);
+        twin.advance(240_s);
+        batch.advance(240_s);
+        expect_traces_identical(plant.trace(), twin.trace());
+        expect_traces_identical(batch.trace(0), batch.trace(1));
+        expect_traces_identical(batch.trace(0), plant.trace());
+        EXPECT_EQ(plant.fan_speed(1).value(), 3000.0);  // the latched command, recovered
+    }
+
+    sim::server_config config;
+    sim::server_simulator plant;
+    sim::server_simulator twin;
+    sim::server_batch batch;
+};
+
+TEST(FaultInjection, OutOfRangeFanPairThrowsAndLeavesPlantsUntouched) {
+    // The pair index used to reach the per-pair fault arrays before any
+    // range check: with the monitor off, that read (and could write) past
+    // their end.  Both plants now reject it up front.
+    for (const bool monitored : {false, true}) {
+        SCOPED_TRACE(monitored ? "monitor on" : "monitor off");
+        command_rig rig(monitored);
+        for (const std::size_t pair : {std::size_t{3}, std::size_t{64}}) {
+            EXPECT_THROW(rig.plant.set_fan_speed(pair, 2400_rpm), util::precondition_error);
+            EXPECT_THROW(rig.batch.set_fan_speed(0, pair, 2400_rpm), util::precondition_error);
+        }
+        rig.expect_untouched();
+    }
+}
+
+TEST(FaultInjection, NonFiniteFanCommandsAreRejectedBeforeAnyMutation) {
+    // std::clamp passes NaN through, so a NaN command used to land in the
+    // fan bank (healthy pair), in a faulted pair's latched command (which
+    // recovery then applies), or in the monitor's command record.  Every
+    // command path now throws first.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const bool monitored : {false, true}) {
+        SCOPED_TRACE(monitored ? "monitor on" : "monitor off");
+        command_rig rig(monitored);
+        for (const double bad : {k_nan, inf, -inf}) {
+            const util::rpm_t rpm{bad};
+            EXPECT_THROW(rig.plant.set_fan_speed(0, rpm), util::precondition_error);
+            EXPECT_THROW(rig.plant.set_fan_speed(1, rpm), util::precondition_error);
+            EXPECT_THROW(rig.plant.set_all_fans(rpm), util::precondition_error);
+            EXPECT_THROW(rig.batch.set_fan_speed(0, 0, rpm), util::precondition_error);
+            EXPECT_THROW(rig.batch.set_fan_speed(0, 1, rpm), util::precondition_error);
+            EXPECT_THROW(rig.batch.set_all_fans(0, rpm), util::precondition_error);
+        }
+        rig.expect_untouched();
+    }
+}
+
 TEST(FaultInjection, ColdStartRewindsCampaignForReplay) {
     // Two runs on one plant binding: force_cold_start rewinds the
     // campaign cursor with the clock, so the controlled run replays

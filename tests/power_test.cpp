@@ -147,6 +147,9 @@ TEST(Fan, ClampsToLegalRange) {
     EXPECT_DOUBLE_EQ(pair.clamp(100_rpm).value(), 1800.0);
     EXPECT_DOUBLE_EQ(pair.clamp(9000_rpm).value(), 4200.0);
     EXPECT_DOUBLE_EQ(pair.clamp(3000_rpm).value(), 3000.0);
+    EXPECT_THROW(static_cast<void>(pair.clamp(util::rpm_t{std::nan("")})),
+                 util::precondition_error);
+    EXPECT_THROW(static_cast<void>(pair.clamp(util::rpm_t{HUGE_VAL})), util::precondition_error);
 }
 
 TEST(Fan, BankTotalsAcrossPairs) {
