@@ -1,6 +1,7 @@
 #include "sim/server_batch.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "util/error.hpp"
 
@@ -129,13 +130,11 @@ void server_batch::apply_heat(std::size_t lane, double u_inst) {
 }
 
 void server_batch::update_preheat(std::size_t lane) {
-    const thermal::server_airflow& air = airflow_[lane];
-    const double preheat_c =
-        air.preheat_c(batch_.diagonal(proto_.dimm_node(), lane),
-                      batch_.temperature(proto_.dimm_node(), lane), batch_.ambient(lane));
+    const std::array<double, 2> preheat_w = airflow_[lane].sink_preheat_w(
+        batch_.diagonal(proto_.dimm_node(), lane), batch_.temperature(proto_.dimm_node(), lane),
+        batch_.ambient(lane));
     for (std::size_t s = 0; s < thermal::server_thermal_model::socket_count(); ++s) {
-        batch_.set_power(proto_.sink_node(s), lane,
-                         util::watts_t{air.sink_conductance(s) * preheat_c});
+        batch_.set_power(proto_.sink_node(s), lane, util::watts_t{preheat_w[s]});
     }
 }
 

@@ -65,13 +65,14 @@ void server_airflow::update() {
     stream_capacity_w_per_k_ = stream_capacity_w_per_k(util::cfm_t{q_dimm});
 }
 
-double server_airflow::preheat_c(double dimm_diagonal_w_per_k, util::celsius_t dimm,
-                                 util::celsius_t ambient) const {
-    // Heat the air picks up from the DIMM field raises the effective inlet
-    // temperature of the CPU heatsinks.  The total airflow is positive by
-    // construction, so the stream capacity is too.
+std::array<double, 2> server_airflow::sink_preheat_w(double dimm_diagonal_w_per_k,
+                                                     util::celsius_t dimm,
+                                                     util::celsius_t ambient) const {
+    // The total airflow is positive by construction, so the stream
+    // capacity is too.
     const double dimm_to_air = dimm_diagonal_w_per_k * (dimm.value() - ambient.value());
-    return std::max(0.0, dimm_to_air) / stream_capacity_w_per_k_;
+    const double preheat_c = std::max(0.0, dimm_to_air) / stream_capacity_w_per_k_;
+    return {sink_g_w_per_k_[0] * preheat_c, sink_g_w_per_k_[1] * preheat_c};
 }
 
 server_thermal_model::server_thermal_model(const server_thermal_config& config,
@@ -98,14 +99,11 @@ void server_thermal_model::update_conductances() {
 }
 
 void server_thermal_model::update_preheat() {
-    // An edge to ambient at conductance G with inlet offset dT is
-    // equivalent to the plain ambient edge plus a power injection of
-    // G * dT at the node.
-    const double preheat_c =
-        air_.preheat_c(net_.cached_conductance_matrix()(dimm_.index, dimm_.index),
-                       net_.temperature(dimm_), net_.ambient());
+    const std::array<double, 2> preheat_w =
+        air_.sink_preheat_w(net_.cached_conductance_matrix()(dimm_.index, dimm_.index),
+                            net_.temperature(dimm_), net_.ambient());
     for (std::size_t s = 0; s < socket_count(); ++s) {
-        net_.set_power(sink_[s], util::watts_t{air_.sink_conductance(s) * preheat_c});
+        net_.set_power(sink_[s], util::watts_t{preheat_w[s]});
         net_.set_power(die_[s], util::watts_t{cpu_heat_w_[s]});
     }
     net_.set_power(dimm_, util::watts_t{dimm_heat_w_});

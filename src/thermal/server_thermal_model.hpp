@@ -15,6 +15,7 @@
 //   1800 RPM -> ~85 degC, 2400 -> ~70, 3000 -> ~63, 3600 -> ~57, 4200 -> ~54.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -64,12 +65,15 @@ public:
     /// Thermal capacity rate of the whole air stream [W/K].
     [[nodiscard]] double stream_capacity() const { return stream_capacity_w_per_k_; }
 
-    /// Inlet-air temperature rise at the CPU heatsinks: the heat the DIMM
-    /// node convects into the stream (its conductance-matrix diagonal
-    /// times its rise over ambient, floored at zero) over the stream
-    /// capacity.
-    [[nodiscard]] double preheat_c(double dimm_diagonal_w_per_k, util::celsius_t dimm,
-                                   util::celsius_t ambient) const;
+    /// Per-socket sink power injections that model the DIMM preheat of
+    /// the CPU inlet air [W].  The inlet rise is the heat the DIMM node
+    /// convects into the stream (its conductance-matrix diagonal times
+    /// its rise over ambient, floored at zero) over the stream capacity.
+    /// An ambient edge of conductance G with inlet offset dT equals the
+    /// plain edge plus a G * dT injection at the node.
+    [[nodiscard]] std::array<double, 2> sink_preheat_w(double dimm_diagonal_w_per_k,
+                                                       util::celsius_t dimm,
+                                                       util::celsius_t ambient) const;
 
 private:
     [[nodiscard]] double total_airflow_cfm() const;
