@@ -45,57 +45,54 @@ const char* to_string(component_health health) {
     return "unknown";
 }
 
-fault_monitor::fault_monitor(const fault_monitor_config& config, const fault_monitor_plant& plant)
-    : config_(config),
-      cpu_idle_each_w_(plant.cpu_idle_each_w),
-      dimm_idle_total_w_(plant.dimm_idle_total_w),
-      leakage_(plant.leakage),
-      active_(plant.active_coeff_w_per_pct, plant.split, plant.cpu_heat_shape_exponent),
-      tach_pair_(plant.fan),
-      twin_(plant.thermal) {
-    util::ensure(config_.sensor_residual_c > 0.0, "fault_monitor: non-positive sensor threshold");
-    util::ensure(config_.fan_residual_rpm > 0.0, "fault_monitor: non-positive fan threshold");
-    util::ensure(config_.sensor_suspect_polls >= 1 &&
-                     config_.sensor_fail_polls >= config_.sensor_suspect_polls &&
-                     config_.sensor_clear_polls >= 1,
+void validate(const fault_monitor_config& config) {
+    util::ensure(config.sensor_residual_c > 0.0, "fault_monitor: non-positive sensor threshold");
+    util::ensure(config.fan_residual_rpm > 0.0, "fault_monitor: non-positive fan threshold");
+    util::ensure(config.sensor_suspect_polls >= 1 &&
+                     config.sensor_fail_polls >= config.sensor_suspect_polls &&
+                     config.sensor_clear_polls >= 1,
                  "fault_monitor: bad sensor hysteresis depths");
-    util::ensure(config_.fan_suspect_steps >= 1 &&
-                     config_.fan_fail_steps >= config_.fan_suspect_steps &&
-                     config_.fan_clear_steps >= 1,
+    util::ensure(config.fan_suspect_steps >= 1 &&
+                     config.fan_fail_steps >= config.fan_suspect_steps &&
+                     config.fan_clear_steps >= 1,
                  "fault_monitor: bad fan hysteresis depths");
-    util::ensure(config_.sensor_cusum_k_c > 0.0 && config_.sensor_cusum_h_c > 0.0,
+    util::ensure(config.sensor_cusum_k_c > 0.0 && config.sensor_cusum_h_c > 0.0,
                  "fault_monitor: non-positive CUSUM parameters");
-    util::ensure(config_.fan_command_grace_steps >= 0,
-                 "fault_monitor: negative fan command grace");
-    util::ensure(config_.fan_thermal_residual_c > 0.0,
+    util::ensure(config.fan_command_grace_steps >= 0, "fault_monitor: negative fan command grace");
+    util::ensure(config.fan_thermal_residual_c > 0.0,
                  "fault_monitor: non-positive fan thermal threshold");
-    util::ensure(config_.fan_thermal_suspect_polls >= 1 &&
-                     config_.fan_thermal_fail_polls >= config_.fan_thermal_suspect_polls &&
-                     config_.fan_thermal_clear_polls >= 1,
+    util::ensure(config.fan_thermal_suspect_polls >= 1 &&
+                     config.fan_thermal_fail_polls >= config.fan_thermal_suspect_polls &&
+                     config.fan_thermal_clear_polls >= 1,
                  "fault_monitor: bad fan thermal hysteresis depths");
-    util::ensure(plant.fan_pairs == plant.thermal.fan_zones,
-                 "fault_monitor: fan pair / zone count mismatch");
-    util::ensure(plant.cpu_sensors >= 2 && plant.cpu_sensors % 2 == 0,
-                 "fault_monitor: sensors must pair up per die");
-    const util::rpm_t floor = tach_pair_.clamp(util::rpm_t{0.0});
-    commanded_rpm_.assign(plant.fan_pairs, floor.value());
-    fan_prev_rpm_.assign(plant.fan_pairs, floor.value());
-    fan_grace_steps_.assign(plant.fan_pairs, 0);
-    fan_health_.assign(plant.fan_pairs, 0);
-    fan_bad_steps_.assign(plant.fan_pairs, 0);
-    fan_good_steps_.assign(plant.fan_pairs, 0);
-    fan_thermal_health_.assign(plant.fan_pairs, 0);
-    fan_thermal_bad_polls_.assign(plant.fan_pairs, 0);
-    fan_thermal_good_polls_.assign(plant.fan_pairs, 0);
-    sensor_health_.assign(plant.cpu_sensors, 0);
-    sensor_bad_polls_.assign(plant.cpu_sensors, 0);
-    sensor_good_polls_.assign(plant.cpu_sensors, 0);
-    sensor_residual_.assign(plant.cpu_sensors, 0.0);
-    sensor_cusum_pos_.assign(plant.cpu_sensors, 0.0);
-    sensor_cusum_neg_.assign(plant.cpu_sensors, 0.0);
-    effective_rpm_cache_.assign(plant.fan_pairs, -1.0);
-    zone_airflow_scratch_.resize(plant.fan_pairs);
-    die_hot_scratch_.assign(plant.cpu_sensors / 2, 0);
+}
+
+fault_monitor::fault_monitor(const fault_monitor_config& config,
+                             const thermal::server_thermal_config& thermal,
+                             const power::server_power_model& power)
+    : config_(config), power_(power), twin_(thermal) {
+    validate(config_);
+    const std::size_t pairs = thermal.fan_zones;
+    const std::size_t sensors = 2 * thermal::server_thermal_model::socket_count();
+    // Command latches start at 0 until reset() reads the plant's fans.
+    commanded_rpm_.assign(pairs, 0.0);
+    fan_prev_rpm_.assign(pairs, 0.0);
+    fan_grace_steps_.assign(pairs, 0);
+    fan_health_.assign(pairs, 0);
+    fan_bad_steps_.assign(pairs, 0);
+    fan_good_steps_.assign(pairs, 0);
+    fan_thermal_health_.assign(pairs, 0);
+    fan_thermal_bad_polls_.assign(pairs, 0);
+    fan_thermal_good_polls_.assign(pairs, 0);
+    sensor_health_.assign(sensors, 0);
+    sensor_bad_polls_.assign(sensors, 0);
+    sensor_good_polls_.assign(sensors, 0);
+    sensor_residual_.assign(sensors, 0.0);
+    sensor_cusum_pos_.assign(sensors, 0.0);
+    sensor_cusum_neg_.assign(sensors, 0.0);
+    effective_rpm_cache_.assign(pairs, -1.0);
+    zone_airflow_scratch_.resize(pairs);
+    die_hot_scratch_.assign(sensors / 2, 0);
 }
 
 void fault_monitor::reset(const power::fan_bank& fans, util::celsius_t ambient) {
@@ -115,13 +112,7 @@ void fault_monitor::settle(double u_pct, double imbalance, util::celsius_t ambie
                            const power::fan_bank& fans) {
     sync_ambient(ambient);
     sync_airflow(fans, /*force=*/true);
-    // Mirrors the plant's settle loops: leakage couples heat to the die
-    // temperature, so alternate heat refresh and steady solve until the
-    // fixed point (the plant uses the same iteration count).
-    for (int i = 0; i < 12; ++i) {
-        apply_twin_heat(u_pct, imbalance);
-        twin_.settle_to_steady_state();
-    }
+    power_.settle(twin_, u_pct, imbalance);
 }
 
 void fault_monitor::observe_fan_command(std::size_t pair_index, util::rpm_t clamped) {
@@ -144,7 +135,7 @@ void fault_monitor::step(util::seconds_t dt, double u_inst, double imbalance,
                          util::celsius_t ambient, const power::fan_bank& fans) {
     sync_ambient(ambient);
     sync_airflow(fans, /*force=*/false);
-    apply_twin_heat(u_inst, imbalance);
+    power_.apply_heat(twin_, u_inst, imbalance);
     twin_.step(dt);
     for (std::size_t i = 0; i < fan_health_.size(); ++i) {
         const double tach = fans.effective_speed(i).value();
@@ -379,24 +370,10 @@ void fault_monitor::sync_airflow(const power::fan_bank& fans, bool force) {
     // but a lying tach feeds the twin phantom airflow — which is exactly
     // the divergence the thermal cross-check in on_poll() detects.
     for (std::size_t i = 0; i < effective_rpm_cache_.size(); ++i) {
-        const double tach = fans.effective_speed(i).value();
-        effective_rpm_cache_[i] = tach;
-        zone_airflow_scratch_[i] =
-            tach == 0.0 ? util::cfm_t{0.0} : tach_pair_.airflow(util::rpm_t{tach});
+        effective_rpm_cache_[i] = fans.effective_speed(i).value();
+        zone_airflow_scratch_[i] = fans.tach_airflow(i);
     }
     twin_.set_zone_airflow(zone_airflow_scratch_);
-}
-
-void fault_monitor::apply_twin_heat(double u_pct, double imbalance) {
-    const double share[2] = {imbalance, 1.0 - imbalance};
-    const util::watts_t cpu_active = active_.cpu(u_pct);
-    for (std::size_t s = 0; s < thermal::server_thermal_model::socket_count(); ++s) {
-        const util::watts_t die_heat{cpu_idle_each_w_ + cpu_active.value() * share[s] +
-                                     leakage_.share_at(twin_.cpu_die_temp(s), 2).value()};
-        twin_.set_cpu_heat(s, die_heat);
-    }
-    twin_.set_dimm_heat(util::watts_t{dimm_idle_total_w_ + active_.memory(u_pct).value()});
-    twin_.set_other_heat(active_.other(u_pct));
 }
 
 }  // namespace ltsc::core

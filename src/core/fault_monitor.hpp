@@ -6,7 +6,7 @@
 // counter, and ambient.  Two residual families fall out:
 //
 //   * sensor residual  = delivered CSTH reading - twin die temperature.
-//     The twin integrates the same heat/airflow arithmetic as the plant,
+//     The twin runs the plant's own power model and airflow arithmetic,
 //     so on this simulated server it tracks the *true* die temperature
 //     and the residual isolates the sensor error exactly: placement
 //     spread (±1 degC), read noise (3σ ≈ 0.45 degC) and quantization
@@ -72,9 +72,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "power/active_model.hpp"
 #include "power/fan_model.hpp"
-#include "power/leakage_model.hpp"
+#include "power/server_power_model.hpp"
 #include "thermal/server_thermal_model.hpp"
 #include "util/units.hpp"
 
@@ -121,20 +120,10 @@ struct fault_monitor_config {
     int fan_thermal_clear_polls = 2;    ///< Good polls before thermal "healthy".
 };
 
-/// Everything the twin needs to replicate the plant's heat arithmetic;
-/// built from a sim::server_config by sim::monitor_plant_for().
-struct fault_monitor_plant {
-    thermal::server_thermal_config thermal{};
-    power::fan_spec fan{};
-    std::size_t fan_pairs = 3;
-    power::leakage_params leakage = power::leakage_params::paper_fit();
-    double active_coeff_w_per_pct = power::active_model::system_k1_w_per_pct;
-    power::active_split split{};
-    double cpu_heat_shape_exponent = power::active_model::default_cpu_shape_exponent;
-    double cpu_idle_each_w = 45.0;
-    double dimm_idle_total_w = 40.0;
-    std::size_t cpu_sensors = 4;  ///< CSTH sensors, 2 per die (sensor s reads die s/2).
-};
+/// Throws precondition_error unless every threshold is positive and every
+/// hysteresis depth is consistent.  sim::validate calls it even while the
+/// monitor is disabled.
+void validate(const fault_monitor_config& config);
 
 /// Snapshot of the monitor: twin thermal state plus every latched
 /// command and hysteresis counter.  Plain data; rides sim::server_state.
@@ -159,7 +148,11 @@ struct fault_monitor_state {
 
 class fault_monitor {
 public:
-    fault_monitor(const fault_monitor_config& config, const fault_monitor_plant& plant);
+    /// A monitor over a server with `thermal`'s fan zones (one fan pair
+    /// each) and two CSTH sensors per die; the twin heats itself with
+    /// `power`, the model the plant runs.
+    fault_monitor(const fault_monitor_config& config, const thermal::server_thermal_config& thermal,
+                  const power::server_power_model& power);
 
     /// Re-arms the monitor against the plant's current actuator state:
     /// latches the commanded speeds, clears every verdict, and resets
@@ -217,14 +210,9 @@ private:
     void clear_health();
     void sync_ambient(util::celsius_t ambient);
     void sync_airflow(const power::fan_bank& fans, bool force);
-    void apply_twin_heat(double u_pct, double imbalance);
 
     fault_monitor_config config_;
-    double cpu_idle_each_w_;
-    double dimm_idle_total_w_;
-    power::leakage_model leakage_;
-    power::active_model active_;
-    power::fan_pair tach_pair_;  ///< Converts tach readings to twin airflow.
+    power::server_power_model power_;
     thermal::server_thermal_model twin_;
 
     std::vector<double> commanded_rpm_;

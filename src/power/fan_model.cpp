@@ -112,6 +112,11 @@ util::cfm_t fan_bank::pair_airflow(std::size_t pair_index) const {
                : pair_.airflow(speeds_[pair_index]);
 }
 
+util::cfm_t fan_bank::tach_airflow(std::size_t pair_index) const {
+    const util::rpm_t tach = effective_speed(pair_index);
+    return tach.value() == 0.0 ? util::cfm_t{0.0} : pair_.airflow(tach);
+}
+
 util::rpm_t fan_bank::average_speed() const {
     double acc = 0.0;
     for (std::size_t i = 0; i < speeds_.size(); ++i) {

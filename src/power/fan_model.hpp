@@ -127,6 +127,11 @@ public:
     /// tach-stuck).
     [[nodiscard]] util::cfm_t pair_airflow(std::size_t pair_index) const;
 
+    /// Airflow the tach reading implies: 0 when it reads 0, else the fan
+    /// law at the reading.  A tach-stuck pair reports airflow its stopped
+    /// rotor does not deliver; otherwise this equals pair_airflow().
+    [[nodiscard]] util::cfm_t tach_airflow(std::size_t pair_index) const;
+
     /// Mean tach reading across pairs (the "Avg RPM" column of Table I;
     /// a failed pair contributes 0, a tach-stuck pair lies high).
     [[nodiscard]] util::rpm_t average_speed() const;

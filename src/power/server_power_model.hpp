@@ -1,16 +1,28 @@
-// Whole-server power aggregation (Eqn. 1 of the paper):
+// Whole-server power model (Eqn. 1 of the paper):
 //
 //   P_total = P_base + P_active(U) + P_leak(T) + P_fan(RPM)
 //
 // P_base collects everything the fan controller cannot influence (idle
-// logic power of CPUs/DIMMs/disks, service processor, PSU overhead); it is
-// calibrated so that the simulated server reproduces the idle power implied
-// by Table I (366 W) and the observed peak (710-720 W).
+// logic power of CPUs/DIMMs/disks, service processor, PSU overhead).  Part
+// of it, together with the active and leakage terms, is heat dissipated in
+// the thermal nodes: each CPU die takes its idle share, its share of the
+// CPU active power and the leakage of its own temperature; the DIMM field
+// takes its idle share and the memory active power.
+//
+// Both plants, the fault monitor's healthy twin and the steady idle-power
+// probe run this one model, so their heat and power arithmetic agrees
+// bitwise by construction.
 #pragma once
+
+#include <array>
 
 #include "power/active_model.hpp"
 #include "power/leakage_model.hpp"
 #include "util/units.hpp"
+
+namespace ltsc::thermal {
+class server_thermal_model;
+}
 
 namespace ltsc::power {
 
@@ -25,30 +37,52 @@ struct power_breakdown {
     [[nodiscard]] util::watts_t total() const { return base + active + leakage + fan; }
 };
 
-/// Aggregates the component models into the paper's Eqn. 1.
+/// Die temperatures of both sockets [degC], socket order.
+using die_temps = std::array<double, 2>;
+
+/// Heat one step injects into the thermal network [W].
+struct server_heat {
+    double cpu_w[2] = {0.0, 0.0};  ///< Per-socket die heat.
+    double dimm_w = 0.0;           ///< Whole DIMM field.
+    double other_w = 0.0;          ///< Downstream heat (exhaust only).
+};
+
+/// Eqn. 1 of one two-socket server and the heat it drives into the
+/// thermal network.
 class server_power_model {
 public:
-    /// Builds the aggregate from component models and the calibrated base.
-    server_power_model(util::watts_t base, active_model active, leakage_model leakage);
+    /// `cpu_idle_each` and `dimm_idle_total` are the shares of `base`
+    /// dissipated in each CPU die and across the DIMM field.
+    server_power_model(util::watts_t base, util::watts_t cpu_idle_each,
+                       util::watts_t dimm_idle_total, const active_model& active,
+                       const leakage_model& leakage);
 
-    /// Default model calibrated against the paper's server.
-    server_power_model();
+    /// Heat at utilization `u_pct` with the dies at `die`; socket 0
+    /// carries `imbalance` of the CPU active heat.
+    [[nodiscard]] server_heat heat_at(double u_pct, double imbalance, const die_temps& die) const;
 
-    /// Breakdown at utilization `u_pct`, average CPU temperature `cpu_temp`
-    /// and measured fan power `fan_power`.
-    [[nodiscard]] power_breakdown at(double u_pct, util::celsius_t cpu_temp,
-                                     util::watts_t fan_power) const;
+    /// Eqn. 1 at utilization `u_pct` with the dies at `die` and the fan
+    /// bank drawing `fan`.
+    [[nodiscard]] power_breakdown breakdown_at(double u_pct, const die_temps& die,
+                                               util::watts_t fan) const;
 
-    [[nodiscard]] const active_model& active() const { return active_; }
-    [[nodiscard]] const leakage_model& leakage() const { return leakage_; }
-    [[nodiscard]] util::watts_t base() const { return base_; }
+    /// Sets heat_at() at the plant's current die temperatures as the
+    /// plant's heat inputs.
+    void apply_heat(thermal::server_thermal_model& plant, double u_pct, double imbalance) const;
 
-    /// Base power calibrated from Table I: idle wall power 366 W minus the
-    /// default-policy fan power (~24 W at 3300 RPM) and idle leakage.
-    static constexpr double calibrated_base_w = 331.0;
+    /// Jumps `plant` to the self-consistent steady state at utilization
+    /// `u_pct`: leakage depends on the die temperature, which depends on
+    /// leakage, so apply_heat() and a steady solve alternate for settle_rounds.
+    void settle(thermal::server_thermal_model& plant, double u_pct, double imbalance) const;
+
+    /// Rounds of the leakage fixed point.  Plants that settle a batched
+    /// thermal half run the same count, so their lanes stay bitwise.
+    static constexpr int settle_rounds = 12;
 
 private:
-    util::watts_t base_{calibrated_base_w};
+    util::watts_t base_;
+    util::watts_t cpu_idle_each_;
+    util::watts_t dimm_idle_total_;
     active_model active_;
     leakage_model leakage_;
 };

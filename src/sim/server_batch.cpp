@@ -94,6 +94,18 @@ void server_batch::set_all_fans(std::size_t lane, util::rpm_t rpm) {
     }
 }
 
+void server_batch::bind_fault_schedule(std::size_t lane, fault_schedule schedule) {
+    if (at(lane).bind_fault_schedule(std::move(schedule))) {
+        apply_airflow(lane);
+    }
+}
+
+void server_batch::clear_fault_schedule(std::size_t lane) {
+    if (at(lane).clear_fault_schedule()) {
+        apply_airflow(lane);
+    }
+}
+
 void server_batch::snapshot_lane_state(std::size_t lane, server_state& out) const {
     at(lane).save_state(out);
     batch_.save_lane_state(lane, out.thermal);
@@ -121,8 +133,9 @@ void server_batch::apply_airflow(std::size_t lane) {
 
 void server_batch::apply_heat(std::size_t lane, double u_inst) {
     // The batch exposes no exhaust-air query, so "other" heat has nowhere
-    // to go; the lane still validates it like the scalar plant.
-    const lane_heat heat = lanes_[lane]->heat_at(u_inst, dies(lane));
+    // to go; heat_at still validates it like the scalar plant.
+    const server_lane& ln = *lanes_[lane];
+    const power::server_heat heat = ln.power().heat_at(u_inst, ln.load_imbalance(), dies(lane));
     for (std::size_t s = 0; s < thermal::server_thermal_model::socket_count(); ++s) {
         batch_.set_power(proto_.die_node(s), lane, util::watts_t{heat.cpu_w[s]});
     }
@@ -202,10 +215,15 @@ void server_batch::advance(util::seconds_t duration, util::seconds_t dt) {
     }
 }
 
-void server_batch::settle_to_steady_state(std::size_t lane) {
-    for (int i = 0; i < 8; ++i) {
-        update_preheat(lane);
-        batch_.settle_lane(lane);
+void server_batch::settle(std::size_t lane, double u_pct) {
+    // The scalar plant's nesting: power::server_power_model::settle around
+    // server_thermal_model::settle_to_steady_state.
+    for (int i = 0; i < power::server_power_model::settle_rounds; ++i) {
+        apply_heat(lane, u_pct);
+        for (int j = 0; j < thermal::server_airflow::preheat_rounds; ++j) {
+            update_preheat(lane);
+            batch_.settle_lane(lane);
+        }
     }
 }
 
@@ -213,10 +231,7 @@ void server_batch::force_cold_start(std::size_t lane) {
     server_lane& ln = at(lane);
     ln.begin_cold_start();
     apply_airflow(lane);
-    for (int i = 0; i < 12; ++i) {
-        apply_heat(lane, 0.0);
-        settle_to_steady_state(lane);
-    }
+    settle(lane, 0.0);
     traces_.clear(lane);
     set_lane_active(lane, true);
     ln.finish_cold_start(batch_.ambient(lane));
@@ -229,12 +244,8 @@ void server_batch::force_cold_start() {
 }
 
 void server_batch::settle_at(std::size_t lane, double u_pct) {
-    server_lane& ln = at(lane);
-    for (int i = 0; i < 12; ++i) {
-        apply_heat(lane, u_pct);
-        settle_to_steady_state(lane);
-    }
-    ln.settle_monitor(u_pct, batch_.ambient(lane));
+    settle(lane, u_pct);
+    at(lane).settle_monitor(u_pct, batch_.ambient(lane));
 }
 
 util::watts_t server_batch::idle_power(std::size_t lane, util::rpm_t fan_rpm) const {

@@ -74,10 +74,8 @@ public:
     }
 
     // --- fault injection (per lane; see server_simulator) -------------------
-    void bind_fault_schedule(std::size_t lane, fault_schedule schedule) {
-        at(lane).bind_fault_schedule(std::move(schedule));
-    }
-    void clear_fault_schedule(std::size_t lane) { at(lane).clear_fault_schedule(); }
+    void bind_fault_schedule(std::size_t lane, fault_schedule schedule);
+    void clear_fault_schedule(std::size_t lane);
     [[nodiscard]] const fault_schedule* bound_fault_schedule(std::size_t lane) const {
         return at(lane).bound_fault_schedule();
     }
@@ -216,7 +214,8 @@ private:
     void apply_airflow(std::size_t lane);
     void apply_heat(std::size_t lane, double u_inst);
     void update_preheat(std::size_t lane);
-    void settle_to_steady_state(std::size_t lane);
+    /// The scalar plant's settle, on one lane.
+    void settle(std::size_t lane, double u_pct);
     [[nodiscard]] die_temps dies(std::size_t lane) const;
 
     [[nodiscard]] server_lane& at(std::size_t lane);

@@ -37,44 +37,16 @@ void validate(const server_config& config) {
     util::ensure(config.telemetry_period_s > 0.0, "server_config: bad telemetry period");
     util::ensure(config.sensor_noise_sigma >= 0.0, "server_config: negative sensor noise");
     util::ensure(config.sensor_quantum >= 0.0, "server_config: negative sensor quantum");
-    util::ensure(config.monitor.sensor_residual_c > 0.0,
-                 "server_config: monitor sensor threshold must be positive");
-    util::ensure(config.monitor.fan_residual_rpm > 0.0,
-                 "server_config: monitor fan threshold must be positive");
-    util::ensure(config.monitor.sensor_suspect_polls >= 1 &&
-                     config.monitor.sensor_fail_polls >= config.monitor.sensor_suspect_polls &&
-                     config.monitor.sensor_clear_polls >= 1,
-                 "server_config: bad monitor sensor hysteresis depths");
-    util::ensure(config.monitor.fan_suspect_steps >= 1 &&
-                     config.monitor.fan_fail_steps >= config.monitor.fan_suspect_steps &&
-                     config.monitor.fan_clear_steps >= 1,
-                 "server_config: bad monitor fan hysteresis depths");
-    util::ensure(config.monitor.sensor_cusum_k_c > 0.0 && config.monitor.sensor_cusum_h_c > 0.0,
-                 "server_config: monitor CUSUM parameters must be positive");
-    util::ensure(config.monitor.fan_command_grace_steps >= 0,
-                 "server_config: negative monitor fan command grace");
-    util::ensure(config.monitor.fan_thermal_residual_c > 0.0,
-                 "server_config: monitor fan thermal threshold must be positive");
-    util::ensure(config.monitor.fan_thermal_suspect_polls >= 1 &&
-                     config.monitor.fan_thermal_fail_polls >=
-                         config.monitor.fan_thermal_suspect_polls &&
-                     config.monitor.fan_thermal_clear_polls >= 1,
-                 "server_config: bad monitor fan thermal hysteresis depths");
+    core::validate(config.monitor);
 }
 
-core::fault_monitor_plant monitor_plant_for(const server_config& config) {
-    core::fault_monitor_plant plant;
-    plant.thermal = config.thermal;
-    plant.fan = config.fan;
-    plant.fan_pairs = config.fan_pairs;
-    plant.leakage = config.leakage;
-    plant.active_coeff_w_per_pct = config.active_coeff_w_per_pct;
-    plant.split = config.split;
-    plant.cpu_heat_shape_exponent = config.cpu_heat_shape_exponent;
-    plant.cpu_idle_each_w = config.cpu_idle_each_w;
-    plant.dimm_idle_total_w = config.dimm_idle_total_w;
-    plant.cpu_sensors = 2 * config.sockets;  // two CSTH sensors per die
-    return plant;
+power::server_power_model power_model_for(const server_config& config) {
+    return power::server_power_model(
+        util::watts_t{config.base_power_w}, util::watts_t{config.cpu_idle_each_w},
+        util::watts_t{config.dimm_idle_total_w},
+        power::active_model(config.active_coeff_w_per_pct, config.split,
+                            config.cpu_heat_shape_exponent),
+        power::leakage_model(config.leakage));
 }
 
 }  // namespace ltsc::sim

@@ -14,6 +14,7 @@
 #include "power/active_model.hpp"
 #include "power/fan_model.hpp"
 #include "power/leakage_model.hpp"
+#include "power/server_power_model.hpp"
 #include "thermal/server_thermal_model.hpp"
 #include "util/units.hpp"
 
@@ -84,9 +85,9 @@ void validate(const server_config& config);
 /// Validates and returns the configuration (for member-initializer use).
 [[nodiscard]] server_config validated(const server_config& config);
 
-/// The healthy-twin description the residual monitor needs, extracted
-/// from a full plant configuration (shared by the scalar plant and every
-/// batch lane so twin arithmetic is identical everywhere).
-[[nodiscard]] core::fault_monitor_plant monitor_plant_for(const server_config& config);
+/// The server's Eqn-1 power model, built from the power calibration
+/// fields.  Every plant lane, its monitor twin and steady_idle_power run
+/// the model this returns.
+[[nodiscard]] power::server_power_model power_model_for(const server_config& config);
 
 }  // namespace ltsc::sim

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <string>
 #include <utility>
 
 #include "util/error.hpp"
@@ -15,8 +14,7 @@ server_lane::server_lane(const server_config& config, die_reader die_temp, dimm_
       die_temp_(std::move(die_temp)),
       rng_(config.seed, 0xda3e39cb94b95bdbULL),
       fans_(config.fan_pairs, config.fan, config.default_fan_rpm),
-      leakage_(config.leakage),
-      active_(config.active_coeff_w_per_pct, config.split, config.cpu_heat_shape_exponent),
+      power_(power_model_for(config)),
       sensors_(thermal::make_server_sensors(die_temp_, dimm_temp, config.dimm_count, rng_,
                                             config.sensor_noise_sigma, config.sensor_quantum)),
       telemetry_(util::seconds_t{config.telemetry_period_s}) {
@@ -24,7 +22,7 @@ server_lane::server_lane(const server_config& config, die_reader die_temp, dimm_
     fault_.reset(fans_.pair_count(), sensors_.cpu.size());
     register_telemetry();
     if (config_.monitor.enabled) {
-        monitor_.emplace(config_.monitor, monitor_plant_for(config_));
+        monitor_.emplace(config_.monitor, config_.thermal, power_);
         monitor_->reset(fans_, util::celsius_t{config_.thermal.ambient_c});
     }
 }
@@ -45,19 +43,6 @@ void server_lane::register_telemetry() {
         telemetry_.add_channel(sensors_.dimm[i].name(), "degC",
                                [this, i] { return sensors_.dimm[i].read().value(); },
                                /*ring_capacity=*/512, /*record_history=*/false);
-    }
-    // Per-socket rail telemetry (the paper collects per-core V/I; the
-    // aggregate per-socket rail carries the same information here).
-    for (std::size_t s = 0; s < 2; ++s) {
-        telemetry_.add_channel("cpu" + std::to_string(s) + "_voltage", "V",
-                               [] { return 1.0; }, 16, false);
-        telemetry_.add_channel("cpu" + std::to_string(s) + "_current", "A", [this, s] {
-            const double u = instantaneous_utilization();
-            const double share = s == 0 ? imbalance_ : 1.0 - imbalance_;
-            const double rail_w = config_.cpu_idle_each_w + active_.cpu(u).value() * share +
-                                  leakage_.share_at(die_temp_(s), 2).value();
-            return rail_w / 1.0;
-        });
     }
     telemetry_.add_channel("system_power", "W", [this] {
         const die_temps die = {die_temp_(0).value(), die_temp_(1).value()};
@@ -182,36 +167,6 @@ double server_lane::telemetry_age_s() const {
                                     : std::numeric_limits<double>::infinity();
 }
 
-lane_heat server_lane::heat_at(double u_inst, const die_temps& die) const {
-    const double shares[2] = {imbalance_, 1.0 - imbalance_};
-    lane_heat heat;
-    for (std::size_t s = 0; s < 2; ++s) {
-        const util::watts_t die_heat =
-            util::watts_t{config_.cpu_idle_each_w} + active_.cpu(u_inst) * shares[s] +
-            leakage_.share_at(util::celsius_t{die[s]}, 2);
-        heat.cpu_w[s] = die_heat.value();
-    }
-    heat.dimm_w = (util::watts_t{config_.dimm_idle_total_w} + active_.memory(u_inst)).value();
-    heat.other_w = active_.other(u_inst).value();
-    util::ensure(heat.cpu_w[0] >= 0.0 && heat.cpu_w[1] >= 0.0 && heat.dimm_w >= 0.0 &&
-                     heat.other_w >= 0.0,
-                 "server_lane::heat_at: negative heat");
-    return heat;
-}
-
-power::power_breakdown server_lane::breakdown_at(double u_inst, const die_temps& die) const {
-    power::power_breakdown out;
-    out.base = util::watts_t{config_.base_power_w};
-    out.active = active_.total(u_inst);
-    util::watts_t leak{0.0};
-    for (std::size_t s = 0; s < 2; ++s) {
-        leak += leakage_.share_at(util::celsius_t{die[s]}, 2);
-    }
-    out.leakage = leak;
-    out.fan = fans_.total_power();
-    return out;
-}
-
 void server_lane::advance_clock(util::seconds_t dt, double u_inst, util::celsius_t ambient) {
     now_s_ += dt.value();
     if (monitor_) {
@@ -262,7 +217,7 @@ void server_lane::poll() {
 void server_lane::begin_cold_start() {
     // Faults are part of the run being restarted: clear live effects and
     // rewind the campaign cursor with the clock.
-    clear_fault_effects();
+    static_cast<void>(clear_fault_effects());  // the owner pushes airflow next
     fans_.set_all(config_.cold_start_fan_rpm);
 }
 
@@ -335,7 +290,7 @@ void server_lane::restore_state(const server_state& state) {
     }
 }
 
-void server_lane::bind_fault_schedule(fault_schedule schedule) {
+bool server_lane::bind_fault_schedule(fault_schedule schedule) {
     if (!schedule.empty()) {
         util::ensure(schedule.max_fan_target() < fans_.pair_count(),
                      "server_lane::bind_fault_schedule: fan target out of range");
@@ -343,21 +298,27 @@ void server_lane::bind_fault_schedule(fault_schedule schedule) {
                      "server_lane::bind_fault_schedule: sensor target out of range");
     }
     schedule_ = std::move(schedule);
-    clear_fault_effects();
+    return clear_fault_effects();
 }
 
-void server_lane::clear_fault_schedule() {
+bool server_lane::clear_fault_schedule() {
     schedule_.reset();
-    clear_fault_effects();
+    return clear_fault_effects();
 }
 
-void server_lane::clear_fault_effects() {
-    fault_.reset(fans_.pair_count(), sensors_.cpu.size());
+bool server_lane::clear_fault_effects() {
+    // Failed and tach-stuck rotors restart at their current speeds, so
+    // the delivered airflow changes exactly when one was stopped.
+    bool restarted = false;
     for (std::size_t i = 0; i < fans_.pair_count(); ++i) {
+        restarted = restarted || fault_.fan_mode[i] == fault_state::fan_failed ||
+                    fault_.fan_mode[i] == fault_state::fan_tach;
         fans_.set_failed(i, false);
         fans_.set_tach_stuck(i, false);
     }
+    fault_.reset(fans_.pair_count(), sensors_.cpu.size());
     telemetry_.set_poll_suppressed(false);
+    return restarted;
 }
 
 bool server_lane::apply_due_faults() {

@@ -3,12 +3,12 @@
 //
 // server_simulator and each server_batch lane own one server_lane.  The
 // lane holds everything about a server that is not a thermal node:
-// configuration, sensor RNG stream, fan bank, power models, sensors and
+// configuration, sensor RNG stream, fan bank, power model, sensors and
 // their telemetry harness, workload, clock, load split, fault schedule
 // and live fault effects, and the optional residual monitor.  It does
 // fan commands and latching, the single fault-kind switch, sensor
-// corruption, heat and power breakdown from given die temperatures, the
-// trace row, and the non-thermal half of snapshot/restore.
+// corruption, the power breakdown from given die temperatures, the trace
+// row, and the non-thermal half of snapshot/restore.
 //
 // The owning plant keeps the thermal half (a server_thermal_model, or one
 // rc_batch lane).  It hands the lane readers of its die/DIMM temperatures
@@ -20,16 +20,13 @@
 // batch lane equals the scalar plant bitwise by construction.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <functional>
 #include <optional>
 #include <vector>
 
 #include "core/fault_monitor.hpp"
-#include "power/active_model.hpp"
 #include "power/fan_model.hpp"
-#include "power/leakage_model.hpp"
 #include "power/server_power_model.hpp"
 #include "sim/fault_schedule.hpp"
 #include "sim/server_config.hpp"
@@ -43,15 +40,7 @@
 
 namespace ltsc::sim {
 
-/// True die temperatures of both sockets [degC], socket order.
-using die_temps = std::array<double, 2>;
-
-/// Heat one step injects into the thermal network [W].
-struct lane_heat {
-    double cpu_w[2] = {0.0, 0.0};  ///< Per-socket die heat.
-    double dimm_w = 0.0;           ///< Whole DIMM field.
-    double other_w = 0.0;          ///< Downstream heat (exhaust only).
-};
+using power::die_temps;
 
 /// One server's plant minus its thermal node state.
 class server_lane {
@@ -71,6 +60,8 @@ public:
     server_lane& operator=(server_lane&&) = delete;
 
     [[nodiscard]] const server_config& config() const { return config_; }
+    /// The server's power model; its heat depends on load_imbalance().
+    [[nodiscard]] const power::server_power_model& power() const { return power_; }
     [[nodiscard]] const telemetry::harness& telemetry() const { return telemetry_; }
     [[nodiscard]] const core::fault_monitor* monitor() const {
         return monitor_ ? &*monitor_ : nullptr;
@@ -114,9 +105,10 @@ public:
     /// Now minus the last poll time, or +infinity before the first poll.
     [[nodiscard]] double telemetry_age_s() const;
 
-    // --- faults ---------------------------------------------------------------
-    void bind_fault_schedule(fault_schedule schedule);
-    void clear_fault_schedule();
+    // --- faults (true return: airflow changed, push zone_airflow()) ---------
+    /// Both clear every live fault effect, which un-fails stopped rotors.
+    [[nodiscard]] bool bind_fault_schedule(fault_schedule schedule);
+    [[nodiscard]] bool clear_fault_schedule();
     [[nodiscard]] const fault_schedule* bound_fault_schedule() const {
         return schedule_ ? &*schedule_ : nullptr;
     }
@@ -127,9 +119,10 @@ public:
     [[nodiscard]] bool apply_due_faults();
 
     // --- power -----------------------------------------------------------------
-    /// Heat at utilization `u_inst` with the dies at `die`.
-    [[nodiscard]] lane_heat heat_at(double u_inst, const die_temps& die) const;
-    [[nodiscard]] power::power_breakdown breakdown_at(double u_inst, const die_temps& die) const;
+    /// Eqn. 1 at utilization `u_inst` with the dies at `die`.
+    [[nodiscard]] power::power_breakdown breakdown_at(double u_inst, const die_temps& die) const {
+        return power_.breakdown_at(u_inst, die, fans_.total_power());
+    }
 
     // --- stepping (after the owner's thermal step) -----------------------------
     /// Advances the clock by `dt` and steps the monitor twin.
@@ -162,15 +155,14 @@ public:
 private:
     void register_telemetry();
     [[nodiscard]] bool apply_fault_event(const fault_event& event);
-    void clear_fault_effects();
+    [[nodiscard]] bool clear_fault_effects();
     [[nodiscard]] double corrupt_sensor_reading(std::size_t sensor, double raw) const;
 
     server_config config_;
     die_reader die_temp_;
     util::pcg32 rng_;
     power::fan_bank fans_;
-    power::leakage_model leakage_;
-    power::active_model active_;
+    power::server_power_model power_;
     thermal::server_sensor_suite sensors_;
     telemetry::harness telemetry_;
     std::optional<workload::loadgen> workload_;

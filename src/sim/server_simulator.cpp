@@ -34,15 +34,6 @@ void server_simulator::set_all_fans(util::rpm_t rpm) {
     }
 }
 
-void server_simulator::apply_heat(double u_inst) {
-    const lane_heat heat = lane_.heat_at(u_inst, dies());
-    for (std::size_t s = 0; s < thermal::server_thermal_model::socket_count(); ++s) {
-        thermal_.set_cpu_heat(s, util::watts_t{heat.cpu_w[s]});
-    }
-    thermal_.set_dimm_heat(util::watts_t{heat.dimm_w});
-    thermal_.set_other_heat(util::watts_t{heat.other_w});
-}
-
 void server_simulator::step(util::seconds_t dt) {
     util::ensure(dt.value() > 0.0, "server_simulator::step: non-positive dt");
     while (lane_.apply_due_faults()) {
@@ -50,7 +41,7 @@ void server_simulator::step(util::seconds_t dt) {
     }
     const double u_target = lane_.target_utilization();
     const double u_inst = lane_.instantaneous_utilization();
-    apply_heat(u_inst);
+    lane_.power().apply_heat(thermal_, u_inst, lane_.load_imbalance());
     thermal_.step(dt);
     lane_.advance_clock(dt, u_inst, thermal_.ambient());
     trace_.append(lane_.now_s(), lane_.make_row(u_target, u_inst, dies(), thermal_.dimm_temp()));
@@ -70,21 +61,13 @@ void server_simulator::advance(util::seconds_t duration, util::seconds_t dt) {
 void server_simulator::force_cold_start() {
     lane_.begin_cold_start();
     apply_airflow();
-    // Leakage depends on temperature, which depends on leakage; iterate
-    // the outer fixed point until the idle state is self-consistent.
-    for (int i = 0; i < 12; ++i) {
-        apply_heat(0.0);
-        thermal_.settle_to_steady_state();
-    }
+    lane_.power().settle(thermal_, 0.0, lane_.load_imbalance());
     trace_.clear();
     lane_.finish_cold_start(thermal_.ambient());
 }
 
 void server_simulator::settle_at(double u_pct) {
-    for (int i = 0; i < 12; ++i) {
-        apply_heat(u_pct);
-        thermal_.settle_to_steady_state();
-    }
+    lane_.power().settle(thermal_, u_pct, lane_.load_imbalance());
     lane_.settle_monitor(u_pct, thermal_.ambient());
 }
 
@@ -119,29 +102,19 @@ void server_simulator::clear_trace() {
 }
 
 util::watts_t steady_idle_power(const server_config& config, util::rpm_t fan_rpm) {
-    // Build a scratch plant so the query does not disturb any live one.
-    const power::leakage_model leakage(config.leakage);
+    // A scratch thermal half, so the query does not disturb any live plant.
+    const power::server_power_model power = power_model_for(config);
+    const power::fan_bank fans(config.fan_pairs, config.fan, fan_rpm);
     thermal::server_thermal_model scratch(config.thermal);
-    power::fan_bank scratch_fans(config.fan_pairs, config.fan, fan_rpm);
     std::vector<util::cfm_t> per_zone;
-    for (std::size_t i = 0; i < scratch_fans.pair_count(); ++i) {
-        per_zone.push_back(scratch_fans.pair().airflow(scratch_fans.speed(i)));
+    for (std::size_t i = 0; i < fans.pair_count(); ++i) {
+        per_zone.push_back(fans.pair_airflow(i));
     }
     scratch.set_zone_airflow(per_zone);
-    for (int i = 0; i < 12; ++i) {
-        for (std::size_t s = 0; s < thermal::server_thermal_model::socket_count(); ++s) {
-            scratch.set_cpu_heat(s, util::watts_t{config.cpu_idle_each_w} +
-                                        leakage.share_at(scratch.cpu_die_temp(s), 2));
-        }
-        scratch.set_dimm_heat(util::watts_t{config.dimm_idle_total_w});
-        scratch.set_other_heat(util::watts_t{0.0});
-        scratch.settle_to_steady_state();
-    }
-    util::watts_t leak{0.0};
-    for (std::size_t s = 0; s < thermal::server_thermal_model::socket_count(); ++s) {
-        leak += leakage.share_at(scratch.cpu_die_temp(s), 2);
-    }
-    return util::watts_t{config.base_power_w} + leak + scratch_fans.total_power();
+    power.settle(scratch, 0.0, 0.5);  // no CPU load, so the split is moot
+    const power::die_temps die = {scratch.cpu_die_temp(0).value(),
+                                  scratch.cpu_die_temp(1).value()};
+    return power.breakdown_at(0.0, die, fans.total_power()).total();
 }
 
 }  // namespace ltsc::sim

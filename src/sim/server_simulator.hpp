@@ -69,10 +69,16 @@ public:
     /// pair must stay healthy at all times — a schedule failing every
     /// pair at once trips the plant's airflow precondition when it fires.
     void bind_fault_schedule(fault_schedule schedule) {
-        lane_.bind_fault_schedule(std::move(schedule));
+        if (lane_.bind_fault_schedule(std::move(schedule))) {
+            apply_airflow();
+        }
     }
     /// Removes the campaign and clears every live effect.
-    void clear_fault_schedule() { lane_.clear_fault_schedule(); }
+    void clear_fault_schedule() {
+        if (lane_.clear_fault_schedule()) {
+            apply_airflow();
+        }
+    }
     /// The bound campaign, or nullptr (predictive controllers bind it to
     /// their rollout lanes like the workload preview).
     [[nodiscard]] const fault_schedule* bound_fault_schedule() const {
@@ -201,7 +207,6 @@ public:
 
 private:
     void apply_airflow() { thermal_.set_zone_airflow(lane_.zone_airflow()); }
-    void apply_heat(double u_inst);
     [[nodiscard]] die_temps dies() const {
         return {thermal_.cpu_die_temp(0).value(), thermal_.cpu_die_temp(1).value()};
     }

@@ -2,7 +2,9 @@
 //
 // The paper polls CPU/DIMM temperatures, per-core voltage/current and
 // whole-system power through CSTH every 10 seconds.  This harness plays
-// that role for the simulated server: channels register a source lambda,
+// that role for the simulated server, which registers the CPU and DIMM
+// temperatures, system power and fan power (per-core rails would only
+// restate the power model).  Channels register a source lambda,
 // `poll_due(t)` samples every channel at the configured cadence, and the
 // recorded histories export to CSV for the figure benches.
 //

@@ -138,9 +138,7 @@ void server_thermal_model::step(util::seconds_t dt) {
 }
 
 void server_thermal_model::settle_to_steady_state() {
-    // Preheat depends on the DIMM temperature, which the steady solve
-    // changes; iterate the (fast-converging) fixed point a few times.
-    for (int i = 0; i < 8; ++i) {
+    for (int i = 0; i < server_airflow::preheat_rounds; ++i) {
         update_preheat();
         settle(net_);
     }

@@ -75,6 +75,10 @@ public:
                                                        util::celsius_t dimm,
                                                        util::celsius_t ambient) const;
 
+    /// Rounds of the preheat fixed point a steady solve runs: preheat
+    /// depends on the DIMM temperature, which the solve changes.
+    static constexpr int preheat_rounds = 8;
+
 private:
     [[nodiscard]] double total_airflow_cfm() const;
     [[nodiscard]] double effective_airflow_cfm(std::size_t component_zone) const;

@@ -437,6 +437,48 @@ TEST(FaultInjection, FanStuckHoldsSpeedAgainstCommands) {
     EXPECT_EQ(s.fan_speed(0).value(), 2400.0);  // applied on recovery
 }
 
+TEST(FaultInjection, ClearingScheduleMidOutagePushesRestoredAirflow) {
+    // Clearing the campaign while a pair is dead restarts its rotor, and
+    // the thermal half must see that airflow at once: the true dies match
+    // a twin whose schedule recovers the pair at the same instant, on the
+    // scalar plant and on a batch lane.
+    const auto profile = steady(80.0, 300.0);
+    const sim::fault_event failure = ev(50.0, sim::fault_kind::fan_failure, 1);
+    const sim::fault_schedule dies_for_good({failure});
+    const sim::fault_schedule recovers({failure, ev(150.0, sim::fault_kind::fan_recover, 1)});
+
+    sim::server_simulator cleared;
+    sim::server_simulator recovered;
+    sim::server_batch batch(sim::paper_server(), 2);
+    cleared.bind_workload(profile);
+    recovered.bind_workload(profile);
+    batch.bind_workload(0, profile);
+    batch.bind_workload(1, profile);
+    cleared.bind_fault_schedule(dies_for_good);
+    recovered.bind_fault_schedule(recovers);
+    batch.bind_fault_schedule(0, dies_for_good);
+    batch.bind_fault_schedule(1, recovers);
+    cleared.force_cold_start();
+    recovered.force_cold_start();
+    batch.force_cold_start();
+    for (int i = 0; i < 300; ++i) {
+        if (i == 150) {
+            ASSERT_TRUE(cleared.current_fault_state().any_fan_fault());
+            cleared.clear_fault_schedule();
+            batch.clear_fault_schedule(0);
+        }
+        cleared.step();
+        recovered.step();
+        batch.step();
+        for (std::size_t d = 0; d < 2; ++d) {
+            ASSERT_EQ(cleared.true_cpu_temp(d).value(), recovered.true_cpu_temp(d).value())
+                << "scalar step " << i << " die " << d;
+            ASSERT_EQ(batch.true_cpu_temp(0, d).value(), batch.true_cpu_temp(1, d).value())
+                << "lane step " << i << " die " << d;
+        }
+    }
+}
+
 TEST(FaultInjection, SensorBiasOffsetsReadingsExactly) {
     // Twin plants, same seed, no controller: the biased sensor reads
     // exactly raw + bias (the RNG stream stays aligned because the true

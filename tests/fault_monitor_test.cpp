@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -24,6 +25,7 @@
 #include "sim/server_batch.hpp"
 #include "sim/server_config.hpp"
 #include "sim/server_simulator.hpp"
+#include "util/error.hpp"
 #include "workload/paper_tests.hpp"
 #include "workload/profile.hpp"
 
@@ -112,6 +114,81 @@ TEST(FaultMonitor, IsAPassiveObserverOfThePlant) {
     for (std::size_t j = 0; j < est.size(); ++j) {
         const double true_max = std::max(die0.v(j), die1.v(j));
         ASSERT_NEAR(est.v(j), true_max, 2.0) << "row " << j;
+    }
+}
+
+TEST(FaultMonitor, TwinDieEstimateIsTheTrueDieBitwise) {
+    // The twin heats itself with the plant's own power model and follows
+    // honest tachs, so on a healthy plant its die estimate is the true
+    // die temperature bitwise on every step: through a skewed load split,
+    // a fan change every 37 s and a mid-run ambient step, on the scalar
+    // plant and on a batch lane.
+    workload::utilization_profile profile("mixed");
+    profile.constant(90.0, 300_s).ramp(90.0, 20.0, 300_s).constant(50.0, 300_s);
+    const double rpms[] = {1800.0, 4200.0, 2400.0, 3600.0, 3000.0};
+    const auto fan_rpm = [&](int step) { return util::rpm_t{rpms[(step / 37) % 5]}; };
+    const auto fan_pair = [](int step) { return static_cast<std::size_t>((step / 37) % 3); };
+
+    sim::server_simulator s(monitored_server());
+    s.set_load_imbalance(0.7);
+    s.bind_workload(profile);
+    s.force_cold_start();
+    for (int i = 0; i < 900; ++i) {
+        if (i % 37 == 0) {
+            s.set_fan_speed(fan_pair(i), fan_rpm(i));
+        }
+        if (i == 450) {
+            s.set_ambient(30_degC);
+        }
+        s.step();
+        for (std::size_t d = 0; d < 2; ++d) {
+            ASSERT_EQ(s.monitor()->die_estimate_c(d), s.true_cpu_temp(d).value())
+                << "scalar step " << i << " die " << d;
+        }
+    }
+
+    sim::server_batch batch(monitored_server(), 2);
+    batch.set_load_imbalance(1, 0.7);
+    batch.bind_workload(0, steady(30.0, 900.0));
+    batch.bind_workload(1, profile);
+    batch.force_cold_start();
+    for (int i = 0; i < 900; ++i) {
+        if (i % 37 == 0) {
+            batch.set_fan_speed(1, fan_pair(i), fan_rpm(i));
+        }
+        if (i == 450) {
+            batch.set_ambient(1, 30_degC);
+        }
+        batch.step();
+        for (std::size_t d = 0; d < 2; ++d) {
+            ASSERT_EQ(batch.monitor(1)->die_estimate_c(d), batch.true_cpu_temp(1, d).value())
+                << "lane step " << i << " die " << d;
+        }
+    }
+}
+
+TEST(FaultMonitor, BadConfigIsRejectedEvenWhileDisabled) {
+    // One broken rule at a time: sim::validate rejects it with the
+    // monitor off, and the monitor's own constructor rejects it too.
+    using rule_break = std::function<void(core::fault_monitor_config&)>;
+    const std::vector<rule_break> breaks = {
+        [](core::fault_monitor_config& c) { c.sensor_residual_c = 0.0; },
+        [](core::fault_monitor_config& c) { c.fan_residual_rpm = -1.0; },
+        [](core::fault_monitor_config& c) { c.sensor_fail_polls = c.sensor_suspect_polls - 1; },
+        [](core::fault_monitor_config& c) { c.fan_clear_steps = 0; },
+        [](core::fault_monitor_config& c) { c.sensor_cusum_h_c = 0.0; },
+        [](core::fault_monitor_config& c) { c.fan_command_grace_steps = -1; },
+        [](core::fault_monitor_config& c) { c.fan_thermal_residual_c = 0.0; },
+        [](core::fault_monitor_config& c) { c.fan_thermal_suspect_polls = 0; },
+    };
+    for (std::size_t i = 0; i < breaks.size(); ++i) {
+        sim::server_config bad = sim::paper_server();
+        breaks[i](bad.monitor);
+        ASSERT_FALSE(bad.monitor.enabled);
+        EXPECT_THROW(sim::validate(bad), util::precondition_error) << "rule " << i;
+        EXPECT_THROW(core::fault_monitor(bad.monitor, bad.thermal, sim::power_model_for(bad)),
+                     util::precondition_error)
+            << "rule " << i;
     }
 }
 
@@ -205,7 +282,8 @@ TEST(FaultMonitor, CusumAccumulatesSubThresholdBias) {
     // the walk on the negative side.
     core::fault_monitor_config cfg;
     cfg.enabled = true;  // defaults: k = 1.75, h = 5.0, threshold 3.0
-    core::fault_monitor mon(cfg, sim::monitor_plant_for(sim::paper_server()));
+    const sim::server_config server = sim::paper_server();
+    core::fault_monitor mon(cfg, server.thermal, sim::power_model_for(server));
     const power::fan_bank fans;  // paper bank, all pairs at 3600 RPM
     mon.reset(fans, util::celsius_t{35.0});
 
@@ -258,12 +336,12 @@ TEST(FaultMonitor, FanCommandGraceToleratesTachLag) {
     // the same healthy ramp walks straight to failed — the transient
     // false positive the grace exists to kill.  A dead rotor matches
     // neither command and must still be caught through the window.
-    const core::fault_monitor_plant plant = sim::monitor_plant_for(sim::paper_server());
+    const sim::server_config server = sim::paper_server();
     const auto run_bang_bang = [&](int grace_steps, bool dead) {
         core::fault_monitor_config cfg;
         cfg.enabled = true;
         cfg.fan_command_grace_steps = grace_steps;
-        core::fault_monitor mon(cfg, plant);
+        core::fault_monitor mon(cfg, server.thermal, sim::power_model_for(server));
         power::fan_bank fans;
         if (dead) {
             fans.set_failed(0, true);

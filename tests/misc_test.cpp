@@ -220,11 +220,11 @@ TEST(Protocol, CustomTimingHonoured) {
 }
 
 TEST(FailureInjection, TelemetryChannelsPresent) {
-    // The CSTH complement the paper lists: 4 CPU temps, 32 DIMM temps,
-    // per-socket V/I, system power (+ fan power).
+    // The CSTH complement: 4 CPU temps, 32 DIMM temps, system power
+    // (+ fan power).
     sim::server_simulator s;
     const auto& t = s.telemetry();
-    EXPECT_EQ(t.channel_count(), 4U + 32U + 4U + 1U + 1U);
+    EXPECT_EQ(t.channel_count(), 4U + 32U + 1U + 1U);
     EXPECT_NO_THROW(static_cast<void>(t.by_name("cpu0_temp_a")));
     EXPECT_NO_THROW(static_cast<void>(t.by_name("dimm31_temp")));
     EXPECT_NO_THROW(static_cast<void>(t.by_name("system_power")));

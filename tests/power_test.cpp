@@ -8,6 +8,7 @@
 #include "power/leakage_model.hpp"
 #include "power/psu_model.hpp"
 #include "power/server_power_model.hpp"
+#include "sim/server_config.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -236,25 +237,45 @@ TEST(Psu, BadCurveThrows) {
 // --- aggregate -----------------------------------------------------------
 
 TEST(ServerPower, BreakdownSums) {
-    const power::server_power_model m;
-    const auto b = m.at(50.0, 60_degC, 10_W);
+    const power::server_power_model m = sim::power_model_for(sim::paper_server());
+    const auto b = m.breakdown_at(50.0, {60.0, 60.0}, 10_W);
     EXPECT_NEAR(b.total().value(),
                 b.base.value() + b.active.value() + b.leakage.value() + b.fan.value(), 1e-12);
 }
 
 TEST(ServerPower, Eqn1Decomposition) {
-    const power::server_power_model m;
-    const auto b = m.at(100.0, 62_degC, 24.3_W);
-    EXPECT_DOUBLE_EQ(b.base.value(), power::server_power_model::calibrated_base_w);
+    const power::server_power_model m = sim::power_model_for(sim::paper_server());
+    const auto b = m.breakdown_at(100.0, {62.0, 62.0}, 24.3_W);
+    EXPECT_DOUBLE_EQ(b.base.value(), sim::paper_server().base_power_w);
+    EXPECT_DOUBLE_EQ(b.base.value(), 331.6);
     EXPECT_DOUBLE_EQ(b.active.value(), 350.0);
     EXPECT_NEAR(b.leakage.value(), 8.0 + 0.3231 * std::exp(0.04749 * 62.0), 1e-9);
     // Peak wall power lands near the 710-720 W band of Table I.
     EXPECT_NEAR(b.total().value(), 719.0, 5.0);
 }
 
+TEST(ServerPower, HeatIsTheThermalPartOfEqn1) {
+    // Die, DIMM and downstream heat plus the base power no node
+    // dissipates add back up to the breakdown's non-fan total.
+    const sim::server_config cfg = sim::paper_server();
+    const power::server_power_model m = sim::power_model_for(cfg);
+    const power::die_temps die = {60.0, 70.0};
+    const power::server_heat h = m.heat_at(100.0, 0.7, die);
+    const power::leakage_model leak(cfg.leakage);
+    EXPECT_NEAR(h.cpu_w[0], 45.0 + 122.5 * 0.7 + leak.share_at(60_degC, 2).value(), 1e-9);
+    EXPECT_NEAR(h.cpu_w[1], 45.0 + 122.5 * 0.3 + leak.share_at(70_degC, 2).value(), 1e-9);
+    EXPECT_NEAR(h.dimm_w, 40.0 + 105.0, 1e-9);
+    EXPECT_NEAR(h.other_w, 122.5, 1e-9);
+    const auto b = m.breakdown_at(100.0, die, 0_W);
+    const double floor_w = cfg.base_power_w - 2.0 * cfg.cpu_idle_each_w - cfg.dimm_idle_total_w;
+    EXPECT_NEAR(h.cpu_w[0] + h.cpu_w[1] + h.dimm_w + h.other_w + floor_w, b.total().value(),
+                1e-9);
+}
+
 TEST(ServerPower, NegativeFanPowerThrows) {
-    const power::server_power_model m;
-    EXPECT_THROW(static_cast<void>(m.at(10.0, 50_degC, util::watts_t{-1.0})), util::precondition_error);
+    const power::server_power_model m = sim::power_model_for(sim::paper_server());
+    EXPECT_THROW(static_cast<void>(m.breakdown_at(10.0, {50.0, 50.0}, util::watts_t{-1.0})),
+                 util::precondition_error);
 }
 
 }  // namespace
