@@ -22,7 +22,6 @@
 #include "telemetry_service/row_group.hpp"
 #include "util/spsc_ring.hpp"
 #include "thermal/server_thermal_model.hpp"
-#include "thermal/steady_state.hpp"
 #include "workload/paper_tests.hpp"
 #include "workload/queueing.hpp"
 
@@ -33,39 +32,25 @@ using namespace ltsc::util::literals;
 
 void BM_ThermalStep(benchmark::State& state) {
     thermal::server_thermal_model m;
-    m.set_cpu_heat(0, 115_W);
-    m.set_cpu_heat(1, 115_W);
-    m.set_dimm_heat(145_W);
+    m.set_cpu_heat(0, 0, 115_W);
+    m.set_cpu_heat(0, 1, 115_W);
+    m.set_dimm_heat(0, 145_W);
     for (auto _ : state) {
         m.step(1_s);
-        benchmark::DoNotOptimize(m.average_cpu_temp());
+        benchmark::DoNotOptimize(m.average_cpu_temp(0));
     }
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ThermalStep);
 
-void BM_ThermalStepImplicit(benchmark::State& state) {
-    thermal::server_thermal_model m(thermal::server_thermal_config{},
-                                    thermal::integration_scheme::implicit_euler);
-    m.set_cpu_heat(0, 115_W);
-    m.set_cpu_heat(1, 115_W);
-    m.set_dimm_heat(145_W);
-    for (auto _ : state) {
-        m.step(1_s);
-        benchmark::DoNotOptimize(m.average_cpu_temp());
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ThermalStepImplicit);
-
 void BM_ThermalSteadyStateSolve(benchmark::State& state) {
     thermal::server_thermal_model m;
-    m.set_cpu_heat(0, 115_W);
-    m.set_cpu_heat(1, 115_W);
-    m.set_dimm_heat(145_W);
+    m.set_cpu_heat(0, 0, 115_W);
+    m.set_cpu_heat(0, 1, 115_W);
+    m.set_dimm_heat(0, 145_W);
     for (auto _ : state) {
-        m.settle_to_steady_state();
-        benchmark::DoNotOptimize(m.average_cpu_temp());
+        m.settle_to_steady_state(0);
+        benchmark::DoNotOptimize(m.average_cpu_temp(0));
     }
 }
 BENCHMARK(BM_ThermalSteadyStateSolve);

@@ -24,9 +24,9 @@ shows the full damage.
 
 --calibrate BENCH divides each side's throughput by that benchmark's
 throughput *from the same file* before comparing.  With a calibration
-benchmark whose cost is unaffected by the change under test (e.g. the
-pure-compute BM_ThermalStep), absolute machine speed cancels and the
-gate compares code, not hardware — required when the baseline was
+benchmark whose cost is unaffected by the change under test (e.g.
+BM_LeakageFit, pure compute that runs no plant code), absolute machine
+speed cancels and the gate compares code, not hardware — required when the baseline was
 recorded on a different machine than the CI runner.
 
 --self-test exercises the gate against synthetic in-memory results and

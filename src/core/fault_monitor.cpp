@@ -104,7 +104,7 @@ void fault_monitor::reset(const power::fan_bank& fans, util::celsius_t ambient) 
     }
     clear_health();
     sync_ambient(ambient);
-    twin_.reset();
+    twin_.reset(0);
     sync_airflow(fans, /*force=*/true);
 }
 
@@ -112,7 +112,7 @@ void fault_monitor::settle(double u_pct, double imbalance, util::celsius_t ambie
                            const power::fan_bank& fans) {
     sync_ambient(ambient);
     sync_airflow(fans, /*force=*/true);
-    power_.settle(twin_, u_pct, imbalance);
+    power_.settle(twin_, 0, u_pct, imbalance);
 }
 
 void fault_monitor::observe_fan_command(std::size_t pair_index, util::rpm_t clamped) {
@@ -135,7 +135,7 @@ void fault_monitor::step(util::seconds_t dt, double u_inst, double imbalance,
                          util::celsius_t ambient, const power::fan_bank& fans) {
     sync_ambient(ambient);
     sync_airflow(fans, /*force=*/false);
-    power_.apply_heat(twin_, u_inst, imbalance);
+    power_.apply_heat(twin_, 0, u_inst, imbalance);
     twin_.step(dt);
     for (std::size_t i = 0; i < fan_health_.size(); ++i) {
         const double tach = fans.effective_speed(i).value();
@@ -163,7 +163,7 @@ void fault_monitor::on_poll(const std::vector<double>& delivered) {
     const double k = config_.sensor_cusum_k_c;
     const double h = config_.sensor_cusum_h_c;
     for (std::size_t s = 0; s < sensor_health_.size(); ++s) {
-        const double residual = delivered[s] - twin_.cpu_die_temp(s / 2).value();
+        const double residual = delivered[s] - twin_.cpu_die_temp(0, s / 2).value();
         sensor_residual_[s] = residual;
         sensor_cusum_pos_[s] = std::clamp(sensor_cusum_pos_[s] + residual - k, 0.0, h);
         sensor_cusum_neg_[s] = std::clamp(sensor_cusum_neg_[s] - residual - k, 0.0, h);
@@ -266,15 +266,15 @@ double fault_monitor::sensor_cusum_neg_c(std::size_t sensor) const {
 }
 
 double fault_monitor::die_estimate_c(std::size_t die) const {
-    return twin_.cpu_die_temp(die).value();
+    return twin_.cpu_die_temp(0, die).value();
 }
 
 double fault_monitor::max_die_estimate_c() const {
-    return std::max(twin_.cpu_die_temp(0).value(), twin_.cpu_die_temp(1).value());
+    return std::max(twin_.cpu_die_temp(0, 0).value(), twin_.cpu_die_temp(0, 1).value());
 }
 
 void fault_monitor::save_state(fault_monitor_state& out) const {
-    twin_.save_state(out.twin);
+    twin_.save_state(0, out.twin);
     out.commanded_rpm = commanded_rpm_;
     out.fan_prev_rpm = fan_prev_rpm_;
     out.fan_grace_steps = fan_grace_steps_;
@@ -329,7 +329,7 @@ void fault_monitor::restore_state(const fault_monitor_state& state, const power:
     // values the snapshot saw), then overwrite with the exact saved
     // twin state — conductances included — so the round trip is bitwise.
     sync_airflow(fans, /*force=*/true);
-    twin_.restore_state(state.twin);
+    twin_.restore_state(0, state.twin);
 }
 
 void fault_monitor::clear_health() {
@@ -349,8 +349,8 @@ void fault_monitor::clear_health() {
 }
 
 void fault_monitor::sync_ambient(util::celsius_t ambient) {
-    if (ambient.value() != twin_.ambient().value()) {
-        twin_.set_ambient(ambient);
+    if (ambient.value() != twin_.ambient(0).value()) {
+        twin_.set_ambient(0, ambient);
     }
 }
 
@@ -373,7 +373,7 @@ void fault_monitor::sync_airflow(const power::fan_bank& fans, bool force) {
         effective_rpm_cache_[i] = fans.effective_speed(i).value();
         zone_airflow_scratch_[i] = fans.tach_airflow(i);
     }
-    twin_.set_zone_airflow(zone_airflow_scratch_);
+    twin_.set_zone_airflow(0, zone_airflow_scratch_);
 }
 
 }  // namespace ltsc::core

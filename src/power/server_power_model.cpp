@@ -50,22 +50,20 @@ power_breakdown server_power_model::breakdown_at(double u_pct, const die_temps& 
     return out;
 }
 
-void server_power_model::apply_heat(thermal::server_thermal_model& plant, double u_pct,
-                                    double imbalance) const {
-    const server_heat h = heat_at(
-        u_pct, imbalance, {plant.cpu_die_temp(0).value(), plant.cpu_die_temp(1).value()});
+void server_power_model::apply_heat(thermal::server_thermal_model& plant, std::size_t lane,
+                                    double u_pct, double imbalance) const {
+    const server_heat h = heat_at(u_pct, imbalance, plant.die_temps(lane));
     for (std::size_t s = 0; s < 2; ++s) {
-        plant.set_cpu_heat(s, util::watts_t{h.cpu_w[s]});
+        plant.set_cpu_heat(lane, s, util::watts_t{h.cpu_w[s]});
     }
-    plant.set_dimm_heat(util::watts_t{h.dimm_w});
-    plant.set_other_heat(util::watts_t{h.other_w});
+    plant.set_dimm_heat(lane, util::watts_t{h.dimm_w});
 }
 
-void server_power_model::settle(thermal::server_thermal_model& plant, double u_pct,
-                                double imbalance) const {
+void server_power_model::settle(thermal::server_thermal_model& plant, std::size_t lane,
+                                double u_pct, double imbalance) const {
     for (int i = 0; i < settle_rounds; ++i) {
-        apply_heat(plant, u_pct, imbalance);
-        plant.settle_to_steady_state();
+        apply_heat(plant, lane, u_pct, imbalance);
+        plant.settle_to_steady_state(lane);
     }
 }
 

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 
 #include "power/active_model.hpp"
 #include "power/leakage_model.hpp"
@@ -44,7 +45,7 @@ using die_temps = std::array<double, 2>;
 struct server_heat {
     double cpu_w[2] = {0.0, 0.0};  ///< Per-socket die heat.
     double dimm_w = 0.0;           ///< Whole DIMM field.
-    double other_w = 0.0;          ///< Downstream heat (exhaust only).
+    double other_w = 0.0;          ///< Downstream heat (I/O, VRs); no node takes it.
 };
 
 /// Eqn. 1 of one two-socket server and the heat it drives into the
@@ -66,17 +67,19 @@ public:
     [[nodiscard]] power_breakdown breakdown_at(double u_pct, const die_temps& die,
                                                util::watts_t fan) const;
 
-    /// Sets heat_at() at the plant's current die temperatures as the
-    /// plant's heat inputs.
-    void apply_heat(thermal::server_thermal_model& plant, double u_pct, double imbalance) const;
+    /// Sets heat_at() at lane `lane`'s current die temperatures as that
+    /// lane's heat inputs.  The one heat-application path of every plant.
+    void apply_heat(thermal::server_thermal_model& plant, std::size_t lane, double u_pct,
+                    double imbalance) const;
 
-    /// Jumps `plant` to the self-consistent steady state at utilization
-    /// `u_pct`: leakage depends on the die temperature, which depends on
-    /// leakage, so apply_heat() and a steady solve alternate for settle_rounds.
-    void settle(thermal::server_thermal_model& plant, double u_pct, double imbalance) const;
+    /// Jumps lane `lane` of `plant` to the self-consistent steady state at
+    /// utilization `u_pct`: leakage depends on the die temperature, which
+    /// depends on leakage, so apply_heat() and a steady solve alternate
+    /// for settle_rounds.
+    void settle(thermal::server_thermal_model& plant, std::size_t lane, double u_pct,
+                double imbalance) const;
 
-    /// Rounds of the leakage fixed point.  Plants that settle a batched
-    /// thermal half run the same count, so their lanes stay bitwise.
+    /// Rounds of the leakage fixed point.
     static constexpr int settle_rounds = 12;
 
 private:

@@ -5,15 +5,15 @@
 // server_simulator.  Every lane is a server_lane, the same per-server
 // core the scalar plant steps: workload, power models, sensors with
 // their own seeded RNG stream, telemetry harness, faults and monitor.
-// Only the thermal half differs.  Every lane's node state lives in
-// lane-contiguous flat arrays (thermal::rc_batch), all lanes integrate
-// through one batched RK4 kernel per step, and each lane's airflow
-// coupling is the thermal::server_airflow the scalar model also runs.
+// The thermal half is the same thermal::server_thermal_model the scalar
+// plant owns, with one lane per server instead of one: every lane's node
+// state lives in lane-contiguous flat arrays, and all lanes integrate
+// through one batched RK4 kernel per step.
 //
 // Contract: every lane is *bitwise-identical* to an independent scalar
 // server_simulator driven through the same schedule — same trace, same
-// sensor noise stream, same metrics.  Sharing the lane and airflow code
-// makes that hold by construction outside the thermal kernel; the
+// sensor noise stream, same metrics.  Sharing the lane, thermal-model and
+// power-model code makes that hold by construction; the
 // batch_equivalence suite pins it, including mid-run fan-speed and
 // ambient mutations.  Lanes may differ in configuration (ambient, seed,
 // calibration), workload, controller, and fan commands; only the
@@ -34,7 +34,6 @@
 #include "sim/server_state.hpp"
 #include "sim/simulation_trace.hpp"
 #include "telemetry/harness.hpp"
-#include "thermal/rc_batch.hpp"
 #include "thermal/server_thermal_model.hpp"
 #include "workload/loadgen.hpp"
 
@@ -128,23 +127,25 @@ public:
 
     // --- ground truth (per lane) -------------------------------------------
     [[nodiscard]] util::celsius_t true_cpu_temp(std::size_t lane, std::size_t socket) const {
-        return batch_.temperature(proto_.die_node(socket), lane);
+        return thermal_.cpu_die_temp(lane, socket);
     }
     [[nodiscard]] util::celsius_t true_avg_cpu_temp(std::size_t lane) const {
-        const die_temps die = dies(lane);
-        return util::celsius_t{0.5 * (die[0] + die[1])};
+        return thermal_.average_cpu_temp(lane);
     }
     [[nodiscard]] util::celsius_t true_dimm_temp(std::size_t lane) const {
-        return batch_.temperature(proto_.dimm_node(), lane);
+        return thermal_.dimm_temp(lane);
     }
     [[nodiscard]] power::power_breakdown current_power(std::size_t lane) const {
-        return at(lane).breakdown_at(at(lane).instantaneous_utilization(), dies(lane));
+        return at(lane).breakdown_at(at(lane).instantaneous_utilization(),
+                                     thermal_.die_temps(lane));
     }
 
     /// Changes one lane's room temperature mid-run (aisle gradients,
     /// setpoint drift).
-    void set_ambient(std::size_t lane, util::celsius_t t) { batch_.set_ambient(lane, t); }
-    [[nodiscard]] util::celsius_t ambient(std::size_t lane) const { return batch_.ambient(lane); }
+    void set_ambient(std::size_t lane, util::celsius_t t) { thermal_.set_ambient(lane, t); }
+    [[nodiscard]] util::celsius_t ambient(std::size_t lane) const {
+        return thermal_.ambient(lane);
+    }
 
     // --- lane state save/restore --------------------------------------------
     /// Writes one lane's complete dynamic state into `out` (overwriting
@@ -210,22 +211,11 @@ public:
     [[nodiscard]] const server_config& config(std::size_t lane) const { return at(lane).config(); }
 
 private:
-    void init_lane(std::size_t lane, const server_config& config);
-    void apply_airflow(std::size_t lane);
-    void apply_heat(std::size_t lane, double u_inst);
-    void update_preheat(std::size_t lane);
-    /// The scalar plant's settle, on one lane.
-    void settle(std::size_t lane, double u_pct);
-    [[nodiscard]] die_temps dies(std::size_t lane) const;
-
     [[nodiscard]] server_lane& at(std::size_t lane);
     [[nodiscard]] const server_lane& at(std::size_t lane) const;
 
-    // Topology prototype (node/edge handles) shared by every lane.
-    thermal::server_thermal_model proto_;
-    thermal::rc_batch batch_;
+    thermal::server_thermal_model thermal_;  ///< One thermal lane per server.
     std::vector<std::unique_ptr<server_lane>> lanes_;
-    std::vector<thermal::server_airflow> airflow_;  ///< One coupling per lane.
 
     // Lane-major columnar recording: all lanes of a step append into one
     // contiguous arena row-group.

@@ -307,18 +307,27 @@ bool server_lane::clear_fault_schedule() {
 }
 
 bool server_lane::clear_fault_effects() {
-    // Failed and tach-stuck rotors restart at their current speeds, so
-    // the delivered airflow changes exactly when one was stopped.
-    bool restarted = false;
+    // Every degraded pair recovers exactly as a fan_recover event would
+    // recover it: the rotor restarts and the pair resumes its last
+    // latched command.
+    bool recovered = false;
     for (std::size_t i = 0; i < fans_.pair_count(); ++i) {
-        restarted = restarted || fault_.fan_mode[i] == fault_state::fan_failed ||
-                    fault_.fan_mode[i] == fault_state::fan_tach;
-        fans_.set_failed(i, false);
-        fans_.set_tach_stuck(i, false);
+        if (fault_.fan_mode[i] != fault_state::fan_ok) {
+            recover_fan(i);
+            recovered = true;
+        }
     }
     fault_.reset(fans_.pair_count(), sensors_.cpu.size());
     telemetry_.set_poll_suppressed(false);
-    return restarted;
+    return recovered;
+}
+
+void server_lane::recover_fan(std::size_t pair) {
+    fault_.fan_mode[pair] = fault_state::fan_ok;
+    fans_.set_failed(pair, false);
+    fans_.set_tach_stuck(pair, false);
+    // Faults and latched commands are not controller actions: no count.
+    fans_.set_speed(pair, util::rpm_t{fault_.fan_commanded_rpm[pair]});
 }
 
 bool server_lane::apply_due_faults() {
@@ -358,12 +367,7 @@ bool server_lane::apply_fault_event(const fault_event& event) {
             fans_.set_tach_stuck(event.target, true);
             return true;
         case fault_kind::fan_recover:
-            fault_.fan_mode[event.target] = fault_state::fan_ok;
-            fans_.set_failed(event.target, false);
-            fans_.set_tach_stuck(event.target, false);
-            // Resume the last latched command (faults and latched
-            // commands are not controller actions, so no count).
-            fans_.set_speed(event.target, util::rpm_t{fault_.fan_commanded_rpm[event.target]});
+            recover_fan(event.target);
             return true;
         case fault_kind::sensor_stuck:
             fault_.sensor_stuck[event.target] = 1;

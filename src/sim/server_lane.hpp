@@ -10,12 +10,13 @@
 // corruption, the power breakdown from given die temperatures, the trace
 // row, and the non-thermal half of snapshot/restore.
 //
-// The owning plant keeps the thermal half (a server_thermal_model, or one
-// rc_batch lane).  It hands the lane readers of its die/DIMM temperatures
-// at construction (sensors and power channels sample them at poll time)
-// and passes the current die temperatures into the per-step calls.  When
-// a lane call reports that airflow changed, the owner pushes
-// zone_airflow() into its thermal half before anything else happens.
+// The owning plant keeps the thermal half (one lane of a
+// thermal::server_thermal_model).  It hands the lane readers of its
+// die/DIMM temperatures at construction (sensors and power channels
+// sample them at poll time) and passes the current die temperatures
+// into the per-step calls.  When a lane call reports that airflow
+// changed, the owner pushes zone_airflow() into its thermal half before
+// anything else happens.
 // Because both plants run this one implementation in the same order, a
 // batch lane equals the scalar plant bitwise by construction.
 #pragma once
@@ -155,7 +156,11 @@ public:
 private:
     void register_telemetry();
     [[nodiscard]] bool apply_fault_event(const fault_event& event);
+    /// Clears every live fault effect; a degraded fan pair recovers as
+    /// on fan_recover.  Returns whether any pair recovered.
     [[nodiscard]] bool clear_fault_effects();
+    /// Restarts one pair's rotor and resumes its last latched command.
+    void recover_fan(std::size_t pair);
     [[nodiscard]] double corrupt_sensor_reading(std::size_t sensor, double raw) const;
 
     server_config config_;

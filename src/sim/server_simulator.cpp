@@ -7,8 +7,8 @@
 namespace ltsc::sim {
 
 server_simulator::server_simulator(const server_config& config)
-    : lane_(config, [this](std::size_t s) { return thermal_.cpu_die_temp(s); },
-            [this] { return thermal_.dimm_temp(); }),
+    : lane_(config, [this](std::size_t s) { return thermal_.cpu_die_temp(0, s); },
+            [this] { return thermal_.dimm_temp(0); }),
       thermal_(config.thermal) {
     apply_airflow();
 }
@@ -41,10 +41,11 @@ void server_simulator::step(util::seconds_t dt) {
     }
     const double u_target = lane_.target_utilization();
     const double u_inst = lane_.instantaneous_utilization();
-    lane_.power().apply_heat(thermal_, u_inst, lane_.load_imbalance());
+    lane_.power().apply_heat(thermal_, 0, u_inst, lane_.load_imbalance());
     thermal_.step(dt);
-    lane_.advance_clock(dt, u_inst, thermal_.ambient());
-    trace_.append(lane_.now_s(), lane_.make_row(u_target, u_inst, dies(), thermal_.dimm_temp()));
+    lane_.advance_clock(dt, u_inst, thermal_.ambient(0));
+    trace_.append(lane_.now_s(), lane_.make_row(u_target, u_inst, thermal_.die_temps(0),
+                                                thermal_.dimm_temp(0)));
     lane_.poll();
 }
 
@@ -61,14 +62,14 @@ void server_simulator::advance(util::seconds_t duration, util::seconds_t dt) {
 void server_simulator::force_cold_start() {
     lane_.begin_cold_start();
     apply_airflow();
-    lane_.power().settle(thermal_, 0.0, lane_.load_imbalance());
+    lane_.power().settle(thermal_, 0, 0.0, lane_.load_imbalance());
     trace_.clear();
-    lane_.finish_cold_start(thermal_.ambient());
+    lane_.finish_cold_start(thermal_.ambient(0));
 }
 
 void server_simulator::settle_at(double u_pct) {
-    lane_.power().settle(thermal_, u_pct, lane_.load_imbalance());
-    lane_.settle_monitor(u_pct, thermal_.ambient());
+    lane_.power().settle(thermal_, 0, u_pct, lane_.load_imbalance());
+    lane_.settle_monitor(u_pct, thermal_.ambient(0));
 }
 
 util::watts_t server_simulator::idle_power(util::rpm_t fan_rpm) const {
@@ -77,7 +78,7 @@ util::watts_t server_simulator::idle_power(util::rpm_t fan_rpm) const {
 
 void server_simulator::snapshot_state(server_state& out) const {
     lane_.save_state(out);
-    thermal_.save_state(out.thermal);
+    thermal_.save_state(0, out.thermal);
 }
 
 server_state server_simulator::snapshot_state() const {
@@ -93,7 +94,7 @@ void server_simulator::restore_state(const server_state& state) {
     // the exact values the snapshot carries; restore_state then reloads
     // them (a no-op value-wise) along with temperatures and powers.
     apply_airflow();
-    thermal_.restore_state(state.thermal);
+    thermal_.restore_state(0, state.thermal);
 }
 
 void server_simulator::clear_trace() {
@@ -110,11 +111,9 @@ util::watts_t steady_idle_power(const server_config& config, util::rpm_t fan_rpm
     for (std::size_t i = 0; i < fans.pair_count(); ++i) {
         per_zone.push_back(fans.pair_airflow(i));
     }
-    scratch.set_zone_airflow(per_zone);
-    power.settle(scratch, 0.0, 0.5);  // no CPU load, so the split is moot
-    const power::die_temps die = {scratch.cpu_die_temp(0).value(),
-                                  scratch.cpu_die_temp(1).value()};
-    return power.breakdown_at(0.0, die, fans.total_power()).total();
+    scratch.set_zone_airflow(0, per_zone);
+    power.settle(scratch, 0, 0.0, 0.5);  // no CPU load, so the split is moot
+    return power.breakdown_at(0.0, scratch.die_temps(0), fans.total_power()).total();
 }
 
 }  // namespace ltsc::sim

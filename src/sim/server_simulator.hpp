@@ -27,7 +27,7 @@
 namespace ltsc::sim {
 
 /// Simulated enterprise server: one server_lane (everything but the
-/// thermal nodes) coupled to one server_thermal_model.
+/// thermal nodes) coupled to a one-lane server_thermal_model.
 class server_simulator {
 public:
     /// Builds the plant from a configuration (validated on entry).
@@ -63,7 +63,8 @@ public:
     // --- fault injection ----------------------------------------------------
     /// Installs a fault campaign (copied).  Events fire at the top of the
     /// step whose start time reaches them; any live effects from a
-    /// previous binding clear.  force_cold_start rewinds the campaign to
+    /// previous binding clear (a degraded fan pair recovers as on
+    /// fan_recover, resuming its last latched command).  force_cold_start rewinds the campaign to
     /// its first event along with the clock.  Targets are validated
     /// against this plant's fan and sensor counts.  At least one fan
     /// pair must stay healthy at all times — a schedule failing every
@@ -73,7 +74,8 @@ public:
             apply_airflow();
         }
     }
-    /// Removes the campaign and clears every live effect.
+    /// Removes the campaign and clears every live effect, like
+    /// bind_fault_schedule.
     void clear_fault_schedule() {
         if (lane_.clear_fault_schedule()) {
             apply_airflow();
@@ -140,12 +142,14 @@ public:
 
     // --- ground truth (plant internals; not visible to real controllers) ---
     [[nodiscard]] util::celsius_t true_cpu_temp(std::size_t socket) const {
-        return thermal_.cpu_die_temp(socket);
+        return thermal_.cpu_die_temp(0, socket);
     }
-    [[nodiscard]] util::celsius_t true_avg_cpu_temp() const { return thermal_.average_cpu_temp(); }
-    [[nodiscard]] util::celsius_t true_dimm_temp() const { return thermal_.dimm_temp(); }
+    [[nodiscard]] util::celsius_t true_avg_cpu_temp() const {
+        return thermal_.average_cpu_temp(0);
+    }
+    [[nodiscard]] util::celsius_t true_dimm_temp() const { return thermal_.dimm_temp(0); }
     [[nodiscard]] power::power_breakdown current_power() const {
-        return lane_.breakdown_at(lane_.instantaneous_utilization(), dies());
+        return lane_.breakdown_at(lane_.instantaneous_utilization(), thermal_.die_temps(0));
     }
 
     // --- time ---------------------------------------------------------------
@@ -173,8 +177,8 @@ public:
     /// Changes the room (inlet) temperature mid-run; takes effect through
     /// the plant dynamics on subsequent steps (ambient sweeps and aisle
     /// drift studies mutate this while a run is in flight).
-    void set_ambient(util::celsius_t t) { thermal_.set_ambient(t); }
-    [[nodiscard]] util::celsius_t ambient() const { return thermal_.ambient(); }
+    void set_ambient(util::celsius_t t) { thermal_.set_ambient(0, t); }
+    [[nodiscard]] util::celsius_t ambient() const { return thermal_.ambient(0); }
 
     // --- state save/restore --------------------------------------------------
     /// Writes the plant's complete dynamic state into `out` (overwriting
@@ -206,10 +210,7 @@ public:
     [[nodiscard]] const server_config& config() const { return lane_.config(); }
 
 private:
-    void apply_airflow() { thermal_.set_zone_airflow(lane_.zone_airflow()); }
-    [[nodiscard]] die_temps dies() const {
-        return {thermal_.cpu_die_temp(0).value(), thermal_.cpu_die_temp(1).value()};
-    }
+    void apply_airflow() { thermal_.set_zone_airflow(0, lane_.zone_airflow()); }
 
     server_lane lane_;  ///< First member: validates the configuration.
     thermal::server_thermal_model thermal_;

@@ -29,7 +29,7 @@
 
 #include "core/fault_monitor.hpp"
 #include "sim/fault_schedule.hpp"
-#include "thermal/rc_network.hpp"
+#include "thermal/rc_batch.hpp"
 #include "util/rng.hpp"
 
 namespace ltsc::sim {

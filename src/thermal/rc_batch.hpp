@@ -1,42 +1,59 @@
-// Structure-of-arrays lane state over a shared rc_network topology.
+// Structure-of-arrays lane state over a shared rc_network topology: the
+// one RC integrator and steady solver of the library.
 //
 // An rc_batch steps N independent thermal "lanes" (servers) through one
 // instruction stream: temperatures, powers, capacities, ambients, and
 // edge conductances are stored lane-contiguous per node/edge, and the
-// RK4 / forward-Euler substep loops run the rc_network batch kernels
-// across all lanes at once.  Every lane follows the exact floating-point
-// operation sequence of a scalar rc_network + transient_solver driven
-// through the same schedule, so lanes are bitwise-identical to their
-// scalar twins (the batch-equivalence suite pins this contract).
+// RK4 substep loop runs the rc_network lane kernels across all lanes at
+// once.  Every lane follows the same floating-point operation sequence
+// whatever the lane count, so a lane of an N-lane batch is bitwise-equal
+// to a one-lane batch driven through the same schedule (the
+// thermal-equivalence suite pins both against a port of the seed
+// numerics).
 //
 // Lanes may differ in conductances (per-server fan speeds), powers,
 // capacities, and ambient temperature — only the topology (node/edge
-// structure and flattened edge order) is shared.
+// structure and edge order) is shared.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "thermal/rc_network.hpp"
-#include "thermal/transient_solver.hpp"
+#include "util/error.hpp"
 #include "util/matrix.hpp"
 #include "util/units.hpp"
 
 namespace ltsc::thermal {
 
+/// Complete dynamic state of one thermal lane over a fixed topology:
+/// node temperatures and power injections (node order), edge
+/// conductances (insertion order), and the ambient temperature.  The unit
+/// of rc_batch's save/restore API — a state saved from any lane restores
+/// into any lane of a same-topology batch bitwise, which is what lets a
+/// rollout engine clone a live plant across candidate lanes.  Reusable:
+/// save_lane_state overwrites in place, so a scratch rc_state amortizes
+/// to zero allocations.
+struct rc_state {
+    std::vector<double> temps;   ///< Node temperatures [degC], node order.
+    std::vector<double> powers;  ///< Node power injections [W], node order.
+    std::vector<double> edge_g;  ///< Edge conductances [W/K], insertion order.
+    double ambient_c = 0.0;      ///< Ambient temperature [degC].
+};
+
 /// N thermal lanes over one topology, stepped together.
 class rc_batch {
 public:
-    /// Copies `topology`'s structure and seeds every lane with its
-    /// current conductances, ambient, and all-ambient temperatures.
-    /// Powers start at zero; capacities at the topology's values.
-    rc_batch(const rc_network& topology, std::size_t lanes,
-             integration_scheme scheme = integration_scheme::rk4);
+    /// Copies `topology`'s structure and seeds every lane with its initial
+    /// capacities, conductances and ambient, all nodes at ambient and
+    /// zero power.
+    rc_batch(const rc_network& topology, std::size_t lanes);
 
     [[nodiscard]] std::size_t lane_count() const { return lanes_; }
     [[nodiscard]] std::size_t node_count() const { return nodes_; }
     [[nodiscard]] const rc_network& topology() const { return topo_; }
-    [[nodiscard]] integration_scheme scheme() const { return scheme_; }
 
     // --- per-lane state ----------------------------------------------------
     void set_power(node_id n, std::size_t lane, util::watts_t power) {
@@ -56,31 +73,33 @@ public:
     }
 
     void set_heat_capacity(node_id n, std::size_t lane, double c);
-    [[nodiscard]] double heat_capacity(node_id n, std::size_t lane) const;
 
     void set_ambient(std::size_t lane, util::celsius_t t);
-    [[nodiscard]] util::celsius_t ambient(std::size_t lane) const;
+    [[nodiscard]] util::celsius_t ambient(std::size_t lane) const {
+        util::ensure(lane < lanes_, "rc_batch::ambient: lane out of range");
+        return util::celsius_t{ambient_[lane]};
+    }
 
     /// Updates one lane's conductance of edge `e` (insertion-order id).
-    /// Invalidates the lane's cached diagonal/stable-dt only when the
-    /// value actually changes, mirroring rc_network::set_conductance.
+    /// Invalidates the lane's cached diagonal, stable substep and steady
+    /// factorization only when the value actually changes.
     void set_conductance(edge_id e, std::size_t lane, double conductance_w_per_k);
     [[nodiscard]] double conductance(edge_id e, std::size_t lane) const;
 
-    /// Conductance-matrix diagonal entry of node `n` in lane `lane`
-    /// (bitwise-identical to cached_conductance_matrix()(n, n) of the
-    /// lane's scalar twin).
+    /// Conductance-matrix diagonal entry of node `n` in lane `lane`.
     [[nodiscard]] double diagonal(node_id n, std::size_t lane) const;
 
-    /// Largest stable forward-Euler substep of one lane (matches
-    /// rc_network::stable_explicit_dt of the scalar twin).
+    /// Largest stable forward-Euler substep of one lane for its current
+    /// conductances and capacities: 0.9 * 2 * min_i C_i / L_ii.  RK4 sub-
+    /// steps against this bound (its real-axis stability limit is ~2.78
+    /// times Euler's, so reusing the Euler bound is conservative).
     [[nodiscard]] double stable_dt(std::size_t lane) const;
 
     // --- stepping ----------------------------------------------------------
-    /// Advances every lane by `dt` with the configured scheme.  Per lane
-    /// this is bitwise-identical to transient_solver::step on the scalar
-    /// twin; lanes with different stable substeps are masked out of the
-    /// shared substep loop once their own substeps are done.
+    /// Advances every lane by `dt` with classic fourth-order Runge-Kutta,
+    /// each lane sub-stepping against its own stable_dt(); lanes with
+    /// fewer substeps are masked out of the shared substep loop once
+    /// theirs are done.
     ///
     /// `active` optionally masks whole lanes (ragged fleets): a lane with
     /// `active[l] == 0` takes zero substeps, so its state is left
@@ -88,27 +107,27 @@ public:
     /// they would without it.  `nullptr` (the default) steps every lane.
     void step(util::seconds_t dt, const unsigned char* active = nullptr);
 
-    /// Solves one lane's steady state L T = P + G_amb T_amb and adopts it
-    /// (bitwise-identical to thermal::settle on the scalar twin).  Throws
-    /// numeric_error for singular systems.
+    /// Solves one lane's steady state L T = P + G_amb T_amb and adopts it.
+    /// The lane's LU factorization is cached until its conductances
+    /// change, so fixed-point loops that only move powers factor once.
+    /// Throws numeric_error for singular systems (a node isolated from
+    /// ambient).
     void settle_lane(std::size_t lane);
 
-    /// Per-step finite-state scan (on by default in Debug builds, like
-    /// transient_solver).
+    /// Per-step finite-state scan.  On by default in Debug builds and off
+    /// in Release (it visits every node every step); tests that integrate
+    /// hostile inputs turn it on explicitly.
     void set_validate_steps(bool on) { validate_ = on; }
-    [[nodiscard]] bool validate_steps() const { return validate_; }
 
     // --- lane state save/restore -------------------------------------------
-    /// Writes one lane's complete dynamic state into `out` (same layout
-    /// as rc_network::save_state over the shared topology), overwriting
+    /// Writes one lane's complete dynamic state into `out`, overwriting
     /// its contents.
     void save_lane_state(std::size_t lane, rc_state& out) const;
 
-    /// Restores a state (saved from any lane of a same-topology batch,
-    /// or from a scalar rc_network) into one lane.  Only conductances
-    /// and capacities that actually change dirty the lane's cached
-    /// diagonal/stable-dt, so reloading a lane at its current operating
-    /// point is cache-neutral.
+    /// Restores a state (saved from any lane of a same-topology batch)
+    /// into one lane.  Only conductances that actually change dirty the
+    /// lane's caches, so reloading a lane at its current operating point
+    /// is cache-neutral.
     void load_lane_state(std::size_t lane, const rc_state& state);
 
 private:
@@ -121,21 +140,12 @@ private:
     }
 
     void refresh_lane_cache(std::size_t lane) const;
-    /// Fills the per-lane substep plan (count + substep size) for one
-    /// macro step; masked lanes get zero substeps.  Returns the largest
-    /// substep count and whether every stepped lane shares it.
-    struct substep_plan {
-        int max_sub = 0;
-        bool uniform = true;
-    };
-    substep_plan plan_substeps(double dt, const unsigned char* active);
-    void step_rk4(double dt, const unsigned char* active);
-    void step_explicit(double dt, const unsigned char* active);
+    void step_uniform(int substeps, double h);
+    void step_ragged(int max_sub);
 
     rc_network topo_;
     std::size_t lanes_ = 0;
     std::size_t nodes_ = 0;
-    integration_scheme scheme_;
     bool validate_ = default_validate();
 
     // Lane-contiguous state: value(node i, lane l) = buf[i * lanes_ + l],
@@ -147,13 +157,16 @@ private:
     std::vector<double> edge_g_;
 
     // Per-lane derived quantities (conductance diagonal, stable substep),
-    // refreshed lazily when a lane's conductances or capacities change.
+    // refreshed lazily when a lane's conductances or capacities change,
+    // and the lane's steady factorization, dropped when its conductances
+    // change and rebuilt by the next settle_lane.
     mutable std::vector<double> diag_;       ///< [node][lane] layout.
     mutable std::vector<double> stable_dt_;  ///< [lane]
     mutable std::vector<char> lane_dirty_;   ///< [lane]
+    std::vector<std::optional<util::lu_decomposition>> lu_;  ///< [lane]
 
-    // Persistent stepping scratch (node*lane each) so step() never
-    // allocates after the first call.
+    // Stepping and solve scratch, sized at construction so neither
+    // step() nor settle_lane() allocates.
     struct scratch {
         std::vector<double> t0;
         std::vector<double> tmp;
@@ -163,8 +176,9 @@ private:
         std::vector<double> k4;
         std::vector<int> substeps;  ///< [lane]
         std::vector<double> h;      ///< [lane]
-        std::vector<double> rhs;  ///< settle_lane right-hand side.
-        util::matrix cond;        ///< settle_lane lane matrix.
+        std::vector<double> rhs;    ///< Per-lane node vector.
+        std::vector<double> x;      ///< settle_lane solution.
+        util::matrix cond;          ///< settle_lane lane matrix.
     };
     mutable scratch scratch_;
 };

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "thermal/airflow.hpp"
-#include "thermal/steady_state.hpp"
 #include "util/error.hpp"
 
 namespace ltsc::thermal {
@@ -75,97 +74,107 @@ std::array<double, 2> server_airflow::sink_preheat_w(double dimm_diagonal_w_per_
     return {sink_g_w_per_k_[0] * preheat_c, sink_g_w_per_k_[1] * preheat_c};
 }
 
-server_thermal_model::server_thermal_model(const server_thermal_config& config,
-                                           integration_scheme scheme)
-    : config_(config), air_(config), net_(util::celsius_t{config.ambient_c}), solver_(scheme) {
-    for (std::size_t s = 0; s < socket_count(); ++s) {
-        die_[s] = net_.add_node("cpu" + std::to_string(s) + "_die", config.c_die);
-        sink_[s] = net_.add_node("cpu" + std::to_string(s) + "_sink", config.c_sink);
-        die_sink_edge_[s] = net_.add_edge(die_[s], sink_[s], 1.0 / config.r_junction_sink);
-        sink_amb_edge_[s] = net_.add_ambient_edge(sink_[s], config.g_sink_ref);
+namespace {
+
+const server_thermal_config& front_checked(const std::vector<server_thermal_config>& configs) {
+    util::ensure(!configs.empty(), "server_thermal_model: need at least one lane");
+    return configs.front();
+}
+
+}  // namespace
+
+server_thermal_model::server_thermal_model(const server_thermal_config& config)
+    : server_thermal_model(std::vector<server_thermal_config>{config}) {}
+
+server_thermal_model::server_thermal_model(const std::vector<server_thermal_config>& configs)
+    : airflow_(configs.begin(), configs.end()),
+      net_(
+          [&] {
+              // The topology, with the first lane's calibration as the
+              // initial values every lane starts from.
+              const server_thermal_config& c = front_checked(configs);
+              rc_network topo(util::celsius_t{c.ambient_c});
+              for (std::size_t s = 0; s < socket_count(); ++s) {
+                  die_[s] = topo.add_node(c.c_die);
+                  sink_[s] = topo.add_node(c.c_sink);
+                  die_sink_edge_[s] = topo.add_edge(die_[s], sink_[s], 1.0 / c.r_junction_sink);
+                  sink_amb_edge_[s] = topo.add_ambient_edge(sink_[s], c.g_sink_ref);
+              }
+              dimm_ = topo.add_node(c.c_dimm);
+              dimm_amb_edge_ = topo.add_ambient_edge(dimm_, c.g_dimm_ref);
+              return topo;
+          }(),
+          configs.size()) {
+    for (std::size_t l = 0; l < configs.size(); ++l) {
+        const server_thermal_config& c = configs[l];
+        net_.set_ambient(l, util::celsius_t{c.ambient_c});
+        for (std::size_t s = 0; s < socket_count(); ++s) {
+            net_.set_heat_capacity(die_[s], l, c.c_die);
+            net_.set_heat_capacity(sink_[s], l, c.c_sink);
+            net_.set_conductance(die_sink_edge_[s], l, 1.0 / c.r_junction_sink);
+        }
+        net_.set_heat_capacity(dimm_, l, c.c_dimm);
+        reset(l);
+        apply_airflow(l);
     }
-    dimm_ = net_.add_node("dimm_bank", config.c_dimm);
-    dimm_amb_edge_ = net_.add_ambient_edge(dimm_, config.g_dimm_ref);
-
-    update_conductances();
-    update_preheat();
 }
 
-void server_thermal_model::update_conductances() {
+void server_thermal_model::set_zone_airflow(std::size_t lane,
+                                            const std::vector<util::cfm_t>& per_zone) {
+    util::ensure(lane < lane_count(), "server_thermal_model: lane out of range");
+    airflow_[lane].set_zone_airflow(per_zone);
+    apply_airflow(lane);
+}
+
+void server_thermal_model::apply_airflow(std::size_t lane) {
+    const server_airflow& air = airflow_[lane];
     for (std::size_t s = 0; s < socket_count(); ++s) {
-        net_.set_conductance(sink_amb_edge_[s], air_.sink_conductance(s));
+        net_.set_conductance(sink_amb_edge_[s], lane, air.sink_conductance(s));
     }
-    net_.set_conductance(dimm_amb_edge_, air_.dimm_conductance());
+    net_.set_conductance(dimm_amb_edge_, lane, air.dimm_conductance());
 }
 
-void server_thermal_model::update_preheat() {
-    const std::array<double, 2> preheat_w =
-        air_.sink_preheat_w(net_.cached_conductance_matrix()(dimm_.index, dimm_.index),
-                            net_.temperature(dimm_), net_.ambient());
-    for (std::size_t s = 0; s < socket_count(); ++s) {
-        net_.set_power(sink_[s], util::watts_t{preheat_w[s]});
-        net_.set_power(die_[s], util::watts_t{cpu_heat_w_[s]});
-    }
-    net_.set_power(dimm_, util::watts_t{dimm_heat_w_});
-}
-
-void server_thermal_model::set_zone_airflow(const std::vector<util::cfm_t>& per_zone) {
-    air_.set_zone_airflow(per_zone);
-    update_conductances();
-}
-
-void server_thermal_model::set_cpu_heat(std::size_t s, util::watts_t w) {
+void server_thermal_model::set_cpu_heat(std::size_t lane, std::size_t s, util::watts_t w) {
     util::ensure(s < socket_count(), "server_thermal_model::set_cpu_heat: bad socket");
     util::ensure(w.value() >= 0.0, "server_thermal_model::set_cpu_heat: negative heat");
-    cpu_heat_w_[s] = w.value();
+    net_.set_power(die_[s], lane, w);
 }
 
-void server_thermal_model::set_dimm_heat(util::watts_t w) {
+void server_thermal_model::set_dimm_heat(std::size_t lane, util::watts_t w) {
     util::ensure(w.value() >= 0.0, "server_thermal_model::set_dimm_heat: negative heat");
-    dimm_heat_w_ = w.value();
+    net_.set_power(dimm_, lane, w);
 }
 
-void server_thermal_model::set_other_heat(util::watts_t w) {
-    util::ensure(w.value() >= 0.0, "server_thermal_model::set_other_heat: negative heat");
-    other_heat_w_ = w.value();
-}
-
-void server_thermal_model::set_ambient(util::celsius_t t) { net_.set_ambient(t); }
-
-void server_thermal_model::step(util::seconds_t dt) {
-    update_preheat();
-    solver_.step(net_, dt);
-}
-
-void server_thermal_model::settle_to_steady_state() {
-    for (int i = 0; i < server_airflow::preheat_rounds; ++i) {
-        update_preheat();
-        settle(net_);
-    }
-}
-
-void server_thermal_model::reset() {
-    net_.reset_temperatures();
-    update_preheat();
-}
-
-util::celsius_t server_thermal_model::cpu_inlet_temp() const {
-    const double dimm_to_air =
-        air_.dimm_conductance() * std::max(0.0, dimm_temp().value() - net_.ambient().value());
-    return util::celsius_t{net_.ambient().value() + dimm_to_air / air_.stream_capacity()};
-}
-
-util::celsius_t server_thermal_model::exhaust_temp() const {
-    // All heat convected off the monitored components plus the downstream
-    // "other" dissipation ends up in the exhaust stream.
-    double into_air = other_heat_w_;
-    into_air +=
-        air_.dimm_conductance() * std::max(0.0, dimm_temp().value() - net_.ambient().value());
+void server_thermal_model::apply_preheat(std::size_t lane) {
+    const std::array<double, 2> preheat_w = airflow_[lane].sink_preheat_w(
+        net_.diagonal(dimm_, lane), net_.temperature(dimm_, lane), net_.ambient(lane));
     for (std::size_t s = 0; s < socket_count(); ++s) {
-        into_air += air_.sink_conductance(s) *
-                    std::max(0.0, cpu_sink_temp(s).value() - cpu_inlet_temp().value());
+        net_.set_power(sink_[s], lane, util::watts_t{preheat_w[s]});
     }
-    return util::celsius_t{net_.ambient().value() + into_air / air_.stream_capacity()};
+}
+
+void server_thermal_model::step(util::seconds_t dt, const unsigned char* active) {
+    for (std::size_t l = 0; l < lane_count(); ++l) {
+        if (active == nullptr || active[l] != 0) {
+            apply_preheat(l);
+        }
+    }
+    net_.step(dt, active);
+}
+
+void server_thermal_model::settle_to_steady_state(std::size_t lane) {
+    for (int i = 0; i < server_airflow::preheat_rounds; ++i) {
+        apply_preheat(lane);
+        net_.settle_lane(lane);
+    }
+}
+
+void server_thermal_model::reset(std::size_t lane) {
+    const util::celsius_t ambient = net_.ambient(lane);
+    for (std::size_t i = 0; i < net_.node_count(); ++i) {
+        net_.set_temperature(node_id{i}, lane, ambient);
+    }
+    apply_preheat(lane);
 }
 
 }  // namespace ltsc::thermal

@@ -19,8 +19,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "thermal/rc_batch.hpp"
 #include "thermal/rc_network.hpp"
-#include "thermal/transient_solver.hpp"
 #include "util/units.hpp"
 
 namespace ltsc::thermal {
@@ -46,8 +46,7 @@ struct server_thermal_config {
 /// turns the heat the DIMM field gives the stream into CPU-inlet preheat.
 /// Construction validates the thermal configuration's invariants and
 /// starts from the reference airflow split evenly across the zones.
-/// server_thermal_model and every sim::server_batch lane run this one
-/// implementation, so their airflow arithmetic agrees bitwise.
+/// Every server_thermal_model lane runs one.
 class server_airflow {
 public:
     explicit server_airflow(const server_thermal_config& config);
@@ -62,8 +61,6 @@ public:
     [[nodiscard]] double sink_conductance(std::size_t s) const { return sink_g_w_per_k_[s]; }
     /// DIMM-to-ambient convection [W/K].
     [[nodiscard]] double dimm_conductance() const { return dimm_g_w_per_k_; }
-    /// Thermal capacity rate of the whole air stream [W/K].
-    [[nodiscard]] double stream_capacity() const { return stream_capacity_w_per_k_; }
 
     /// Per-socket sink power injections that model the DIMM preheat of
     /// the CPU inlet air [W].  The inlet rise is the heat the DIMM node
@@ -93,112 +90,94 @@ private:
     double stream_capacity_w_per_k_ = 0.0;
 };
 
-/// Server thermal plant: owns the RC network, maps fan-zone airflow to
-/// convective conductances, and applies DIMM-to-CPU preheat.  Heat inputs
-/// are set by the caller each step (the sim module couples this model with
-/// the power models).
+/// Server thermal plant: N lanes (servers) over one rc_batch, each with
+/// its own server_thermal_config and server_airflow.  It builds the
+/// five-node topology, maps fan-zone airflow to convective conductances,
+/// injects the DIMM-to-CPU preheat when it steps, and runs the preheat
+/// fixed point of a steady solve.  Heat inputs are set by the caller
+/// each step (power::server_power_model couples this model with Eqn. 1).
+/// The scalar plant, the fault monitor's twin and the idle-power probe
+/// own one lane; sim::server_batch owns one lane per server.
 class server_thermal_model {
 public:
-    explicit server_thermal_model(const server_thermal_config& config = {},
-                                  integration_scheme scheme = integration_scheme::rk4);
+    /// One lane per configuration (at least one; each validated).  Lanes
+    /// may differ in every calibration field.  Every lane starts with its
+    /// nodes at its ambient and the reference airflow split evenly.
+    explicit server_thermal_model(const std::vector<server_thermal_config>& configs);
+
+    /// A one-lane model.
+    explicit server_thermal_model(const server_thermal_config& config = {});
 
     /// Number of CPU sockets (fixed at 2 for the target server).
     [[nodiscard]] static constexpr std::size_t socket_count() { return 2; }
 
-    /// Sets per-zone airflow (see server_airflow::set_zone_airflow).
-    void set_zone_airflow(const std::vector<util::cfm_t>& per_zone);
+    [[nodiscard]] std::size_t lane_count() const { return airflow_.size(); }
+
+    /// Sets one lane's per-zone airflow (see server_airflow::set_zone_airflow).
+    void set_zone_airflow(std::size_t lane, const std::vector<util::cfm_t>& per_zone);
 
     /// Total heat dissipated in socket `s`'s die (idle + active + leakage
     /// share), applied until the next call.
-    void set_cpu_heat(std::size_t s, util::watts_t w);
+    void set_cpu_heat(std::size_t lane, std::size_t s, util::watts_t w);
 
     /// Total heat dissipated across the DIMM field.
-    void set_dimm_heat(util::watts_t w);
+    void set_dimm_heat(std::size_t lane, util::watts_t w);
 
-    /// Heat dissipated downstream of the CPUs (I/O, VRs); only affects the
-    /// exhaust temperature.
-    void set_other_heat(util::watts_t w);
+    /// Changes one lane's room temperature.
+    void set_ambient(std::size_t lane, util::celsius_t t) { net_.set_ambient(lane, t); }
 
-    /// Changes the room temperature.
-    void set_ambient(util::celsius_t t);
+    /// Advances every lane by `dt`: injects each stepped lane's preheat at
+    /// its current DIMM temperature, then takes one RK4 step.  `active`
+    /// masks lanes as in rc_batch::step (a masked lane is untouched).
+    void step(util::seconds_t dt, const unsigned char* active = nullptr);
 
-    /// Advances the plant by `dt`.
-    void step(util::seconds_t dt);
+    /// Solves one lane's steady state for its current inputs and adopts
+    /// it: preheat depends on the DIMM temperature, which the solve moves,
+    /// so preheat injection and a steady solve alternate for
+    /// server_airflow::preheat_rounds.
+    void settle_to_steady_state(std::size_t lane);
 
-    /// Solves for the steady state of the current inputs and adopts it.
-    void settle_to_steady_state();
+    /// Resets one lane's node temperatures to its ambient (cold start).
+    void reset(std::size_t lane);
 
-    /// Resets all node temperatures to ambient (cold start).
-    void reset();
-
-    /// Saves / restores the underlying network's dynamic state (node
-    /// temperatures and powers, edge conductances, ambient).  The heat
-    /// inputs (set_cpu_heat / set_dimm_heat / set_other_heat) and zone
-    /// airflow remain the caller's per-step responsibility, exactly as
-    /// in normal stepping — the simulator reapplies both before the
-    /// first step after a restore.
-    void save_state(rc_state& out) const { net_.save_state(out); }
-    void restore_state(const rc_state& state) { net_.restore_state(state); }
+    /// Saves / restores one lane's dynamic state (node temperatures and
+    /// powers, edge conductances, ambient).  The heat inputs and zone
+    /// airflow remain the caller's per-step responsibility, exactly as in
+    /// normal stepping — the plants reapply both before the first step
+    /// after a restore.
+    void save_state(std::size_t lane, rc_state& out) const { net_.save_lane_state(lane, out); }
+    void restore_state(std::size_t lane, const rc_state& state) {
+        net_.load_lane_state(lane, state);
+    }
 
     // Inline: the telemetry channels, leakage model, and trace recorder
     // read these every simulation step.
-    [[nodiscard]] util::celsius_t cpu_die_temp(std::size_t s) const {
+    [[nodiscard]] util::celsius_t cpu_die_temp(std::size_t lane, std::size_t s) const {
         util::ensure(s < socket_count(), "server_thermal_model::cpu_die_temp: bad socket");
-        return net_.temperature(die_[s]);
+        return net_.temperature(die_[s], lane);
     }
-    [[nodiscard]] util::celsius_t cpu_sink_temp(std::size_t s) const {
-        util::ensure(s < socket_count(), "server_thermal_model::cpu_sink_temp: bad socket");
-        return net_.temperature(sink_[s]);
+    /// Both die temperatures [degC], socket order.
+    [[nodiscard]] std::array<double, 2> die_temps(std::size_t lane) const {
+        return {net_.temperature(die_[0], lane).value(), net_.temperature(die_[1], lane).value()};
     }
-    [[nodiscard]] util::celsius_t dimm_temp() const { return net_.temperature(dimm_); }
+    [[nodiscard]] util::celsius_t dimm_temp(std::size_t lane) const {
+        return net_.temperature(dimm_, lane);
+    }
     /// Average of the two die temperatures (the quantity the paper's
     /// leakage model is expressed in).
-    [[nodiscard]] util::celsius_t average_cpu_temp() const {
-        return util::celsius_t{0.5 * (cpu_die_temp(0).value() + cpu_die_temp(1).value())};
+    [[nodiscard]] util::celsius_t average_cpu_temp(std::size_t lane) const {
+        const std::array<double, 2> die = die_temps(lane);
+        return util::celsius_t{0.5 * (die[0] + die[1])};
     }
-    /// Effective air temperature at the CPU heatsink inlet (ambient plus
-    /// DIMM preheat).
-    [[nodiscard]] util::celsius_t cpu_inlet_temp() const;
-    /// Chassis exhaust air temperature.
-    [[nodiscard]] util::celsius_t exhaust_temp() const;
-    [[nodiscard]] util::celsius_t ambient() const { return net_.ambient(); }
-
-    [[nodiscard]] const server_thermal_config& config() const { return config_; }
-
-    /// Read-only access to the underlying network (tests, visualization).
-    [[nodiscard]] const rc_network& network() const { return net_; }
-
-    // Node/edge handles of the fixed topology, exposed so batched plants
-    // (thermal::rc_batch lanes built over network()) and tests can address
-    // the same nodes and mutable convective edges the scalar model drives.
-    [[nodiscard]] node_id die_node(std::size_t s) const {
-        util::ensure(s < socket_count(), "server_thermal_model::die_node: bad socket");
-        return die_[s];
-    }
-    [[nodiscard]] node_id sink_node(std::size_t s) const {
-        util::ensure(s < socket_count(), "server_thermal_model::sink_node: bad socket");
-        return sink_[s];
-    }
-    [[nodiscard]] node_id dimm_node() const { return dimm_; }
-    [[nodiscard]] edge_id die_sink_edge(std::size_t s) const {
-        util::ensure(s < socket_count(), "server_thermal_model::die_sink_edge: bad socket");
-        return die_sink_edge_[s];
-    }
-    [[nodiscard]] edge_id sink_ambient_edge(std::size_t s) const {
-        util::ensure(s < socket_count(), "server_thermal_model::sink_ambient_edge: bad socket");
-        return sink_amb_edge_[s];
-    }
-    [[nodiscard]] edge_id dimm_ambient_edge() const { return dimm_amb_edge_; }
+    [[nodiscard]] util::celsius_t ambient(std::size_t lane) const { return net_.ambient(lane); }
 
 private:
-    void update_conductances();
-    void update_preheat();
+    /// Pushes the lane's airflow-derived conductances into its edges.
+    void apply_airflow(std::size_t lane);
+    /// Injects the lane's DIMM preheat at its current DIMM temperature.
+    void apply_preheat(std::size_t lane);
 
-    server_thermal_config config_;
-    server_airflow air_;  ///< Before net_: validates the config before nodes are added.
-    rc_network net_;
-    transient_solver solver_;
-
+    // Fixed topology handles, shared by every lane.
     node_id die_[2];
     node_id sink_[2];
     node_id dimm_;
@@ -206,9 +185,8 @@ private:
     edge_id sink_amb_edge_[2];
     edge_id dimm_amb_edge_;
 
-    double cpu_heat_w_[2] = {0.0, 0.0};
-    double dimm_heat_w_ = 0.0;
-    double other_heat_w_ = 0.0;
+    std::vector<server_airflow> airflow_;  ///< [lane]; validates each config.
+    rc_batch net_;
 };
 
 }  // namespace ltsc::thermal

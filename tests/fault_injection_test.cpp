@@ -479,6 +479,69 @@ TEST(FaultInjection, ClearingScheduleMidOutagePushesRestoredAirflow) {
     }
 }
 
+TEST(FaultInjection, ClearingScheduleResumesLatchedCommands) {
+    // A command sent to a degraded pair is latched, and clearing the
+    // campaign must resume it exactly as a fan_recover at the same instant
+    // would: a failed pair restarts at the latched speed, not its
+    // pre-failure one, and a stuck pair leaves its stuck RPM.  Scalar
+    // plant and batch lane alike.
+    const auto profile = steady(80.0, 300.0);
+    const sim::fault_event failures[] = {ev(50.0, sim::fault_kind::fan_failure, 0),
+                                         ev(50.0, sim::fault_kind::fan_stuck_pwm, 0, 2000.0)};
+    for (const sim::fault_event& fault : failures) {
+        SCOPED_TRACE(sim::to_string(fault.kind));
+        const sim::fault_schedule for_good({fault});
+        const sim::fault_schedule recovers({fault, ev(150.0, sim::fault_kind::fan_recover, 0)});
+
+        sim::server_simulator cleared;
+        sim::server_simulator recovered;
+        sim::server_batch batch(sim::paper_server(), 2);
+        cleared.bind_workload(profile);
+        recovered.bind_workload(profile);
+        batch.bind_workload(0, profile);
+        batch.bind_workload(1, profile);
+        cleared.bind_fault_schedule(for_good);
+        recovered.bind_fault_schedule(recovers);
+        batch.bind_fault_schedule(0, for_good);
+        batch.bind_fault_schedule(1, recovers);
+        cleared.force_cold_start();
+        recovered.force_cold_start();
+        batch.force_cold_start();
+        for (int i = 0; i < 300; ++i) {
+            if (i == 100) {
+                // Mid-outage command (cold start runs at 3600 RPM): pair 0
+                // latches it, the rest move.
+                cleared.set_all_fans(2400_rpm);
+                recovered.set_all_fans(2400_rpm);
+                batch.set_all_fans(0, 2400_rpm);
+                batch.set_all_fans(1, 2400_rpm);
+            }
+            if (i == 150) {
+                ASSERT_TRUE(cleared.current_fault_state().any_fan_fault());
+                cleared.clear_fault_schedule();
+                batch.clear_fault_schedule(0);
+                EXPECT_EQ(cleared.fan_speed(0).value(), 2400.0);
+                EXPECT_EQ(batch.fan_speed(0, 0).value(), 2400.0);
+            }
+            cleared.step();
+            recovered.step();
+            batch.step();
+            for (std::size_t d = 0; d < 2; ++d) {
+                ASSERT_EQ(cleared.true_cpu_temp(d).value(), recovered.true_cpu_temp(d).value())
+                    << "scalar step " << i << " die " << d;
+                ASSERT_EQ(batch.true_cpu_temp(0, d).value(), batch.true_cpu_temp(1, d).value())
+                    << "lane step " << i << " die " << d;
+            }
+            for (std::size_t p = 0; p < 3; ++p) {
+                ASSERT_EQ(cleared.fan_speed(p).value(), recovered.fan_speed(p).value())
+                    << "scalar step " << i << " pair " << p;
+                ASSERT_EQ(batch.fan_speed(0, p).value(), batch.fan_speed(1, p).value())
+                    << "lane step " << i << " pair " << p;
+            }
+        }
+    }
+}
+
 TEST(FaultInjection, SensorBiasOffsetsReadingsExactly) {
     // Twin plants, same seed, no controller: the biased sensor reads
     // exactly raw + bias (the RNG stream stays aligned because the true

@@ -15,7 +15,6 @@
 #include "sim/server_state.hpp"
 #include "thermal/rc_batch.hpp"
 #include "thermal/rc_network.hpp"
-#include "thermal/transient_solver.hpp"
 #include "util/error.hpp"
 #include "workload/paper_tests.hpp"
 #include "workload/profile.hpp"
@@ -190,89 +189,86 @@ TEST(SnapshotRoundtrip, BatchLaneSnapshotLoadsIntoScalar) {
     EXPECT_EQ(batch.system_power_reading(1).value(), scalar.system_power_reading().value());
 }
 
+thermal::rc_network two_node_network() {
+    thermal::rc_network net(24_degC);
+    const auto n0 = net.add_node(50.0);
+    const auto n1 = net.add_node(400.0);
+    net.add_edge(n0, n1, 8.0);
+    net.add_ambient_edge(n1, 3.0);
+    return net;
+}
+
 TEST(SnapshotRoundtrip, RcNetworkSaveRestoreRoundTrip) {
-    const auto build = [] {
-        thermal::rc_network net(24_degC);
-        const auto n0 = net.add_node("hot", 50.0);
-        const auto n1 = net.add_node("sink", 400.0);
-        net.add_edge(n0, n1, 8.0);
-        net.add_ambient_edge(n1, 3.0);
-        net.set_power(n0, 120_W);
-        return net;
-    };
-    thermal::rc_network a = build();
-    thermal::transient_solver solver_a(thermal::integration_scheme::rk4);
+    const thermal::rc_network net = two_node_network();
+    thermal::rc_batch a(net, 1);
+    a.set_power(thermal::node_id{0}, 0, 120_W);
     for (int k = 0; k < 50; ++k) {
-        solver_a.step(a, 1_s);
+        a.step(1_s);
     }
-    a.set_conductance(thermal::edge_id{1}, 4.5);
-    a.set_power(thermal::node_id{0}, 95_W);
+    a.set_conductance(thermal::edge_id{1}, 0, 4.5);
+    a.set_power(thermal::node_id{0}, 0, 95_W);
 
     thermal::rc_state st;
-    a.save_state(st);
+    a.save_lane_state(0, st);
 
-    thermal::rc_network b = build();
-    b.restore_state(st);
-    for (std::size_t i = 0; i < a.node_count(); ++i) {
-        EXPECT_EQ(a.temperature(thermal::node_id{i}).value(),
-                  b.temperature(thermal::node_id{i}).value());
-        EXPECT_EQ(a.power(thermal::node_id{i}).value(), b.power(thermal::node_id{i}).value());
+    thermal::rc_batch b(net, 1);
+    b.load_lane_state(0, st);
+    for (std::size_t i = 0; i < net.node_count(); ++i) {
+        EXPECT_EQ(a.temperature(thermal::node_id{i}, 0).value(),
+                  b.temperature(thermal::node_id{i}, 0).value());
+        EXPECT_EQ(a.power(thermal::node_id{i}, 0).value(),
+                  b.power(thermal::node_id{i}, 0).value());
     }
-    EXPECT_EQ(a.conductance(thermal::edge_id{0}), b.conductance(thermal::edge_id{0}));
-    EXPECT_EQ(a.conductance(thermal::edge_id{1}), b.conductance(thermal::edge_id{1}));
-    EXPECT_EQ(a.ambient().value(), b.ambient().value());
+    EXPECT_EQ(a.conductance(thermal::edge_id{0}, 0), b.conductance(thermal::edge_id{0}, 0));
+    EXPECT_EQ(a.conductance(thermal::edge_id{1}, 0), b.conductance(thermal::edge_id{1}, 0));
+    EXPECT_EQ(a.ambient(0).value(), b.ambient(0).value());
 
-    thermal::transient_solver solver_b(thermal::integration_scheme::rk4);
     for (int k = 0; k < 50; ++k) {
-        solver_a.step(a, 1_s);
-        solver_b.step(b, 1_s);
+        a.step(1_s);
+        b.step(1_s);
     }
-    for (std::size_t i = 0; i < a.node_count(); ++i) {
-        EXPECT_EQ(a.temperature(thermal::node_id{i}).value(),
-                  b.temperature(thermal::node_id{i}).value());
+    for (std::size_t i = 0; i < net.node_count(); ++i) {
+        EXPECT_EQ(a.temperature(thermal::node_id{i}, 0).value(),
+                  b.temperature(thermal::node_id{i}, 0).value());
     }
 }
 
 TEST(SnapshotRoundtrip, RcStateMovesBetweenNetworkAndBatchLane) {
-    thermal::rc_network proto(24_degC);
-    const auto n0 = proto.add_node("hot", 50.0);
-    const auto n1 = proto.add_node("sink", 400.0);
-    proto.add_edge(n0, n1, 8.0);
-    proto.add_ambient_edge(n1, 3.0);
-
-    thermal::rc_network scalar = proto;
-    scalar.set_power(n0, 120_W);
-    thermal::transient_solver solver(thermal::integration_scheme::rk4);
+    // A one-lane plant's state moves into lane 2 of a wider batch and
+    // back out, stepping bitwise alongside the source in between.
+    const thermal::rc_network net = two_node_network();
+    thermal::rc_batch single(net, 1);
+    single.set_power(thermal::node_id{0}, 0, 120_W);
     for (int k = 0; k < 40; ++k) {
-        solver.step(scalar, 1_s);
+        single.step(1_s);
     }
     thermal::rc_state st;
-    scalar.save_state(st);
+    single.save_lane_state(0, st);
 
-    thermal::rc_batch batch(proto, 3);
+    thermal::rc_batch batch(net, 3);
     batch.load_lane_state(2, st);
-    for (std::size_t i = 0; i < proto.node_count(); ++i) {
-        EXPECT_EQ(scalar.temperature(thermal::node_id{i}).value(),
+    for (std::size_t i = 0; i < net.node_count(); ++i) {
+        EXPECT_EQ(single.temperature(thermal::node_id{i}, 0).value(),
                   batch.temperature(thermal::node_id{i}, 2).value());
     }
     for (int k = 0; k < 40; ++k) {
-        solver.step(scalar, 1_s);
+        single.step(1_s);
         batch.step(1_s);
     }
-    for (std::size_t i = 0; i < proto.node_count(); ++i) {
-        EXPECT_EQ(scalar.temperature(thermal::node_id{i}).value(),
+    for (std::size_t i = 0; i < net.node_count(); ++i) {
+        EXPECT_EQ(single.temperature(thermal::node_id{i}, 0).value(),
                   batch.temperature(thermal::node_id{i}, 2).value());
     }
 
-    // And back out: the lane's saved state matches the scalar's.
+    // And back out: the lane's saved state matches the source's.
     thermal::rc_state back;
     batch.save_lane_state(2, back);
-    thermal::rc_state scalar_now;
-    scalar.save_state(scalar_now);
-    EXPECT_EQ(back.temps, scalar_now.temps);
-    EXPECT_EQ(back.powers, scalar_now.powers);
-    EXPECT_EQ(back.edge_g, scalar_now.edge_g);
-    EXPECT_EQ(back.ambient_c, scalar_now.ambient_c);
+    thermal::rc_state single_now;
+    single.save_lane_state(0, single_now);
+    EXPECT_EQ(back.temps, single_now.temps);
+    EXPECT_EQ(back.powers, single_now.powers);
+    EXPECT_EQ(back.edge_g, single_now.edge_g);
+    EXPECT_EQ(back.ambient_c, single_now.ambient_c);
 }
 
 TEST(SnapshotRoundtrip, CusumMidAccumulationRoundTripsBitwise) {

@@ -1,14 +1,13 @@
-// Equivalence suite for the optimized thermal hot path.
+// Equivalence suite for the one thermal integrator and steady solver.
 //
-// The PR that introduced the rc_network assembly cache (flattened edge
-// arrays, cached conductance matrix / stable substep / LU factorization)
-// and the zero-allocation solver stepping promised *bitwise identical*
-// numerics on the paper server network.  This suite holds it to that: a
-// `reference` model carries verbatim copies of the seed algorithms
-// (interleaved edge walk, per-step matrix assembly, per-step LU) and a
-// `twin` applies every mutation to both the optimized rc_network and the
-// reference.  Any divergence — including a stale cache after a mid-run
-// conductance or ambient change — shows up as an exact-comparison
+// rc_batch promises numerics *bitwise identical* to the seed rc_network +
+// transient_solver on the paper server network, for any lane count.  This
+// suite holds it to that: a `reference` model per lane carries verbatim
+// copies of the seed algorithms (interleaved edge walk, per-step matrix
+// assembly, per-solve LU), and a `twin` applies every mutation to both
+// the batch lane and its reference.  Any divergence — including a stale
+// per-lane cache (diagonal, stable substep, LU factorization) after a
+// mid-run conductance or ambient change — shows up as an exact-comparison
 // failure.
 #include <gtest/gtest.h>
 
@@ -17,18 +16,16 @@
 #include <string>
 #include <vector>
 
+#include "thermal/rc_batch.hpp"
 #include "thermal/rc_network.hpp"
-#include "thermal/steady_state.hpp"
-#include "thermal/transient_solver.hpp"
 #include "util/error.hpp"
 #include "util/matrix.hpp"
 
 namespace {
 
 using namespace ltsc;
-using thermal::integration_scheme;
+using thermal::rc_batch;
 using thermal::rc_network;
-using thermal::transient_solver;
 
 namespace reference {
 
@@ -102,20 +99,6 @@ struct model {
         return 0.9 * 2.0 * min_ratio;
     }
 
-    void step_explicit(double dt) {
-        const double stable = stable_explicit_step();
-        const int substeps = std::max(1, static_cast<int>(std::ceil(dt / stable)));
-        const double h = dt / substeps;
-        std::vector<double> t = temps;
-        for (int s = 0; s < substeps; ++s) {
-            const std::vector<double> dTdt = derivatives(t);
-            for (std::size_t i = 0; i < t.size(); ++i) {
-                t[i] += h * dTdt[i];
-            }
-        }
-        temps = t;
-    }
-
     void step_rk4(double dt) {
         const double stable = stable_explicit_step();
         const int substeps = std::max(1, static_cast<int>(std::ceil(dt / stable)));
@@ -144,22 +127,6 @@ struct model {
         temps = t0;
     }
 
-    void step_implicit(double dt) {
-        // The seed cached the LU keyed on (revision, dt); factoring the
-        // identical matrix anew every step is bitwise equivalent.
-        const std::size_t n = capacities.size();
-        util::matrix a = conductance_matrix();
-        for (std::size_t i = 0; i < n; ++i) {
-            a(i, i) += capacities[i] / dt;
-        }
-        const util::lu_decomposition lu(a);
-        std::vector<double> rhs = source_vector();
-        for (std::size_t i = 0; i < n; ++i) {
-            rhs[i] += capacities[i] / dt * temps[i];
-        }
-        temps = lu.solve(rhs);
-    }
-
     [[nodiscard]] std::vector<double> steady_state() const {
         return util::solve(conductance_matrix(), source_vector());
     }
@@ -167,186 +134,211 @@ struct model {
 
 }  // namespace reference
 
-/// Applies every mutation to both the optimized network and the seed
-/// reference so trajectories can be compared exactly.
-struct twin {
-    rc_network net;
-    reference::model ref;
-    std::vector<thermal::node_id> nodes;
-    std::vector<thermal::edge_id> edges;
-
-    explicit twin(double ambient_c) : net(util::celsius_t{ambient_c}) {
-        ref.ambient = ambient_c;
-    }
-
-    std::size_t add_node(const std::string& name, double c) {
-        nodes.push_back(net.add_node(name, c));
-        ref.capacities.push_back(c);
-        ref.temps.push_back(ref.ambient);
-        ref.powers.push_back(0.0);
-        return nodes.size() - 1;
-    }
-
-    std::size_t add_edge(std::size_t a, std::size_t b, double g) {
-        edges.push_back(net.add_edge(nodes[a], nodes[b], g));
-        ref.edges.push_back(reference::edge{a, b, false, g});
-        return edges.size() - 1;
-    }
-
-    std::size_t add_ambient_edge(std::size_t n, double g) {
-        edges.push_back(net.add_ambient_edge(nodes[n], g));
-        ref.edges.push_back(reference::edge{n, 0, true, g});
-        return edges.size() - 1;
-    }
-
-    void set_conductance(std::size_t e, double g) {
-        net.set_conductance(edges[e], g);
-        ref.edges[e].conductance = g;
-    }
-
-    void set_power(std::size_t n, double w) {
-        net.set_power(nodes[n], util::watts_t{w});
-        ref.powers[n] = w;
-    }
-
-    void set_ambient(double c) {
-        net.set_ambient(util::celsius_t{c});
-        ref.ambient = c;
-    }
-};
-
 /// The paper server network (mirrors server_thermal_model's topology and
 /// calibration constants): 2 dies, 2 sinks, 1 DIMM bank.  Internal edges
 /// precede each node's ambient edge exactly as in the production builder.
-twin make_paper_server_twin() {
-    twin t(24.0);
+/// `ref` receives the matching seed model.
+rc_network make_paper_server(reference::model& ref) {
+    rc_network net(util::celsius_t{24.0});
+    ref = reference::model{};
+    ref.ambient = 24.0;
+    const auto add_node = [&](double c) {
+        ref.capacities.push_back(c);
+        ref.temps.push_back(ref.ambient);
+        ref.powers.push_back(0.0);
+        return net.add_node(c);
+    };
     for (int s = 0; s < 2; ++s) {
-        const std::size_t die = t.add_node("cpu" + std::to_string(s) + "_die", 60.0);
-        const std::size_t sink = t.add_node("cpu" + std::to_string(s) + "_sink", 600.0);
-        t.add_edge(die, sink, 1.0 / 0.13);
-        t.add_ambient_edge(sink, 2.857);
+        const auto die = add_node(60.0);
+        const auto sink = add_node(600.0);
+        net.add_edge(die, sink, 1.0 / 0.13);
+        ref.edges.push_back(reference::edge{die.index, sink.index, false, 1.0 / 0.13});
+        net.add_ambient_edge(sink, 2.857);
+        ref.edges.push_back(reference::edge{sink.index, 0, true, 2.857});
     }
-    const std::size_t dimm = t.add_node("dimm_bank", 800.0);
-    t.add_ambient_edge(dimm, 5.26);
-    return t;
+    const auto dimm = add_node(800.0);
+    net.add_ambient_edge(dimm, 5.26);
+    ref.edges.push_back(reference::edge{dimm.index, 0, true, 5.26});
+    return net;
 }
 
-void expect_states_identical(const twin& t, const std::string& where) {
-    const std::vector<double>& actual = t.net.temperatures();
-    ASSERT_EQ(actual.size(), t.ref.temps.size());
-    for (std::size_t i = 0; i < actual.size(); ++i) {
-        ASSERT_EQ(actual[i], t.ref.temps[i]) << where << ", node " << i;
-    }
-}
+/// An N-lane batch over the paper server with one seed reference per
+/// lane; every mutation goes to both, so each lane can be compared
+/// exactly against its own reference.
+struct twin {
+    std::vector<reference::model> ref;
+    rc_batch batch;
 
-/// Drives both models through a hostile schedule: time-varying powers,
+    explicit twin(std::size_t lanes) : ref(lanes), batch(make_paper_server(ref[0]), lanes) {
+        for (std::size_t l = 1; l < lanes; ++l) {
+            ref[l] = ref[0];
+        }
+    }
+
+    void set_conductance(std::size_t lane, std::size_t e, double g) {
+        batch.set_conductance(thermal::edge_id{e}, lane, g);
+        ref[lane].edges[e].conductance = g;
+    }
+
+    void set_power(std::size_t lane, std::size_t n, double w) {
+        batch.set_power(thermal::node_id{n}, lane, util::watts_t{w});
+        ref[lane].powers[n] = w;
+    }
+
+    void set_ambient(std::size_t lane, double c) {
+        batch.set_ambient(lane, util::celsius_t{c});
+        ref[lane].ambient = c;
+    }
+
+    void expect_lane_identical(std::size_t lane, const std::vector<double>& expected,
+                               const std::string& where) const {
+        ASSERT_EQ(batch.node_count(), expected.size());
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+            ASSERT_EQ(batch.temperature(thermal::node_id{i}, lane).value(), expected[i])
+                << where << ", lane " << lane << ", node " << i;
+        }
+    }
+};
+
+/// Drives every lane through a hostile schedule: time-varying powers,
 /// fan-speed-like conductance changes, and ambient drift, all mid-run so
-/// every cache invalidation path is exercised.
-void run_equivalence_schedule(integration_scheme scheme, double dt) {
-    twin t = make_paper_server_twin();
-    transient_solver optimized(scheme);
-    optimized.set_validate_steps(true);
-
+/// every cache invalidation path is exercised.  Lanes run phase-shifted
+/// variants, so their conductances (and hence substep counts) differ.
+void run_rk4_schedule(std::size_t lanes, double dt) {
+    twin t(lanes);
+    t.batch.set_validate_steps(true);
     for (int k = 0; k < 240; ++k) {
-        // Power waveform (deterministic, same doubles on both sides).
-        t.set_power(0, 80.0 + 40.0 * std::sin(0.11 * k));
-        t.set_power(2, 75.0 + 35.0 * std::cos(0.07 * k));
-        t.set_power(4, 120.0 + 20.0 * std::sin(0.05 * k));
-
-        // "Fan speed change": rescale the convective conductances.
-        if (k % 37 == 13) {
-            const double scale = (k % 2 == 0) ? 1.4 : 0.8;
-            t.set_conductance(1, 2.857 * scale);
-            t.set_conductance(3, 2.857 * scale);
-            t.set_conductance(4, 5.26 * scale);
+        for (std::size_t l = 0; l < lanes; ++l) {
+            const double phase = 0.9 * static_cast<double>(l);
+            // Power waveform (deterministic, same doubles on both sides).
+            t.set_power(l, 0, 80.0 + 40.0 * std::sin(0.11 * k + phase));
+            t.set_power(l, 2, 75.0 + 35.0 * std::cos(0.07 * k + phase));
+            t.set_power(l, 4, 120.0 + 20.0 * std::sin(0.05 * k + phase));
+            // "Fan speed change": rescale the convective conductances.
+            if ((k + 5 * static_cast<int>(l)) % 37 == 13) {
+                const double scale = (k % 2 == 0) ? 1.4 : 0.8;
+                t.set_conductance(l, 1, 2.857 * scale);
+                t.set_conductance(l, 3, 2.857 * scale);
+                t.set_conductance(l, 4, 5.26 * scale * (1.0 + 0.1 * static_cast<double>(l)));
+            }
+            // Room drift: the derivative must track it with no cached
+            // quantity depending on it.
+            if ((k + static_cast<int>(l)) % 53 == 20) {
+                t.set_ambient(l, 24.0 + 0.05 * k);
+            }
+            t.ref[l].step_rk4(dt);
         }
-        // Room drift (does not bump the structure revision: the cached
-        // matrix must stay valid while the derivative RHS tracks it).
-        if (k % 53 == 20) {
-            t.set_ambient(24.0 + 0.05 * k);
-        }
-
-        switch (scheme) {
-            case integration_scheme::explicit_euler:
-                t.ref.step_explicit(dt);
-                break;
-            case integration_scheme::rk4:
-                t.ref.step_rk4(dt);
-                break;
-            case integration_scheme::implicit_euler:
-                t.ref.step_implicit(dt);
-                break;
-        }
-        optimized.step(t.net, util::seconds_t{dt});
-        expect_states_identical(t, "step " + std::to_string(k));
-        if (::testing::Test::HasFatalFailure()) {
-            return;
+        t.batch.step(util::seconds_t{dt});
+        for (std::size_t l = 0; l < lanes; ++l) {
+            t.expect_lane_identical(l, t.ref[l].temps, "step " + std::to_string(k));
+            if (::testing::Test::HasFatalFailure()) {
+                return;
+            }
         }
     }
-}
-
-TEST(ThermalEquivalence, ExplicitEulerBitwiseIdenticalToSeed) {
-    run_equivalence_schedule(integration_scheme::explicit_euler, 2.0);
 }
 
 TEST(ThermalEquivalence, Rk4BitwiseIdenticalToSeed) {
-    run_equivalence_schedule(integration_scheme::rk4, 5.0);
+    run_rk4_schedule(1, 5.0);
+    run_rk4_schedule(3, 5.0);
 }
 
-TEST(ThermalEquivalence, ImplicitEulerBitwiseIdenticalToSeed) {
-    run_equivalence_schedule(integration_scheme::implicit_euler, 1.0);
-}
-
-TEST(ThermalEquivalence, ImplicitEulerStepSizeChangeRefactors) {
-    // Alternating dt exercises the (revision, dt) key of the implicit
-    // solver's cached factorization.
-    twin t = make_paper_server_twin();
-    transient_solver optimized(integration_scheme::implicit_euler);
-    for (int k = 0; k < 60; ++k) {
-        const double dt = (k / 29) % 2 == 0 ? 1.0 : 2.0;
-        t.set_power(0, 100.0 + k);
-        t.set_power(2, 90.0 + 2.0 * k);
-        t.ref.step_implicit(dt);
-        optimized.step(t.net, util::seconds_t{dt});
-        expect_states_identical(t, "step " + std::to_string(k));
-        if (::testing::Test::HasFatalFailure()) {
-            return;
+void run_steady_rounds(std::size_t lanes) {
+    twin t(lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+        t.set_power(l, 0, 115.0 + static_cast<double>(l));
+        t.set_power(l, 2, 115.0);
+        t.set_power(l, 4, 145.0);
+    }
+    for (int round = 0; round < 4; ++round) {
+        for (std::size_t l = 0; l < lanes; ++l) {
+            t.batch.settle_lane(l);
+            t.expect_lane_identical(l, t.ref[l].steady_state(), "round " + std::to_string(round));
+            if (::testing::Test::HasFatalFailure()) {
+                return;
+            }
+        }
+        // Mutate between rounds: the cached factorizations must refresh.
+        for (std::size_t l = 0; l < lanes; ++l) {
+            t.set_conductance(l, 1, 2.857 * (1.0 + 0.25 * (round + 1) + 0.1 * l));
+            t.set_ambient(l, 24.0 + round);
+            t.set_power(l, 4, 145.0 - 10.0 * round);
         }
     }
 }
 
 TEST(ThermalEquivalence, SteadyStateMatchesSeedSolve) {
-    twin t = make_paper_server_twin();
-    t.set_power(0, 115.0);
-    t.set_power(2, 115.0);
-    t.set_power(4, 145.0);
-    for (int round = 0; round < 4; ++round) {
-        const std::vector<double> optimized = thermal::steady_state(t.net);
-        const std::vector<double> expected = t.ref.steady_state();
-        ASSERT_EQ(optimized.size(), expected.size());
-        for (std::size_t i = 0; i < optimized.size(); ++i) {
-            ASSERT_EQ(optimized[i], expected[i]) << "round " << round << ", node " << i;
-        }
-        // Mutate between rounds: the cached factorization must refresh.
-        t.set_conductance(1, 2.857 * (1.0 + 0.25 * (round + 1)));
-        t.set_ambient(24.0 + round);
-        t.set_power(4, 145.0 - 10.0 * round);
+    run_steady_rounds(1);
+    run_steady_rounds(3);
+}
+
+TEST(ThermalEquivalence, SettleLaneLuCacheTracksConductanceChanges) {
+    // The steady factorization is cached per lane.  Each way a lane's
+    // conductances can move must drop exactly that lane's cache: a stale
+    // factorization shows up as a solve that differs from the seed's.
+    twin t(4);
+    for (std::size_t l = 0; l < 4; ++l) {
+        t.set_power(l, 0, 100.0 + 5.0 * l);
+        t.set_power(l, 2, 90.0);
+        t.set_power(l, 4, 140.0);
+        t.batch.settle_lane(l);  // warm every lane's cache
     }
+    const auto expect_settled = [&](std::size_t lane, const char* where) {
+        t.batch.settle_lane(lane);
+        t.expect_lane_identical(lane, t.ref[lane].steady_state(), where);
+    };
+
+    // 1. set_conductance on the settled lane.
+    t.set_conductance(0, 3, 4.1);
+    expect_settled(0, "after set_conductance");
+
+    // 2. load_lane_state with different conductances.
+    thermal::rc_state state;
+    t.batch.save_lane_state(0, state);
+    state.edge_g[4] = 7.7;
+    state.edge_g[0] = 6.5;
+    t.batch.load_lane_state(0, state);
+    t.ref[0].edges[4].conductance = 7.7;
+    t.ref[0].edges[0].conductance = 6.5;
+    t.ref[0].temps = state.temps;
+    expect_settled(0, "after load_lane_state");
+
+    // 3. Only lane 1 changes; lanes 2 and 3 keep their (still valid)
+    // factorizations, and lane 1 drops its own.
+    t.set_conductance(1, 1, 1.9);
+    for (std::size_t l = 1; l < 4; ++l) {
+        expect_settled(l, "after a lane-1 change");
+    }
+    // Powers and ambient leave the factorization valid.
+    t.set_power(3, 4, 60.0);
+    t.set_ambient(3, 30.0);
+    expect_settled(3, "after power and ambient moves");
 }
 
 TEST(ThermalEquivalence, CachedMatrixTracksConductanceMutation) {
-    twin t = make_paper_server_twin();
-    const util::matrix before = t.net.conductance_matrix();
-    t.set_conductance(1, 9.99);
-    const util::matrix after = t.net.cached_conductance_matrix();
-    EXPECT_NE(before(1, 1), after(1, 1));
-    const util::matrix expected = t.ref.conductance_matrix();
-    for (std::size_t r = 0; r < expected.rows(); ++r) {
-        for (std::size_t c = 0; c < expected.cols(); ++c) {
-            ASSERT_EQ(after(r, c), expected(r, c)) << "(" << r << "," << c << ")";
+    twin t(2);
+    const double before = t.batch.diagonal(thermal::node_id{1}, 0);
+    t.set_conductance(0, 1, 9.99);
+    EXPECT_NE(before, t.batch.diagonal(thermal::node_id{1}, 0));
+    const util::matrix expected = t.ref[0].conductance_matrix();
+    util::matrix lane;
+    std::vector<double> g(t.batch.topology().edge_count() * 2);
+    for (std::size_t e = 0; e < t.batch.topology().edge_count(); ++e) {
+        for (std::size_t l = 0; l < 2; ++l) {
+            g[e * 2 + l] = t.batch.conductance(thermal::edge_id{e}, l);
         }
     }
-    EXPECT_EQ(t.net.stable_explicit_dt(), t.ref.stable_explicit_step());
+    t.batch.topology().lane_conductance_matrix_into(2, 0, g.data(), lane);
+    for (std::size_t r = 0; r < expected.rows(); ++r) {
+        ASSERT_EQ(t.batch.diagonal(thermal::node_id{r}, 0), expected(r, r)) << "diag " << r;
+        for (std::size_t c = 0; c < expected.cols(); ++c) {
+            ASSERT_EQ(lane(r, c), expected(r, c)) << "(" << r << "," << c << ")";
+        }
+    }
+    EXPECT_EQ(t.batch.stable_dt(0), t.ref[0].stable_explicit_step());
+    // The untouched lane keeps the seed's original values.
+    EXPECT_EQ(t.batch.stable_dt(1), t.ref[1].stable_explicit_step());
+    EXPECT_EQ(t.batch.diagonal(thermal::node_id{1}, 1), before);
 }
 
 TEST(ThermalEquivalence, StepValidationFlagGatesNonFiniteCheck) {
@@ -354,17 +346,16 @@ TEST(ThermalEquivalence, StepValidationFlagGatesNonFiniteCheck) {
     // off, the (cheaper) step completes and the caller owns the check.
     const auto blow_up = [](bool validate) {
         rc_network net(util::celsius_t{25.0});
-        const auto a = net.add_node("hot", 1.0);
-        const auto b = net.add_node("cold", 1.0);
+        const auto a = net.add_node(1.0);
+        const auto b = net.add_node(1.0);
         net.add_edge(a, b, 10.0);
         net.add_ambient_edge(b, 1.0);
-        // Near-DBL_MAX injection: the first substep stays finite, the
-        // coupling flow then overflows to -inf.
-        net.set_power(a, util::watts_t{1.7e308});
-        transient_solver solver(integration_scheme::explicit_euler);
-        solver.set_validate_steps(validate);
+        rc_batch lane(net, 1);
+        // Near-DBL_MAX injection: the RK4 stage sum overflows to inf.
+        lane.set_power(a, 0, util::watts_t{1.7e308});
+        lane.set_validate_steps(validate);
         for (int i = 0; i < 4; ++i) {
-            solver.step(net, util::seconds_t{1.0});
+            lane.step(util::seconds_t{1.0});
         }
     };
     EXPECT_THROW(blow_up(true), util::numeric_error);
@@ -372,33 +363,12 @@ TEST(ThermalEquivalence, StepValidationFlagGatesNonFiniteCheck) {
 }
 
 TEST(ThermalEquivalence, EmptyNetworkKeepsSeedContract) {
-    // The seed returned empty vectors from derivatives()/source_vector()
-    // on an empty network and only threw from conductance_matrix().
+    // The seed threw when asked for an empty network's conductance
+    // matrix; a batch over an empty topology is rejected the same way.
     rc_network net(util::celsius_t{25.0});
-    EXPECT_TRUE(net.derivatives({}).empty());
-    EXPECT_TRUE(net.source_vector().empty());
-    EXPECT_THROW(static_cast<void>(net.conductance_matrix()), util::precondition_error);
-}
-
-TEST(ThermalEquivalence, DerivativesIntoRejectsAliasedVectors) {
-    twin t = make_paper_server_twin();
-    std::vector<double> v(t.net.node_count(), 30.0);
-    EXPECT_THROW(t.net.derivatives_into(v, v), util::precondition_error);
-}
-
-TEST(ThermalEquivalence, AdoptTemperaturesSwapsState) {
-    twin t = make_paper_server_twin();
-    std::vector<double> state(t.net.node_count(), 42.0);
-    t.net.adopt_temperatures(state);
-    for (std::size_t i = 0; i < t.net.node_count(); ++i) {
-        EXPECT_EQ(t.net.temperatures()[i], 42.0);
-    }
-    // The old state (all-ambient) came back in exchange.
-    for (double v : state) {
-        EXPECT_EQ(v, 24.0);
-    }
-    std::vector<double> wrong_size(t.net.node_count() + 1, 0.0);
-    EXPECT_THROW(t.net.adopt_temperatures(wrong_size), util::precondition_error);
+    util::matrix m;
+    EXPECT_THROW(net.lane_conductance_matrix_into(1, 0, nullptr, m), util::precondition_error);
+    EXPECT_THROW(rc_batch(net, 1), util::precondition_error);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "thermal/sensors.hpp"
 #include "thermal/server_thermal_model.hpp"
@@ -23,11 +24,11 @@ void apply_utilization_heat(server_thermal_model& m, double util_pct) {
     for (int iter = 0; iter < 10; ++iter) {
         for (std::size_t s = 0; s < server_thermal_model::socket_count(); ++s) {
             const double leak_share =
-                0.5 * (8.0 + 0.3231 * std::exp(0.04749 * m.cpu_die_temp(s).value()));
-            m.set_cpu_heat(s, util::watts_t{45.0 + 61.25 * util_pct / 100.0 + leak_share});
+                0.5 * (8.0 + 0.3231 * std::exp(0.04749 * m.cpu_die_temp(0, s).value()));
+            m.set_cpu_heat(0, s, util::watts_t{45.0 + 61.25 * util_pct / 100.0 + leak_share});
         }
-        m.set_dimm_heat(util::watts_t{40.0 + 105.0 * util_pct / 100.0});
-        m.settle_to_steady_state();
+        m.set_dimm_heat(0, util::watts_t{40.0 + 105.0 * util_pct / 100.0});
+        m.settle_to_steady_state(0);
     }
 }
 
@@ -49,9 +50,9 @@ TEST(ServerThermal, SteadyAnchorsAt100PctLoad) {
     };
     for (const auto& a : anchors) {
         server_thermal_model m;
-        m.set_zone_airflow(airflow_at(a.rpm));
+        m.set_zone_airflow(0, airflow_at(a.rpm));
         apply_utilization_heat(m, 100.0);
-        EXPECT_NEAR(m.average_cpu_temp().value(), a.expected_c, a.tol) << "rpm " << a.rpm;
+        EXPECT_NEAR(m.average_cpu_temp(0).value(), a.expected_c, a.tol) << "rpm " << a.rpm;
     }
 }
 
@@ -59,10 +60,10 @@ TEST(ServerThermal, SteadyTempMonotonicallyDecreasesWithRpm) {
     double prev = 1e9;
     for (double rpm : {1800.0, 2400.0, 3000.0, 3600.0, 4200.0}) {
         server_thermal_model m;
-        m.set_zone_airflow(airflow_at(rpm));
+        m.set_zone_airflow(0, airflow_at(rpm));
         apply_utilization_heat(m, 100.0);
-        EXPECT_LT(m.average_cpu_temp().value(), prev);
-        prev = m.average_cpu_temp().value();
+        EXPECT_LT(m.average_cpu_temp(0).value(), prev);
+        prev = m.average_cpu_temp(0).value();
     }
 }
 
@@ -70,10 +71,10 @@ TEST(ServerThermal, SteadyTempMonotonicallyIncreasesWithLoad) {
     double prev = 0.0;
     for (double util : {0.0, 25.0, 50.0, 75.0, 100.0}) {
         server_thermal_model m;
-        m.set_zone_airflow(airflow_at(1800.0));
+        m.set_zone_airflow(0, airflow_at(1800.0));
         apply_utilization_heat(m, util);
-        EXPECT_GT(m.average_cpu_temp().value(), prev);
-        prev = m.average_cpu_temp().value();
+        EXPECT_GT(m.average_cpu_temp(0).value(), prev);
+        prev = m.average_cpu_temp(0).value();
     }
 }
 
@@ -81,24 +82,24 @@ TEST(ServerThermal, SteadyTempMonotonicallyIncreasesWithLoad) {
 /// heats frozen at the full-utilization values.
 double settle_time_s(double rpm) {
     const auto configure = [&](server_thermal_model& m) {
-        m.set_zone_airflow(airflow_at(rpm));
+        m.set_zone_airflow(0, airflow_at(rpm));
         for (std::size_t s = 0; s < server_thermal_model::socket_count(); ++s) {
-            m.set_cpu_heat(s, util::watts_t{45.0 + 61.25 + 10.0});
+            m.set_cpu_heat(0, s, util::watts_t{45.0 + 61.25 + 10.0});
         }
-        m.set_dimm_heat(util::watts_t{145.0});
+        m.set_dimm_heat(0, util::watts_t{145.0});
     };
     server_thermal_model steady;
     configure(steady);
-    steady.settle_to_steady_state();
-    const double end = steady.average_cpu_temp().value();
+    steady.settle_to_steady_state(0);
+    const double end = steady.average_cpu_temp(0).value();
 
     server_thermal_model probe;
     configure(probe);
-    probe.reset();
-    const double start = probe.average_cpu_temp().value();
+    probe.reset(0);
+    const double start = probe.average_cpu_temp(0).value();
     for (double t = 0.0; t < 3600.0; t += 5.0) {
         probe.step(util::seconds_t{5.0});
-        if (probe.average_cpu_temp().value() >= start + 0.95 * (end - start)) {
+        if (probe.average_cpu_temp(0).value() >= start + 0.95 * (end - start)) {
             return t + 5.0;
         }
     }
@@ -119,84 +120,140 @@ TEST(ServerThermal, FastTransientOnLoadStep) {
     // Fig. 1(b): a step from idle to full load raises die temperature by
     // 5-8 degC in under 30 seconds (the junction fast path).
     server_thermal_model m;
-    m.set_zone_airflow(airflow_at(1800.0));
+    m.set_zone_airflow(0, airflow_at(1800.0));
     apply_utilization_heat(m, 0.0);
-    const double before = m.average_cpu_temp().value();
+    const double before = m.average_cpu_temp(0).value();
     for (std::size_t s = 0; s < server_thermal_model::socket_count(); ++s) {
         const double leak_share =
-            0.5 * (8.0 + 0.3231 * std::exp(0.04749 * m.cpu_die_temp(s).value()));
-        m.set_cpu_heat(s, util::watts_t{45.0 + 61.25 + leak_share});
+            0.5 * (8.0 + 0.3231 * std::exp(0.04749 * m.cpu_die_temp(0, s).value()));
+        m.set_cpu_heat(0, s, util::watts_t{45.0 + 61.25 + leak_share});
     }
-    m.set_dimm_heat(util::watts_t{145.0});
+    m.set_dimm_heat(0, util::watts_t{145.0});
     m.step(util::seconds_t{30.0});
-    const double rise = m.average_cpu_temp().value() - before;
+    const double rise = m.average_cpu_temp(0).value() - before;
     EXPECT_GE(rise, 5.0);
     EXPECT_LE(rise, 10.0);
 }
 
 TEST(ServerThermal, DimmPreheatRaisesCpuInletTemp) {
-    server_thermal_model m;
-    m.set_zone_airflow(airflow_at(1800.0));
-    apply_utilization_heat(m, 100.0);
-    EXPECT_GT(m.cpu_inlet_temp().value(), m.ambient().value() + 1.0);
-    EXPECT_LT(m.cpu_inlet_temp().value(), m.ambient().value() + 10.0);
-}
-
-TEST(ServerThermal, ExhaustHotterThanInlet) {
-    server_thermal_model m;
-    m.set_zone_airflow(airflow_at(2400.0));
-    apply_utilization_heat(m, 100.0);
-    EXPECT_GT(m.exhaust_temp().value(), m.cpu_inlet_temp().value());
+    // The DIMM field has no edge to the CPUs: its heat reaches them only
+    // as preheat of the CPU inlet air, which shifts both dies by the
+    // inlet rise (fixed heats, so no leakage feedback).
+    const auto settled_die = [](double dimm_w) {
+        server_thermal_model m;
+        m.set_zone_airflow(0, airflow_at(1800.0));
+        m.set_cpu_heat(0, 0, util::watts_t{110.0});
+        m.set_cpu_heat(0, 1, util::watts_t{110.0});
+        m.set_dimm_heat(0, util::watts_t{dimm_w});
+        m.settle_to_steady_state(0);
+        return m.average_cpu_temp(0).value();
+    };
+    const double rise = settled_die(145.0) - settled_die(0.0);
+    EXPECT_GT(rise, 1.0);
+    EXPECT_LT(rise, 10.0);
 }
 
 TEST(ServerThermal, AmbientShiftShiftsSteadyState) {
     server_thermal_model a;
-    a.set_zone_airflow(airflow_at(3000.0));
+    a.set_zone_airflow(0, airflow_at(3000.0));
     apply_utilization_heat(a, 50.0);
-    const double at24 = a.average_cpu_temp().value();
-    a.set_ambient(util::celsius_t{34.0});
+    const double at24 = a.average_cpu_temp(0).value();
+    a.set_ambient(0, util::celsius_t{34.0});
     apply_utilization_heat(a, 50.0);
     // Raising ambient 10 degC raises steady CPU temp by ~10 degC (plus a
     // little extra leakage feedback).
-    EXPECT_NEAR(a.average_cpu_temp().value() - at24, 10.0, 2.0);
+    EXPECT_NEAR(a.average_cpu_temp(0).value() - at24, 10.0, 2.0);
 }
 
 TEST(ServerThermal, AsymmetricZoneAirflowSkewsSockets) {
     server_thermal_model m;
-    m.set_zone_airflow({util::cfm_t{40.0}, util::cfm_t{10.0}, util::cfm_t{25.0}});
+    m.set_zone_airflow(0, {util::cfm_t{40.0}, util::cfm_t{10.0}, util::cfm_t{25.0}});
     for (std::size_t s = 0; s < server_thermal_model::socket_count(); ++s) {
-        m.set_cpu_heat(s, util::watts_t{110.0});
+        m.set_cpu_heat(0, s, util::watts_t{110.0});
     }
-    m.set_dimm_heat(util::watts_t{100.0});
-    m.settle_to_steady_state();
+    m.set_dimm_heat(0, util::watts_t{100.0});
+    m.settle_to_steady_state(0);
     // Socket 0 sits in the high-flow zone: it must run cooler.
-    EXPECT_LT(m.cpu_die_temp(0).value(), m.cpu_die_temp(1).value() - 3.0);
+    EXPECT_LT(m.cpu_die_temp(0, 0).value(), m.cpu_die_temp(0, 1).value() - 3.0);
 }
 
 TEST(ServerThermal, ZeroTotalAirflowRejected) {
     server_thermal_model m;
-    EXPECT_THROW(m.set_zone_airflow({util::cfm_t{0.0}, util::cfm_t{0.0}, util::cfm_t{0.0}}),
+    EXPECT_THROW(m.set_zone_airflow(0, {util::cfm_t{0.0}, util::cfm_t{0.0}, util::cfm_t{0.0}}),
                  util::precondition_error);
 }
 
 TEST(ServerThermal, ZoneCountMismatchThrows) {
     server_thermal_model m;
-    EXPECT_THROW(m.set_zone_airflow({util::cfm_t{30.0}}), util::precondition_error);
+    EXPECT_THROW(m.set_zone_airflow(0, {util::cfm_t{30.0}}), util::precondition_error);
 }
 
 TEST(ServerThermal, NegativeHeatThrows) {
     server_thermal_model m;
-    EXPECT_THROW(m.set_cpu_heat(0, util::watts_t{-5.0}), util::precondition_error);
-    EXPECT_THROW(m.set_dimm_heat(util::watts_t{-5.0}), util::precondition_error);
-    EXPECT_THROW(m.set_cpu_heat(7, util::watts_t{5.0}), util::precondition_error);
+    EXPECT_THROW(m.set_cpu_heat(0, 0, util::watts_t{-5.0}), util::precondition_error);
+    EXPECT_THROW(m.set_dimm_heat(0, util::watts_t{-5.0}), util::precondition_error);
+    EXPECT_THROW(m.set_cpu_heat(0, 7, util::watts_t{5.0}), util::precondition_error);
 }
 
 TEST(ServerThermal, ResetReturnsToAmbient) {
     server_thermal_model m;
     apply_utilization_heat(m, 100.0);
-    EXPECT_GT(m.average_cpu_temp().value(), 50.0);
-    m.reset();
-    EXPECT_NEAR(m.average_cpu_temp().value(), m.ambient().value(), 1e-9);
+    EXPECT_GT(m.average_cpu_temp(0).value(), 50.0);
+    m.reset(0);
+    EXPECT_NEAR(m.average_cpu_temp(0).value(), m.ambient(0).value(), 1e-9);
+}
+
+TEST(ServerThermal, LanesMatchOneLaneModelsBitwise) {
+    // An N-lane model is N one-lane models stepped together: lanes with
+    // different calibrations, airflow and heat stay bitwise-equal to their
+    // one-lane twins through steps, steady solves and a masked step.
+    std::vector<thermal::server_thermal_config> configs(3);
+    configs[1].ambient_c = 30.0;
+    configs[1].c_die = 45.0;
+    configs[2].r_junction_sink = 0.2;
+    configs[2].g_dimm_ref = 4.0;
+    server_thermal_model lanes(configs);
+    std::vector<server_thermal_model> singles;
+    singles.reserve(configs.size());
+    for (const auto& c : configs) {
+        singles.emplace_back(c);
+    }
+    ASSERT_EQ(lanes.lane_count(), 3U);
+    const auto drive = [](server_thermal_model& m, std::size_t lane, std::size_t k) {
+        m.set_zone_airflow(lane, airflow_at(1800.0 + 600.0 * static_cast<double>(k)));
+        m.set_cpu_heat(lane, 0, util::watts_t{100.0 + 10.0 * static_cast<double>(k)});
+        m.set_cpu_heat(lane, 1, util::watts_t{90.0});
+        m.set_dimm_heat(lane, util::watts_t{120.0});
+    };
+    const auto expect_equal = [&](const char* where) {
+        for (std::size_t l = 0; l < 3; ++l) {
+            for (std::size_t s = 0; s < server_thermal_model::socket_count(); ++s) {
+                ASSERT_EQ(lanes.cpu_die_temp(l, s).value(), singles[l].cpu_die_temp(0, s).value())
+                    << where << ", lane " << l;
+            }
+            ASSERT_EQ(lanes.dimm_temp(l).value(), singles[l].dimm_temp(0).value())
+                << where << ", lane " << l;
+        }
+    };
+    for (std::size_t l = 0; l < 3; ++l) {
+        drive(lanes, l, l);
+        drive(singles[l], 0, l);
+    }
+    for (int k = 0; k < 100; ++k) {
+        lanes.step(util::seconds_t{1.0});
+        for (auto& m : singles) {
+            m.step(util::seconds_t{1.0});
+        }
+    }
+    expect_equal("after steps");
+    lanes.settle_to_steady_state(1);
+    singles[1].settle_to_steady_state(0);
+    expect_equal("after settling lane 1");
+    const unsigned char active[3] = {1, 0, 1};
+    lanes.step(util::seconds_t{1.0}, active);
+    singles[0].step(util::seconds_t{1.0});
+    singles[2].step(util::seconds_t{1.0});
+    expect_equal("after a masked step");
 }
 
 // --- sensors -------------------------------------------------------------
