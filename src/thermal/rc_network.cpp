@@ -21,7 +21,6 @@ edge_id rc_network::add_edge(node_id a, node_id b, double conductance_w_per_k) {
                  "rc_network::add_edge: node out of range");
     util::ensure(a.index != b.index, "rc_network::add_edge: self edge");
     util::ensure(conductance_w_per_k >= 0.0, "rc_network::add_edge: negative conductance");
-    internal_.push_back(internal_edge{a.index, b.index, edges_.size()});
     edges_.push_back(edge{a.index, b.index, false, conductance_w_per_k});
     return edge_id{edges_.size() - 1};
 }
@@ -29,7 +28,6 @@ edge_id rc_network::add_edge(node_id a, node_id b, double conductance_w_per_k) {
 edge_id rc_network::add_ambient_edge(node_id n, double conductance_w_per_k) {
     util::ensure(n.index < capacities_.size(), "rc_network::add_ambient_edge: node out of range");
     util::ensure(conductance_w_per_k >= 0.0, "rc_network::add_ambient_edge: negative conductance");
-    ambient_edges_.push_back(ambient_edge{n.index, edges_.size()});
     edges_.push_back(edge{n.index, 0, true, conductance_w_per_k});
     return edge_id{edges_.size() - 1};
 }
@@ -55,13 +53,15 @@ void rc_network::batch_derivatives_into(std::size_t lanes, const double* temps,
         for (std::size_t i = 0; i < n; ++i) {
             out[i] = 0.0;
         }
-        for (const internal_edge& e : internal_) {
-            const double q = edge_g[e.src] * (temps[e.b] - temps[e.a]);
-            out[e.a] += q;
-            out[e.b] -= q;
-        }
-        for (const ambient_edge& e : ambient_edges_) {
-            out[e.n] += edge_g[e.src] * (ambient[0] - temps[e.n]);
+        for (std::size_t k = 0; k < edges_.size(); ++k) {
+            const edge& e = edges_[k];
+            if (e.to_ambient) {
+                out[e.a] += edge_g[k] * (ambient[0] - temps[e.a]);
+            } else {
+                const double q = edge_g[k] * (temps[e.b] - temps[e.a]);
+                out[e.a] += q;
+                out[e.b] -= q;
+            }
         }
         for (std::size_t i = 0; i < n; ++i) {
             out[i] = (out[i] + powers[i]) / capacities[i];
@@ -71,24 +71,23 @@ void rc_network::batch_derivatives_into(std::size_t lanes, const double* temps,
     for (std::size_t i = 0; i < n * lanes; ++i) {
         out[i] = 0.0;
     }
-    for (const internal_edge& e : internal_) {
-        const double* g = edge_g + e.src * lanes;
+    for (std::size_t k = 0; k < edges_.size(); ++k) {
+        const edge& e = edges_[k];
+        const double* g = edge_g + k * lanes;
         const double* ta = temps + e.a * lanes;
-        const double* tb = temps + e.b * lanes;
         double* oa = out + e.a * lanes;
-        double* ob = out + e.b * lanes;
-        for (std::size_t l = 0; l < lanes; ++l) {
-            const double q = g[l] * (tb[l] - ta[l]);
-            oa[l] += q;
-            ob[l] -= q;
-        }
-    }
-    for (const ambient_edge& e : ambient_edges_) {
-        const double* g = edge_g + e.src * lanes;
-        const double* tn = temps + e.n * lanes;
-        double* on = out + e.n * lanes;
-        for (std::size_t l = 0; l < lanes; ++l) {
-            on[l] += g[l] * (ambient[l] - tn[l]);
+        if (e.to_ambient) {
+            for (std::size_t l = 0; l < lanes; ++l) {
+                oa[l] += g[l] * (ambient[l] - ta[l]);
+            }
+        } else {
+            const double* tb = temps + e.b * lanes;
+            double* ob = out + e.b * lanes;
+            for (std::size_t l = 0; l < lanes; ++l) {
+                const double q = g[l] * (tb[l] - ta[l]);
+                oa[l] += q;
+                ob[l] -= q;
+            }
         }
     }
     for (std::size_t i = 0; i < n; ++i) {
@@ -145,8 +144,10 @@ void rc_network::lane_source_vector_into(std::size_t lanes, std::size_t lane,
     for (std::size_t i = 0; i < n; ++i) {
         out[i] = powers[i * lanes + lane];
     }
-    for (const ambient_edge& e : ambient_edges_) {
-        out[e.n] += edge_g[e.src * lanes + lane] * ambient_c;
+    for (std::size_t k = 0; k < edges_.size(); ++k) {
+        if (edges_[k].to_ambient) {
+            out[edges_[k].a] += edge_g[k * lanes + lane] * ambient_c;
+        }
     }
 }
 

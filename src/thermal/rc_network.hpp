@@ -73,11 +73,8 @@ public:
     // depend on the lane count or on its neighbours.
 
     /// Writes dT/dt for every lane into `out` (size node_count() * lanes).
-    /// Summation order: internal edges accumulate before ambient edges
-    /// (each group in insertion order), then the (flow + power) /
-    /// capacity division runs per node.  This matches a declaration-order
-    /// walk bitwise whenever every node's internal edges were added before
-    /// its ambient edges, which holds for every builder in this repo.
+    /// Edge flows accumulate in insertion order, then the (flow + power) /
+    /// capacity division runs per node.
     void batch_derivatives_into(std::size_t lanes, const double* temps, const double* powers,
                                 const double* capacities, const double* ambient,
                                 const double* edge_g, double* out) const;
@@ -105,24 +102,10 @@ private:
         bool to_ambient = false;
         double conductance = 0.0;
     };
-    // Edges split by kind, each in insertion order: the order
-    // batch_derivatives_into accumulates in.  `src` is the insertion-order
-    // index the per-lane conductance is read from.
-    struct internal_edge {
-        std::size_t a = 0;
-        std::size_t b = 0;
-        std::size_t src = 0;
-    };
-    struct ambient_edge {
-        std::size_t n = 0;
-        std::size_t src = 0;
-    };
 
     double ambient_;
     std::vector<double> capacities_;
     std::vector<edge> edges_;
-    std::vector<internal_edge> internal_;
-    std::vector<ambient_edge> ambient_edges_;
 };
 
 }  // namespace ltsc::thermal
