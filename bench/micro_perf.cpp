@@ -49,7 +49,7 @@ void BM_ThermalSteadyStateSolve(benchmark::State& state) {
     m.set_cpu_heat(0, 1, 115_W);
     m.set_dimm_heat(0, 145_W);
     for (auto _ : state) {
-        m.settle_to_steady_state(0);
+        m.settle(0);
         benchmark::DoNotOptimize(m.average_cpu_temp(0));
     }
 }

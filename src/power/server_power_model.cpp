@@ -63,7 +63,7 @@ void server_power_model::settle(thermal::server_thermal_model& plant, std::size_
                                 double u_pct, double imbalance) const {
     for (int i = 0; i < settle_rounds; ++i) {
         apply_heat(plant, lane, u_pct, imbalance);
-        plant.settle_to_steady_state(lane);
+        plant.settle(lane);
     }
 }
 

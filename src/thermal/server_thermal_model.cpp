@@ -162,7 +162,7 @@ void server_thermal_model::step(util::seconds_t dt, const unsigned char* active)
     net_.step(dt, active);
 }
 
-void server_thermal_model::settle_to_steady_state(std::size_t lane) {
+void server_thermal_model::settle(std::size_t lane) {
     for (int i = 0; i < server_airflow::preheat_rounds; ++i) {
         apply_preheat(lane);
         net_.settle_lane(lane);

@@ -135,7 +135,7 @@ public:
     /// it: preheat depends on the DIMM temperature, which the solve moves,
     /// so preheat injection and a steady solve alternate for
     /// server_airflow::preheat_rounds.
-    void settle_to_steady_state(std::size_t lane);
+    void settle(std::size_t lane);
 
     /// Resets one lane's node temperatures to its ambient (cold start).
     void reset(std::size_t lane);

@@ -54,8 +54,8 @@ private:
 };
 
 /// LU decomposition with partial pivoting of a square matrix, reusable for
-/// multiple right-hand sides (the implicit thermal solver factors once per
-/// fan-speed change and back-substitutes every step).
+/// multiple right-hand sides (the steady thermal solve factors once per
+/// fan-speed change and back-substitutes every fixed-point round).
 class lu_decomposition {
 public:
     /// Factors `a`; throws numeric_error when `a` is singular to working

@@ -28,7 +28,7 @@ void apply_utilization_heat(server_thermal_model& m, double util_pct) {
             m.set_cpu_heat(0, s, util::watts_t{45.0 + 61.25 * util_pct / 100.0 + leak_share});
         }
         m.set_dimm_heat(0, util::watts_t{40.0 + 105.0 * util_pct / 100.0});
-        m.settle_to_steady_state(0);
+        m.settle(0);
     }
 }
 
@@ -90,7 +90,7 @@ double settle_time_s(double rpm) {
     };
     server_thermal_model steady;
     configure(steady);
-    steady.settle_to_steady_state(0);
+    steady.settle(0);
     const double end = steady.average_cpu_temp(0).value();
 
     server_thermal_model probe;
@@ -145,7 +145,7 @@ TEST(ServerThermal, DimmPreheatRaisesCpuInletTemp) {
         m.set_cpu_heat(0, 0, util::watts_t{110.0});
         m.set_cpu_heat(0, 1, util::watts_t{110.0});
         m.set_dimm_heat(0, util::watts_t{dimm_w});
-        m.settle_to_steady_state(0);
+        m.settle(0);
         return m.average_cpu_temp(0).value();
     };
     const double rise = settled_die(145.0) - settled_die(0.0);
@@ -172,7 +172,7 @@ TEST(ServerThermal, AsymmetricZoneAirflowSkewsSockets) {
         m.set_cpu_heat(0, s, util::watts_t{110.0});
     }
     m.set_dimm_heat(0, util::watts_t{100.0});
-    m.settle_to_steady_state(0);
+    m.settle(0);
     // Socket 0 sits in the high-flow zone: it must run cooler.
     EXPECT_LT(m.cpu_die_temp(0, 0).value(), m.cpu_die_temp(0, 1).value() - 3.0);
 }
@@ -246,8 +246,8 @@ TEST(ServerThermal, LanesMatchOneLaneModelsBitwise) {
         }
     }
     expect_equal("after steps");
-    lanes.settle_to_steady_state(1);
-    singles[1].settle_to_steady_state(0);
+    lanes.settle(1);
+    singles[1].settle(0);
     expect_equal("after settling lane 1");
     const unsigned char active[3] = {1, 0, 1};
     lanes.step(util::seconds_t{1.0}, active);
