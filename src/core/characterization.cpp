@@ -150,8 +150,7 @@ std::vector<sim::steady_point> measure_protocol_sweep(sim::server_simulator& sim
             const double w0 = std::max(timing.stabilization.value(), w1 - span);
 
             const auto channel_mean = [&](const std::string& name) {
-                const util::column_view h = sim.telemetry().by_name(name).history();
-                return h.mean(w0, w1);
+                return sim.telemetry().history().column(name).mean(w0, w1);
             };
             sim::steady_point p;
             p.utilization_pct = u;

@@ -1,10 +1,19 @@
 #include "sim/server_config.hpp"
 
 #include <cmath>
+#include <string>
 
 #include "util/error.hpp"
 
 namespace ltsc::sim {
+
+namespace {
+
+void ensure_finite(double value, const char* field) {
+    util::ensure(std::isfinite(value), std::string("server_config: non-finite ") + field);
+}
+
+}  // namespace
 
 server_config paper_server() {
     return server_config{};  // defaults are the paper calibration
@@ -21,6 +30,19 @@ void validate(const server_config& config) {
     util::ensure(config.fan_pairs >= 1, "server_config: need at least one fan pair");
     util::ensure(config.fan_pairs == config.thermal.fan_zones,
                  "server_config: fan_pairs must match thermal fan_zones");
+    // Most range checks below let an infinity through, and the plant
+    // then misbehaves (an infinite poll period never polls again).
+    ensure_finite(config.base_power_w, "base_power_w");
+    ensure_finite(config.cpu_idle_each_w, "cpu_idle_each_w");
+    ensure_finite(config.dimm_idle_total_w, "dimm_idle_total_w");
+    ensure_finite(config.active_coeff_w_per_pct, "active_coeff_w_per_pct");
+    ensure_finite(config.split.cpu, "split.cpu");
+    ensure_finite(config.split.memory, "split.memory");
+    ensure_finite(config.split.other, "split.other");
+    ensure_finite(config.cpu_heat_shape_exponent, "cpu_heat_shape_exponent");
+    ensure_finite(config.telemetry_period_s, "telemetry_period_s");
+    ensure_finite(config.sensor_noise_sigma, "sensor_noise_sigma");
+    ensure_finite(config.sensor_quantum, "sensor_quantum");
     util::ensure(config.base_power_w >= 0.0, "server_config: negative base power");
     util::ensure(config.cpu_idle_each_w >= 0.0, "server_config: negative CPU idle power");
     util::ensure(config.dimm_idle_total_w >= 0.0, "server_config: negative DIMM idle power");

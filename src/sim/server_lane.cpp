@@ -29,7 +29,7 @@ server_lane::server_lane(const server_config& config, die_reader die_temp, dimm_
 
 void server_lane::register_telemetry() {
     for (std::size_t i = 0; i < sensors_.cpu.size(); ++i) {
-        telemetry_.add_channel(sensors_.cpu[i].name(), "degC", [this, i] {
+        telemetry_.add_channel(sensors_.cpu[i].name(), [this, i] {
             // The true sensor is always read first so the noise stream
             // stays aligned with a healthy run; corruption (stuck, bias,
             // dropout) applies between the sensor and the delivered value.
@@ -40,15 +40,14 @@ void server_lane::register_telemetry() {
         });
     }
     for (std::size_t i = 0; i < sensors_.dimm.size(); ++i) {
-        telemetry_.add_channel(sensors_.dimm[i].name(), "degC",
-                               [this, i] { return sensors_.dimm[i].read().value(); },
-                               /*ring_capacity=*/512, /*record_history=*/false);
+        const auto read = [this, i] { return sensors_.dimm[i].read().value(); };
+        telemetry_.add_channel(sensors_.dimm[i].name(), read, /*record_history=*/false);
     }
-    telemetry_.add_channel("system_power", "W", [this] {
+    telemetry_.add_channel("system_power", [this] {
         const die_temps die = {die_temp_(0).value(), die_temp_(1).value()};
         return breakdown_at(instantaneous_utilization(), die).total().value();
     });
-    telemetry_.add_channel("fan_power", "W", [this] { return fans_.total_power().value(); });
+    telemetry_.add_channel("fan_power", [this] { return fans_.total_power().value(); });
 }
 
 void server_lane::bind_workload(workload::loadgen generator) {

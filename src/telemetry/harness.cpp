@@ -1,8 +1,7 @@
 #include "telemetry/harness.hpp"
 
-#include <ostream>
+#include <utility>
 
-#include "util/csv.hpp"
 #include "util/error.hpp"
 
 namespace ltsc::telemetry {
@@ -11,22 +10,16 @@ harness::harness(util::seconds_t period) : period_(period) {
     util::ensure(period.value() > 0.0, "harness: non-positive polling period");
 }
 
-std::size_t harness::add_channel(std::string name, std::string unit,
-                                 std::function<double()> source, std::size_t ring_capacity,
-                                 bool record_history) {
-    for (const auto& ch : channels_) {
-        util::ensure(ch->name() != name, "harness::add_channel: duplicate channel name " + name);
+void harness::add_channel(std::string name, std::function<double()> source, bool record_history) {
+    util::ensure(static_cast<bool>(source), "harness::add_channel: null source");
+    util::ensure(!name.empty(), "harness::add_channel: empty name");
+    for (const channel& ch : channels_) {
+        util::ensure(ch.name != name, "harness::add_channel: duplicate channel name " + name);
     }
     util::ensure(!record_history || history_.empty(),
                  "harness::add_channel: cannot add a recorded channel after polling started");
-    channels_.push_back(std::make_unique<channel>(std::move(name), std::move(unit),
-                                                  std::move(source), ring_capacity, record_history));
-    channel& ch = *channels_.back();
-    if (record_history) {
-        ch.history_frame_ = &history_;
-        ch.history_column_ = history_.add_channel(ch.name());
-    }
-    return channels_.size() - 1;
+    const std::size_t column = record_history ? history_.add_channel(name) : unrecorded;
+    channels_.push_back(channel{std::move(name), std::move(source), column});
 }
 
 bool harness::poll_due(util::seconds_t now) {
@@ -45,10 +38,10 @@ void harness::poll_now(util::seconds_t now) {
     // side-effecting state, e.g. one RNG stream); history values land in
     // one shared frame row.
     poll_scratch_.resize(history_.channel_count());
-    for (const auto& ch : channels_) {
-        const double v = ch->poll(now.value());
-        if (ch->records_history()) {
-            poll_scratch_[ch->history_column_] = v;
+    for (const channel& ch : channels_) {
+        const double v = ch.source();
+        if (ch.column != unrecorded) {
+            poll_scratch_[ch.column] = v;
         }
     }
     if (history_.channel_count() > 0) {
@@ -59,9 +52,6 @@ void harness::poll_now(util::seconds_t now) {
 }
 
 void harness::reset() {
-    for (const auto& ch : channels_) {
-        ch->clear();
-    }
     history_.clear();
     last_poll_ = -1.0;
     polled_once_ = false;
@@ -72,36 +62,5 @@ void harness::restore_poll_clock(double last_poll_s, bool ever_polled) {
     last_poll_ = last_poll_s;
     polled_once_ = ever_polled;
 }
-
-const channel& harness::by_name(const std::string& name) const {
-    for (const auto& ch : channels_) {
-        if (ch->name() == name) {
-            return *ch;
-        }
-    }
-    throw util::precondition_error("harness::by_name: unknown channel " + name);
-}
-
-const channel& harness::by_index(std::size_t i) const {
-    util::ensure(i < channels_.size(), "harness::by_index: index out of range");
-    return *channels_[i];
-}
-
-double harness::latest(const std::string& name) const {
-    const auto sample = by_name(name).latest();
-    util::ensure(sample.has_value(), "harness::latest: channel never polled: " + name);
-    return sample->v;
-}
-
-std::vector<util::named_series> harness::export_series() const {
-    std::vector<util::named_series> out;
-    out.reserve(channels_.size());
-    for (const auto& ch : channels_) {
-        out.push_back(ch->to_named_series());
-    }
-    return out;
-}
-
-void harness::write_csv(std::ostream& os) const { util::write_series_csv(os, export_series()); }
 
 }  // namespace ltsc::telemetry

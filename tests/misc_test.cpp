@@ -225,10 +225,17 @@ TEST(FailureInjection, TelemetryChannelsPresent) {
     sim::server_simulator s;
     const auto& t = s.telemetry();
     EXPECT_EQ(t.channel_count(), 4U + 32U + 1U + 1U);
-    EXPECT_NO_THROW(static_cast<void>(t.by_name("cpu0_temp_a")));
-    EXPECT_NO_THROW(static_cast<void>(t.by_name("dimm31_temp")));
-    EXPECT_NO_THROW(static_cast<void>(t.by_name("system_power")));
-    EXPECT_THROW(static_cast<void>(t.by_name("nonexistent")), util::precondition_error);
+    // The DIMM channels are polled (keeping the noise stream aligned)
+    // but not recorded.
+    const util::frame& h = t.history();
+    EXPECT_EQ(h.channel_count(), 4U + 1U + 1U);
+    for (const char* name : {"cpu0_temp_a", "cpu0_temp_b", "cpu1_temp_a", "cpu1_temp_b"}) {
+        EXPECT_TRUE(h.has_channel(name)) << name;
+    }
+    EXPECT_TRUE(h.has_channel("system_power"));
+    EXPECT_TRUE(h.has_channel("fan_power"));
+    EXPECT_FALSE(h.has_channel("dimm31_temp"));
+    EXPECT_THROW(static_cast<void>(h.column("nonexistent")), util::precondition_error);
 }
 
 }  // namespace

@@ -42,6 +42,40 @@ TEST(ServerConfig, ValidationCatchesInconsistencies) {
     EXPECT_THROW(sim::validate(cfg), util::precondition_error);
 }
 
+/// Constructing either plant with `field` set to +inf or NaN must throw.
+template <typename Field>
+void expect_non_finite_rejected(const char* name, Field field) {
+    for (const double bad : {INFINITY, NAN}) {
+        sim::server_config cfg = sim::paper_server();
+        field(cfg) = bad;
+        EXPECT_THROW(server_simulator{cfg}, util::precondition_error) << name << " = " << bad;
+        EXPECT_THROW((sim::server_batch{cfg, 2}), util::precondition_error) << name << " = " << bad;
+    }
+}
+
+TEST(ServerConfig, NonFiniteFieldsRejectedAtConstruction) {
+    // Infinities pass every range check (an infinite poll period would
+    // construct and then never poll again), so each floating-point field
+    // the validator reads must be finite.
+    expect_non_finite_rejected("base_power_w", [](auto& c) -> auto& { return c.base_power_w; });
+    expect_non_finite_rejected("cpu_idle_each_w",
+                               [](auto& c) -> auto& { return c.cpu_idle_each_w; });
+    expect_non_finite_rejected("dimm_idle_total_w",
+                               [](auto& c) -> auto& { return c.dimm_idle_total_w; });
+    expect_non_finite_rejected("active_coeff_w_per_pct",
+                               [](auto& c) -> auto& { return c.active_coeff_w_per_pct; });
+    expect_non_finite_rejected("split.cpu", [](auto& c) -> auto& { return c.split.cpu; });
+    expect_non_finite_rejected("split.memory", [](auto& c) -> auto& { return c.split.memory; });
+    expect_non_finite_rejected("split.other", [](auto& c) -> auto& { return c.split.other; });
+    expect_non_finite_rejected("cpu_heat_shape_exponent",
+                               [](auto& c) -> auto& { return c.cpu_heat_shape_exponent; });
+    expect_non_finite_rejected("telemetry_period_s",
+                               [](auto& c) -> auto& { return c.telemetry_period_s; });
+    expect_non_finite_rejected("sensor_noise_sigma",
+                               [](auto& c) -> auto& { return c.sensor_noise_sigma; });
+    expect_non_finite_rejected("sensor_quantum", [](auto& c) -> auto& { return c.sensor_quantum; });
+}
+
 TEST(Simulator, IdlePowerMatchesTableI) {
     // Table I implies ~366 W idle at the default 3300 RPM policy.
     server_simulator s;
@@ -126,8 +160,8 @@ TEST(Simulator, TelemetryPollsEvery10s) {
     s.force_cold_start();
     s.advance(100_s);
     // Cold-start poll at t=0 plus one every 10 s.
-    EXPECT_NEAR(static_cast<double>(s.telemetry().by_name("system_power").history().size()),
-                11.0, 1.0);
+    const util::column_view power = s.telemetry().history().column("system_power");
+    EXPECT_NEAR(static_cast<double>(power.size()), 11.0, 1.0);
 }
 
 /// `cleared` must hold exactly the trailing rows of `kept`: same poll
