@@ -56,6 +56,9 @@ void BM_ThermalSteadyStateSolve(benchmark::State& state) {
 BENCHMARK(BM_ThermalSteadyStateSolve);
 
 void BM_SimulatorSecond(benchmark::State& state) {
+    // One plant second through server_simulator: the one-lane batch
+    // behind the facade, so read it against BM_BatchStep/1 for the
+    // facade's forwarding cost.
     sim::server_simulator s;
     workload::utilization_profile p("bench");
     p.constant(60.0, util::seconds_t{1e9});
@@ -69,7 +72,7 @@ void BM_SimulatorSecond(benchmark::State& state) {
 BENCHMARK(BM_SimulatorSecond);
 
 void BM_SimulatorSecondMonitored(benchmark::State& state) {
-    // Detection overhead: the same scalar plant second with the residual
+    // Detection overhead: the same plant second with the residual
     // monitor enabled (twin thermal step + fan residuals every step,
     // sensor residuals every poll).  Read against BM_SimulatorSecond for
     // the monitor's cost; the monitor is off by default, so only
@@ -91,8 +94,8 @@ BENCHMARK(BM_SimulatorSecondMonitored);
 void BM_BatchStep(benchmark::State& state) {
     // One batched plant second across N servers; items = server-steps, so
     // items/s is per-server throughput and can be read directly against
-    // BM_SimulatorSecond (the scalar path).  The acceptance bar for the
-    // SoA plant is N=64 per-server cost within 1.25x of scalar.
+    // BM_SimulatorSecond (a one-lane batch).  Per-server cost should stay
+    // flat in N.
     const std::size_t lanes = static_cast<std::size_t>(state.range(0));
     sim::server_batch batch(sim::paper_server(), lanes);
     workload::utilization_profile p("bench");
@@ -142,9 +145,10 @@ BENCHMARK(BM_FleetStep)
     ->UseRealTime();
 
 void BM_TraceRecord(benchmark::State& state) {
-    // Pure recording cost: one columnar row append (shared timestamp +
-    // 12 channel values) per simulated step.  This is the storage layer
-    // under BM_SimulatorSecond's record() call.
+    // Pure recording cost of the owning store: one columnar row append
+    // (shared timestamp + 16 channel values), as read_trace_csv and
+    // materialized lane traces fill it.  The plants record through
+    // batch_trace (BM_TraceRecordBatch).
     // Cycle a pre-reserved working set so the number reflects
     // steady-state append cost (not first-touch vector growth) at any
     // --benchmark_min_time.
@@ -241,7 +245,7 @@ void BM_RolloutDecision(benchmark::State& state) {
     cfg.horizon = 120_s;
     cfg.lattice_radius = 2;
     core::rollout_controller roll(std::make_unique<core::bang_bang_controller>(), cfg);
-    const core::simulator_plant_view plant(s);
+    const core::batch_lane_plant_view plant(s.batch(), 0);
     roll.attach_plant(&plant);
 
     core::controller_inputs in;
@@ -277,7 +281,7 @@ void BM_RolloutDecisionSharded(benchmark::State& state) {
     cfg.engine.shards = 4;
     cfg.engine.threads = 1;
     core::rollout_controller roll(std::make_unique<core::bang_bang_controller>(), cfg);
-    const core::simulator_plant_view plant(s);
+    const core::batch_lane_plant_view plant(s.batch(), 0);
     roll.attach_plant(&plant);
 
     core::controller_inputs in;

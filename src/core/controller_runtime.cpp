@@ -9,34 +9,32 @@ namespace ltsc::core {
 
 namespace {
 
-/// One controller decision against any plant exposing the scalar
-/// observation/actuation surface: gathers the controller_inputs, asks
-/// the policy, and actuates the returned fan commands.  Shared by the
-/// scalar runtime (on server_simulator directly) and the batched
-/// runtime (through a lane view), so the two cannot drift apart.
-template <typename Plant>
-void poll_and_actuate(Plant& plant, fan_controller& controller, const runtime_config& config,
-                      const char* zone_count_msg) {
+/// One controller decision on one batch lane: gathers the
+/// controller_inputs, asks the policy, and actuates the returned fan
+/// commands.
+void poll_and_actuate(sim::server_batch& batch, std::size_t lane, fan_controller& controller,
+                      const runtime_config& config) {
     controller_inputs in;
-    in.now = plant.now();
-    in.utilization_pct = plant.measured_utilization(config.util_window);
-    in.max_cpu_temp = plant.max_cpu_sensor_temp();
-    in.current_rpm = plant.average_fan_rpm();
-    in.system_power = plant.system_power_reading();
-    in.sensor_age_s = plant.telemetry_age_s();
-    const std::vector<double> sensors = plant.cpu_sensor_temps();
+    in.now = batch.now(lane);
+    in.utilization_pct = batch.measured_utilization(lane, config.util_window);
+    in.max_cpu_temp = batch.max_cpu_sensor_temp(lane);
+    in.current_rpm = batch.average_fan_rpm(lane);
+    in.system_power = batch.system_power_reading(lane);
+    in.sensor_age_s = batch.telemetry_age_s(lane);
+    const std::vector<double> sensors = batch.cpu_sensor_temps(lane);
     for (std::size_t s = 0; s < 2; ++s) {
-        in.socket_util_pct[s] = plant.measured_socket_utilization(s, config.util_window);
+        in.socket_util_pct[s] = batch.measured_socket_utilization(lane, s, config.util_window);
         // Sensors 2s and 2s+1 sit on die s; the policy sees the max.
         in.socket_temp_c[s] = std::max(sensors[2 * s], sensors[2 * s + 1]);
     }
     for (std::size_t s = 0; s < sensors.size() && s < in.cpu_sensor_c.size(); ++s) {
         in.cpu_sensor_c[s] = sensors[s];
     }
-    for (std::size_t z = 0; z < plant.config().fan_pairs; ++z) {
-        in.zone_rpm.push_back(plant.fan_speed(z));
+    const std::size_t pairs = batch.config(lane).fan_pairs;
+    for (std::size_t z = 0; z < pairs; ++z) {
+        in.zone_rpm.push_back(batch.fan_speed(lane, z));
     }
-    if (const core::fault_monitor* mon = plant.monitor()) {
+    if (const core::fault_monitor* mon = batch.monitor(lane)) {
         in.monitor_valid = true;
         for (std::size_t s = 0; s < mon->sensor_count() && s < in.sensor_health.size(); ++s) {
             in.sensor_health[s] = static_cast<std::uint8_t>(mon->sensor_health(s));
@@ -50,16 +48,17 @@ void poll_and_actuate(Plant& plant, fan_controller& controller, const runtime_co
         }
     }
     if (const auto cmds = controller.decide_zones(in)) {
-        util::ensure(cmds->size() == plant.config().fan_pairs, zone_count_msg);
+        util::ensure(cmds->size() == pairs,
+                     "run_controlled_batch: controller returned wrong zone count");
         bool uniform = true;
         for (const util::rpm_t r : *cmds) {
             uniform = uniform && r.value() == cmds->front().value();
         }
         if (uniform) {
-            plant.set_all_fans(cmds->front());  // one counted change
+            batch.set_all_fans(lane, cmds->front());  // one counted change
         } else {
             for (std::size_t z = 0; z < cmds->size(); ++z) {
-                plant.set_fan_speed(z, (*cmds)[z]);
+                batch.set_fan_speed(lane, z, (*cmds)[z]);
             }
         }
     }
@@ -84,69 +83,12 @@ private:
     std::vector<fan_controller*> controllers_;
 };
 
-/// server_simulator's surface, re-addressed to one server_batch lane.
-struct lane_view {
-    sim::server_batch& batch;
-    std::size_t lane;
-
-    [[nodiscard]] util::seconds_t now() const { return batch.now(lane); }
-    [[nodiscard]] double measured_utilization(util::seconds_t w) const {
-        return batch.measured_utilization(lane, w);
-    }
-    [[nodiscard]] util::celsius_t max_cpu_sensor_temp() const {
-        return batch.max_cpu_sensor_temp(lane);
-    }
-    [[nodiscard]] util::rpm_t average_fan_rpm() const { return batch.average_fan_rpm(lane); }
-    [[nodiscard]] util::watts_t system_power_reading() const {
-        return batch.system_power_reading(lane);
-    }
-    [[nodiscard]] std::vector<double> cpu_sensor_temps() const {
-        return batch.cpu_sensor_temps(lane);
-    }
-    [[nodiscard]] double measured_socket_utilization(std::size_t s, util::seconds_t w) const {
-        return batch.measured_socket_utilization(lane, s, w);
-    }
-    [[nodiscard]] double telemetry_age_s() const { return batch.telemetry_age_s(lane); }
-    [[nodiscard]] const core::fault_monitor* monitor() const { return batch.monitor(lane); }
-    [[nodiscard]] const sim::server_config& config() const { return batch.config(lane); }
-    [[nodiscard]] util::rpm_t fan_speed(std::size_t z) const { return batch.fan_speed(lane, z); }
-    void set_all_fans(util::rpm_t rpm) { batch.set_all_fans(lane, rpm); }
-    void set_fan_speed(std::size_t z, util::rpm_t rpm) { batch.set_fan_speed(lane, z, rpm); }
-};
-
 }  // namespace
 
 sim::run_metrics run_controlled(sim::server_simulator& sim, fan_controller& controller,
                                 const workload::utilization_profile& profile,
                                 const runtime_config& config) {
-    util::ensure(config.sim_dt.value() > 0.0, "run_controlled: non-positive step");
-    util::ensure(config.util_window.value() > 0.0, "run_controlled: non-positive window");
-
-    sim.bind_workload(profile);
-    sim.force_cold_start();
-    sim.set_all_fans(config.initial_rpm);
-    sim.reset_fan_change_counter();
-    // Attach the read-only plant window before reset() so a predictive
-    // controller starts the run with a fresh view of the fresh binding;
-    // the guard detaches on every exit path (the view is stack-owned).
-    const simulator_plant_view plant(sim);
-    const plant_attachments attached({&controller});
-    controller.attach_plant(&plant);
-    controller.reset();
-
-    const double duration = profile.duration().value();
-    const double period = controller.polling_period().value();
-    double next_decision = 0.0;
-
-    while (sim.now().value() < duration - 1e-9) {
-        if (sim.now().value() + 1e-9 >= next_decision) {
-            poll_and_actuate(sim, controller, config,
-                             "run_controlled: controller returned wrong zone count");
-            next_decision += period;
-        }
-        sim.step(config.sim_dt);
-    }
-    return sim::compute_metrics(sim, profile.name(), controller.name());
+    return run_controlled_batch(sim.batch(), {&controller}, {profile}, config).front();
 }
 
 std::vector<sim::run_metrics> run_controlled_batch(
@@ -159,9 +101,9 @@ std::vector<sim::run_metrics> run_controlled_batch(
                  "run_controlled_batch: controller count != lane count");
     util::ensure(profiles.size() == n, "run_controlled_batch: profile count != lane count");
     util::ensure(n > 0, "run_controlled_batch: empty batch");
-    // Number of plant steps the scalar loop would take for a duration
-    // (durations may differ by segment-accumulation rounding; what
-    // matters is where the scalar loop would stop).
+    // Number of plant steps a lane takes for a duration: step while the
+    // lane clock is short of it (durations may differ by segment-
+    // accumulation rounding; what matters is where that loop stops).
     const auto steps_for = [&](double dur) {
         double now = 0.0;
         long k = 0;
@@ -199,6 +141,8 @@ std::vector<sim::run_metrics> run_controlled_batch(
     for (std::size_t l = 0; l < n; ++l) {
         batch.set_all_fans(l, config.initial_rpm);
         batch.reset_fan_change_counter(l);
+        // Attach before reset() so a predictive controller starts the run
+        // with a fresh view of the fresh binding.
         controllers[l]->attach_plant(&plant_views[l]);
         controllers[l]->reset();
         period[l] = controllers[l]->polling_period().value();
@@ -213,9 +157,7 @@ std::vector<sim::run_metrics> run_controlled_batch(
             if (batch.now(l).value() + 1e-9 < next_decision[l]) {
                 continue;
             }
-            lane_view lane{batch, l};
-            poll_and_actuate(lane, *controllers[l], config,
-                             "run_controlled_batch: controller returned wrong zone count");
+            poll_and_actuate(batch, l, *controllers[l], config);
             next_decision[l] += period[l];
         }
         batch.step(config.sim_dt);

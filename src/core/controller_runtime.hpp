@@ -19,30 +19,9 @@
 
 namespace ltsc::core {
 
-/// plant_access over a scalar server_simulator (what run_controlled
-/// attaches; public so benches/tests can drive predictive controllers
-/// outside the runtime loop).
-class simulator_plant_view final : public plant_access {
-public:
-    explicit simulator_plant_view(const sim::server_simulator& sim) : sim_(&sim) {}
-
-    void snapshot_into(sim::server_state& out) const override { sim_->snapshot_state(out); }
-    [[nodiscard]] const sim::server_config& plant_config() const override {
-        return sim_->config();
-    }
-    [[nodiscard]] const workload::loadgen* plant_workload() const override {
-        return sim_->workload();
-    }
-    [[nodiscard]] const sim::fault_schedule* plant_fault_schedule() const override {
-        return sim_->bound_fault_schedule();
-    }
-
-private:
-    const sim::server_simulator* sim_;
-};
-
 /// plant_access over one server_batch lane (what run_controlled_batch
-/// attaches per lane, so fleets of predictive controllers work).
+/// attaches per lane, so fleets of predictive controllers work; a
+/// server_simulator `s` is `batch_lane_plant_view(s.batch(), 0)`).
 class batch_lane_plant_view final : public plant_access {
 public:
     batch_lane_plant_view(const sim::server_batch& batch, std::size_t lane)
@@ -78,18 +57,18 @@ struct runtime_config {
 };
 
 /// Runs `controller` against `sim` for the whole `profile` and returns the
-/// Table-I metrics row.  The simulator's trace is left in place for
-/// figure-level inspection (Fig. 3 uses it).
+/// Table-I metrics row: run_controlled_batch over the plant's one lane.
+/// The simulator's trace is left in place for figure-level inspection
+/// (Fig. 3 uses it).
 [[nodiscard]] sim::run_metrics run_controlled(sim::server_simulator& sim,
                                               fan_controller& controller,
                                               const workload::utilization_profile& profile,
                                               const runtime_config& config = {});
 
-/// Batched analog of run_controlled: drives every server_batch lane with
-/// its own controller and profile through the shared time base, and
-/// returns one Table-I metrics row per lane.  Per lane the observation /
-/// decision / actuation sequence is identical to run_controlled, so a
-/// lane's metrics are bitwise-identical to an independent scalar run.
+/// Drives every server_batch lane with its own controller and profile
+/// through the shared time base, and returns one Table-I metrics row per
+/// lane.  Lanes do not interact, so a lane's metrics are bitwise-identical
+/// to a run_controlled of the same controller and profile.
 /// Controllers are borrowed (one per lane, each owning its state).
 /// Profiles may span different durations (ragged fleets): a lane whose
 /// profile finishes goes inert — no stepping, recording, or controller

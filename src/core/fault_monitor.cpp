@@ -46,6 +46,13 @@ const char* to_string(component_health health) {
 }
 
 void validate(const fault_monitor_config& config) {
+    // An infinite threshold passes every positivity check and silently
+    // disables its detector, so every floating-point field must be finite.
+    for (const double v : {config.sensor_residual_c, config.fan_residual_rpm,
+                           config.sensor_cusum_k_c, config.sensor_cusum_h_c,
+                           config.fan_thermal_residual_c}) {
+        util::ensure(std::isfinite(v), "fault_monitor: non-finite threshold");
+    }
     util::ensure(config.sensor_residual_c > 0.0, "fault_monitor: non-positive sensor threshold");
     util::ensure(config.fan_residual_rpm > 0.0, "fault_monitor: non-positive fan threshold");
     util::ensure(config.sensor_suspect_polls >= 1 &&

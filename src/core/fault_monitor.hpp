@@ -120,8 +120,8 @@ struct fault_monitor_config {
     int fan_thermal_clear_polls = 2;    ///< Good polls before thermal "healthy".
 };
 
-/// Throws precondition_error unless every threshold is positive and every
-/// hysteresis depth is consistent.  sim::validate calls it even while the
+/// Throws precondition_error unless every threshold is finite and
+/// positive and every hysteresis depth is consistent.  sim::validate calls it even while the
 /// monitor is disabled.
 void validate(const fault_monitor_config& config);
 

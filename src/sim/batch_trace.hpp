@@ -4,7 +4,7 @@
 // fleet's dominant memory traffic.  A batch_trace stores every lane's
 // channels in ONE arena laid out row-group-major: each plant step
 // appends one row-group of `lanes * (1 + channels)` doubles, with each
-// lane's block (its timestamp + 12 channel values) contiguous inside the
+// lane's block (its timestamp + 16 channel values) contiguous inside the
 // group.  Appending a step therefore writes one contiguous span instead
 // of touching `lanes * channels` independently reallocating vectors.
 //

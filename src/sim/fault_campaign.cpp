@@ -73,7 +73,7 @@ leg_outcome run_leg(const fault_campaign_options& options, const fault_schedule*
     leg_outcome out;
     out.metrics = core::run_controlled(sim, controller, profile);
     out.metrics.controller_name = label;
-    const trace_view trace = sim.trace().view();
+    const trace_view trace = sim.trace();
     out.max_die_c = std::max(trace.cpu0_temp().max(), trace.cpu1_temp().max());
     out.detection = compute_detection_summary(trace, campaign);
     return out;

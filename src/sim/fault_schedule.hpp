@@ -80,7 +80,7 @@ enum class fault_kind : int {
 
 /// Square-wave timing of sensor_intermittent bursts: the bias is live
 /// while fmod(now - onset, period) < duty * period.  Fixed constants so
-/// every plant (scalar and batch lanes) agrees bitwise.
+/// every plant lane agrees bitwise.
 inline constexpr double k_intermittent_period_s = 30.0;
 inline constexpr double k_intermittent_duty = 0.5;
 
@@ -249,8 +249,7 @@ struct fault_state {
     [[nodiscard]] bool sensor_faulted(std::size_t sensor, double now_s) const;
     [[nodiscard]] bool any_sensor_fault(double now_s) const;
     /// Whether an intermittent episode's square wave is in its on-phase
-    /// for this sensor right now (shared by scalar and batch plants so
-    /// their corruption arithmetic agrees bitwise).
+    /// for this sensor right now.
     [[nodiscard]] bool intermittent_burst_live(std::size_t sensor, double now_s) const;
     [[nodiscard]] bool telemetry_lost(double now_s) const {
         return now_s < telemetry_lost_until_s - 1e-9;

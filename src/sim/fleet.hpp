@@ -6,8 +6,8 @@
 // result assembly *is* lane order and every per-lane result is
 // independent of the shard count and thread count: lanes never share
 // mutable state across shards, each shard owns its own batch_trace
-// arena, and within a shard every lane is already bitwise-equal to its
-// scalar twin whatever the packing.  Stepping fans the K shards out
+// arena, and within a shard every lane is already bitwise-equal to a
+// one-lane plant whatever the packing.  Stepping fans the K shards out
 // over the pool exactly like parallel_runner fans out scenarios — an
 // atomic index handout whose schedule cannot affect results.
 #pragma once

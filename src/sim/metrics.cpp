@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "sim/server_batch.hpp"
 #include "util/error.hpp"
 
 namespace ltsc::sim {

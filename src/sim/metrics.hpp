@@ -32,11 +32,8 @@ struct run_metrics {
     double duration_s = 0.0;      ///< Trace span.
 };
 
-class server_batch;
-
-/// Extracts the metrics from a finished run's trace view (the core
-/// shared by the scalar and batched plants — a `simulation_trace`
-/// converts implicitly).  `fan_changes` is the plant's counter at
+/// Extracts the metrics from a finished run's trace view (a
+/// `simulation_trace` converts implicitly).  `fan_changes` is the plant's counter at
 /// extraction time.  Throws precondition_error when the trace has fewer
 /// than 2 samples.  Channels cannot drift out of step: the columnar
 /// store appends every channel in one row.

@@ -25,8 +25,6 @@ server_batch::server_batch(std::vector<server_config> configs)
     : thermal_(thermal_configs(configs)), traces_(configs.size()), active_(configs.size(), 1) {
     lanes_.reserve(configs.size());
     for (std::size_t l = 0; l < configs.size(); ++l) {
-        // Sensor channel registration order inside the lane fixes the RNG
-        // draw order, exactly as in the scalar plant.
         lanes_.push_back(std::make_unique<server_lane>(
             configs[l], [this, l](std::size_t s) { return thermal_.cpu_die_temp(l, s); },
             [this, l] { return thermal_.dimm_temp(l); }));
@@ -199,6 +197,20 @@ trace_view server_batch::trace(std::size_t lane) const {
 void server_batch::clear_trace(std::size_t lane) {
     at(lane).clear_telemetry_history();
     traces_.clear(lane);
+}
+
+util::watts_t steady_idle_power(const server_config& config, util::rpm_t fan_rpm) {
+    // A scratch thermal half, so the query does not disturb any live plant.
+    const power::server_power_model power = power_model_for(config);
+    const power::fan_bank fans(config.fan_pairs, config.fan, fan_rpm);
+    thermal::server_thermal_model scratch(config.thermal);
+    std::vector<util::cfm_t> per_zone;
+    for (std::size_t i = 0; i < fans.pair_count(); ++i) {
+        per_zone.push_back(fans.pair_airflow(i));
+    }
+    scratch.set_zone_airflow(0, per_zone);
+    power.settle(scratch, 0, 0.0, 0.5);  // no CPU load, so the split is moot
+    return power.breakdown_at(0.0, scratch.die_temps(0), fans.total_power()).total();
 }
 
 }  // namespace ltsc::sim

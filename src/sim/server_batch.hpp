@@ -1,23 +1,22 @@
 // Structure-of-arrays fleet plant: N servers stepped through one
 // instruction stream.
 //
-// A server_batch is the data-center-scale counterpart of
-// server_simulator.  Every lane is a server_lane, the same per-server
-// core the scalar plant steps: workload, power models, sensors with
-// their own seeded RNG stream, telemetry harness, faults and monitor.
-// The thermal half is the same thermal::server_thermal_model the scalar
-// plant owns, with one lane per server instead of one: every lane's node
-// state lives in lane-contiguous flat arrays, and all lanes integrate
-// through one batched RK4 kernel per step.
+// A server_batch is the one plant class: server_simulator is a facade
+// over a one-lane batch.  Every lane is a server_lane (workload, power
+// models, sensors with their own seeded RNG stream, telemetry harness,
+// faults and monitor).  The thermal half is one
+// thermal::server_thermal_model with one lane per server: every lane's
+// node state lives in lane-contiguous flat arrays, and all lanes
+// integrate through one batched RK4 kernel per step.
 //
-// Contract: every lane is *bitwise-identical* to an independent scalar
-// server_simulator driven through the same schedule — same trace, same
-// sensor noise stream, same metrics.  Sharing the lane, thermal-model and
-// power-model code makes that hold by construction; the
-// batch_equivalence suite pins it, including mid-run fan-speed and
-// ambient mutations.  Lanes may differ in configuration (ambient, seed,
-// calibration), workload, controller, and fan commands; only the
-// thermal network topology is shared.
+// Contract: a lane's results do not depend on how many lanes share the
+// batch or where it sits — an N-lane batch is *bitwise-identical* lane
+// by lane to N one-lane plants driven through the same schedule (same
+// trace, same sensor noise stream, same metrics).  The batch_equivalence
+// suite pins it, including mid-run fan-speed and ambient mutations.
+// Lanes may differ in configuration (ambient, seed, calibration),
+// workload, controller, and fan commands; only the thermal network
+// topology is shared.
 #pragma once
 
 #include <memory>
@@ -30,9 +29,7 @@
 #include "sim/fault_schedule.hpp"
 #include "sim/server_config.hpp"
 #include "sim/server_lane.hpp"
-#include "sim/server_simulator.hpp"
 #include "sim/server_state.hpp"
-#include "sim/simulation_trace.hpp"
 #include "telemetry/harness.hpp"
 #include "thermal/server_thermal_model.hpp"
 #include "workload/loadgen.hpp"
@@ -48,8 +45,8 @@ public:
     /// N identical lanes from one configuration.
     server_batch(const server_config& config, std::size_t lanes);
 
-    // Sensor/telemetry closures capture lane addresses; the batch is
-    // pinned in memory like the scalar plant.
+    // Sensor/telemetry closures capture the batch's address; the batch
+    // is pinned in memory.
     server_batch(const server_batch&) = delete;
     server_batch& operator=(const server_batch&) = delete;
     server_batch(server_batch&&) = delete;
@@ -149,17 +146,16 @@ public:
 
     // --- lane state save/restore --------------------------------------------
     /// Writes one lane's complete dynamic state into `out` (overwriting
-    /// it).  Pure read; interchangeable with
-    /// server_simulator::snapshot_state for same-config plants.
+    /// it).  Pure read; any same-config lane can load the result.
     void snapshot_lane_state(std::size_t lane, server_state& out) const;
 
-    /// Clones a snapshot (from a scalar plant or any same-config lane)
-    /// into one lane: the rollout primitive.  The lane's workload
-    /// binding is left as-is — bind first, load after, since binding
-    /// resets the clock this call sets.  The lane's trace and telemetry
-    /// histories clear (recording restarts at the snapshot instant) and
-    /// the lane reactivates if it was inert.  Subsequent stepping is
-    /// bitwise-identical to the snapshot's source plant.
+    /// Clones a snapshot (from any same-config lane) into one lane: the
+    /// rollout primitive.  The lane's workload binding is left as-is —
+    /// bind first, load after, since binding resets the clock this call
+    /// sets.  The lane's trace and telemetry histories clear (recording
+    /// restarts at the snapshot instant) and the lane reactivates if it
+    /// was inert.  Subsequent stepping is bitwise-identical to the
+    /// snapshot's source plant.
     void load_lane_state(std::size_t lane, const server_state& state);
 
     /// The lane's bound workload, or nullptr before any bind_workload.
@@ -230,5 +226,9 @@ private:
     std::vector<double> u_target_scratch_;
     std::vector<double> u_inst_scratch_;
 };
+
+/// Steady-state idle wall power of a server described by `config` with
+/// every fan pair at `fan_rpm` (the accounting floor idle_power reports).
+[[nodiscard]] util::watts_t steady_idle_power(const server_config& config, util::rpm_t fan_rpm);
 
 }  // namespace ltsc::sim

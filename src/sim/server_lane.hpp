@@ -1,8 +1,8 @@
 // The per-server core every plant steps: one server minus its thermal
 // node state.
 //
-// server_simulator and each server_batch lane own one server_lane.  The
-// lane holds everything about a server that is not a thermal node:
+// Each server_batch lane owns one server_lane (a server_simulator is a
+// one-lane batch).  The lane holds everything about a server that is not a thermal node:
 // configuration, sensor RNG stream, fan bank, power model, sensors and
 // their telemetry harness, workload, clock, load split, fault schedule
 // and live fault effects, and the optional residual monitor.  It does
@@ -10,15 +10,13 @@
 // corruption, the power breakdown from given die temperatures, the trace
 // row, and the non-thermal half of snapshot/restore.
 //
-// The owning plant keeps the thermal half (one lane of a
+// The owning batch keeps the thermal half (one lane of its
 // thermal::server_thermal_model).  It hands the lane readers of its
 // die/DIMM temperatures at construction (sensors and power channels
 // sample them at poll time) and passes the current die temperatures
 // into the per-step calls.  When a lane call reports that airflow
 // changed, the owner pushes zone_airflow() into its thermal half before
 // anything else happens.
-// Because both plants run this one implementation in the same order, a
-// batch lane equals the scalar plant bitwise by construction.
 #pragma once
 
 #include <cstddef>

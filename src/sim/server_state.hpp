@@ -18,7 +18,7 @@
 // server_simulator::snapshot_state / server_batch::snapshot_lane_state
 // save a live plant, server_batch::load_lane_state clones it across the
 // candidate lanes of a rollout batch, and
-// server_simulator::restore_state rewinds a scalar plant (round-trip
+// server_simulator::restore_state rewinds a plant (round-trip
 // pinned bitwise by the snapshot_roundtrip suite).  A server_state is
 // reusable: saving overwrites in place, so a per-epoch scratch snapshot
 // amortizes to zero allocations.

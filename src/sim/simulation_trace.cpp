@@ -13,23 +13,12 @@ constexpr const char* kChannelNames[trace_channel_count] = {
     "monitor_fan_health", "monitor_die_estimate",
 };
 
-constexpr const char* kChannelUnits[trace_channel_count] = {
-    "pct", "pct", "degC", "degC", "degC", "degC",  "degC", "W",
-    "W",   "W",   "W",    "RPM",  "s",    "level", "level", "degC",
-};
-
 }  // namespace
 
 const char* trace_channel_name(trace_channel c) {
     const auto i = static_cast<std::size_t>(c);
     util::ensure(i < trace_channel_count, "trace_channel_name: bad channel");
     return kChannelNames[i];
-}
-
-const char* trace_channel_unit(trace_channel c) {
-    const auto i = static_cast<std::size_t>(c);
-    util::ensure(i < trace_channel_count, "trace_channel_unit: bad channel");
-    return kChannelUnits[i];
 }
 
 simulation_trace::simulation_trace() {

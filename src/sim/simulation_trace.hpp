@@ -10,9 +10,11 @@
 //  * `trace_channel` / `trace_row` — the typed channel set and one step's
 //    values.
 //  * `trace_view` — a non-owning, read-only window exposing every channel
-//    with the `time_series` read API (works over both the scalar frame
-//    and `batch_trace`'s lane-major arena).
-//  * `simulation_trace` — the owning store used by `server_simulator`.
+//    with the `time_series` read API (works over both an owning frame and
+//    `batch_trace`'s lane-major arena, where every plant records).
+//  * `simulation_trace` — an owning copy: what `read_trace_csv` returns
+//    and what a plant's trace is materialized into to outlive its next
+//    step.
 #pragma once
 
 #include <array>
@@ -45,9 +47,8 @@ enum class trace_channel : std::size_t {
 
 inline constexpr std::size_t trace_channel_count = 16;
 
-/// Export name / unit label of a channel (e.g. "total_power" / "W").
+/// Export name of a channel (e.g. "total_power").
 [[nodiscard]] const char* trace_channel_name(trace_channel c);
-[[nodiscard]] const char* trace_channel_unit(trace_channel c);
 
 /// One step's values for every channel (the unit of appending).
 struct trace_row {
@@ -124,8 +125,8 @@ private:
     std::array<util::column_view, trace_channel_count> channels_{};
 };
 
-/// Owning columnar trace of one plant: a typed facade over one
-/// util::frame.  Copyable (plain columnar data).
+/// Owning columnar trace: a typed facade over one util::frame.
+/// Copyable (plain columnar data).
 class simulation_trace {
 public:
     simulation_trace();
@@ -154,51 +155,6 @@ public:
     /// View of every channel (valid until the next append/clear).
     [[nodiscard]] trace_view view() const;
     operator trace_view() const { return view(); }  // NOLINT(google-explicit-constructor)
-
-    // Named channel accessors, mirroring trace_view.
-    [[nodiscard]] util::column_view target_util() const {
-        return channel(trace_channel::target_util);
-    }
-    [[nodiscard]] util::column_view instant_util() const {
-        return channel(trace_channel::instant_util);
-    }
-    [[nodiscard]] util::column_view cpu0_temp() const { return channel(trace_channel::cpu0_temp); }
-    [[nodiscard]] util::column_view cpu1_temp() const { return channel(trace_channel::cpu1_temp); }
-    [[nodiscard]] util::column_view avg_cpu_temp() const {
-        return channel(trace_channel::avg_cpu_temp);
-    }
-    [[nodiscard]] util::column_view max_sensor_temp() const {
-        return channel(trace_channel::max_sensor_temp);
-    }
-    [[nodiscard]] util::column_view dimm_temp() const { return channel(trace_channel::dimm_temp); }
-    [[nodiscard]] util::column_view total_power() const {
-        return channel(trace_channel::total_power);
-    }
-    [[nodiscard]] util::column_view fan_power() const { return channel(trace_channel::fan_power); }
-    [[nodiscard]] util::column_view leakage_power() const {
-        return channel(trace_channel::leakage_power);
-    }
-    [[nodiscard]] util::column_view active_power() const {
-        return channel(trace_channel::active_power);
-    }
-    [[nodiscard]] util::column_view avg_fan_rpm() const {
-        return channel(trace_channel::avg_fan_rpm);
-    }
-    [[nodiscard]] util::column_view sensor_age() const {
-        return channel(trace_channel::sensor_age);
-    }
-    [[nodiscard]] util::column_view monitor_sensor_health() const {
-        return channel(trace_channel::monitor_sensor_health);
-    }
-    [[nodiscard]] util::column_view monitor_fan_health() const {
-        return channel(trace_channel::monitor_fan_health);
-    }
-    [[nodiscard]] util::column_view monitor_die_estimate() const {
-        return channel(trace_channel::monitor_die_estimate);
-    }
-
-    /// The underlying columnar storage.
-    [[nodiscard]] const util::frame& data() const { return frame_; }
 
 private:
     util::frame frame_;

@@ -77,79 +77,7 @@ void append_parsed(simulation_trace& out, double t, const trace_row& row) {
     return out;
 }
 
-[[nodiscard]] simulation_trace read_legacy_long(const util::csv_document& doc) {
-    const std::size_t series_col = util::column_index(doc, "series");
-    const std::size_t time_col = util::column_index(doc, "time_s");
-    const std::size_t value_col = util::column_index(doc, "value");
-
-    // The legacy writer emits each channel as one contiguous block; a
-    // channel name that re-appears after its block closed is a duplicate.
-    std::array<std::vector<util::sample>, trace_channel_count> channels;
-    std::array<bool, trace_channel_count> completed{};
-    bool any = false;
-    trace_channel current{};
-    for (const auto& cells : doc.rows) {
-        const std::string& name = cells[series_col];
-        if (!any || name != trace_channel_name(current)) {
-            trace_channel next{};
-            if (!channel_from_name(name, next)) {
-                throw util::parse_error("read_trace_csv: unknown channel " + name);
-            }
-            if (any) {
-                completed[static_cast<std::size_t>(current)] = true;
-            }
-            if (completed[static_cast<std::size_t>(next)] ||
-                !channels[static_cast<std::size_t>(next)].empty()) {
-                throw util::parse_error("read_trace_csv: duplicate channel " + name);
-            }
-            current = next;
-            any = true;
-        }
-        channels[static_cast<std::size_t>(current)].push_back(
-            util::sample{parse_cell(cells[time_col]), parse_cell(cells[value_col])});
-    }
-
-    simulation_trace out;
-    if (!any) {
-        return out;  // header-only dump: an empty trace
-    }
-    const std::size_t rows = channels[0].size();
-    for (std::size_t c = 0; c < trace_channel_count; ++c) {
-        if (channels[c].empty()) {
-            throw util::parse_error(std::string("read_trace_csv: missing channel ") +
-                                    trace_channel_name(static_cast<trace_channel>(c)));
-        }
-        if (channels[c].size() != rows) {
-            throw util::parse_error(std::string("read_trace_csv: channel out of step: ") +
-                                    trace_channel_name(static_cast<trace_channel>(c)));
-        }
-    }
-    trace_row row;
-    for (std::size_t i = 0; i < rows; ++i) {
-        const double t = channels[0][i].t;
-        for (std::size_t c = 0; c < trace_channel_count; ++c) {
-            if (channels[c][i].t != t) {
-                throw util::parse_error("read_trace_csv: channels disagree on the time axis");
-            }
-            row.values[c] = channels[c][i].v;
-        }
-        append_parsed(out, t, row);
-    }
-    return out;
-}
-
 }  // namespace
-
-std::vector<util::named_series> to_named_series(const trace_view& trace) {
-    std::vector<util::named_series> out;
-    out.reserve(trace_channel_count);
-    for (std::size_t c = 0; c < trace_channel_count; ++c) {
-        const auto ch = static_cast<trace_channel>(c);
-        out.push_back(util::named_series{trace_channel_name(ch), trace_channel_unit(ch),
-                                         trace.channel(ch).to_series()});
-    }
-    return out;
-}
 
 void write_trace_csv(std::ostream& os, const trace_view& trace) {
     util::csv_writer w(os);
@@ -178,9 +106,6 @@ simulation_trace read_trace_csv(const std::string& text) {
     }
     if (doc.header.front() == "time_s") {
         return read_columnar(doc);
-    }
-    if (doc.header == std::vector<std::string>{"series", "time_s", "value", "unit"}) {
-        return read_legacy_long(doc);
     }
     throw util::parse_error("read_trace_csv: unrecognized trace layout");
 }

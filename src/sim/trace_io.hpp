@@ -1,14 +1,12 @@
 // Export / import of simulation traces for offline analysis and plotting.
 //
 // Every figure in the paper is a plot over a recorded run; these helpers
-// turn a trace into named series / CSV so any external tool can
-// regenerate the plots from the bench binaries' data, and read a dumped
-// run back into a `simulation_trace` for fleet post-processing.
+// turn a trace into CSV so any external tool can regenerate the plots
+// from the bench binaries' data, and read a dumped run back into a
+// `simulation_trace` for fleet post-processing.
 //
-// The canonical on-disk layout is columnar, matching the storage: one
-// `time_s` column plus one column per channel, one row per recorded
-// step.  The reader additionally accepts the legacy long format
-// (`series,time_s,value,unit`) written by earlier versions.
+// The on-disk layout is columnar, matching the storage: one `time_s`
+// column plus one column per channel, one row per recorded step.
 #pragma once
 
 #include <iosfwd>
@@ -20,17 +18,14 @@
 
 namespace ltsc::sim {
 
-/// Materializes a trace into named, unit-tagged series (one per channel).
-[[nodiscard]] std::vector<util::named_series> to_named_series(const trace_view& trace);
-
 /// Writes the trace as columnar CSV: header `time_s,<channel>...`, one
 /// row per recorded step (the single shared time axis appears once).
 void write_trace_csv(std::ostream& os, const trace_view& trace);
 
-/// Parses a trace dumped by `write_trace_csv` — or by the legacy
-/// long-format writer (`series,time_s,value,unit`) — back into an owning
-/// trace.  Throws util::parse_error on duplicate channel names, unknown
-/// or missing channels, channels out of step, or malformed cells.
+/// Parses a trace dumped by `write_trace_csv` back into an owning trace.
+/// Throws util::parse_error on any other layout, on a header that does
+/// not name each channel exactly once, or on malformed or non-monotonic
+/// cells.
 [[nodiscard]] simulation_trace read_trace_csv(const std::string& text);
 
 /// Writes the trace as wide-format CSV: one row per `sample_period_s` of

@@ -96,8 +96,8 @@ private:
 /// injects the DIMM-to-CPU preheat when it steps, and runs the preheat
 /// fixed point of a steady solve.  Heat inputs are set by the caller
 /// each step (power::server_power_model couples this model with Eqn. 1).
-/// The scalar plant, the fault monitor's twin and the idle-power probe
-/// own one lane; sim::server_batch owns one lane per server.
+/// The fault monitor's twin and the idle-power probe own one lane;
+/// sim::server_batch owns one lane per server.
 class server_thermal_model {
 public:
     /// One lane per configuration (at least one; each validated).  Lanes

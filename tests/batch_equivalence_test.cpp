@@ -1,9 +1,9 @@
-// Batch-equivalence suite: every lane of sim::server_batch must be
-// *bitwise-identical* to an independent scalar sim::server_simulator
-// driven through the same schedule — same trace samples, same sensor
-// noise stream, same fan-change accounting, same metrics.  This is the
-// batched analog of the thermal_equivalence suite: the SoA plant only
-// exists because this contract makes it safe to swap in.
+// Batch-equivalence suite: lane-packing invariance.  Every lane of an
+// N-lane sim::server_batch must be *bitwise-identical* to an independent
+// sim::server_simulator (a one-lane batch) driven through the same
+// schedule — same trace samples, same sensor noise stream, same
+// fan-change accounting, same metrics.  The SoA plant only exists
+// because this contract makes it safe to pack servers into one batch.
 //
 // Scenarios are randomized over (config, workload, controller, ambient)
 // from a fixed seed; mutations (fan commands, room drift, load skew) are
@@ -35,17 +35,15 @@ using namespace ltsc;
 using namespace ltsc::util::literals;
 
 void expect_traces_identical(const sim::trace_view& batch_tr, const sim::trace_view& scalar_tr) {
-    const auto series_b = sim::to_named_series(batch_tr);
-    const auto series_s = sim::to_named_series(scalar_tr);
-    ASSERT_EQ(series_b.size(), series_s.size());
-    for (std::size_t i = 0; i < series_b.size(); ++i) {
-        SCOPED_TRACE(series_b[i].name);
-        const auto& sb = series_b[i].data.samples();
-        const auto& ss = series_s[i].data.samples();
+    for (std::size_t c = 0; c < sim::trace_channel_count; ++c) {
+        const auto ch = static_cast<sim::trace_channel>(c);
+        SCOPED_TRACE(sim::trace_channel_name(ch));
+        const util::column_view sb = batch_tr.channel(ch);
+        const util::column_view ss = scalar_tr.channel(ch);
         ASSERT_EQ(sb.size(), ss.size());
         for (std::size_t j = 0; j < sb.size(); ++j) {
-            ASSERT_EQ(sb[j].t, ss[j].t) << "sample " << j << " time diverged";
-            ASSERT_EQ(sb[j].v, ss[j].v) << "sample " << j << " value diverged";
+            ASSERT_EQ(sb.t(j), ss.t(j)) << "sample " << j << " time diverged";
+            ASSERT_EQ(sb.v(j), ss.v(j)) << "sample " << j << " value diverged";
         }
     }
 }

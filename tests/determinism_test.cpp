@@ -27,17 +27,14 @@ using namespace ltsc::util::literals;
 // Compares every channel of two traces sample-by-sample with exact
 // (bitwise for non-NaN doubles) equality.
 void expect_traces_identical(const sim::trace_view& a, const sim::trace_view& b) {
-    const auto series_a = sim::to_named_series(a);
-    const auto series_b = sim::to_named_series(b);
-    ASSERT_EQ(series_a.size(), series_b.size());
-    for (std::size_t i = 0; i < series_a.size(); ++i) {
-        SCOPED_TRACE(series_a[i].name);
-        EXPECT_EQ(series_a[i].name, series_b[i].name);
-        const auto& sa = series_a[i].data.samples();
-        const auto& sb = series_b[i].data.samples();
+    for (std::size_t c = 0; c < sim::trace_channel_count; ++c) {
+        const auto ch = static_cast<sim::trace_channel>(c);
+        SCOPED_TRACE(sim::trace_channel_name(ch));
+        const util::column_view sa = a.channel(ch);
+        const util::column_view sb = b.channel(ch);
         ASSERT_EQ(sa.size(), sb.size());
         for (std::size_t j = 0; j < sa.size(); ++j) {
-            ASSERT_EQ(sa[j], sb[j]) << "sample " << j << " diverged";
+            ASSERT_EQ(sa.at(j), sb.at(j)) << "sample " << j << " diverged";
         }
     }
 }

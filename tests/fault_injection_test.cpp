@@ -658,7 +658,7 @@ TEST(FaultInjection, FailsafeEngagesOnStaleSensorsAndHandsBack) {
         sim::fault_schedule({ev(100.0, sim::fault_kind::telemetry_loss, 0, 0.0, 80.0)}));
     core::failsafe_controller wrapped(std::make_unique<core::bang_bang_controller>());
     static_cast<void>(core::run_controlled(s, wrapped, steady(50.0, 400.0)));
-    const util::column_view rpm = s.trace().view().avg_fan_rpm();
+    const util::column_view rpm = s.trace().avg_fan_rpm();
     // Stale past 25 s from the last pre-outage poll at t = 100: the
     // decisions from t = 130 on command 4200 until polls resume at 180.
     EXPECT_EQ(rpm.max(140.0, 175.0), 4200.0);
@@ -873,7 +873,7 @@ TEST(FaultInjection, RolloutDegradesToBaselineUnderActiveFault) {
     cfg.horizon = 60_s;
     cfg.lattice_radius = 2;
     core::rollout_controller roll(std::make_unique<core::bang_bang_controller>(), cfg);
-    const core::simulator_plant_view view(s);
+    const core::batch_lane_plant_view view(s.batch(), 0);
     roll.attach_plant(&view);
     roll.reset();
 
@@ -892,7 +892,7 @@ TEST(FaultInjection, RolloutDegradesToBaselineUnderActiveFault) {
     h.force_cold_start();
     h.advance(100_s);
     core::rollout_controller roll_h(std::make_unique<core::bang_bang_controller>(), cfg);
-    const core::simulator_plant_view view_h(h);
+    const core::batch_lane_plant_view view_h(h.batch(), 0);
     roll_h.attach_plant(&view_h);
     roll_h.reset();
     static_cast<void>(roll_h.decide(in));
@@ -922,7 +922,7 @@ TEST(FaultInjection, NegativeBiasDefeatsTheGuardWithoutMonitor) {
     static_cast<void>(core::run_controlled(blinded, bang_b, profile));
 
     const auto max_die = [](const sim::server_simulator& s) {
-        const sim::trace_view t = s.trace().view();
+        const sim::trace_view t = s.trace();
         return std::max(t.cpu0_temp().max(), t.cpu1_temp().max());
     };
     EXPECT_GT(max_die(blinded), max_die(healthy) + 3.0);
@@ -950,7 +950,7 @@ TEST(FaultInjection, NegativeBiasContainedWithMonitor) {
     static_cast<void>(core::run_controlled(blinded, safe_b, profile));
 
     const auto max_die = [](const sim::server_simulator& s) {
-        const sim::trace_view t = s.trace().view();
+        const sim::trace_view t = s.trace();
         return std::max(t.cpu0_temp().max(), t.cpu1_temp().max());
     };
     EXPECT_TRUE(safe_b.sensor_override());  // lying sensors still excluded at the end

@@ -84,8 +84,8 @@ TEST(FaultMonitor, IsAPassiveObserverOfThePlant) {
     static_cast<void>(core::run_controlled(off, bang_off, profile));
     static_cast<void>(core::run_controlled(on, bang_on, profile));
 
-    const sim::trace_view a = off.trace().view();
-    const sim::trace_view b = on.trace().view();
+    const sim::trace_view a = off.trace();
+    const sim::trace_view b = on.trace();
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t c = 0; c < sim::trace_channel_count; ++c) {
         const auto channel = static_cast<sim::trace_channel>(c);
@@ -202,7 +202,7 @@ TEST(FaultMonitor, HealthyRunRaisesNoAlarms) {
     sim::server_simulator s(monitored_server());
     core::failsafe_controller safe(std::make_unique<core::bang_bang_controller>());
     static_cast<void>(core::run_controlled(s, safe, profile));
-    const sim::detection_summary d = sim::compute_detection_summary(s.trace().view());
+    const sim::detection_summary d = sim::compute_detection_summary(s.trace());
     EXPECT_EQ(d.alarm_steps, 0U);
     EXPECT_EQ(d.alarm_fraction(), 0.0);
     EXPECT_EQ(d.first_sensor_alarm_s, -1.0);
@@ -392,13 +392,13 @@ TEST(FaultMonitor, TachStuckPairIsCaughtByThermalCrossCheck) {
             << "sensor " << sensor;
     }
     const sim::detection_summary d =
-        sim::compute_detection_summary(s.trace().view(), &campaign);
+        sim::compute_detection_summary(s.trace(), &campaign);
     EXPECT_EQ(d.fault_onsets, 1U);
     EXPECT_EQ(d.detected, 1U);
     EXPECT_GT(d.fan_alarm_steps, 0U);
     // Max cooling on the survivors plus 30 % mixing keeps the true die
     // inside the calibrated fan-fault envelope.
-    const sim::trace_view t = s.trace().view();
+    const sim::trace_view t = s.trace();
     const double max_die = std::max(t.cpu0_temp().max(), t.cpu1_temp().max());
     EXPECT_LE(max_die, sim::fault_campaign_limits{}.fan_fault_envelope_c);
 }
@@ -420,7 +420,7 @@ TEST(FaultMonitor, DriftAndIntermittentSensorsAreDetected) {
     static_cast<void>(core::run_controlled(s, safe, steady(60.0, 800.0)));
 
     const sim::detection_summary d =
-        sim::compute_detection_summary(s.trace().view(), &campaign);
+        sim::compute_detection_summary(s.trace(), &campaign);
     EXPECT_EQ(d.fault_onsets, 2U);
     EXPECT_EQ(d.detected, 2U);
     EXPECT_EQ(d.drift_onsets, 1U);  // only the ramp is drift-classified
@@ -462,7 +462,7 @@ TEST(FaultMonitor, BatchLanesMatchScalarWithNewFaultKinds) {
     expect_traces_identical(batch.trace(1), healthy.trace());
     // The lane actually exercised the new kinds, not a quiet schedule.
     const sim::detection_summary d =
-        sim::compute_detection_summary(faulted.trace().view(), &campaign);
+        sim::compute_detection_summary(faulted.trace(), &campaign);
     EXPECT_EQ(d.fault_onsets, 3U);
     EXPECT_GT(d.detected, 0U);
     EXPECT_EQ(d.drift_onsets, 1U);
@@ -478,7 +478,7 @@ TEST(FaultMonitor, SensorAgeChannelTracksThePollClock) {
         sim::fault_schedule({ev(100.0, sim::fault_kind::telemetry_loss, 0, 0.0, 60.0)}));
     core::failsafe_controller safe(std::make_unique<core::bang_bang_controller>());
     static_cast<void>(core::run_controlled(s, safe, steady(50.0, 300.0)));
-    const util::column_view age = s.trace().view().sensor_age();
+    const util::column_view age = s.trace().sensor_age();
     EXPECT_LE(age.max(0.0, 99.0), 10.0);
     EXPECT_GE(age.max(100.0, 160.0), 59.0);  // grew through the outage
     EXPECT_LE(age.max(200.0, 299.0), 10.0);  // cadence restored
@@ -601,7 +601,7 @@ TEST(FaultMonitor, RolloutRePlansPastDetectedDeadFan) {
         s.bind_fault_schedule(campaign);
         core::rollout_controller roll(std::make_unique<core::bang_bang_controller>(), cfg);
         const sim::run_metrics m = core::run_controlled(s, roll, profile);
-        const sim::trace_view t = s.trace().view();
+        const sim::trace_view t = s.trace();
         const double max_die = std::max(t.cpu0_temp().max(), t.cpu1_temp().max());
         return std::make_pair(m, max_die);
     };

@@ -90,17 +90,15 @@ void drive(Plant& plant, const std::vector<workload::utilization_profile>& profi
 }
 
 void expect_traces_identical(const sim::trace_view& a, const sim::trace_view& b) {
-    const auto sa = sim::to_named_series(a);
-    const auto sb = sim::to_named_series(b);
-    ASSERT_EQ(sa.size(), sb.size());
-    for (std::size_t i = 0; i < sa.size(); ++i) {
-        SCOPED_TRACE(sa[i].name);
-        const auto& va = sa[i].data.samples();
-        const auto& vb = sb[i].data.samples();
+    for (std::size_t c = 0; c < sim::trace_channel_count; ++c) {
+        const auto ch = static_cast<sim::trace_channel>(c);
+        SCOPED_TRACE(sim::trace_channel_name(ch));
+        const util::column_view va = a.channel(ch);
+        const util::column_view vb = b.channel(ch);
         ASSERT_EQ(va.size(), vb.size());
         for (std::size_t j = 0; j < va.size(); ++j) {
-            ASSERT_EQ(va[j].t, vb[j].t);
-            ASSERT_EQ(va[j].v, vb[j].v);
+            ASSERT_EQ(va.t(j), vb.t(j));
+            ASSERT_EQ(va.v(j), vb.v(j));
         }
     }
 }
@@ -306,7 +304,7 @@ TEST(Fleet, RolloutEngineIsShardAndThreadInvariant) {
         }
         // Cross-shard trace addressing returns each candidate's rollout.
         for (std::size_t l = 0; l < candidates.size(); ++l) {
-            EXPECT_GT(sim::to_named_series(engine.candidate_trace(l)).front().data.size(), 0u);
+            EXPECT_GT(engine.candidate_trace(l).size(), 0u);
         }
     }
 }

@@ -88,12 +88,12 @@ protected:
 };
 
 TEST_F(TraceFixture, NamedSeriesCoverAllChannels) {
-    const auto series = sim::to_named_series(sim_.trace());
-    EXPECT_EQ(series.size(), 16U);
-    for (const auto& s : series) {
-        EXPECT_FALSE(s.name.empty());
-        EXPECT_FALSE(s.unit.empty());
-        EXPECT_EQ(s.data.size(), sim_.trace().total_power().size()) << s.name;
+    EXPECT_EQ(sim::trace_channel_count, 16U);
+    for (std::size_t c = 0; c < sim::trace_channel_count; ++c) {
+        const auto ch = static_cast<sim::trace_channel>(c);
+        const std::string name = sim::trace_channel_name(ch);
+        EXPECT_FALSE(name.empty());
+        EXPECT_EQ(sim_.trace().channel(ch).size(), sim_.trace().total_power().size()) << name;
     }
 }
 
@@ -109,7 +109,7 @@ TEST_F(TraceFixture, ColumnarCsvParsesBack) {
 
     const sim::simulation_trace back = sim::read_trace_csv(os.str());
     ASSERT_EQ(back.size(), sim_.trace().size());
-    EXPECT_NEAR(back.total_power().back().v, sim_.trace().total_power().back().v,
+    EXPECT_NEAR(back.view().total_power().back().v, sim_.trace().total_power().back().v,
                 1e-9 * sim_.trace().total_power().back().v);
 }
 

@@ -74,6 +74,17 @@ TEST(ServerConfig, NonFiniteFieldsRejectedAtConstruction) {
     expect_non_finite_rejected("sensor_noise_sigma",
                                [](auto& c) -> auto& { return c.sensor_noise_sigma; });
     expect_non_finite_rejected("sensor_quantum", [](auto& c) -> auto& { return c.sensor_quantum; });
+    // The residual monitor's thresholds are validated even while it is off.
+    expect_non_finite_rejected("monitor.sensor_residual_c",
+                               [](auto& c) -> auto& { return c.monitor.sensor_residual_c; });
+    expect_non_finite_rejected("monitor.sensor_cusum_k_c",
+                               [](auto& c) -> auto& { return c.monitor.sensor_cusum_k_c; });
+    expect_non_finite_rejected("monitor.sensor_cusum_h_c",
+                               [](auto& c) -> auto& { return c.monitor.sensor_cusum_h_c; });
+    expect_non_finite_rejected("monitor.fan_residual_rpm",
+                               [](auto& c) -> auto& { return c.monitor.fan_residual_rpm; });
+    expect_non_finite_rejected("monitor.fan_thermal_residual_c",
+                               [](auto& c) -> auto& { return c.monitor.fan_thermal_residual_c; });
 }
 
 TEST(Simulator, IdlePowerMatchesTableI) {

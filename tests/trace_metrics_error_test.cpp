@@ -10,13 +10,13 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "sim/batch_trace.hpp"
 #include "sim/metrics.hpp"
 #include "sim/server_batch.hpp"
 #include "sim/server_simulator.hpp"
 #include "sim/trace_io.hpp"
-#include "util/csv.hpp"
 #include "util/error.hpp"
 #include "workload/profile.hpp"
 
@@ -38,6 +38,46 @@ sim::simulation_trace two_sample_trace() {
     tr.append(0.0, row_at(50.0));
     tr.append(10.0, row_at(51.0));
     return tr;
+}
+
+/// Every channel's export name, in trace_channel order.
+std::vector<std::string> channel_names() {
+    std::vector<std::string> out;
+    for (std::size_t c = 0; c < sim::trace_channel_count; ++c) {
+        out.emplace_back(sim::trace_channel_name(static_cast<sim::trace_channel>(c)));
+    }
+    return out;
+}
+
+/// A columnar CSV header: time_s followed by `names`.
+std::string header_of(const std::vector<std::string>& names) {
+    std::string out = "time_s";
+    for (const std::string& n : names) {
+        out += "," + n;
+    }
+    return out + "\n";
+}
+
+/// A columnar CSV row at time `t`: every channel holds 1 except the last,
+/// which holds `last_cell` verbatim.
+std::string row_of(double t, const std::string& last_cell) {
+    std::string out = std::to_string(t);
+    for (std::size_t c = 0; c + 1 < sim::trace_channel_count; ++c) {
+        out += ",1";
+    }
+    return out + "," + last_cell + "\n";
+}
+
+/// Expects read_trace_csv to throw a parse_error whose message names
+/// `reason`.
+void expect_parse_error(const std::string& text, const std::string& reason) {
+    try {
+        static_cast<void>(sim::read_trace_csv(text));
+        ADD_FAILURE() << "no parse_error; expected: " << reason;
+    } catch (const util::parse_error& e) {
+        EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+            << "got: " << e.what() << "; expected: " << reason;
+    }
 }
 
 TEST(TraceMetricsErrors, MetricsRejectTruncatedTrace) {
@@ -114,69 +154,38 @@ TEST(TraceMetricsErrors, ColumnarCsvRoundTrips) {
     }
 }
 
-TEST(TraceMetricsErrors, ReaderAcceptsLegacyLongLayout) {
-    // Dumps from the per-channel era: one (series, time_s, value, unit)
-    // row per sample, channels in contiguous blocks.
-    const sim::simulation_trace tr = two_sample_trace();
-    std::ostringstream os;
-    util::write_series_csv(os, sim::to_named_series(tr));
-    const sim::simulation_trace back = sim::read_trace_csv(os.str());
-    ASSERT_EQ(back.size(), tr.size());
-    EXPECT_EQ(back.total_power().v(1), tr.total_power().v(1));
-    EXPECT_EQ(back.avg_fan_rpm().t(1), tr.avg_fan_rpm().t(1));
-}
-
 TEST(TraceMetricsErrors, ReaderRejectsDuplicateChannels) {
     // Columnar layout: a channel name repeated in the header.
-    std::string columnar =
-        "time_s,target_util,instant_util,cpu0_temp,cpu1_temp,avg_cpu_temp,max_sensor_temp,"
-        "dimm_temp,total_power,fan_power,leakage_power,active_power,target_util\n";
-    EXPECT_THROW(static_cast<void>(sim::read_trace_csv(columnar)), util::parse_error);
-
-    // Legacy layout: a channel block that re-appears after closing.
-    std::string legacy = "series,time_s,value,unit\n";
-    legacy += "target_util,0,1,pct\n";
-    legacy += "instant_util,0,1,pct\n";
-    legacy += "target_util,10,2,pct\n";
-    EXPECT_THROW(static_cast<void>(sim::read_trace_csv(legacy)), util::parse_error);
+    std::vector<std::string> names = channel_names();
+    names.back() = names.front();
+    expect_parse_error(header_of(names), "duplicate channel");
 }
 
 TEST(TraceMetricsErrors, ReaderRejectsMalformedDumps) {
     // Unknown channel name.
-    EXPECT_THROW(static_cast<void>(sim::read_trace_csv(
-                     "series,time_s,value,unit\nmystery_channel,0,1,W\n")),
-                 util::parse_error);
-    // Unrecognized layout entirely.
-    EXPECT_THROW(static_cast<void>(sim::read_trace_csv("a,b,c\n1,2,3\n")), util::parse_error);
-    // Legacy dump with a missing channel.
-    std::string partial = "series,time_s,value,unit\n";
-    partial += "target_util,0,1,pct\n";
-    EXPECT_THROW(static_cast<void>(sim::read_trace_csv(partial)), util::parse_error);
+    std::vector<std::string> names = channel_names();
+    names[3] = "mystery_channel";
+    expect_parse_error(header_of(names), "unknown channel");
+    // Unrecognized layout entirely, including the retired long format.
+    expect_parse_error("a,b,c\n1,2,3\n", "unrecognized trace layout");
+    expect_parse_error("series,time_s,value,unit\ntarget_util,0,1,pct\n",
+                       "unrecognized trace layout");
     // Unparseable, non-finite, and non-monotonic cells all surface as
     // parse_error (the documented corrupted-dump exception), never as
     // the store's precondition_error.
-    const std::string header =
-        "time_s,target_util,instant_util,cpu0_temp,cpu1_temp,avg_cpu_temp,max_sensor_temp,"
-        "dimm_temp,total_power,fan_power,leakage_power,active_power,avg_fan_rpm\n";
-    EXPECT_THROW(static_cast<void>(sim::read_trace_csv(header + "0,1,2,3,4,5,6,7,8,9,10,11,oops\n")),
-                 util::parse_error);
-    EXPECT_THROW(static_cast<void>(sim::read_trace_csv(header + "0,1,2,3,4,nan,6,7,8,9,10,11,12\n")),
-                 util::parse_error);
-    EXPECT_THROW(static_cast<void>(
-                     sim::read_trace_csv(header + "10,1,2,3,4,5,6,7,8,9,10,11,12\n"
-                                                  "0,1,2,3,4,5,6,7,8,9,10,11,12\n")),
-                 util::parse_error);
+    const std::string header = header_of(channel_names());
+    expect_parse_error(header + row_of(0.0, "oops"), "unparseable number");
+    expect_parse_error(header + row_of(0.0, "nan"), "unparseable number");
+    expect_parse_error(header + row_of(10.0, "1") + row_of(0.0, "1"), "non-monotonic");
 }
 
 TEST(TraceMetricsErrors, LongSeriesExportCoversEveryChannelName) {
     const sim::simulation_trace tr = two_sample_trace();
-    const auto series = sim::to_named_series(tr);
-    ASSERT_EQ(series.size(), sim::trace_channel_count);
     std::ostringstream os;
     sim::write_trace_csv(os, tr);
     const std::string out = os.str();
-    for (const auto& s : series) {
-        EXPECT_NE(out.find(s.name), std::string::npos) << s.name;
+    for (const std::string& name : channel_names()) {
+        EXPECT_NE(out.find(name), std::string::npos) << name;
     }
 }
 
