@@ -25,6 +25,8 @@ server_batch::server_batch(std::vector<server_config> configs)
     : thermal_(thermal_configs(configs)), traces_(configs.size()), active_(configs.size(), 1) {
     lanes_.reserve(configs.size());
     for (std::size_t l = 0; l < configs.size(); ++l) {
+        // Sensor channel registration order inside the lane fixes the RNG
+        // draw order.
         lanes_.push_back(std::make_unique<server_lane>(
             configs[l], [this, l](std::size_t s) { return thermal_.cpu_die_temp(l, s); },
             [this, l] { return thermal_.dimm_temp(l); }));

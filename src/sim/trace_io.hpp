@@ -11,7 +11,6 @@
 
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "sim/simulation_trace.hpp"
 #include "util/time_series.hpp"
