@@ -12,10 +12,10 @@
 //                +/- lattice, evaluated over a 3-minute horizon
 //   Roll(LUT)  — rollout wrapping LUT
 //
-// Every rollout decision clones the live lane across candidate lanes
-// (snapshot/load round trip, pinned bitwise by the test suites) and
-// commits the argmin-energy first move, so the numbers are exact
-// predictions, not heuristics.  Expected shape: rollout never loses to
+// Every rollout decision loads a snapshot of the live lane into
+// physics-only candidate lanes (prediction equals realization, pinned
+// bitwise by the test suites) and commits the argmin-energy first move,
+// so the numbers are exact predictions, not heuristics.  Expected shape: rollout never loses to
 // its wrapped baseline by more than noise, beats Bang on the
 // high-utilization tests (where reactive control overshoots and pays
 // leakage), and approaches (or edges past) LUT by refining between the

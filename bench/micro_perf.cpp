@@ -228,10 +228,10 @@ void BM_BangBangDecision(benchmark::State& state) {
 BENCHMARK(BM_BangBangDecision);
 
 void BM_RolloutDecision(benchmark::State& state) {
-    // One full receding-horizon decision: snapshot the live plant, clone
-    // it across the candidate lanes, integrate every candidate over the
-    // horizon through the batched kernel, score, commit.  With the
-    // lattice below each decision rolls ~5 candidates x 120 s, so one
+    // One full receding-horizon decision: snapshot the live plant, load
+    // it into the physics-only candidate lanes, integrate every candidate
+    // over the horizon through the batched kernel, score, commit.  With
+    // the lattice below each decision rolls ~5 candidates x 120 s, so one
     // decision costs ~600 batched lane-steps — the number to watch when
     // touching the snapshot/load path or the rollout loop.
     sim::server_simulator s;

@@ -47,7 +47,7 @@ void rollout_controller::attach_plant(const plant_access* plant) {
     // The engine models the plant it was built from, so attaching a
     // different window discards it — reusing one controller across
     // differently-calibrated plants can never silently predict with the
-    // wrong model.  Rebuild cost is a K-lane server_batch construction,
+    // wrong model.  Rebuild cost is K physics-only candidate lanes,
     // negligible against a run; a caller holding one window across many
     // decide() calls (the decision benchmark) still pays it once.
     if (plant != nullptr) {
@@ -114,9 +114,9 @@ std::optional<util::rpm_t> rollout_controller::decide(const controller_inputs& i
     // the survival problem at hand, so the decision goes to the wrapped
     // reactive baseline (hardened by its own guard band / failsafe
     // wrapper) until the plant is whole again.  With a monitor the fault
-    // is *characterized* — the snapshot carries the degraded fan/sensor
-    // state, the rollout lanes replay it faithfully, and re-planning
-    // around a known-dead fan beats abandoning the lookahead (pinned by
+    // is *characterized* — the snapshot carries the degraded fans, the
+    // rollout lanes replay them faithfully, and re-planning around a
+    // known-dead fan beats abandoning the lookahead (pinned by
     // the fault-injection suite's energy comparison).  *Scheduled*
     // future faults are previewed either way through the fault-campaign
     // binding below.

@@ -6,9 +6,10 @@
 // the baseline for its proposal, surrounds it with a lattice of
 // alternatives (hold the current speed, proposal, proposal +/- i*step),
 // rolls every candidate out over an H-second horizon on a private
-// sim::rollout_engine seeded with a bitwise snapshot of the live plant,
-// and commits the first move of the schedule with the lowest predicted
-// energy + constraint penalty.  The baseline is consulted (and its
+// sim::rollout_engine — physics-only lanes loaded from a snapshot of the
+// live plant, whose prediction for the committed schedule is bitwise
+// what the plant realizes — and commits the first move of the schedule
+// with the lowest predicted energy + constraint penalty.  The baseline is consulted (and its
 // internal state advanced) exactly once per epoch whether or not its
 // proposal wins, so the wrapped policy behaves as it would alone.
 //
@@ -33,13 +34,14 @@
 // to the wrapped baseline — survival beats optimization when the fault
 // is uncharacterized.  When the plant runs a fault monitor
 // (controller_inputs::monitor_valid) the rollout keeps planning through
-// active faults instead: the snapshot carries the degraded fan/sensor
-// state into the lanes, so candidates are scored against the crippled
-// plant as it actually is, and the lookahead re-plans around a
-// known-dead fan rather than abandoning the horizon.  *Scheduled*
-// future faults are previewed either way: the plant's bound fault
-// campaign is installed on the rollout lanes, so the lookahead replays
-// the faults the committed trajectory will hit.
+// active faults instead: the snapshot carries the degraded fans into
+// the lanes, so candidates are scored against the crippled plant as it
+// actually is, and the lookahead re-plans around a known-dead fan
+// rather than abandoning the horizon (a lying sensor cannot mislead it:
+// candidates are open-loop and the lanes integrate true temperatures).
+// *Scheduled* future faults are previewed either way: the plant's bound
+// fault campaign is installed on the rollout engine, so the lookahead
+// replays the fan faults the committed trajectory will hit.
 #pragma once
 
 #include <functional>

@@ -48,8 +48,8 @@
 //                        resulting sensor age).
 //
 // The runtime fault_state is part of sim::server_state, so snapshots of
-// a degraded plant clone the degradation into rollout lanes
-// (server_batch::load_lane_state) and restore it on rewind — the PR 5
+// a degraded plant carry the degradation into rollout lanes
+// (rollout_engine::evaluate) and restore it on rewind — the rollout
 // lookahead sees the same broken fans the committed trajectory does.
 #pragma once
 

@@ -32,14 +32,18 @@ fleet::fleet(std::vector<server_config> configs, fleet_config cfg)
     const std::size_t rem = lanes_ % shards;
     offsets_.resize(shards + 1);
     offsets_[0] = 0;
-    shards_.reserve(shards);
     for (std::size_t s = 0; s < shards; ++s) {
-        const std::size_t count = base + (s < rem ? 1 : 0);
-        offsets_[s + 1] = offsets_[s] + count;
+        offsets_[s + 1] = offsets_[s] + base + (s < rem ? 1 : 0);
+    }
+    // Each shard is built on the pool into its own slot; a failing
+    // configuration rethrows here, and the shards already built are
+    // freed with the half-constructed fleet.
+    shards_.resize(shards);
+    pool_.run_indexed(shards, [&](std::size_t s) {
         const auto first = configs.begin() + static_cast<std::ptrdiff_t>(offsets_[s]);
         const auto last = configs.begin() + static_cast<std::ptrdiff_t>(offsets_[s + 1]);
-        shards_.push_back(std::make_unique<server_batch>(std::vector<server_config>(first, last)));
-    }
+        shards_[s] = std::make_unique<server_batch>(std::vector<server_config>(first, last));
+    });
 }
 
 server_batch& fleet::shard(std::size_t s) {
@@ -146,9 +150,7 @@ void fleet::force_cold_start(std::size_t lane) {
 }
 
 void fleet::force_cold_start() {
-    for (auto& s : shards_) {
-        s->force_cold_start();
-    }
+    pool_.run_indexed(shards_.size(), [this](std::size_t s) { shards_[s]->force_cold_start(); });
 }
 
 void fleet::settle_at(std::size_t lane, double u_pct) {

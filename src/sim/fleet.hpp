@@ -56,7 +56,9 @@ public:
     /// N identical lanes from one configuration.
     fleet(const server_config& config, std::size_t lanes, fleet_config cfg = {});
 
-    /// One lane per configuration (contiguous blocks per shard).
+    /// One lane per configuration (contiguous blocks per shard).  The
+    /// shards are built concurrently on the pool; an invalid
+    /// configuration throws precondition_error as a serial build would.
     explicit fleet(std::vector<server_config> configs, fleet_config cfg = {});
 
     fleet(const fleet&) = delete;
@@ -103,7 +105,7 @@ public:
     [[nodiscard]] bool lane_active(std::size_t lane) const;
 
     void force_cold_start(std::size_t lane);
-    /// Cold-starts every lane (serial; cold start is setup, not stepping).
+    /// Cold-starts every lane, shard-wise on the pool.
     void force_cold_start();
     void settle_at(std::size_t lane, double u_pct);
 

@@ -2,37 +2,44 @@
 //
 // A rollout_engine answers one question: *given the live plant's state,
 // which of K candidate fan schedules costs the least energy over the
-// next H seconds?*  It owns a dedicated K-lane server_batch built from
-// the plant's configuration; every evaluation clones the snapshot
-// across the candidate lanes (server_batch::load_lane_state), applies
-// each candidate's moves at the decision-epoch cadence, integrates all
-// candidates together through the batched thermal kernel, and scores
-// each lane by predicted energy plus a constraint penalty.  Lanes whose
-// predicted die temperature trips the guard terminate early through the
-// per-lane active masks (the ragged-fleet machinery) — a doomed
-// candidate stops consuming substeps the moment it disqualifies.
+// next H seconds?*  Each candidate rolls out on a physics-only lane: one
+// lane of an engine-owned thermal::server_thermal_model, the plant's
+// Eqn-1 power model, a fan_actuator holding the fan half of the fault
+// state, the clock and the load split.  Nothing else in a plant feeds
+// back into the true temperatures — sensors and their RNG stream,
+// telemetry, the trace and the monitor twin only observe — so the lanes
+// carry none of them.  Every evaluation loads the snapshot into the
+// candidate lanes, applies each candidate's moves at the decision-epoch
+// cadence, integrates the lanes together through the batched thermal
+// kernel, and scores each lane by predicted energy plus a constraint
+// penalty.  A lane whose predicted die temperature trips the guard stops
+// there and is masked out, and only the prefix of lanes that still holds
+// a live candidate is stepped.
 //
-// Because the rollout lanes are bitwise twins of the plant (snapshot
-// round-trip contract) and the workload preview is the plant's own
+// Each step keeps the plant's own operation order: due fan-kind fault
+// events, the utilization at the current instant, Eqn-1 heat, the
+// thermal step, the clock, then the step's wall energy at the new die
+// temperatures.  Because the workload preview is the plant's own
 // loadgen, the prediction for the schedule that is ultimately committed
-// is exactly the trajectory the plant will realize.  Evaluation is a
-// pure function of (state, candidates, options): it touches only
-// engine-owned lanes, never the live plant, and allocates nothing after
-// the first call (trace arena and snapshot buffers are reused).
+// is exactly the trajectory the plant will realize (pinned bitwise by
+// Rollout.PredictionEqualsRealization).  Evaluation is a pure function
+// of (state, candidates, options): it touches only engine-owned lanes,
+// never the live plant, and allocates nothing after the first call.
 // Candidate lanes can additionally be sharded across a thread pool
 // (rollout_engine_config): shards own contiguous candidate blocks and
 // share no mutable state, so scores — and the argmin — are invariant
-// under shard count and thread count.  The defaults (one shard, serial)
-// preserve the exact behavior above.
+// under shard count and thread count.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
-#include "sim/server_batch.hpp"
+#include "power/server_power_model.hpp"
+#include "sim/fan_actuator.hpp"
+#include "sim/fault_schedule.hpp"
 #include "sim/server_config.hpp"
 #include "sim/server_state.hpp"
+#include "thermal/server_thermal_model.hpp"
 #include "util/thread_pool.hpp"
 #include "util/units.hpp"
 #include "workload/loadgen.hpp"
@@ -79,9 +86,9 @@ struct rollout_result {
 };
 
 /// Engine topology knobs (see the header comment; the defaults
-/// reproduce the single-shard engine exactly).
+/// evaluate every candidate in one block on the caller's thread).
 struct rollout_engine_config {
-    /// Candidate-lane shards, each its own server_batch (>= 1, clamped
+    /// Candidate-lane shards, each its own thermal batch (>= 1, clamped
     /// to the candidate count).
     std::size_t shards = 1;
     /// Pool width for stepping shards; 1 runs serially on the caller,
@@ -93,7 +100,7 @@ struct rollout_engine_config {
 class rollout_engine {
 public:
     /// Builds the candidate lanes.  `config` must equal the controlled
-    /// plant's configuration (the snapshot APIs validate the shapes).
+    /// plant's configuration (evaluate validates the snapshot's shapes).
     rollout_engine(const server_config& config, std::size_t max_candidates,
                    rollout_engine_config engine_config = {});
 
@@ -102,17 +109,20 @@ public:
 
     /// Installs the workload preview every rollout lane steps against
     /// (the plant's own loadgen — the paper's profiles are known in
-    /// advance, so the preview is perfect).  Call once per run; the
-    /// binding persists across evaluations.
+    /// advance, so the preview is perfect).  The engine keeps a
+    /// reference, not a copy: `workload` must outlive the binding.  Call
+    /// once per run; the binding persists across evaluations.
     void bind_workload(const workload::loadgen& workload);
-    [[nodiscard]] bool workload_bound() const { return workload_bound_; }
+    [[nodiscard]] bool workload_bound() const { return workload_ != nullptr; }
 
-    /// Installs the plant's fault campaign on every rollout lane, so the
-    /// lookahead replays the scheduled faults the committed trajectory
-    /// will hit (load_lane_state carries the plant's fault *state*; the
-    /// schedule supplies the *future* events past the snapshot instant).
-    /// Like the workload preview, the binding persists across
-    /// evaluations; clear_fault_schedule returns the lanes to healthy.
+    /// Installs the plant's fault campaign, so the lookahead replays the
+    /// scheduled fan faults the committed trajectory will hit (the
+    /// snapshot carries the plant's fault *state* and schedule cursor;
+    /// the schedule supplies the *future* events past the snapshot
+    /// instant).  Sensor and telemetry events change nothing a lane
+    /// reads, so the lanes step past them.  Like the workload preview,
+    /// the binding persists across evaluations; clear_fault_schedule
+    /// returns the lanes to healthy.
     void bind_fault_schedule(const fault_schedule& schedule);
     void clear_fault_schedule();
 
@@ -127,26 +137,35 @@ public:
                                                  const std::vector<fan_schedule>& candidates,
                                                  const rollout_options& options);
 
-    /// The first shard's lane batch (tests inspect traces of the last
-    /// evaluation; with the default single-shard config this is every
-    /// candidate lane).  For sharded engines use candidate_trace().
-    [[nodiscard]] const server_batch& lanes() const { return *shards_.front(); }
-
-    /// Trace of candidate `l`'s last rollout, addressed across shards.
-    [[nodiscard]] trace_view candidate_trace(std::size_t l) const;
-
 private:
-    [[nodiscard]] std::size_t shard_of(std::size_t candidate) const;
-    void evaluate_shard(std::size_t s, std::size_t k, const server_state& start,
-                        const std::vector<fan_schedule>& candidates,
-                        const rollout_options& options);
+    /// One contiguous block of candidate lanes, stepped as one batch.
+    struct shard {
+        shard(const server_config& config, std::size_t lanes);
+
+        thermal::server_thermal_model thermal;  ///< One lane per candidate slot.
+        std::vector<fan_actuator> fans;         ///< [lane]
+        std::vector<fault_state> faults;        ///< [lane]; the fan half only.
+        std::vector<unsigned char> active;      ///< [lane]; 0 once guarded.
+    };
+
+    /// One evaluate() call's arguments, handed to every shard.
+    struct evaluation {
+        std::size_t k = 0;
+        const server_state* start = nullptr;
+        const std::vector<fan_schedule>* candidates = nullptr;
+        const rollout_options* options = nullptr;
+    };
+
+    void evaluate_shard(std::size_t s, const evaluation& job);
 
     std::size_t max_candidates_ = 0;
-    std::vector<std::unique_ptr<server_batch>> shards_;
+    power::server_power_model power_;
+    std::vector<shard> shards_;
     std::vector<std::size_t> offsets_;  ///< [shard_count + 1] candidate offsets.
     util::thread_pool pool_;
-    bool workload_bound_ = false;
-    rollout_result result_;  ///< Reused per-evaluation scratch.
+    const workload::loadgen* workload_ = nullptr;
+    fault_schedule schedule_;  ///< Empty when no campaign is bound.
+    rollout_result result_;    ///< Reused per-evaluation scratch.
 };
 
 }  // namespace ltsc::sim

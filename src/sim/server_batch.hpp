@@ -149,13 +149,13 @@ public:
     /// it).  Pure read; any same-config lane can load the result.
     void snapshot_lane_state(std::size_t lane, server_state& out) const;
 
-    /// Clones a snapshot (from any same-config lane) into one lane: the
-    /// rollout primitive.  The lane's workload binding is left as-is —
-    /// bind first, load after, since binding resets the clock this call
-    /// sets.  The lane's trace and telemetry histories clear (recording
-    /// restarts at the snapshot instant) and the lane reactivates if it
-    /// was inert.  Subsequent stepping is bitwise-identical to the
-    /// snapshot's source plant.
+    /// Loads a snapshot (from any same-config lane) into one lane: the
+    /// restore half of the snapshot round trip.  The lane's workload
+    /// binding is left as-is — bind first, load after, since binding
+    /// resets the clock this call sets.  The lane's trace and telemetry
+    /// histories clear (recording restarts at the snapshot instant) and
+    /// the lane reactivates if it was inert.  Subsequent stepping is
+    /// bitwise-identical to the snapshot's source plant.
     void load_lane_state(std::size_t lane, const server_state& state);
 
     /// The lane's bound workload, or nullptr before any bind_workload.

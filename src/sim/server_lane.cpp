@@ -19,11 +19,11 @@ server_lane::server_lane(const server_config& config, die_reader die_temp, dimm_
                                             config.sensor_noise_sigma, config.sensor_quantum)),
       telemetry_(util::seconds_t{config.telemetry_period_s}) {
     last_cpu_sensor_reads_.assign(sensors_.cpu.size(), config.thermal.ambient_c);
-    fault_.reset(fans_.pair_count(), sensors_.cpu.size());
+    fault_.reset(fans_.bank().pair_count(), sensors_.cpu.size());
     register_telemetry();
     if (config_.monitor.enabled) {
         monitor_.emplace(config_.monitor, config_.thermal, power_);
-        monitor_->reset(fans_, util::celsius_t{config_.thermal.ambient_c});
+        monitor_->reset(fans_.bank(), util::celsius_t{config_.thermal.ambient_c});
     }
 }
 
@@ -47,7 +47,7 @@ void server_lane::register_telemetry() {
         const die_temps die = {die_temp_(0).value(), die_temp_(1).value()};
         return breakdown_at(instantaneous_utilization(), die).total().value();
     });
-    telemetry_.add_channel("fan_power", [this] { return fans_.total_power().value(); });
+    telemetry_.add_channel("fan_power", [this] { return fans_.bank().total_power().value(); });
 }
 
 void server_lane::bind_workload(workload::loadgen generator) {
@@ -84,75 +84,31 @@ void server_lane::set_load_imbalance(double fraction_socket0) {
 }
 
 bool server_lane::set_fan_speed(std::size_t pair_index, util::rpm_t rpm) {
-    // Both checks come before any mutation: an out-of-range pair or a
-    // non-finite command (fan_pair::clamp rejects it) leaves the lane
-    // untouched.
-    util::ensure(pair_index < fans_.pair_count(),
-                 "server_lane::set_fan_speed: pair index out of range");
-    const util::rpm_t clamped = fans_.pair().clamp(rpm);
+    // The actuator validates the pair and the command before any
+    // mutation, so a rejected command leaves the lane untouched.
+    const bool changed = fans_.command(pair_index, rpm, fault_);
     if (monitor_) {
-        // Capture the command at the actuation boundary, before any
-        // degraded pair latches it: the command/tach residual is the
-        // monitor's view of what the controller *asked for*.
-        monitor_->observe_fan_command(pair_index, clamped);
+        // The monitor sees what the controller *asked for*, even when a
+        // degraded pair only latched it: that is its command/tach residual.
+        monitor_->observe_fan_command(pair_index, fans_.bank().pair().clamp(rpm));
     }
-    if (fault_.fan_mode[pair_index] != fault_state::fan_ok) {
-        // The pair's rotor no longer answers: latch the command for
-        // recovery, deliver nothing physically, count nothing.  A
-        // tach-stuck pair still updates its (lying) tach readout so the
-        // tachometer keeps agreeing with whatever is commanded — the
-        // blind spot only the thermal cross-check can see.
-        fault_.fan_commanded_rpm[pair_index] = clamped.value();
-        if (fault_.fan_mode[pair_index] == fault_state::fan_tach) {
-            fans_.set_speed(pair_index, rpm);
-        }
-        return false;
+    if (changed) {
+        ++fan_changes_;  // latched commands count nothing
     }
-    const util::rpm_t before = fans_.speed(pair_index);
-    fans_.set_speed(pair_index, rpm);
-    if (fans_.speed(pair_index).value() == before.value()) {
-        return false;
-    }
-    ++fan_changes_;
-    return true;
+    return changed;
 }
 
 bool server_lane::set_all_fans(util::rpm_t rpm) {
-    const double target = fans_.pair().clamp(rpm).value();
+    // Any physical change counts as one command; none skips the airflow
+    // update entirely.
+    const bool changed = fans_.command_all(rpm, fault_);
     if (monitor_) {
-        monitor_->observe_all_fan_commands(util::rpm_t{target});
-    }
-    // Healthy pairs actuate, faulted pairs latch.  Any physical change
-    // counts as one command; none skips the airflow update entirely.
-    bool changed = false;
-    for (std::size_t i = 0; i < fans_.pair_count(); ++i) {
-        if (fault_.fan_mode[i] != fault_state::fan_ok) {
-            fault_.fan_commanded_rpm[i] = target;
-            if (fault_.fan_mode[i] == fault_state::fan_tach) {
-                fans_.set_speed(i, rpm);  // lying tach tracks the command
-            }
-            continue;
-        }
-        if (fans_.speed(i).value() != target) {
-            fans_.set_speed(i, rpm);
-            changed = true;
-        }
+        monitor_->observe_all_fan_commands(fans_.bank().pair().clamp(rpm));
     }
     if (changed) {
         ++fan_changes_;
     }
     return changed;
-}
-
-const std::vector<util::cfm_t>& server_lane::zone_airflow() {
-    zone_airflow_.resize(fans_.pair_count());
-    for (std::size_t i = 0; i < fans_.pair_count(); ++i) {
-        // pair_airflow is the healthy airflow unless the pair's rotor
-        // stopped, in which case its zone sees zero direct flow (the
-        // plenum cross-mixing still shares the other zones' air).
-        zone_airflow_[i] = fans_.pair_airflow(i);
-    }
-    return zone_airflow_;
 }
 
 util::celsius_t server_lane::max_cpu_sensor_temp() const {
@@ -169,7 +125,7 @@ double server_lane::telemetry_age_s() const {
 void server_lane::advance_clock(util::seconds_t dt, double u_inst, util::celsius_t ambient) {
     now_s_ += dt.value();
     if (monitor_) {
-        monitor_->step(dt, u_inst, imbalance_, ambient, fans_);
+        monitor_->step(dt, u_inst, imbalance_, ambient, fans_.bank());
     }
 }
 
@@ -193,7 +149,7 @@ trace_row server_lane::make_row(double u_target, double u_inst, const die_temps&
     row[trace_channel::fan_power] = p.fan.value();
     row[trace_channel::leakage_power] = p.leakage.value();
     row[trace_channel::active_power] = p.active.value();
-    row[trace_channel::avg_fan_rpm] = fans_.average_speed().value();
+    row[trace_channel::avg_fan_rpm] = fans_.bank().average_speed().value();
     // Rows are built before the step's poll check, so the age here is
     // always finite after a cold start and grows to the poll period.
     row[trace_channel::sensor_age] =
@@ -224,8 +180,8 @@ void server_lane::finish_cold_start(util::celsius_t ambient) {
     if (monitor_) {
         // The twin restarts with the plant: re-latch the cold-start
         // commands, clear verdicts, and settle to the same idle state.
-        monitor_->reset(fans_, ambient);
-        monitor_->settle(0.0, imbalance_, ambient, fans_);
+        monitor_->reset(fans_.bank(), ambient);
+        monitor_->settle(0.0, imbalance_, ambient, fans_.bank());
     }
     now_s_ = 0.0;
     fan_changes_ = 0;
@@ -238,7 +194,7 @@ void server_lane::finish_cold_start(util::celsius_t ambient) {
 
 void server_lane::settle_monitor(double u_pct, util::celsius_t ambient) {
     if (monitor_) {
-        monitor_->settle(u_pct, imbalance_, ambient, fans_);
+        monitor_->settle(u_pct, imbalance_, ambient, fans_.bank());
     }
 }
 
@@ -246,12 +202,7 @@ void server_lane::save_state(server_state& out) const {
     out.now_s = now_s_;
     out.imbalance = imbalance_;
     out.fan_changes = fan_changes_;
-    out.fan_rpm.resize(fans_.pair_count());
-    for (std::size_t i = 0; i < fans_.pair_count(); ++i) {
-        // Commanded (raw) speeds: a failed pair's tach reads 0, but the
-        // restore path must re-latch the command, not clamp the zero.
-        out.fan_rpm[i] = fans_.speed(i).value();
-    }
+    fans_.save(out.fan_rpm);
     out.rng = rng_;
     out.sensor_reads = last_cpu_sensor_reads_;
     out.telemetry_last_poll_s = telemetry_.last_poll_time();
@@ -265,33 +216,29 @@ void server_lane::save_state(server_state& out) const {
 }
 
 void server_lane::restore_state(const server_state& state) {
-    util::ensure(state.fan_rpm.size() == fans_.pair_count(),
+    util::ensure(state.fan_rpm.size() == fans_.bank().pair_count(),
                  "server_lane::restore_state: fan pair count mismatch");
     util::ensure(state.sensor_reads.size() == last_cpu_sensor_reads_.size(),
                  "server_lane::restore_state: sensor count mismatch");
-    util::ensure(state.fault.sized_for(fans_.pair_count(), sensors_.cpu.size()),
+    util::ensure(state.fault.sized_for(fans_.bank().pair_count(), sensors_.cpu.size()),
                  "server_lane::restore_state: fault state shape mismatch");
     now_s_ = state.now_s;
     imbalance_ = state.imbalance;
     fan_changes_ = state.fan_changes;
     rng_ = state.rng;
     fault_ = state.fault;
-    for (std::size_t i = 0; i < fans_.pair_count(); ++i) {
-        fans_.set_speed(i, util::rpm_t{state.fan_rpm[i]});
-        fans_.set_failed(i, fault_.fan_mode[i] == fault_state::fan_failed);
-        fans_.set_tach_stuck(i, fault_.fan_mode[i] == fault_state::fan_tach);
-    }
+    fans_.restore(state.fan_rpm, fault_);
     last_cpu_sensor_reads_ = state.sensor_reads;
     telemetry_.reset();
     telemetry_.restore_poll_clock(state.telemetry_last_poll_s, state.telemetry_polled);
     if (monitor_) {
-        monitor_->restore_state(state.monitor, fans_);
+        monitor_->restore_state(state.monitor, fans_.bank());
     }
 }
 
 bool server_lane::bind_fault_schedule(fault_schedule schedule) {
     if (!schedule.empty()) {
-        util::ensure(schedule.max_fan_target() < fans_.pair_count(),
+        util::ensure(schedule.max_fan_target() < fans_.bank().pair_count(),
                      "server_lane::bind_fault_schedule: fan target out of range");
         util::ensure(schedule.max_sensor_target() < sensors_.cpu.size(),
                      "server_lane::bind_fault_schedule: sensor target out of range");
@@ -306,27 +253,10 @@ bool server_lane::clear_fault_schedule() {
 }
 
 bool server_lane::clear_fault_effects() {
-    // Every degraded pair recovers exactly as a fan_recover event would
-    // recover it: the rotor restarts and the pair resumes its last
-    // latched command.
-    bool recovered = false;
-    for (std::size_t i = 0; i < fans_.pair_count(); ++i) {
-        if (fault_.fan_mode[i] != fault_state::fan_ok) {
-            recover_fan(i);
-            recovered = true;
-        }
-    }
-    fault_.reset(fans_.pair_count(), sensors_.cpu.size());
+    const bool recovered = fans_.recover_all(fault_);
+    fault_.reset(fans_.bank().pair_count(), sensors_.cpu.size());
     telemetry_.set_poll_suppressed(false);
     return recovered;
-}
-
-void server_lane::recover_fan(std::size_t pair) {
-    fault_.fan_mode[pair] = fault_state::fan_ok;
-    fans_.set_failed(pair, false);
-    fans_.set_tach_stuck(pair, false);
-    // Faults and latched commands are not controller actions: no count.
-    fans_.set_speed(pair, util::rpm_t{fault_.fan_commanded_rpm[pair]});
 }
 
 bool server_lane::apply_due_faults() {
@@ -348,26 +278,10 @@ bool server_lane::apply_due_faults() {
 bool server_lane::apply_fault_event(const fault_event& event) {
     switch (event.kind) {
         case fault_kind::fan_failure:
-            fault_.fan_commanded_rpm[event.target] = fans_.speed(event.target).value();
-            fault_.fan_mode[event.target] = fault_state::fan_failed;
-            fans_.set_failed(event.target, true);
-            return true;
         case fault_kind::fan_stuck_pwm:
-            fault_.fan_commanded_rpm[event.target] = fans_.speed(event.target).value();
-            fault_.fan_mode[event.target] = fault_state::fan_stuck;
-            if (std::isnan(event.value)) {
-                return false;
-            }
-            fans_.set_speed(event.target, util::rpm_t{event.value});
-            return true;
         case fault_kind::fan_tach_stuck:
-            fault_.fan_commanded_rpm[event.target] = fans_.speed(event.target).value();
-            fault_.fan_mode[event.target] = fault_state::fan_tach;
-            fans_.set_tach_stuck(event.target, true);
-            return true;
         case fault_kind::fan_recover:
-            recover_fan(event.target);
-            return true;
+            return fans_.apply(event, fault_);
         case fault_kind::sensor_stuck:
             fault_.sensor_stuck[event.target] = 1;
             fault_.sensor_stuck_c[event.target] = std::isnan(event.value)

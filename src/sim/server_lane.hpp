@@ -3,12 +3,13 @@
 //
 // Each server_batch lane owns one server_lane (a server_simulator is a
 // one-lane batch).  The lane holds everything about a server that is not a thermal node:
-// configuration, sensor RNG stream, fan bank, power model, sensors and
+// configuration, sensor RNG stream, fans, power model, sensors and
 // their telemetry harness, workload, clock, load split, fault schedule
 // and live fault effects, and the optional residual monitor.  It does
-// fan commands and latching, the single fault-kind switch, sensor
-// corruption, the power breakdown from given die temperatures, the trace
-// row, and the non-thermal half of snapshot/restore.
+// the fault-kind switch (handing fan kinds and fan commands to its
+// fan_actuator, which the rollout engine's candidate lanes share),
+// sensor corruption, the power breakdown from given die temperatures,
+// the trace row, and the non-thermal half of snapshot/restore.
 //
 // The owning batch keeps the thermal half (one lane of its
 // thermal::server_thermal_model).  It hands the lane readers of its
@@ -25,8 +26,8 @@
 #include <vector>
 
 #include "core/fault_monitor.hpp"
-#include "power/fan_model.hpp"
 #include "power/server_power_model.hpp"
+#include "sim/fan_actuator.hpp"
 #include "sim/fault_schedule.hpp"
 #include "sim/server_config.hpp"
 #include "sim/server_state.hpp"
@@ -87,14 +88,14 @@ public:
     [[nodiscard]] bool set_fan_speed(std::size_t pair_index, util::rpm_t rpm);
     [[nodiscard]] bool set_all_fans(util::rpm_t rpm);
     [[nodiscard]] util::rpm_t fan_speed(std::size_t pair_index) const {
-        return fans_.effective_speed(pair_index);
+        return fans_.bank().effective_speed(pair_index);
     }
-    [[nodiscard]] util::rpm_t average_fan_rpm() const { return fans_.average_speed(); }
+    [[nodiscard]] util::rpm_t average_fan_rpm() const { return fans_.bank().average_speed(); }
     [[nodiscard]] std::size_t fan_change_count() const { return fan_changes_; }
     void reset_fan_change_counter() { fan_changes_ = 0; }
     /// Airflow each fan pair delivers to its zone right now (a failed or
     /// tach-stuck rotor moves nothing).
-    [[nodiscard]] const std::vector<util::cfm_t>& zone_airflow();
+    [[nodiscard]] const std::vector<util::cfm_t>& zone_airflow() { return fans_.zone_airflow(); }
 
     // --- observation --------------------------------------------------------
     [[nodiscard]] const std::vector<double>& cpu_sensor_reads() const {
@@ -120,7 +121,7 @@ public:
     // --- power -----------------------------------------------------------------
     /// Eqn. 1 at utilization `u_inst` with the dies at `die`.
     [[nodiscard]] power::power_breakdown breakdown_at(double u_inst, const die_temps& die) const {
-        return power_.breakdown_at(u_inst, die, fans_.total_power());
+        return power_.breakdown_at(u_inst, die, fans_.bank().total_power());
     }
 
     // --- stepping (after the owner's thermal step) -----------------------------
@@ -157,14 +158,12 @@ private:
     /// Clears every live fault effect; a degraded fan pair recovers as
     /// on fan_recover.  Returns whether any pair recovered.
     [[nodiscard]] bool clear_fault_effects();
-    /// Restarts one pair's rotor and resumes its last latched command.
-    void recover_fan(std::size_t pair);
     [[nodiscard]] double corrupt_sensor_reading(std::size_t sensor, double raw) const;
 
     server_config config_;
     die_reader die_temp_;
     util::pcg32 rng_;
-    power::fan_bank fans_;
+    fan_actuator fans_;
     power::server_power_model power_;
     thermal::server_sensor_suite sensors_;
     telemetry::harness telemetry_;
@@ -174,7 +173,6 @@ private:
     double imbalance_ = 0.5;
     std::size_t fan_changes_ = 0;
     std::vector<double> last_cpu_sensor_reads_;  ///< Refreshed at each telemetry poll.
-    std::vector<util::cfm_t> zone_airflow_;       ///< zone_airflow() scratch.
 
     std::optional<fault_schedule> schedule_;
     fault_state fault_;  ///< Always sized, so snapshots are always valid.

@@ -16,10 +16,11 @@
 //
 // Snapshots are the substrate of the receding-horizon rollout family:
 // server_simulator::snapshot_state / server_batch::snapshot_lane_state
-// save a live plant, server_batch::load_lane_state clones it across the
-// candidate lanes of a rollout batch, and
-// server_simulator::restore_state rewinds a plant (round-trip
-// pinned bitwise by the snapshot_roundtrip suite).  A server_state is
+// save a live plant, rollout_engine::evaluate loads its physical half
+// (clock, load split, fans, fan faults, thermal state) into the
+// candidate lanes, and server_batch::load_lane_state /
+// server_simulator::restore_state rewind a plant (round-trip pinned
+// bitwise by the snapshot_roundtrip suite).  A server_state is
 // reusable: saving overwrites in place, so a per-epoch scratch snapshot
 // amortizes to zero allocations.
 #pragma once

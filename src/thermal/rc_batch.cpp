@@ -146,14 +146,18 @@ double rc_batch::stable_dt(std::size_t lane) const {
     return stable_dt_[lane];
 }
 
-void rc_batch::step(util::seconds_t dt, const unsigned char* active) {
+void rc_batch::step_prefix(std::size_t count, util::seconds_t dt, const unsigned char* active) {
     util::ensure(dt.value() > 0.0, "rc_batch::step: non-positive dt");
+    util::ensure(count <= lanes_, "rc_batch::step_prefix: more lanes than the batch holds");
+    if (count == 0) {
+        return;
+    }
     // Each lane sub-steps against its own stability bound; masked-out
     // lanes take zero substeps.  When every lane is active with the same
     // count (the common case) the loop runs unmasked.
     int max_sub = 0;
     bool uniform = true;
-    for (std::size_t l = 0; l < lanes_; ++l) {
+    for (std::size_t l = 0; l < count; ++l) {
         int sub = 0;
         double h = 0.0;
         if (active == nullptr || active[l] != 0) {
@@ -167,9 +171,9 @@ void rc_batch::step(util::seconds_t dt, const unsigned char* active) {
         uniform = uniform && sub == scratch_.substeps[0];
     }
     if (uniform) {
-        step_uniform(max_sub, scratch_.h[0]);
+        step_uniform(count, max_sub, scratch_.h[0]);
     } else {
-        step_ragged(max_sub);
+        step_ragged(count, max_sub);
     }
     if (validate_) {
         for (double t : temps_) {
@@ -178,8 +182,7 @@ void rc_batch::step(util::seconds_t dt, const unsigned char* active) {
     }
 }
 
-void rc_batch::step_uniform(int substeps, double h) {
-    const std::size_t total = nodes_ * lanes_;
+void rc_batch::step_uniform(std::size_t count, int substeps, double h) {
     std::copy(temps_.begin(), temps_.end(), scratch_.t0.begin());
     double* t0 = scratch_.t0.data();
     double* tmp = scratch_.tmp.data();
@@ -188,31 +191,40 @@ void rc_batch::step_uniform(int substeps, double h) {
     double* k3 = scratch_.k3.data();
     double* k4 = scratch_.k4.data();
     const auto derivs = [&](const double* at, double* out) {
-        topo_.batch_derivatives_into(lanes_, at, powers_.data(), capacities_.data(),
+        topo_.batch_derivatives_into(lanes_, count, at, powers_.data(), capacities_.data(),
                                      ambient_.data(), edge_g_.data(), out);
+    };
+    // Visits every (node, stepped lane) cell; one flat sweep when the
+    // whole batch steps.
+    const auto cells = [&](const auto& update) {
+        if (count == lanes_) {
+            for (std::size_t i = 0; i < nodes_ * lanes_; ++i) {
+                update(i);
+            }
+            return;
+        }
+        for (std::size_t n = 0; n < nodes_; ++n) {
+            for (std::size_t i = n * lanes_; i < n * lanes_ + count; ++i) {
+                update(i);
+            }
+        }
     };
     for (int s = 0; s < substeps; ++s) {
         derivs(t0, k1);
-        for (std::size_t i = 0; i < total; ++i) {
-            tmp[i] = t0[i] + 0.5 * h * k1[i];
-        }
+        cells([&](std::size_t i) { tmp[i] = t0[i] + 0.5 * h * k1[i]; });
         derivs(tmp, k2);
-        for (std::size_t i = 0; i < total; ++i) {
-            tmp[i] = t0[i] + 0.5 * h * k2[i];
-        }
+        cells([&](std::size_t i) { tmp[i] = t0[i] + 0.5 * h * k2[i]; });
         derivs(tmp, k3);
-        for (std::size_t i = 0; i < total; ++i) {
-            tmp[i] = t0[i] + h * k3[i];
-        }
+        cells([&](std::size_t i) { tmp[i] = t0[i] + h * k3[i]; });
         derivs(tmp, k4);
-        for (std::size_t i = 0; i < total; ++i) {
+        cells([&](std::size_t i) {
             t0[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-        }
+        });
     }
     temps_.swap(scratch_.t0);
 }
 
-void rc_batch::step_ragged(int max_sub) {
+void rc_batch::step_ragged(std::size_t count, int max_sub) {
     std::copy(temps_.begin(), temps_.end(), scratch_.t0.begin());
     double* t0 = scratch_.t0.data();
     double* tmp = scratch_.tmp.data();
@@ -223,7 +235,7 @@ void rc_batch::step_ragged(int max_sub) {
     const double* h = scratch_.h.data();
     const int* sub = scratch_.substeps.data();
     const auto derivs = [&](const double* at, double* out) {
-        topo_.batch_derivatives_into(lanes_, at, powers_.data(), capacities_.data(),
+        topo_.batch_derivatives_into(lanes_, count, at, powers_.data(), capacities_.data(),
                                      ambient_.data(), edge_g_.data(), out);
     };
     // The same per-lane update sequence as step_uniform; a lane whose own
@@ -232,7 +244,7 @@ void rc_batch::step_ragged(int max_sub) {
         const auto stage = [&](const double* k, double factor) {
             for (std::size_t i = 0; i < nodes_; ++i) {
                 const std::size_t base = i * lanes_;
-                for (std::size_t l = 0; l < lanes_; ++l) {
+                for (std::size_t l = 0; l < count; ++l) {
                     if (s < sub[l]) {
                         tmp[base + l] = t0[base + l] + factor * h[l] * k[base + l];
                     }
@@ -248,7 +260,7 @@ void rc_batch::step_ragged(int max_sub) {
         derivs(tmp, k4);
         for (std::size_t i = 0; i < nodes_; ++i) {
             const std::size_t base = i * lanes_;
-            for (std::size_t l = 0; l < lanes_; ++l) {
+            for (std::size_t l = 0; l < count; ++l) {
                 if (s < sub[l]) {
                     t0[base + l] += h[l] / 6.0 *
                                     (k1[base + l] + 2.0 * k2[base + l] + 2.0 * k3[base + l] +

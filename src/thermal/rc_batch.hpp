@@ -105,7 +105,16 @@ public:
     /// `active[l] == 0` takes zero substeps, so its state is left
     /// bitwise-untouched while the remaining lanes integrate exactly as
     /// they would without it.  `nullptr` (the default) steps every lane.
-    void step(util::seconds_t dt, const unsigned char* active = nullptr);
+    void step(util::seconds_t dt, const unsigned char* active = nullptr) {
+        step_prefix(lanes_, dt, active);
+    }
+
+    /// step() over lanes [0, count) only: the remaining lanes are left
+    /// bitwise-untouched and cost no kernel work, and each stepped lane
+    /// integrates exactly as under step().  A caller whose live lanes
+    /// form a prefix (the rollout engine's candidates) steps just those.
+    void step_prefix(std::size_t count, util::seconds_t dt,
+                     const unsigned char* active = nullptr);
 
     /// Solves one lane's steady state L T = P + G_amb T_amb and adopts it.
     /// The lane's LU factorization is cached until its conductances
@@ -140,8 +149,8 @@ private:
     }
 
     void refresh_lane_cache(std::size_t lane) const;
-    void step_uniform(int substeps, double h);
-    void step_ragged(int max_sub);
+    void step_uniform(std::size_t count, int substeps, double h);
+    void step_ragged(std::size_t count, int max_sub);
 
     rc_network topo_;
     std::size_t lanes_ = 0;

@@ -42,10 +42,10 @@ double rc_network::conductance(edge_id e) const {
     return edges_[e.index].conductance;
 }
 
-void rc_network::batch_derivatives_into(std::size_t lanes, const double* temps,
-                                        const double* powers, const double* capacities,
-                                        const double* ambient, const double* edge_g,
-                                        double* out) const {
+void rc_network::batch_derivatives_into(std::size_t lanes, std::size_t count,
+                                        const double* temps, const double* powers,
+                                        const double* capacities, const double* ambient,
+                                        const double* edge_g, double* out) const {
     const std::size_t n = capacities_.size();
     if (lanes == 1) {
         // The same operation sequence as the lane loops below, without
@@ -68,8 +68,10 @@ void rc_network::batch_derivatives_into(std::size_t lanes, const double* temps,
         }
         return;
     }
-    for (std::size_t i = 0; i < n * lanes; ++i) {
-        out[i] = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t l = 0; l < count; ++l) {
+            out[i * lanes + l] = 0.0;
+        }
     }
     for (std::size_t k = 0; k < edges_.size(); ++k) {
         const edge& e = edges_[k];
@@ -77,13 +79,13 @@ void rc_network::batch_derivatives_into(std::size_t lanes, const double* temps,
         const double* ta = temps + e.a * lanes;
         double* oa = out + e.a * lanes;
         if (e.to_ambient) {
-            for (std::size_t l = 0; l < lanes; ++l) {
+            for (std::size_t l = 0; l < count; ++l) {
                 oa[l] += g[l] * (ambient[l] - ta[l]);
             }
         } else {
             const double* tb = temps + e.b * lanes;
             double* ob = out + e.b * lanes;
-            for (std::size_t l = 0; l < lanes; ++l) {
+            for (std::size_t l = 0; l < count; ++l) {
                 const double q = g[l] * (tb[l] - ta[l]);
                 oa[l] += q;
                 ob[l] -= q;
@@ -94,7 +96,7 @@ void rc_network::batch_derivatives_into(std::size_t lanes, const double* temps,
         const double* p = powers + i * lanes;
         const double* c = capacities + i * lanes;
         double* o = out + i * lanes;
-        for (std::size_t l = 0; l < lanes; ++l) {
+        for (std::size_t l = 0; l < count; ++l) {
             o[l] = (o[l] + p[l]) / c[l];
         }
     }

@@ -72,12 +72,14 @@ public:
     // floating-point operation sequence, so a lane's result does not
     // depend on the lane count or on its neighbours.
 
-    /// Writes dT/dt for every lane into `out` (size node_count() * lanes).
-    /// Edge flows accumulate in insertion order, then the (flow + power) /
-    /// capacity division runs per node.
-    void batch_derivatives_into(std::size_t lanes, const double* temps, const double* powers,
-                                const double* capacities, const double* ambient,
-                                const double* edge_g, double* out) const;
+    /// Writes dT/dt of lanes [0, count) into `out` (size node_count() *
+    /// lanes); the other lanes' entries are left alone.  Edge flows
+    /// accumulate in insertion order, then the (flow + power) / capacity
+    /// division runs per node.
+    void batch_derivatives_into(std::size_t lanes, std::size_t count, const double* temps,
+                                const double* powers, const double* capacities,
+                                const double* ambient, const double* edge_g,
+                                double* out) const;
 
     /// Conductance-matrix diagonal of one lane, accumulated in edge
     /// insertion order.  `diag` receives node_count() values.

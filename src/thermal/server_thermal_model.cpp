@@ -153,13 +153,15 @@ void server_thermal_model::apply_preheat(std::size_t lane) {
     }
 }
 
-void server_thermal_model::step(util::seconds_t dt, const unsigned char* active) {
-    for (std::size_t l = 0; l < lane_count(); ++l) {
+void server_thermal_model::step_prefix(std::size_t count, util::seconds_t dt,
+                                       const unsigned char* active) {
+    util::ensure(count <= lane_count(), "server_thermal_model::step_prefix: lane out of range");
+    for (std::size_t l = 0; l < count; ++l) {
         if (active == nullptr || active[l] != 0) {
             apply_preheat(l);
         }
     }
-    net_.step(dt, active);
+    net_.step_prefix(count, dt, active);
 }
 
 void server_thermal_model::settle(std::size_t lane) {

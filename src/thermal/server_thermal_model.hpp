@@ -97,7 +97,8 @@ private:
 /// fixed point of a steady solve.  Heat inputs are set by the caller
 /// each step (power::server_power_model couples this model with Eqn. 1).
 /// The fault monitor's twin and the idle-power probe own one lane;
-/// sim::server_batch owns one lane per server.
+/// sim::server_batch owns one lane per server, and sim::rollout_engine
+/// one lane per candidate slot.
 class server_thermal_model {
 public:
     /// One lane per configuration (at least one; each validated).  Lanes
@@ -129,7 +130,12 @@ public:
     /// Advances every lane by `dt`: injects each stepped lane's preheat at
     /// its current DIMM temperature, then takes one RK4 step.  `active`
     /// masks lanes as in rc_batch::step (a masked lane is untouched).
-    void step(util::seconds_t dt, const unsigned char* active = nullptr);
+    void step(util::seconds_t dt, const unsigned char* active = nullptr) {
+        step_prefix(lane_count(), dt, active);
+    }
+    /// step() over lanes [0, count) only (see rc_batch::step_prefix).
+    void step_prefix(std::size_t count, util::seconds_t dt,
+                     const unsigned char* active = nullptr);
 
     /// Solves one lane's steady state for its current inputs and adopts
     /// it: preheat depends on the DIMM temperature, which the solve moves,

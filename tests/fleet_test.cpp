@@ -234,6 +234,18 @@ TEST(Fleet, RunControlledFleetValidatesCounts) {
                  util::precondition_error);
 }
 
+TEST(Fleet, InvalidConfigInTheLastShardThrowsThroughThePool) {
+    // Shards are built on the pool: a bad configuration in the last
+    // shard's block must still surface as the constructor's exception,
+    // with the shards already built freed (the ASan job checks that).
+    std::vector<sim::server_config> configs = make_configs(8);
+    configs.back().base_power_w = std::nan("");
+    for (std::size_t threads : {1u, 4u}) {
+        EXPECT_THROW(sim::fleet(configs, fleet_cfg(4, threads)), util::precondition_error)
+            << threads << " threads";
+    }
+}
+
 /// TSan hammer: many shards stepped concurrently for many macro steps,
 /// with mid-run actuation between steps.  The assertion payload is
 /// light — the point is the data-race-free schedule under the sanitizer
@@ -302,9 +314,11 @@ TEST(Fleet, RolloutEngineIsShardAndThreadInvariant) {
             EXPECT_EQ(r.scores[l].steps, base.scores[l].steps) << "candidate " << l;
             EXPECT_EQ(r.scores[l].guarded, base.scores[l].guarded) << "candidate " << l;
         }
-        // Cross-shard trace addressing returns each candidate's rollout.
+        // Every candidate, whichever shard holds it, rolled the whole
+        // horizon.
         for (std::size_t l = 0; l < candidates.size(); ++l) {
-            EXPECT_GT(engine.candidate_trace(l).size(), 0u);
+            EXPECT_EQ(r.scores[l].steps, 90) << "candidate " << l;
+            EXPECT_GT(r.scores[l].energy_j, 0.0) << "candidate " << l;
         }
     }
 }

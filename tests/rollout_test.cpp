@@ -4,7 +4,11 @@
 // semantics, and MPC fleets through run_controlled_batch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/bang_bang_controller.hpp"
@@ -314,11 +318,10 @@ TEST(Rollout, CommitsTheFirstMoveOfTheWinningSchedule) {
 }
 
 TEST(Rollout, GuardedLaneIsRecycledCleanlyAcrossEvaluations) {
-    // A lane parked by the guard in evaluation N (inactive, truncated
-    // trace, hot restored state) must come back fully recycled in
-    // evaluation N+1: load_lane_state reactivates it, clears its trace,
-    // and overwrites every live field — so a reused engine's scores stay
-    // bitwise a fresh engine's.
+    // A lane parked by the guard in evaluation N (inactive, hot state,
+    // scored early) must come back fully recycled in evaluation N+1:
+    // loading the snapshot reactivates it and overwrites every live
+    // field — so a reused engine's scores stay bitwise a fresh engine's.
     workload::utilization_profile hot("hot");
     hot.constant(100.0, 3600_s);
     sim::server_simulator s;
@@ -344,8 +347,7 @@ TEST(Rollout, GuardedLaneIsRecycledCleanlyAcrossEvaluations) {
     // Same engine, next epoch: lane 0 must behave as if never guarded.
     const sim::rollout_result second = reused.evaluate(snap, all_cool, opt);
     EXPECT_FALSE(second.scores[0].guarded);
-    EXPECT_EQ(second.scores[0].steps, 300);
-    EXPECT_EQ(reused.lanes().trace(0).size(), 300U);  // trace fully refilled
+    EXPECT_EQ(second.scores[0].steps, 300);  // the full horizon again
 
     sim::rollout_engine fresh(s.config(), 2);
     fresh.bind_workload(*s.workload());
@@ -357,9 +359,8 @@ TEST(Rollout, GuardedLaneIsRecycledCleanlyAcrossEvaluations) {
         EXPECT_EQ(second.scores[i].energy_j, clean.scores[i].energy_j);
         EXPECT_EQ(second.scores[i].peak_temp_c, clean.scores[i].peak_temp_c);
         EXPECT_EQ(second.scores[i].steps, clean.scores[i].steps);
+        EXPECT_EQ(second.scores[i].guarded, clean.scores[i].guarded);
     }
-    expect_traces_identical(reused.lanes().trace(0), fresh.lanes().trace(0));
-    expect_traces_identical(reused.lanes().trace(1), fresh.lanes().trace(1));
 }
 
 TEST(Rollout, CandidateCountShrinkThenGrowStaysBitwise) {
@@ -398,8 +399,137 @@ TEST(Rollout, CandidateCountShrinkThenGrowStaysBitwise) {
         EXPECT_EQ(regrown.scores[i].steps, clean.scores[i].steps);
         EXPECT_EQ(regrown.scores[i].guarded, clean.scores[i].guarded);
     }
-    for (std::size_t l = 0; l < 4; ++l) {
-        expect_traces_identical(reused.lanes().trace(l), fresh.lanes().trace(l));
+}
+
+/// One snapshot setup for Rollout.PredictionEqualsRealization.
+struct prediction_case {
+    const char* name = "";
+    bool monitor = false;
+    double imbalance = 0.5;
+    util::seconds_t snapshot_at{0.0};
+    util::seconds_t sim_dt{1.0};
+    util::seconds_t epoch{30.0};
+    std::vector<sim::fault_event> events;
+};
+
+sim::fault_event fault_at(double t_s, sim::fault_kind kind, std::size_t target, double value = 0.0,
+                          double duration_s = 0.0) {
+    return sim::fault_event{t_s, kind, target, value, duration_s};
+}
+
+/// The step index at which move `i` of a schedule applies.
+long move_step(std::size_t i, double epoch, double dt) {
+    return static_cast<long>(std::ceil(static_cast<double>(i) * epoch / dt - 1e-9));
+}
+
+TEST(Rollout, PredictionEqualsRealization) {
+    // Every candidate's prediction is bitwise what a plant restored from
+    // the same snapshot realizes under the same moves: the energy summed
+    // over its trace, its peak true die temperature, and its step count.
+    // The snapshots cover a running monitor, an imbalanced load split, a
+    // stuck fan active at the snapshot, and fan, sensor and telemetry
+    // faults scheduled inside the horizon.
+    using sim::fault_kind;
+    prediction_case stuck;
+    stuck.name = "monitored, stuck fan at the snapshot";
+    stuck.monitor = true;
+    stuck.snapshot_at = 400_s;
+    stuck.events = {
+        fault_at(300.0, fault_kind::fan_stuck_pwm, 0, 2700.0),
+        fault_at(430.0, fault_kind::sensor_bias, 1, 3.0),
+        fault_at(470.0, fault_kind::fan_failure, 2),
+        fault_at(500.0, fault_kind::fan_recover, 0),
+        fault_at(540.0, fault_kind::fan_recover, 2),
+    };
+    prediction_case skewed;
+    skewed.name = "imbalanced, tach and telemetry faults";
+    skewed.imbalance = 0.7;
+    skewed.snapshot_at = 650_s;
+    skewed.events = {
+        fault_at(690.0, fault_kind::telemetry_loss, 0, 0.0, 40.0),
+        fault_at(700.0, fault_kind::fan_tach_stuck, 1),
+        fault_at(780.0, fault_kind::fan_recover, 1),
+    };
+    prediction_case every;
+    every.name = "monitored and imbalanced, every fault class";
+    every.monitor = true;
+    every.imbalance = 0.7;
+    every.snapshot_at = 850_s;
+    every.sim_dt = 0.5_s;
+    every.epoch = 45_s;
+    every.events = {
+        fault_at(800.0, fault_kind::fan_stuck_pwm, 2, std::numeric_limits<double>::quiet_NaN()),
+        fault_at(880.0, fault_kind::fan_failure, 0),
+        fault_at(900.0, fault_kind::sensor_bias, 3, 2.0),
+        fault_at(910.0, fault_kind::telemetry_loss, 0, 0.0, 20.0),
+        fault_at(950.0, fault_kind::fan_tach_stuck, 1),
+        fault_at(1000.0, fault_kind::fan_recover, 0),
+    };
+    const std::vector<sim::fan_schedule> candidates = {
+        {{3000_rpm, 2400_rpm, 2700_rpm}},
+        {{3600_rpm, 2400_rpm, 4200_rpm, 3000_rpm}},
+        {{2400_rpm, 3300_rpm}},
+        {{4200_rpm, 2700_rpm, 3900_rpm, 2400_rpm, 3000_rpm}},
+    };
+    const auto profile = short_profile();
+
+    for (const prediction_case& pc : {stuck, skewed, every}) {
+        SCOPED_TRACE(pc.name);
+        sim::server_config cfg = sim::paper_server();
+        cfg.monitor.enabled = pc.monitor;
+        const sim::fault_schedule schedule(pc.events);
+        sim::server_simulator source(cfg);
+        source.bind_workload(profile);
+        source.set_load_imbalance(pc.imbalance);
+        source.bind_fault_schedule(schedule);
+        source.force_cold_start();
+        source.set_all_fans(3000_rpm);
+        source.advance(pc.snapshot_at);
+        const sim::server_state snap = source.snapshot_state();
+
+        sim::rollout_options opt;
+        opt.horizon = 180_s;
+        opt.epoch = pc.epoch;
+        opt.sim_dt = pc.sim_dt;
+        opt.guard_temp_c = 95.0;
+        sim::rollout_engine engine(cfg, candidates.size());
+        engine.bind_workload(*source.workload());
+        engine.bind_fault_schedule(schedule);
+        const sim::rollout_result r = engine.evaluate(snap, candidates, opt);
+
+        const double dt = pc.sim_dt.value();
+        for (std::size_t c = 0; c < candidates.size(); ++c) {
+            SCOPED_TRACE("candidate " + std::to_string(c));
+            const sim::candidate_score& score = r.scores[c];
+            ASSERT_FALSE(score.guarded);
+            EXPECT_EQ(score.steps, static_cast<long>(std::ceil(180.0 / dt - 1e-9)));
+            const std::vector<util::rpm_t>& moves = candidates[c].moves;
+
+            sim::server_simulator plant(cfg);
+            plant.bind_workload(profile);
+            plant.bind_fault_schedule(schedule);
+            plant.restore_state(snap);
+            std::size_t move_idx = 0;
+            double peak = 0.0;
+            for (long step = 0; step < score.steps; ++step) {
+                if (step >= move_step(move_idx, pc.epoch.value(), dt)) {
+                    plant.set_all_fans(moves[std::min(move_idx, moves.size() - 1)]);
+                    ++move_idx;
+                }
+                plant.step(pc.sim_dt);
+                const double t_max =
+                    std::max(plant.true_cpu_temp(0).value(), plant.true_cpu_temp(1).value());
+                peak = std::max(peak, t_max);
+            }
+            const util::column_view power = plant.trace().total_power();
+            double energy = 0.0;
+            for (std::size_t i = 0; i < power.size(); ++i) {
+                energy += power.v(i) * dt;
+            }
+            EXPECT_EQ(static_cast<long>(power.size()), score.steps);
+            EXPECT_EQ(energy, score.energy_j);
+            EXPECT_EQ(peak, score.peak_temp_c);
+        }
     }
 }
 
