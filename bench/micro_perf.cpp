@@ -17,7 +17,6 @@
 #include "sim/fleet.hpp"
 #include "sim/server_batch.hpp"
 #include "sim/server_simulator.hpp"
-#include "sim/simulation_trace.hpp"
 #include "telemetry_service/online_metrics.hpp"
 #include "telemetry_service/row_group.hpp"
 #include "util/spsc_ring.hpp"
@@ -145,27 +144,27 @@ BENCHMARK(BM_FleetStep)
     ->UseRealTime();
 
 void BM_TraceRecord(benchmark::State& state) {
-    // Pure recording cost of the owning store: one columnar row append
-    // (shared timestamp + 16 channel values), as read_trace_csv and
-    // materialized lane traces fill it.  The plants record through
-    // batch_trace (BM_TraceRecordBatch).
+    // Pure recording cost of one row in a one-lane batch_trace (shared
+    // timestamp + 16 channel values): the one-server plant's recording
+    // path, and how a lane's view is copied to outlive its batch.
+    // BM_TraceRecordBatch covers wider arenas.
     // Cycle a pre-reserved working set so the number reflects
     // steady-state append cost (not first-touch vector growth) at any
     // --benchmark_min_time.
     constexpr std::size_t kRows = 1U << 16;
-    sim::simulation_trace tr;
-    tr.reserve(kRows);
+    sim::batch_trace tr(1);
+    tr.reserve_steps(kRows);
     sim::trace_row row;
     for (std::size_t c = 0; c < sim::trace_channel_count; ++c) {
         row.values[c] = 40.0 + static_cast<double>(c);
     }
     double t = 0.0;
     for (auto _ : state) {
-        if (tr.size() == kRows) {
-            tr.clear();
+        if (tr.size(0) == kRows) {
+            tr.clear(0);
             t = 0.0;
         }
-        tr.append(t, row);
+        tr.append(0, t, row);
         t += 1.0;
     }
     state.SetItemsProcessed(state.iterations());

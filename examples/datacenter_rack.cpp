@@ -24,11 +24,11 @@
 #include "core/controller_runtime.hpp"
 #include "core/default_controller.hpp"
 #include "core/lut_controller.hpp"
-#include "power/psu_model.hpp"
+#include "rack/psu_model.hpp"
+#include "rack/room_model.hpp"
 #include "sim/metrics.hpp"
 #include "sim/server_batch.hpp"
 #include "sim/server_simulator.hpp"
-#include "thermal/room_model.hpp"
 #include "workload/profile.hpp"
 #include "workload/queueing.hpp"
 

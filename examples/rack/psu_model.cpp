@@ -1,4 +1,4 @@
-#include "power/psu_model.hpp"
+#include "rack/psu_model.hpp"
 
 #include "util/error.hpp"
 

@@ -1,4 +1,4 @@
-#include "thermal/room_model.hpp"
+#include "rack/room_model.hpp"
 
 #include "util/error.hpp"
 

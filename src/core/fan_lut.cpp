@@ -1,6 +1,7 @@
 #include "core/fan_lut.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <ostream>
 
 #include "util/csv.hpp"
@@ -10,18 +11,23 @@ namespace ltsc::core {
 
 fan_lut::fan_lut(std::vector<lut_entry> entries) : entries_(std::move(entries)) {
     util::ensure(!entries_.empty(), "fan_lut: empty table");
+    // Fields are checked before sorting: a NaN level would break the
+    // sort's strict weak ordering.
+    for (const lut_entry& e : entries_) {
+        util::ensure(e.utilization_pct >= 0.0 && e.utilization_pct <= 100.0,
+                     "fan_lut: utilization out of [0, 100]");
+        util::ensure(std::isfinite(e.rpm.value()), "fan_lut: non-finite RPM");
+        util::ensure(e.rpm.value() > 0.0, "fan_lut: non-positive RPM");
+        util::ensure(std::isfinite(e.expected_cpu_temp_c) && std::isfinite(e.expected_fan_leak_w),
+                     "fan_lut: non-finite expected temperature or power");
+    }
     std::sort(entries_.begin(), entries_.end(),
               [](const lut_entry& a, const lut_entry& b) {
                   return a.utilization_pct < b.utilization_pct;
               });
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        util::ensure(entries_[i].utilization_pct >= 0.0 && entries_[i].utilization_pct <= 100.0,
-                     "fan_lut: utilization out of [0, 100]");
-        util::ensure(entries_[i].rpm.value() > 0.0, "fan_lut: non-positive RPM");
-        if (i > 0) {
-            util::ensure(entries_[i].utilization_pct > entries_[i - 1].utilization_pct,
-                         "fan_lut: duplicate utilization level");
-        }
+    for (std::size_t i = 1; i < entries_.size(); ++i) {
+        util::ensure(entries_[i].utilization_pct > entries_[i - 1].utilization_pct,
+                     "fan_lut: duplicate utilization level");
     }
 }
 
@@ -46,26 +52,6 @@ void fan_lut::write_csv(std::ostream& os) const {
         w.write_row({e.utilization_pct, e.rpm.value(), e.expected_cpu_temp_c,
                      e.expected_fan_leak_w});
     }
-}
-
-fan_lut fan_lut::from_csv(const std::string& text) {
-    const util::csv_document doc = util::parse_csv(text);
-    util::ensure(doc.header.size() >= 2, "fan_lut::from_csv: bad header");
-    std::vector<lut_entry> entries;
-    for (const auto& row : doc.rows) {
-        util::ensure(row.size() >= 2, "fan_lut::from_csv: short row");
-        lut_entry e;
-        e.utilization_pct = std::stod(row[0]);
-        e.rpm = util::rpm_t{std::stod(row[1])};
-        if (row.size() >= 3) {
-            e.expected_cpu_temp_c = std::stod(row[2]);
-        }
-        if (row.size() >= 4) {
-            e.expected_fan_leak_w = std::stod(row[3]);
-        }
-        entries.push_back(e);
-    }
-    return fan_lut(std::move(entries));
 }
 
 }  // namespace ltsc::core

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "util/units.hpp"
@@ -30,7 +29,9 @@ public:
     fan_lut() = default;
 
     /// Builds from rows; they are sorted by utilization and must have
-    /// strictly increasing utilization levels in [0, 100].
+    /// distinct utilization levels in [0, 100], a finite positive RPM and
+    /// a finite expected temperature and power.  Throws
+    /// precondition_error otherwise.
     explicit fan_lut(std::vector<lut_entry> entries);
 
     /// Fan speed for a measured utilization: the entry with the smallest
@@ -46,12 +47,9 @@ public:
     [[nodiscard]] bool empty() const { return entries_.empty(); }
     [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
-    /// Serializes as CSV (utilization_pct, rpm, expected_temp_c,
+    /// Serializes as CSV (utilization_pct, rpm, expected_cpu_temp_c,
     /// expected_fan_leak_w).
     void write_csv(std::ostream& os) const;
-
-    /// Parses the CSV produced by write_csv.
-    [[nodiscard]] static fan_lut from_csv(const std::string& text);
 
 private:
     std::vector<lut_entry> entries_;

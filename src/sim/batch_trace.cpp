@@ -6,10 +6,38 @@
 
 namespace ltsc::sim {
 
+namespace {
+
+constexpr const char* kChannelNames[trace_channel_count] = {
+    "target_util", "instant_util",  "cpu0_temp", "cpu1_temp",     "avg_cpu_temp",
+    "max_sensor_temp", "dimm_temp", "total_power", "fan_power",   "leakage_power",
+    "active_power", "avg_fan_rpm",  "sensor_age", "monitor_sensor_health",
+    "monitor_fan_health", "monitor_die_estimate",
+};
+
+}  // namespace
+
+const char* trace_channel_name(trace_channel c) {
+    const auto i = static_cast<std::size_t>(c);
+    util::ensure(i < trace_channel_count, "trace_channel_name: bad channel");
+    return kChannelNames[i];
+}
+
 batch_trace::batch_trace(std::size_t lanes) : lanes_(lanes) {
     util::ensure(lanes_ > 0, "batch_trace: need at least one lane");
     first_.assign(lanes_, 0);
     count_.assign(lanes_, 0);
+}
+
+batch_trace::batch_trace(const trace_view& v) : batch_trace(1) {
+    reserve_steps(v.size());
+    trace_row row;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        for (std::size_t c = 0; c < trace_channel_count; ++c) {
+            row.values[c] = v.channel(static_cast<trace_channel>(c)).v(i);
+        }
+        append(0, v.channel(trace_channel::target_util).t(i), row);
+    }
 }
 
 void batch_trace::append(std::size_t lane, double t, const trace_row& row) {
@@ -24,7 +52,7 @@ void batch_trace::append(std::size_t lane, double t, const trace_row& row) {
                      "batch_trace::append: non-monotonic time stamp");
     }
     if (target == groups_) {
-        arena_.resize(arena_.size() + lanes_ * slot_doubles_);
+        arena_.resize(arena_.size() + lanes_ * slot_doubles);
         ++groups_;
         ++appended_groups_;
     }
@@ -65,7 +93,7 @@ trace_view batch_trace::lane(std::size_t lane) const {
         return out;
     }
     const double* base = slot(first_[lane], lane);
-    const std::size_t stride_bytes = lanes_ * slot_doubles_ * sizeof(double);
+    const std::size_t stride_bytes = lanes_ * slot_doubles * sizeof(double);
     for (std::size_t c = 0; c < trace_channel_count; ++c) {
         out.channels_[c] = util::column_view(base, base + 1 + c, count_[lane], stride_bytes);
     }
@@ -84,7 +112,7 @@ bool batch_trace::lane_in_group(std::size_t lane, std::size_t group) const {
 }
 
 void batch_trace::reserve_steps(std::size_t steps) {
-    arena_.reserve((groups_ + steps) * lanes_ * slot_doubles_);
+    arena_.reserve((groups_ + steps) * lanes_ * slot_doubles);
 }
 
 }  // namespace ltsc::sim

@@ -32,9 +32,8 @@ struct run_metrics {
     double duration_s = 0.0;      ///< Trace span.
 };
 
-/// Extracts the metrics from a finished run's trace view (a
-/// `simulation_trace` converts implicitly).  `fan_changes` is the plant's counter at
-/// extraction time.  Throws precondition_error when the trace has fewer
+/// Extracts the metrics from a finished run's trace view.  `fan_changes`
+/// is the plant's counter at extraction time.  Throws precondition_error when the trace has fewer
 /// than 2 samples.  Channels cannot drift out of step: the columnar
 /// store appends every channel in one row.
 [[nodiscard]] run_metrics compute_metrics(const trace_view& trace, std::size_t fan_changes,

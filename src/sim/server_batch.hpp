@@ -193,8 +193,8 @@ public:
 
     // --- recording (per lane) -----------------------------------------------
     /// View of one lane's recording in the shared lane-major arena
-    /// (invalidated by the next step/clear; materialize with
-    /// `simulation_trace{batch.trace(l)}` to keep it).
+    /// (invalidated by the next step/clear; copy it with
+    /// `batch_trace{batch.trace(l)}` to keep it).
     [[nodiscard]] trace_view trace(std::size_t lane) const;
     /// Drops the lane's recorded trace rows and telemetry history rows
     /// (the telemetry poll clock is untouched, so replay stays bitwise).

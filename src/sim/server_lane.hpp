@@ -27,11 +27,11 @@
 
 #include "core/fault_monitor.hpp"
 #include "power/server_power_model.hpp"
+#include "sim/batch_trace.hpp"
 #include "sim/fan_actuator.hpp"
 #include "sim/fault_schedule.hpp"
 #include "sim/server_config.hpp"
 #include "sim/server_state.hpp"
-#include "sim/simulation_trace.hpp"
 #include "telemetry/harness.hpp"
 #include "thermal/sensors.hpp"
 #include "util/rng.hpp"

@@ -212,7 +212,7 @@ public:
 
     // --- recording -----------------------------------------------------------
     /// View of the recorded trace, invalidated by the next step or clear
-    /// (materialize with `simulation_trace{sim.trace()}` to keep it).
+    /// (copy it with `batch_trace{sim.trace()}` to keep it).
     [[nodiscard]] trace_view trace() const { return batch_.trace(0); }
     /// Drops the recorded trace rows and telemetry history rows (the
     /// telemetry poll clock is untouched, so replay stays bitwise).

@@ -15,7 +15,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/simulation_trace.hpp"
+#include "sim/batch_trace.hpp"
 
 namespace ltsc::telemetry_service {
 

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "util/error.hpp"
-
 namespace ltsc::util {
 
 namespace {
@@ -61,91 +59,6 @@ void csv_writer::write_row(const std::vector<double>& cells) {
         formatted.push_back(format_number(v));
     }
     write_row(formatted);
-}
-
-csv_document parse_csv(const std::string& text) {
-    csv_document doc;
-    std::vector<std::string> row;
-    std::string cell;
-    bool in_quotes = false;
-    bool row_has_content = false;
-
-    const auto end_cell = [&] {
-        row.push_back(cell);
-        cell.clear();
-    };
-    const auto end_row = [&] {
-        end_cell();
-        if (doc.header.empty() && doc.rows.empty()) {
-            doc.header = row;
-        } else {
-            doc.rows.push_back(row);
-        }
-        row.clear();
-        row_has_content = false;
-    };
-
-    for (std::size_t i = 0; i < text.size(); ++i) {
-        const char c = text[i];
-        if (in_quotes) {
-            if (c == '"') {
-                if (i + 1 < text.size() && text[i + 1] == '"') {
-                    cell += '"';
-                    ++i;
-                } else {
-                    in_quotes = false;
-                }
-            } else {
-                cell += c;
-            }
-            continue;
-        }
-        switch (c) {
-            case '"':
-                in_quotes = true;
-                row_has_content = true;
-                break;
-            case ',':
-                end_cell();
-                row_has_content = true;
-                break;
-            case '\r':
-                break;
-            case '\n':
-                if (row_has_content || !cell.empty() || !row.empty()) {
-                    end_row();
-                }
-                break;
-            default:
-                cell += c;
-                row_has_content = true;
-                break;
-        }
-    }
-    ensure(!in_quotes, "parse_csv: unterminated quoted cell");
-    if (row_has_content || !cell.empty() || !row.empty()) {
-        end_row();
-    }
-    return doc;
-}
-
-void ensure_rectangular(const csv_document& doc) {
-    for (std::size_t i = 0; i < doc.rows.size(); ++i) {
-        if (doc.rows[i].size() != doc.header.size()) {
-            throw parse_error("csv: row " + std::to_string(i + 1) + " has " +
-                              std::to_string(doc.rows[i].size()) + " cells, header has " +
-                              std::to_string(doc.header.size()));
-        }
-    }
-}
-
-std::size_t column_index(const csv_document& doc, const std::string& name) {
-    for (std::size_t i = 0; i < doc.header.size(); ++i) {
-        if (doc.header[i] == name) {
-            return i;
-        }
-    }
-    throw parse_error("csv: missing column '" + name + "'");
 }
 
 void write_series_csv(std::ostream& os, const std::vector<named_series>& series) {

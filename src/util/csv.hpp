@@ -1,8 +1,8 @@
-// Minimal CSV reading/writing for trace export and benchmark output.
+// Minimal CSV writing for trace export and benchmark output.
 //
 // The benchmark harnesses dump every figure's series as CSV so the plots
-// can be regenerated with any plotting tool; the reader exists mainly so
-// tests can round-trip what the writer produced.
+// can be regenerated with any plotting tool.  The library writes CSV but
+// reads none.
 #pragma once
 
 #include <ostream>
@@ -14,7 +14,7 @@
 namespace ltsc::util {
 
 /// Streaming CSV writer.  Quotes cells containing separators/quotes per
-/// RFC 4180; numeric cells are written with enough digits to round-trip.
+/// RFC 4180; numeric cells are written by `format_number`.
 class csv_writer {
 public:
     /// Wraps an output stream; the stream must outlive the writer.
@@ -37,29 +37,13 @@ private:
     std::size_t rows_ = 0;
 };
 
-/// Parsed CSV document: a header plus rows of string cells.
-struct csv_document {
-    std::vector<std::string> header;
-    std::vector<std::vector<std::string>> rows;
-};
-
-/// Parses CSV text (first row treated as header).  Handles quoted cells and
-/// embedded separators; throws on unterminated quotes.
-[[nodiscard]] csv_document parse_csv(const std::string& text);
-
-/// Throws parse_error when any row has a different cell count than the
-/// header (a malformed / ragged row).
-void ensure_rectangular(const csv_document& doc);
-
-/// Index of `name` in the document's header; throws parse_error when the
-/// column is absent.
-[[nodiscard]] std::size_t column_index(const csv_document& doc, const std::string& name);
-
 /// Writes a set of named series that share no time base as long-format CSV
 /// with columns: series, time_s, value, unit.
 void write_series_csv(std::ostream& os, const std::vector<named_series>& series);
 
-/// Formats a double with round-trip precision, trimming trailing zeros.
+/// Formats a double with 12 significant digits (`%.12g`: readable, not
+/// binary-exact), trimming trailing zeros; non-finite values print as
+/// `inf`, `-inf` or `nan`.
 [[nodiscard]] std::string format_number(double v);
 
 }  // namespace ltsc::util

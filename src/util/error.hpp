@@ -30,13 +30,6 @@ public:
     explicit numeric_error(const std::string& what) : ltsc_error(what) {}
 };
 
-/// Thrown when externally supplied data (CSV traces, config files) is
-/// malformed: ragged rows, missing columns, unparseable cells.
-class parse_error : public ltsc_error {
-public:
-    explicit parse_error(const std::string& what) : ltsc_error(what) {}
-};
-
 /// Throws precondition_error with `msg` when `condition` is false.
 ///
 /// The message is taken as a C string so the (overwhelmingly common)

@@ -17,13 +17,6 @@ std::size_t frame::add_channel(std::string name) {
     return columns_.size() - 1;
 }
 
-void frame::reserve(std::size_t rows) {
-    time_.reserve(rows);
-    for (auto& col : columns_) {
-        col.reserve(rows);
-    }
-}
-
 void frame::append(double t, const double* values, std::size_t count) {
     ensure(count == columns_.size(), "frame::append: value count != channel count");
     ensure(std::isfinite(t), "frame::append: non-finite time stamp");

@@ -1,13 +1,13 @@
 // Columnar trace storage: one shared time axis, N named value columns.
 //
-// A `frame` is the storage layer under every per-step recording in the
-// library.  Where a bundle of `time_series` would duplicate the
-// timestamp per channel and validate monotonicity N times per step, a
-// frame holds one monotonic time column plus one contiguous value column
-// per channel: an append is one timestamp check and one row write, and
-// channels can never drift out of step with each other.  Reads go
-// through `column_view`, which exposes the full `time_series` read API
-// over the shared time column.
+// A `frame` stores the telemetry harness's channel history (plant
+// traces live in `sim::batch_trace`).  Where a bundle of `time_series`
+// would duplicate the timestamp per channel and validate monotonicity N
+// times per step, a frame holds one monotonic time column plus one
+// contiguous value column per channel: an append is one timestamp check
+// and one row write, and channels can never drift out of step with each
+// other.  Reads go through `column_view`, which exposes the full
+// `time_series` read API over the shared time column.
 #pragma once
 
 #include <cstddef>
@@ -33,9 +33,6 @@ public:
     /// Number of rows (samples per channel).
     [[nodiscard]] std::size_t size() const { return time_.size(); }
     [[nodiscard]] bool empty() const { return time_.empty(); }
-
-    /// Pre-allocates storage for `rows` rows in every column.
-    void reserve(std::size_t rows);
 
     /// Appends one row: a shared timestamp plus one value per channel
     /// (`count` must equal `channel_count()`).  Throws precondition_error

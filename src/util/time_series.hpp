@@ -7,9 +7,8 @@
 //    where a channel genuinely has its own time axis (workload profiles,
 //    materialized exports).
 //  * `column_view` — a non-owning, possibly strided view over separate
-//    time/value storage, used by the columnar trace store (`util::frame`,
-//    `sim::simulation_trace`, `sim::batch_trace`) where many channels
-//    share one time column.
+//    time/value storage, used by the columnar stores (`util::frame`,
+//    `sim::batch_trace`) where many channels share one time column.
 //
 // Both forward to the same templated algorithms (util/series_algo.hpp),
 // so statistics computed through a view are bitwise-identical to the

@@ -3,7 +3,9 @@
 // closed-loop behaviour is covered by integration_test.cpp.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "core/bang_bang_controller.hpp"
 #include "core/default_controller.hpp"
@@ -135,15 +137,40 @@ TEST(FanLut, EmptyTableRejected) {
     EXPECT_THROW(core::fan_lut{std::vector<core::lut_entry>{}}, util::precondition_error);
 }
 
+TEST(FanLut, NonFiniteEntriesRejected) {
+    // +inf passes an `rpm > 0` check, and a lut_controller would then
+    // command an infinite fan speed.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    // Whether a table of one valid row plus `bad` is rejected.
+    const auto rejected = [](const core::lut_entry& bad) {
+        const std::vector<core::lut_entry> entries{{20.0, 1800_rpm, 50.0, 10.0}, bad};
+        try {
+            static_cast<void>(core::fan_lut{entries});
+        } catch (const util::precondition_error&) {
+            return true;
+        }
+        return false;
+    };
+    EXPECT_TRUE(rejected({80.0, util::rpm_t{inf}, 60.0, 12.0}));
+    EXPECT_TRUE(rejected({80.0, util::rpm_t{nan}, 60.0, 12.0}));
+    EXPECT_TRUE(rejected({80.0, 2400_rpm, nan, 12.0}));
+    EXPECT_TRUE(rejected({80.0, 2400_rpm, inf, 12.0}));
+    EXPECT_TRUE(rejected({80.0, 2400_rpm, 60.0, nan}));
+    EXPECT_TRUE(rejected({80.0, 2400_rpm, 60.0, -inf}));
+    EXPECT_TRUE(rejected({nan, 2400_rpm, 60.0, 12.0}));
+}
+
 TEST(FanLut, CsvRoundTrip) {
-    const auto lut = paper_like_lut();
+    // Write-only format: the header, then one line per entry in level
+    // order, each cell the format_number text of the stored field.
     std::ostringstream os;
-    lut.write_csv(os);
-    const auto parsed = core::fan_lut::from_csv(os.str());
-    ASSERT_EQ(parsed.size(), lut.size());
-    EXPECT_DOUBLE_EQ(parsed.lookup(80.0).value(), lut.lookup(80.0).value());
-    EXPECT_DOUBLE_EQ(parsed.entries()[0].expected_cpu_temp_c,
-                     lut.entries()[0].expected_cpu_temp_c);
+    paper_like_lut().write_csv(os);
+    EXPECT_EQ(os.str(),
+              "utilization_pct,rpm,expected_cpu_temp_c,expected_fan_leak_w\n"
+              "0,1800,60,10\n10,1800,60,10\n25,1800,60,10\n40,1800,60,10\n"
+              "50,1800,60,10\n60,1800,60,10\n"
+              "75,2400,70,18\n90,2400,70,18\n100,2400,70,18\n");
 }
 
 // --- LUT controller ------------------------------------------------------------

@@ -199,16 +199,16 @@ TEST(Determinism, LanePackingIsObservationallyInvariant) {
             }
             batch.step();
         }
-        std::vector<sim::simulation_trace> out;
+        std::vector<sim::batch_trace> out;
         for (std::size_t l = 0; l < batch.lane_count(); ++l) {
-            // Materialize: the view dies with the batch's arena.
+            // Copy each lane: the view dies with the batch's arena.
             out.emplace_back(batch.trace(l));
         }
         return out;
     };
 
     const auto packed = run_lanes(configs, fan_rpm);
-    std::vector<sim::simulation_trace> split;
+    std::vector<sim::batch_trace> split;
     {
         auto front = run_lanes({configs[0], configs[1]}, {fan_rpm[0], fan_rpm[1]});
         auto back = run_lanes({configs[2], configs[3]}, {fan_rpm[2], fan_rpm[3]});
@@ -226,9 +226,9 @@ TEST(Determinism, LanePackingIsObservationallyInvariant) {
         SCOPED_TRACE("lane " + std::to_string(l));
         // 4-lane batch vs two 2-lane batches vs a single-lane batch: the
         // packing must be invisible in every recorded sample.
-        expect_traces_identical(packed[l], split[l]);
+        expect_traces_identical(packed[l].lane(0), split[l].lane(0));
         const auto single = run_lanes({configs[l]}, {fan_rpm[l]});
-        expect_traces_identical(packed[l], single.front());
+        expect_traces_identical(packed[l].lane(0), single.front().lane(0));
     }
 }
 

@@ -7,13 +7,13 @@
 
 #include "core/controller_runtime.hpp"
 #include "core/default_controller.hpp"
-#include "core/lut_controller.hpp"
 #include "sim/experiment.hpp"
 #include "sim/trace_io.hpp"
-#include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "workload/profile.hpp"
+
+#include "trace_csv_check.hpp"
 
 namespace {
 
@@ -99,33 +99,10 @@ TEST_F(TraceFixture, NamedSeriesCoverAllChannels) {
 
 TEST_F(TraceFixture, ColumnarCsvParsesBack) {
     // Columnar layout: the shared time axis appears once, so the dump is
-    // one row per recorded step instead of 16.
+    // one line per recorded step instead of 16.
     std::ostringstream os;
     sim::write_trace_csv(os, sim_.trace());
-    const auto doc = util::parse_csv(os.str());
-    EXPECT_EQ(doc.header.size(), 17U);  // time_s + 16 channels
-    EXPECT_EQ(doc.header.front(), "time_s");
-    EXPECT_EQ(doc.rows.size(), sim_.trace().total_power().size());
-
-    const sim::simulation_trace back = sim::read_trace_csv(os.str());
-    ASSERT_EQ(back.size(), sim_.trace().size());
-    EXPECT_NEAR(back.view().total_power().back().v, sim_.trace().total_power().back().v,
-                1e-9 * sim_.trace().total_power().back().v);
-}
-
-TEST_F(TraceFixture, WideCsvHasOneColumnPerChannel) {
-    std::ostringstream os;
-    sim::write_trace_csv_wide(os, sim_.trace(), 10.0);
-    const auto doc = util::parse_csv(os.str());
-    EXPECT_EQ(doc.header.size(), 17U);  // time + 16 channels
-    EXPECT_GE(doc.rows.size(), 12U);    // 120 s / 10 s
-    EXPECT_EQ(doc.header.front(), "time_s");
-}
-
-TEST(TraceIo, EmptyTraceRejected) {
-    sim::simulation_trace empty;
-    std::ostringstream os;
-    EXPECT_THROW(sim::write_trace_csv_wide(os, empty), util::precondition_error);
+    test::expect_columnar_trace_csv(os.str(), sim_.trace());
 }
 
 // --- runtime configuration validation ----------------------------------------------
@@ -158,16 +135,6 @@ TEST(Runtime, InitialRpmRespected) {
 }
 
 // --- failure injection: missing sensors / misuse --------------------------------------
-
-TEST(FailureInjection, LutWithMisorderedCsvRejected) {
-    // Corrupted LUT file: duplicate utilization levels.
-    const std::string csv = "utilization_pct,rpm\n50,1800\n50,2400\n";
-    EXPECT_THROW(core::fan_lut::from_csv(csv), util::precondition_error);
-}
-
-TEST(FailureInjection, LutFromEmptyCsvRejected) {
-    EXPECT_THROW(core::fan_lut::from_csv("utilization_pct,rpm\n"), util::precondition_error);
-}
 
 TEST(FailureInjection, SimulatorWithoutWorkloadIdles) {
     sim::server_simulator s;

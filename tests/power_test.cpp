@@ -1,4 +1,4 @@
-// Unit tests for the power models: leakage, active, fan, PSU, aggregate.
+// Unit tests for the power models: leakage, active, fan, aggregate.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,7 +6,6 @@
 #include "power/active_model.hpp"
 #include "power/fan_model.hpp"
 #include "power/leakage_model.hpp"
-#include "power/psu_model.hpp"
 #include "power/server_power_model.hpp"
 #include "sim/server_config.hpp"
 #include "util/error.hpp"
@@ -205,33 +204,6 @@ TEST(Fan, TabulatedModelMatchesCalibrationPoints) {
 TEST(Fan, TabulatedModelRejectsNonMonotonicPower) {
     std::vector<power::fan_calibration_point> pts{{1800_rpm, 10_W}, {2400_rpm, 5_W}};
     EXPECT_THROW(power::tabulated_fan_model{pts}, util::precondition_error);
-}
-
-// --- PSU ----------------------------------------------------------------
-
-TEST(Psu, EfficiencyPeaksMidLoad) {
-    const power::psu_model psu;
-    const double lo = psu.efficiency(100_W);
-    const double mid = psu.efficiency(1000_W);
-    EXPECT_GT(mid, lo);
-}
-
-TEST(Psu, AcInputExceedsDcLoad) {
-    const power::psu_model psu;
-    EXPECT_GT(psu.ac_input(500_W).value(), 500.0);
-    EXPECT_DOUBLE_EQ(psu.ac_input(0_W).value(), 0.0);
-}
-
-TEST(Psu, LossIsInputMinusOutput) {
-    const power::psu_model psu;
-    const double in = psu.ac_input(700_W).value();
-    EXPECT_NEAR(psu.loss(700_W).value(), in - 700.0, 1e-12);
-}
-
-TEST(Psu, BadCurveThrows) {
-    EXPECT_THROW(power::psu_model(2000_W, {0.5}, {0.9}), util::precondition_error);
-    EXPECT_THROW(power::psu_model(2000_W, {0.5, 1.5}, {0.9, 0.9}), util::precondition_error);
-    EXPECT_THROW(power::psu_model(2000_W, {0.2, 0.5}, {0.9, 1.2}), util::precondition_error);
 }
 
 // --- aggregate -----------------------------------------------------------

@@ -19,10 +19,10 @@
 #include <thread>
 #include <vector>
 
+#include "sim/batch_trace.hpp"
 #include "sim/fault_schedule.hpp"
 #include "sim/fleet.hpp"
 #include "sim/metrics.hpp"
-#include "sim/simulation_trace.hpp"
 #include "telemetry_service/online_metrics.hpp"
 #include "telemetry_service/service.hpp"
 #include "util/error.hpp"
@@ -65,18 +65,17 @@ void bind_workloads(sim::fleet& f) {
     }
 }
 
-/// Rebuilds one lane's rows [first, first+count) as an owning trace so
+/// Rebuilds one lane's rows [first, first+count) as a one-lane trace so
 /// the post-hoc pipeline can be run over exactly one window.
-sim::simulation_trace window_slice(const sim::trace_view& tv, std::size_t first,
-                                   std::size_t count) {
-    sim::simulation_trace out;
+sim::batch_trace window_slice(const sim::trace_view& tv, std::size_t first, std::size_t count) {
+    sim::batch_trace out(1);
     const util::column_view t = tv.channel(sim::trace_channel::target_util);
     for (std::size_t i = first; i < first + count; ++i) {
         sim::trace_row row;
         for (std::size_t c = 0; c < sim::trace_channel_count; ++c) {
             row.values[c] = tv.channel(static_cast<sim::trace_channel>(c)).v(i);
         }
-        out.append(t.t(i), row);
+        out.append(0, t.t(i), row);
     }
     return out;
 }
@@ -217,8 +216,8 @@ TEST(OnlineMetrics, ClosedWindowsBitwiseMatchComputeMetrics) {
         EXPECT_EQ(w.rows, 100u);
         // Rebuild the rows of the last closed window post hoc.
         const std::size_t first = (static_cast<std::size_t>(w.closed) - 1) * 16;
-        const sim::simulation_trace slice = window_slice(f.trace(l), first, 16);
-        const sim::run_metrics ref = sim::compute_metrics(slice, 0, "window", "online");
+        const sim::batch_trace slice = window_slice(f.trace(l), first, 16);
+        const sim::run_metrics ref = sim::compute_metrics(slice.lane(0), 0, "window", "online");
         expect_window_equals_posthoc(w, ref);
     }
 }
@@ -247,8 +246,8 @@ TEST(OnlineMetrics, FaultedMonitoredFleetWindowsStayBitwiseEqual) {
         const telemetry_service::lane_window w = svc.lane_window_snapshot(l);
         ASSERT_TRUE(w.valid);
         const std::size_t first = (static_cast<std::size_t>(w.closed) - 1) * 25;
-        const sim::simulation_trace slice = window_slice(f.trace(l), first, 25);
-        const sim::run_metrics ref = sim::compute_metrics(slice, 0, "window", "online");
+        const sim::batch_trace slice = window_slice(f.trace(l), first, 25);
+        const sim::run_metrics ref = sim::compute_metrics(slice.lane(0), 0, "window", "online");
         expect_window_equals_posthoc(w, ref);
 
         const util::column_view sh = f.trace(l).monitor_sensor_health();

@@ -1,9 +1,9 @@
-// Error-path coverage for trace export/import (sim/trace_io) and
-// metrics extraction (sim/metrics): truncated and non-finite traces,
-// malformed CSV dumps, empty batches, and mismatched lane counts.  The
-// happy paths are exercised all over the suite; these are the edges a
-// fleet harness hits when a run is interrupted, a dump is corrupted, or
-// a lane index is wrong.
+// Error-path coverage for trace recording (sim/batch_trace), export
+// (sim/trace_io) and metrics extraction (sim/metrics): truncated and
+// non-finite traces, the exact CSV layout, empty batches, and
+// mismatched lane counts.  The happy paths are exercised all over the
+// suite; these are the edges a fleet harness hits when a run is
+// interrupted or a lane index is wrong.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -33,10 +33,10 @@ sim::trace_row row_at(double v) {
     return row;
 }
 
-sim::simulation_trace two_sample_trace() {
-    sim::simulation_trace tr;
-    tr.append(0.0, row_at(50.0));
-    tr.append(10.0, row_at(51.0));
+sim::batch_trace two_sample_trace() {
+    sim::batch_trace tr(1);
+    tr.append(0, 0.0, row_at(50.0));
+    tr.append(0, 10.0, row_at(51.0));
     return tr;
 }
 
@@ -49,46 +49,15 @@ std::vector<std::string> channel_names() {
     return out;
 }
 
-/// A columnar CSV header: time_s followed by `names`.
-std::string header_of(const std::vector<std::string>& names) {
-    std::string out = "time_s";
-    for (const std::string& n : names) {
-        out += "," + n;
-    }
-    return out + "\n";
-}
-
-/// A columnar CSV row at time `t`: every channel holds 1 except the last,
-/// which holds `last_cell` verbatim.
-std::string row_of(double t, const std::string& last_cell) {
-    std::string out = std::to_string(t);
-    for (std::size_t c = 0; c + 1 < sim::trace_channel_count; ++c) {
-        out += ",1";
-    }
-    return out + "," + last_cell + "\n";
-}
-
-/// Expects read_trace_csv to throw a parse_error whose message names
-/// `reason`.
-void expect_parse_error(const std::string& text, const std::string& reason) {
-    try {
-        static_cast<void>(sim::read_trace_csv(text));
-        ADD_FAILURE() << "no parse_error; expected: " << reason;
-    } catch (const util::parse_error& e) {
-        EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
-            << "got: " << e.what() << "; expected: " << reason;
-    }
-}
-
 TEST(TraceMetricsErrors, MetricsRejectTruncatedTrace) {
     // Empty and single-sample traces cannot be integrated.
-    sim::simulation_trace empty;
-    EXPECT_THROW(static_cast<void>(sim::compute_metrics(empty, 0, "t", "c")),
+    const sim::batch_trace empty(1);
+    EXPECT_THROW(static_cast<void>(sim::compute_metrics(empty.lane(0), 0, "t", "c")),
                  util::precondition_error);
 
-    sim::simulation_trace one;
-    one.append(0.0, row_at(50.0));
-    EXPECT_THROW(static_cast<void>(sim::compute_metrics(one, 0, "t", "c")),
+    sim::batch_trace one(1);
+    one.append(0, 0.0, row_at(50.0));
+    EXPECT_THROW(static_cast<void>(sim::compute_metrics(one.lane(0), 0, "t", "c")),
                  util::precondition_error);
 }
 
@@ -96,9 +65,9 @@ TEST(TraceMetricsErrors, ChannelsCannotDriftOutOfStep) {
     // The columnar store appends every channel in one row: there is no
     // way to truncate one channel of a recorded trace, the failure mode
     // the old per-channel layout had to guard against in compute_metrics.
-    const sim::simulation_trace tr = two_sample_trace();
+    const sim::batch_trace tr = two_sample_trace();
     for (std::size_t c = 0; c < sim::trace_channel_count; ++c) {
-        EXPECT_EQ(tr.channel(static_cast<sim::trace_channel>(c)).size(), tr.size());
+        EXPECT_EQ(tr.lane(0).channel(static_cast<sim::trace_channel>(c)).size(), tr.size(0));
     }
 }
 
@@ -106,14 +75,14 @@ TEST(TraceMetricsErrors, NonFiniteSamplesCannotEnterATrace) {
     // The recording layer is the validation boundary: a NaN/inf value in
     // any channel is rejected at append time, so downstream
     // metrics/export never see one — and the row is rejected atomically.
-    sim::simulation_trace tr;
+    sim::batch_trace tr(1);
     sim::trace_row bad = row_at(50.0);
     bad[sim::trace_channel::dimm_temp] = std::nan("");
-    EXPECT_THROW(tr.append(0.0, bad), util::precondition_error);
+    EXPECT_THROW(tr.append(0, 0.0, bad), util::precondition_error);
     bad[sim::trace_channel::dimm_temp] = std::numeric_limits<double>::infinity();
-    EXPECT_THROW(tr.append(0.0, bad), util::precondition_error);
-    EXPECT_THROW(tr.append(std::nan(""), row_at(50.0)), util::precondition_error);
-    EXPECT_TRUE(tr.empty());
+    EXPECT_THROW(tr.append(0, 0.0, bad), util::precondition_error);
+    EXPECT_THROW(tr.append(0, std::nan(""), row_at(50.0)), util::precondition_error);
+    EXPECT_EQ(tr.size(0), 0U);
 }
 
 TEST(TraceMetricsErrors, BatchTraceValidatesLikeScalar) {
@@ -129,60 +98,25 @@ TEST(TraceMetricsErrors, BatchTraceValidatesLikeScalar) {
     EXPECT_EQ(traces.size(1), 0U);
 }
 
-TEST(TraceMetricsErrors, WideCsvRejectsEmptyTraceAndBadPeriod) {
-    std::ostringstream os;
-    sim::simulation_trace empty;
-    EXPECT_THROW(sim::write_trace_csv_wide(os, empty), util::precondition_error);
-
-    const sim::simulation_trace tr = two_sample_trace();
-    EXPECT_THROW(sim::write_trace_csv_wide(os, tr, 0.0), util::precondition_error);
-    EXPECT_THROW(sim::write_trace_csv_wide(os, tr, -5.0), util::precondition_error);
-}
-
 TEST(TraceMetricsErrors, ColumnarCsvRoundTrips) {
-    const sim::simulation_trace tr = two_sample_trace();
+    // The exported layout, byte for byte: `time_s` and the 16 channels in
+    // enum order, then one line per recorded row.
+    const sim::batch_trace tr = two_sample_trace();
     std::ostringstream os;
-    sim::write_trace_csv(os, tr);
-    const sim::simulation_trace back = sim::read_trace_csv(os.str());
-    ASSERT_EQ(back.size(), tr.size());
-    for (std::size_t c = 0; c < sim::trace_channel_count; ++c) {
-        const auto ch = static_cast<sim::trace_channel>(c);
-        for (std::size_t i = 0; i < tr.size(); ++i) {
-            EXPECT_EQ(back.channel(ch).t(i), tr.channel(ch).t(i));
-            EXPECT_EQ(back.channel(ch).v(i), tr.channel(ch).v(i));
-        }
-    }
-}
-
-TEST(TraceMetricsErrors, ReaderRejectsDuplicateChannels) {
-    // Columnar layout: a channel name repeated in the header.
-    std::vector<std::string> names = channel_names();
-    names.back() = names.front();
-    expect_parse_error(header_of(names), "duplicate channel");
-}
-
-TEST(TraceMetricsErrors, ReaderRejectsMalformedDumps) {
-    // Unknown channel name.
-    std::vector<std::string> names = channel_names();
-    names[3] = "mystery_channel";
-    expect_parse_error(header_of(names), "unknown channel");
-    // Unrecognized layout entirely, including the retired long format.
-    expect_parse_error("a,b,c\n1,2,3\n", "unrecognized trace layout");
-    expect_parse_error("series,time_s,value,unit\ntarget_util,0,1,pct\n",
-                       "unrecognized trace layout");
-    // Unparseable, non-finite, and non-monotonic cells all surface as
-    // parse_error (the documented corrupted-dump exception), never as
-    // the store's precondition_error.
-    const std::string header = header_of(channel_names());
-    expect_parse_error(header + row_of(0.0, "oops"), "unparseable number");
-    expect_parse_error(header + row_of(0.0, "nan"), "unparseable number");
-    expect_parse_error(header + row_of(10.0, "1") + row_of(0.0, "1"), "non-monotonic");
+    sim::write_trace_csv(os, tr.lane(0));
+    EXPECT_EQ(os.str(),
+              "time_s,target_util,instant_util,cpu0_temp,cpu1_temp,avg_cpu_temp,"
+              "max_sensor_temp,dimm_temp,total_power,fan_power,leakage_power,"
+              "active_power,avg_fan_rpm,sensor_age,monitor_sensor_health,"
+              "monitor_fan_health,monitor_die_estimate\n"
+              "0,50,51,52,53,54,55,56,57,58,59,60,61,62,63,64,65\n"
+              "10,51,52,53,54,55,56,57,58,59,60,61,62,63,64,65,66\n");
 }
 
 TEST(TraceMetricsErrors, LongSeriesExportCoversEveryChannelName) {
-    const sim::simulation_trace tr = two_sample_trace();
+    const sim::batch_trace tr = two_sample_trace();
     std::ostringstream os;
-    sim::write_trace_csv(os, tr);
+    sim::write_trace_csv(os, tr.lane(0));
     const std::string out = os.str();
     for (const std::string& name : channel_names()) {
         EXPECT_NE(out.find(name), std::string::npos) << name;

@@ -1,4 +1,4 @@
-// Unit tests for CSV I/O and descriptive statistics.
+// Unit tests for CSV writing and descriptive statistics.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -29,35 +29,6 @@ TEST(CsvWriter, QuotesSpecialCharacters) {
     EXPECT_EQ(os.str(), "\"hello, world\",\"say \"\"hi\"\"\",plain\n");
 }
 
-TEST(CsvParse, RoundTripsWriterOutput) {
-    std::ostringstream os;
-    csv_writer w(os);
-    w.write_header({"x", "label"});
-    w.write_row({std::string("1.5"), std::string("a,b")});
-    w.write_row({std::string("2.5"), std::string("c\"d")});
-    const csv_document doc = parse_csv(os.str());
-    ASSERT_EQ(doc.header.size(), 2U);
-    ASSERT_EQ(doc.rows.size(), 2U);
-    EXPECT_EQ(doc.rows[0][1], "a,b");
-    EXPECT_EQ(doc.rows[1][1], "c\"d");
-}
-
-TEST(CsvParse, HandlesCrLf) {
-    const csv_document doc = parse_csv("a,b\r\n1,2\r\n");
-    ASSERT_EQ(doc.rows.size(), 1U);
-    EXPECT_EQ(doc.rows[0][0], "1");
-}
-
-TEST(CsvParse, UnterminatedQuoteThrows) {
-    EXPECT_THROW(parse_csv("a,\"unterminated\n"), precondition_error);
-}
-
-TEST(CsvParse, MissingTrailingNewlineOk) {
-    const csv_document doc = parse_csv("h1,h2\n3,4");
-    ASSERT_EQ(doc.rows.size(), 1U);
-    EXPECT_EQ(doc.rows[0][1], "4");
-}
-
 TEST(FormatNumber, RoundTripsTypicalValues) {
     EXPECT_EQ(format_number(0.6695), "0.6695");
     EXPECT_EQ(format_number(3300.0), "3300");
@@ -76,10 +47,7 @@ TEST(SeriesCsv, LongFormatExport) {
     ts.push_back(10.0, 2.0);
     std::ostringstream os;
     write_series_csv(os, {named_series{"cpu0_temp", "degC", ts}});
-    const csv_document doc = parse_csv(os.str());
-    ASSERT_EQ(doc.rows.size(), 2U);
-    EXPECT_EQ(doc.rows[0][0], "cpu0_temp");
-    EXPECT_EQ(doc.rows[1][3], "degC");
+    EXPECT_EQ(os.str(), "series,time_s,value,unit\ncpu0_temp,0,1,degC\ncpu0_temp,10,2,degC\n");
 }
 
 TEST(Stats, MeanVarianceStddev) {
@@ -128,50 +96,12 @@ TEST(Stats, PercentileOutOfRangeThrows) {
     EXPECT_THROW(static_cast<void>(percentile({1.0}, 101.0)), precondition_error);
 }
 
-// --- error paths: malformed documents and the exception hierarchy ---------
-
-TEST(CsvValidate, RectangularDocumentPasses) {
-    const auto doc = parse_csv("a,b\n1,2\n3,4\n");
-    EXPECT_NO_THROW(ensure_rectangular(doc));
-}
-
-TEST(CsvValidate, MalformedShortRowThrows) {
-    const auto doc = parse_csv("a,b,c\n1,2,3\n4,5\n");
-    EXPECT_THROW(ensure_rectangular(doc), parse_error);
-}
-
-TEST(CsvValidate, MalformedLongRowThrows) {
-    const auto doc = parse_csv("a,b\n1,2\n3,4,5\n");
-    EXPECT_THROW(ensure_rectangular(doc), parse_error);
-}
-
-TEST(CsvValidate, ColumnLookupFindsHeader) {
-    const auto doc = parse_csv("series,time_s,value,unit\nx,0,1,W\n");
-    EXPECT_EQ(column_index(doc, "series"), 0U);
-    EXPECT_EQ(column_index(doc, "unit"), 3U);
-}
-
-TEST(CsvValidate, MissingColumnThrows) {
-    const auto doc = parse_csv("series,time_s,value,unit\nx,0,1,W\n");
-    EXPECT_THROW(static_cast<void>(column_index(doc, "temperature")), parse_error);
-}
-
-TEST(CsvValidate, MissingColumnMessageNamesTheColumn) {
-    const auto doc = parse_csv("a,b\n1,2\n");
-    try {
-        static_cast<void>(column_index(doc, "watts"));
-        FAIL() << "expected parse_error";
-    } catch (const parse_error& e) {
-        EXPECT_NE(std::string(e.what()).find("watts"), std::string::npos);
-    }
-}
-
 TEST(ErrorHierarchy, AllErrorsDeriveFromLtscError) {
     EXPECT_THROW(throw precondition_error("p"), ltsc_error);
     EXPECT_THROW(throw numeric_error("n"), ltsc_error);
-    EXPECT_THROW(throw parse_error("x"), ltsc_error);
     // And all of ltsc is catchable as std::runtime_error at an API boundary.
-    EXPECT_THROW(throw parse_error("x"), std::runtime_error);
+    EXPECT_THROW(throw precondition_error("p"), std::runtime_error);
+    EXPECT_THROW(throw numeric_error("n"), std::runtime_error);
 }
 
 TEST(ErrorHierarchy, EnsureHelpers) {

@@ -1,18 +1,19 @@
 // Unit tests for the columnar trace store (util/frame.hpp) and its
 // read view (util::column_view): append validation, interpolation
 // clamping, windowed statistics vs. time_series answers on identical
-// data, strided (lane-major) views, and CSV round-trip.
+// data, strided (lane-major) views, and the columnar CSV export.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
 
 #include "sim/batch_trace.hpp"
-#include "sim/simulation_trace.hpp"
 #include "sim/trace_io.hpp"
 #include "util/error.hpp"
 #include "util/frame.hpp"
 #include "util/time_series.hpp"
+
+#include "trace_csv_check.hpp"
 
 namespace {
 
@@ -208,28 +209,19 @@ TEST(BatchTraceView, PerLaneClearAndRaggedLanes) {
 }
 
 TEST(Frame, TraceCsvRoundTripPreservesValues) {
-    ltsc::sim::simulation_trace tr;
+    ltsc::sim::batch_trace tr(1);
     ltsc::sim::trace_row row;
     for (int i = 0; i < 20; ++i) {
         for (std::size_t c = 0; c < ltsc::sim::trace_channel_count; ++c) {
             row.values[c] = 0.1 * static_cast<double>(i) + 1e-3 * static_cast<double>(c) + 1.0 / 3.0;
         }
-        tr.append(0.5 * i, row);
+        tr.append(0, 0.5 * i, row);
     }
     std::ostringstream os;
-    ltsc::sim::write_trace_csv(os, tr);
-    const ltsc::sim::simulation_trace back = ltsc::sim::read_trace_csv(os.str());
-    ASSERT_EQ(back.size(), tr.size());
-    // The CSV writer formats with %.12g (documented: readable, not
-    // binary-exact), so compare at that precision.
-    for (std::size_t c = 0; c < ltsc::sim::trace_channel_count; ++c) {
-        const auto ch = static_cast<ltsc::sim::trace_channel>(c);
-        for (std::size_t i = 0; i < tr.size(); ++i) {
-            EXPECT_EQ(back.channel(ch).t(i), tr.channel(ch).t(i));
-            EXPECT_NEAR(back.channel(ch).v(i), tr.channel(ch).v(i),
-                        1e-11 * std::fabs(tr.channel(ch).v(i)));
-        }
-    }
+    ltsc::sim::write_trace_csv(os, tr.lane(0));
+    // The writer formats with %.12g (readable, not binary-exact): each
+    // cell is format_number of the stored value.
+    ltsc::test::expect_columnar_trace_csv(os.str(), tr.lane(0));
 }
 
 }  // namespace
