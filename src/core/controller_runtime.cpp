@@ -21,7 +21,7 @@ void poll_and_actuate(sim::server_batch& batch, std::size_t lane, fan_controller
     in.current_rpm = batch.average_fan_rpm(lane);
     in.system_power = batch.system_power_reading(lane);
     in.sensor_age_s = batch.telemetry_age_s(lane);
-    const std::vector<double> sensors = batch.cpu_sensor_temps(lane);
+    const std::vector<double>& sensors = batch.cpu_sensor_temps(lane);
     for (std::size_t s = 0; s < 2; ++s) {
         in.socket_util_pct[s] = batch.measured_socket_utilization(lane, s, config.util_window);
         // Sensors 2s and 2s+1 sit on die s; the policy sees the max.

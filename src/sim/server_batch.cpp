@@ -25,12 +25,8 @@ server_batch::server_batch(std::vector<server_config> configs)
     : thermal_(thermal_configs(configs)), traces_(configs.size()), active_(configs.size(), 1) {
     lanes_.reserve(configs.size());
     for (std::size_t l = 0; l < configs.size(); ++l) {
-        // Sensor channel registration order inside the lane fixes the RNG
-        // draw order.
-        lanes_.push_back(std::make_unique<server_lane>(
-            configs[l], [this, l](std::size_t s) { return thermal_.cpu_die_temp(l, s); },
-            [this, l] { return thermal_.dimm_temp(l); }));
-        thermal_.set_zone_airflow(l, lanes_[l]->zone_airflow());
+        lanes_.emplace_back(configs[l]);
+        thermal_.set_zone_airflow(l, lanes_[l].zone_airflow());
     }
 }
 
@@ -39,12 +35,12 @@ server_batch::server_batch(const server_config& config, std::size_t lanes)
 
 server_lane& server_batch::at(std::size_t lane) {
     util::ensure(lane < lanes_.size(), "server_batch: lane out of range");
-    return *lanes_[lane];
+    return lanes_[lane];
 }
 
 const server_lane& server_batch::at(std::size_t lane) const {
     util::ensure(lane < lanes_.size(), "server_batch: lane out of range");
-    return *lanes_[lane];
+    return lanes_[lane];
 }
 
 void server_batch::bind_workload(std::size_t lane, workload::loadgen generator) {
@@ -114,7 +110,7 @@ void server_batch::step(util::seconds_t dt) {
         if (active_[l] == 0) {
             continue;
         }
-        server_lane& ln = *lanes_[l];
+        server_lane& ln = lanes_[l];
         while (ln.apply_due_faults()) {
             thermal_.set_zone_airflow(l, ln.zone_airflow());
         }
@@ -127,12 +123,13 @@ void server_batch::step(util::seconds_t dt) {
         if (active_[l] == 0) {
             continue;
         }
-        server_lane& ln = *lanes_[l];
+        server_lane& ln = lanes_[l];
         ln.advance_clock(dt, u_inst_scratch_[l], thermal_.ambient(l));
+        const die_temps die = thermal_.die_temps(l);
+        const util::celsius_t dimm = thermal_.dimm_temp(l);
         traces_.append(l, ln.now_s(),
-                       ln.make_row(u_target_scratch_[l], u_inst_scratch_[l], thermal_.die_temps(l),
-                                   thermal_.dimm_temp(l)));
-        ln.poll();
+                       ln.make_row(u_target_scratch_[l], u_inst_scratch_[l], die, dimm));
+        ln.poll(die, dimm);
     }
 }
 
@@ -172,7 +169,8 @@ void server_batch::force_cold_start(std::size_t lane) {
     ln.power().settle(thermal_, lane, 0.0, ln.load_imbalance());
     traces_.clear(lane);
     set_lane_active(lane, true);
-    ln.finish_cold_start(thermal_.ambient(lane));
+    ln.finish_cold_start(thermal_.ambient(lane), thermal_.die_temps(lane),
+                         thermal_.dimm_temp(lane));
 }
 
 void server_batch::force_cold_start() {

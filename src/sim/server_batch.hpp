@@ -4,7 +4,9 @@
 // A server_batch is the one plant class: server_simulator is a facade
 // over a one-lane batch.  Every lane is a server_lane (workload, power
 // models, sensors with their own seeded RNG stream, telemetry harness,
-// faults and monitor).  The thermal half is one
+// faults and monitor), held by value: the batch hands each lane its die
+// and DIMM temperatures at every step and poll, so no lane points back
+// into the batch.  The thermal half is one
 // thermal::server_thermal_model with one lane per server: every lane's
 // node state lives in lane-contiguous flat arrays, and all lanes
 // integrate through one batched RK4 kernel per step.
@@ -19,7 +21,6 @@
 // topology is shared.
 #pragma once
 
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -45,12 +46,8 @@ public:
     /// N identical lanes from one configuration.
     server_batch(const server_config& config, std::size_t lanes);
 
-    // Sensor/telemetry closures capture the batch's address; the batch
-    // is pinned in memory.
     server_batch(const server_batch&) = delete;
     server_batch& operator=(const server_batch&) = delete;
-    server_batch(server_batch&&) = delete;
-    server_batch& operator=(server_batch&&) = delete;
 
     [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
 
@@ -109,7 +106,7 @@ public:
     }
 
     // --- observation surface (per lane) ------------------------------------
-    [[nodiscard]] std::vector<double> cpu_sensor_temps(std::size_t lane) const {
+    [[nodiscard]] const std::vector<double>& cpu_sensor_temps(std::size_t lane) const {
         return at(lane).cpu_sensor_reads();
     }
     [[nodiscard]] util::celsius_t max_cpu_sensor_temp(std::size_t lane) const {
@@ -211,7 +208,7 @@ private:
     [[nodiscard]] const server_lane& at(std::size_t lane) const;
 
     thermal::server_thermal_model thermal_;  ///< One thermal lane per server.
-    std::vector<std::unique_ptr<server_lane>> lanes_;
+    std::vector<server_lane> lanes_;
 
     // Lane-major columnar recording: all lanes of a step append into one
     // contiguous arena row-group.

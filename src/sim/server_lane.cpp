@@ -1,6 +1,7 @@
 #include "sim/server_lane.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -9,45 +10,47 @@
 
 namespace ltsc::sim {
 
-server_lane::server_lane(const server_config& config, die_reader die_temp, dimm_reader dimm_temp)
+server_lane::server_lane(const server_config& config)
     : config_(validated(config)),
-      die_temp_(std::move(die_temp)),
       rng_(config.seed, 0xda3e39cb94b95bdbULL),
       fans_(config.fan_pairs, config.fan, config.default_fan_rpm),
       power_(power_model_for(config)),
-      sensors_(thermal::make_server_sensors(die_temp_, dimm_temp, config.dimm_count, rng_,
-                                            config.sensor_noise_sigma, config.sensor_quantum)),
-      telemetry_(util::seconds_t{config.telemetry_period_s}) {
+      sensors_(thermal::make_server_sensors(config.dimm_count, config.sensor_noise_sigma,
+                                            config.sensor_quantum)),
+      telemetry_(util::seconds_t{config.telemetry_period_s},
+                 {"cpu0_temp_a", "cpu0_temp_b", "cpu1_temp_a", "cpu1_temp_b", "system_power",
+                  "fan_power"}) {
     last_cpu_sensor_reads_.assign(sensors_.cpu.size(), config.thermal.ambient_c);
     fault_.reset(fans_.bank().pair_count(), sensors_.cpu.size());
-    register_telemetry();
     if (config_.monitor.enabled) {
         monitor_.emplace(config_.monitor, config_.thermal, power_);
         monitor_->reset(fans_.bank(), util::celsius_t{config_.thermal.ambient_c});
     }
 }
 
-void server_lane::register_telemetry() {
+void server_lane::take_poll(const die_temps& die, util::celsius_t dimm) {
+    // One row per poll: the 4 CPU sensors (sensors 2s and 2s+1 sit on
+    // die s), system power and fan power.
+    std::array<double, 6> row{};
     for (std::size_t i = 0; i < sensors_.cpu.size(); ++i) {
-        telemetry_.add_channel(sensors_.cpu[i].name(), [this, i] {
-            // The true sensor is always read first so the noise stream
-            // stays aligned with a healthy run; corruption (stuck, bias,
-            // dropout) applies between the sensor and the delivered value.
-            const double raw = sensors_.cpu[i].read().value();
-            const double v = corrupt_sensor_reading(i, raw);
-            last_cpu_sensor_reads_[i] = v;
-            return v;
-        });
+        // The true sensor is always read first so the noise stream
+        // stays aligned with a healthy run; corruption (stuck, bias,
+        // dropout) applies between the sensor and the delivered value.
+        const double raw = sensors_.cpu[i].read(util::celsius_t{die[i / 2]}, rng_).value();
+        last_cpu_sensor_reads_[i] = corrupt_sensor_reading(i, raw);
+        row[i] = last_cpu_sensor_reads_[i];
     }
-    for (std::size_t i = 0; i < sensors_.dimm.size(); ++i) {
-        const auto read = [this, i] { return sensors_.dimm[i].read().value(); };
-        telemetry_.add_channel(sensors_.dimm[i].name(), read, /*record_history=*/false);
+    // Nothing records the DIMM readings, but each one draws noise from
+    // the same stream, so they are still read, after the CPU sensors.
+    for (const thermal::temperature_sensor& sensor : sensors_.dimm) {
+        static_cast<void>(sensor.read(dimm, rng_));
     }
-    telemetry_.add_channel("system_power", [this] {
-        const die_temps die = {die_temp_(0).value(), die_temp_(1).value()};
-        return breakdown_at(instantaneous_utilization(), die).total().value();
-    });
-    telemetry_.add_channel("fan_power", [this] { return fans_.bank().total_power().value(); });
+    row[4] = breakdown_at(instantaneous_utilization(), die).total().value();
+    row[5] = fans_.bank().total_power().value();
+    telemetry_.record(util::seconds_t{now_s_}, row.data(), row.size());
+    if (monitor_) {
+        monitor_->on_poll(last_cpu_sensor_reads_);
+    }
 }
 
 void server_lane::bind_workload(workload::loadgen generator) {
@@ -162,10 +165,12 @@ trace_row server_lane::make_row(double u_target, double u_inst, const die_temps&
     return row;
 }
 
-void server_lane::poll() {
-    telemetry_.set_poll_suppressed(fault_.telemetry_lost(now_s_));
-    if (telemetry_.poll_due(util::seconds_t{now_s_}) && monitor_) {
-        monitor_->on_poll(last_cpu_sensor_reads_);
+void server_lane::poll(const die_temps& die, util::celsius_t dimm) {
+    // A lost poller drops every due poll: nothing is sampled and the poll
+    // clock does not advance, so observers see the last delivered values
+    // ageing, as with a crashed CSTH poller.
+    if (!fault_.telemetry_lost(now_s_) && telemetry_.due(util::seconds_t{now_s_})) {
+        take_poll(die, dimm);
     }
 }
 
@@ -176,7 +181,8 @@ void server_lane::begin_cold_start() {
     fans_.set_all(config_.cold_start_fan_rpm);
 }
 
-void server_lane::finish_cold_start(util::celsius_t ambient) {
+void server_lane::finish_cold_start(util::celsius_t ambient, const die_temps& die,
+                                    util::celsius_t dimm) {
     if (monitor_) {
         // The twin restarts with the plant: re-latch the cold-start
         // commands, clear verdicts, and settle to the same idle state.
@@ -186,10 +192,7 @@ void server_lane::finish_cold_start(util::celsius_t ambient) {
     now_s_ = 0.0;
     fan_changes_ = 0;
     telemetry_.reset();
-    telemetry_.poll_now(util::seconds_t{now_s_});
-    if (monitor_) {
-        monitor_->on_poll(last_cpu_sensor_reads_);
-    }
+    take_poll(die, dimm);
 }
 
 void server_lane::settle_monitor(double u_pct, util::celsius_t ambient) {
@@ -255,7 +258,6 @@ bool server_lane::clear_fault_schedule() {
 bool server_lane::clear_fault_effects() {
     const bool recovered = fans_.recover_all(fault_);
     fault_.reset(fans_.bank().pair_count(), sensors_.cpu.size());
-    telemetry_.set_poll_suppressed(false);
     return recovered;
 }
 

@@ -12,16 +12,15 @@
 // the trace row, and the non-thermal half of snapshot/restore.
 //
 // The owning batch keeps the thermal half (one lane of its
-// thermal::server_thermal_model).  It hands the lane readers of its
-// die/DIMM temperatures at construction (sensors and power channels
-// sample them at poll time) and passes the current die temperatures
-// into the per-step calls.  When a lane call reports that airflow
-// changed, the owner pushes zone_airflow() into its thermal half before
-// anything else happens.
+// thermal::server_thermal_model) and passes the current die and DIMM
+// temperatures into the per-step calls: the trace row, the telemetry
+// poll (which reads the lane's fixed channel set from them) and the
+// cold-start poll.  When a lane call reports that airflow changed, the
+// owner pushes zone_airflow() into its thermal half before anything
+// else happens.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -45,19 +44,8 @@ using power::die_temps;
 /// One server's plant minus its thermal node state.
 class server_lane {
 public:
-    using die_reader = std::function<util::celsius_t(std::size_t)>;
-    using dimm_reader = std::function<util::celsius_t()>;
-
-    /// Builds the lane from a configuration (validated on entry).  The
-    /// readers return the owner's true die/DIMM temperatures; they are
-    /// not called during construction and must outlive the lane.
-    server_lane(const server_config& config, die_reader die_temp, dimm_reader dimm_temp);
-
-    // Sensors and telemetry channels capture `this`.
-    server_lane(const server_lane&) = delete;
-    server_lane& operator=(const server_lane&) = delete;
-    server_lane(server_lane&&) = delete;
-    server_lane& operator=(server_lane&&) = delete;
+    /// Builds the lane from a configuration (validated on entry).
+    explicit server_lane(const server_config& config);
 
     [[nodiscard]] const server_config& config() const { return config_; }
     /// The server's power model; its heat depends on load_imbalance().
@@ -130,17 +118,19 @@ public:
     /// The trace row of the step that just ended.
     [[nodiscard]] trace_row make_row(double u_target, double u_inst, const die_temps& die,
                                      util::celsius_t dimm) const;
-    /// Applies telemetry loss, polls when due, and feeds a poll to the
-    /// monitor.
-    void poll();
+    /// Polls the sensors at the dies' and DIMMs' true temperatures when
+    /// a poll is due and telemetry is not lost, and feeds the poll to
+    /// the monitor.
+    void poll(const die_temps& die, util::celsius_t dimm);
 
     // --- cold start and settling ------------------------------------------------
     /// Clears live fault effects and sets the cold-start fan speed; the
     /// owner then pushes zone_airflow() and settles its thermal half.
     void begin_cold_start();
     /// Restarts the monitor twin at the settled idle state, rewinds the
-    /// clock and fan counter, and takes a fresh telemetry poll.
-    void finish_cold_start(util::celsius_t ambient);
+    /// clock and fan counter, and takes a fresh telemetry poll of the
+    /// settled temperatures.
+    void finish_cold_start(util::celsius_t ambient, const die_temps& die, util::celsius_t dimm);
     /// Settles the monitor twin at a constant utilization.
     void settle_monitor(double u_pct, util::celsius_t ambient);
 
@@ -153,7 +143,10 @@ public:
     void clear_telemetry_history() { telemetry_.clear_history(); }
 
 private:
-    void register_telemetry();
+    /// Reads every channel at `now_s_` (the CPU sensors, corrupted by
+    /// live faults, then the DIMM sensors, system and fan power),
+    /// records the row and feeds the poll to the monitor.
+    void take_poll(const die_temps& die, util::celsius_t dimm);
     [[nodiscard]] bool apply_fault_event(const fault_event& event);
     /// Clears every live fault effect; a degraded fan pair recovers as
     /// on fan_recover.  Returns whether any pair recovered.
@@ -161,7 +154,6 @@ private:
     [[nodiscard]] double corrupt_sensor_reading(std::size_t sensor, double raw) const;
 
     server_config config_;
-    die_reader die_temp_;
     util::pcg32 rng_;
     fan_actuator fans_;
     power::server_power_model power_;

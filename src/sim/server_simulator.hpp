@@ -22,7 +22,7 @@
 namespace ltsc::sim {
 
 /// Simulated enterprise server: a facade over a one-lane server_batch
-/// (non-copyable and non-movable, since the batch pins its lane).
+/// (non-copyable, like the batch).
 class server_simulator {
 public:
     /// Builds the plant from a configuration (validated on entry).
@@ -127,7 +127,7 @@ public:
 
     // --- observation surface (what CSTH reported) --------------------------
     /// Latest CPU sensor readings (4 values), from the last telemetry poll.
-    [[nodiscard]] std::vector<double> cpu_sensor_temps() const {
+    [[nodiscard]] const std::vector<double>& cpu_sensor_temps() const {
         return batch_.cpu_sensor_temps(0);
     }
     /// Maximum of the CPU sensor readings at the last telemetry poll.
@@ -138,7 +138,7 @@ public:
     [[nodiscard]] util::watts_t system_power_reading() const {
         return batch_.system_power_reading(0);
     }
-    /// The underlying telemetry harness (channel access, CSV export).
+    /// The underlying telemetry harness (poll clock and recorded history).
     [[nodiscard]] const telemetry::harness& telemetry() const { return batch_.telemetry(0); }
 
     // --- ground truth (plant internals; not visible to real controllers) ---

@@ -1,50 +1,43 @@
 // Continuous System Telemetry Harness (CSTH) substrate.
 //
 // The paper polls CPU/DIMM temperatures, per-core voltage/current and
-// whole-system power through CSTH every 10 seconds.  This harness plays
-// that role for the simulated server, which registers the CPU and DIMM
-// temperatures, system power and fan power (per-core rails would only
-// restate the power model).  Channels register a source lambda and
-// `poll_due(t)` samples every channel at the configured cadence.
+// whole-system power through CSTH every 10 seconds.  This harness keeps
+// what that poller leaves behind for the simulated server: the polling
+// cadence, the poll clock, and the recorded history.  The server reads
+// its fixed channel set itself when `due(now)` says a poll is owed and
+// hands the row to `record`.
 //
 // Histories are columnar: every poll samples all channels at one shared
 // timestamp, so the harness archives them as one `util::frame` (one time
-// column + one value column per history-recording channel) instead of
-// per-channel series that each duplicate the poll clock.
+// column + one value column per recorded channel, named at construction)
+// instead of per-channel series that each duplicate the poll clock.
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <string>
-#include <vector>
+#include <initializer_list>
 
 #include "util/frame.hpp"
 #include "util/units.hpp"
 
 namespace ltsc::telemetry {
 
-/// Polling telemetry harness over a set of named channels.
+/// Poll clock plus columnar history over a fixed set of named columns.
 class harness {
 public:
-    /// `period` is the sampling cadence (the paper uses 10 s).
-    explicit harness(util::seconds_t period = util::seconds_t{10.0});
+    /// `period` is the sampling cadence (the paper uses 10 s); `columns`
+    /// names the history columns, in the order record() takes values.
+    harness(util::seconds_t period, std::initializer_list<const char*> columns);
 
-    /// Registers a channel; names must be unique and `source` non-null.
-    /// Every poll runs every source in registration order, but only
-    /// `record_history` channels get a column in history(): an
-    /// unrecorded source still runs, so sources sharing side-effecting
-    /// state (one sensor RNG stream) stay aligned.
-    void add_channel(std::string name, std::function<double()> source, bool record_history = true);
+    /// True if at least one period elapsed since the last poll (or if
+    /// never polled).
+    [[nodiscard]] bool due(util::seconds_t now) const;
 
-    /// Samples all channels if at least one period elapsed since the last
-    /// poll (or if never polled).  Returns true when a poll happened.
-    bool poll_due(util::seconds_t now);
+    /// Records one poll at time `now`: one value per column, in column
+    /// order.  Advances the poll clock.
+    void record(util::seconds_t now, const double* values, std::size_t count);
 
-    /// Unconditionally samples all channels at time `now`.
-    void poll_now(util::seconds_t now);
-
-    /// Clears the recorded history, the poll clock and poll suppression,
-    /// so the harness can record a fresh run starting from t = 0.
+    /// Clears the recorded history and the poll clock, so the harness can
+    /// record a fresh run starting from t = 0.
     void reset();
 
     /// Drops the recorded history rows only.  The poll clock is kept, so
@@ -65,37 +58,15 @@ public:
     /// (callers wanting a clean recording call reset() first).
     void restore_poll_clock(double last_poll_s, bool ever_polled);
 
-    // --- poll suppression (fault injection) ---------------------------------
-    /// While suppressed, poll_due() drops every due poll: no channel is
-    /// sampled and the poll clock does not advance, so observers keep
-    /// seeing the last delivered values ageing — exactly what a crashed
-    /// CSTH poller looks like.  poll_now() stays unconditional (it models
-    /// a local read, not the poller).  Suppression is runtime plant
-    /// state, not part of the harness clock: plants re-derive it from
-    /// their fault_state every step, so it needs no snapshot handling.
-    void set_poll_suppressed(bool suppressed) { suppressed_ = suppressed; }
-
-    [[nodiscard]] std::size_t channel_count() const { return channels_.size(); }
-
-    /// The shared columnar history store: one column per
-    /// history-recording channel, named after it.
+    /// The columnar history store, one column per name given at
+    /// construction.
     [[nodiscard]] const util::frame& history() const { return history_; }
 
 private:
-    struct channel {
-        std::string name;
-        std::function<double()> source;
-        std::size_t column;  ///< History column, or `unrecorded`.
-    };
-    static constexpr std::size_t unrecorded = static_cast<std::size_t>(-1);
-
     util::seconds_t period_;
     double last_poll_ = -1.0;
     bool polled_once_ = false;
-    bool suppressed_ = false;
-    std::vector<channel> channels_;
     util::frame history_;
-    std::vector<double> poll_scratch_;  ///< One history row, reused per poll.
 };
 
 }  // namespace ltsc::telemetry

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <cerrno>
 #include <cstring>
 #include <mutex>
@@ -232,7 +233,7 @@ bool http_server::serve_buffered(int fd, std::string& inbuf) {
         if (head_end == std::string::npos) {
             return true;  // Request incomplete; keep buffering.
         }
-        const std::string head = inbuf.substr(0, head_end);
+        std::string head = inbuf.substr(0, head_end);
         inbuf.erase(0, head_end + 4);
 
         const std::size_t sp1 = head.find(' ');
@@ -242,14 +243,21 @@ bool http_server::serve_buffered(int fd, std::string& inbuf) {
         std::string path = sp2 == std::string::npos
                                ? std::string()
                                : head.substr(sp1 + 1, sp2 - sp1 - 1);
-        // Keep-alive unless the client opted out (HTTP/1.1 default).
+        // Keep-alive unless the client opted out (HTTP/1.1 default).  Field
+        // names and connection options are case-insensitive (RFC 9110
+        // 5.1, 7.6.1), so the rest of the head is matched lower-cased;
+        // method and path are already copied out.
+        for (char& c : head) {
+            c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+        }
         bool close_after = false;
-        for (std::size_t pos = head.find("\r\n"); pos != std::string::npos;
-             pos = head.find("\r\n", pos + 2)) {
-            const std::size_t line = pos + 2;
-            if (head.compare(line, 11, "Connection:") == 0 ||
-                head.compare(line, 11, "connection:") == 0) {
-                close_after = head.find("close", line) != std::string::npos;
+        for (std::size_t eol = head.find("\r\n"); eol != std::string::npos;) {
+            const std::size_t line = eol + 2;
+            eol = head.find("\r\n", line);
+            if (head.compare(line, 11, "connection:") == 0) {
+                // Only this line's own value decides.
+                const std::size_t end = eol == std::string::npos ? head.size() : eol;
+                close_after = head.find("close", line + 11) < end;
             }
         }
 

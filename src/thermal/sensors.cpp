@@ -6,24 +6,16 @@
 
 namespace ltsc::thermal {
 
-temperature_sensor::temperature_sensor(std::string name, std::function<util::celsius_t()> source,
-                                       util::celsius_t bias, double noise_sigma, double quantum,
-                                       util::pcg32& rng)
-    : name_(std::move(name)),
-      source_(std::move(source)),
-      bias_c_(bias.value()),
-      noise_sigma_(noise_sigma),
-      quantum_(quantum),
-      rng_(&rng) {
-    util::ensure(static_cast<bool>(source_), "temperature_sensor: null source");
+temperature_sensor::temperature_sensor(util::celsius_t bias, double noise_sigma, double quantum)
+    : bias_c_(bias.value()), noise_sigma_(noise_sigma), quantum_(quantum) {
     util::ensure(noise_sigma >= 0.0, "temperature_sensor: negative noise");
     util::ensure(quantum >= 0.0, "temperature_sensor: negative quantum");
 }
 
-util::celsius_t temperature_sensor::read() {
-    double v = source_().value() + bias_c_;
+util::celsius_t temperature_sensor::read(util::celsius_t truth, util::pcg32& rng) const {
+    double v = truth.value() + bias_c_;
     if (noise_sigma_ > 0.0) {
-        v += rng_->normal(0.0, noise_sigma_);
+        v += rng.normal(0.0, noise_sigma_);
     }
     if (quantum_ > 0.0) {
         v = std::round(v / quantum_) * quantum_;
@@ -31,22 +23,12 @@ util::celsius_t temperature_sensor::read() {
     return util::celsius_t{v};
 }
 
-server_sensor_suite make_server_sensors(
-    const std::function<util::celsius_t(std::size_t)>& cpu_temp,
-    const std::function<util::celsius_t()>& dimm_temp, std::size_t dimm_count, util::pcg32& rng,
-    double noise_sigma, double quantum) {
-    util::ensure(static_cast<bool>(cpu_temp) && static_cast<bool>(dimm_temp),
-                 "make_server_sensors: null source");
+server_sensor_suite make_server_sensors(std::size_t dimm_count, double noise_sigma,
+                                        double quantum) {
     server_sensor_suite suite;
-    for (std::size_t s = 0; s < 2; ++s) {
-        for (std::size_t k = 0; k < 2; ++k) {
-            const double bias = (k == 0) ? -0.8 : 0.8;  // placement spread across the die
-            const std::string name =
-                "cpu" + std::to_string(s) + "_temp_" + (k == 0 ? "a" : "b");
-            suite.cpu.emplace_back(
-                name, [cpu_temp, s] { return cpu_temp(s); }, util::celsius_t{bias}, noise_sigma,
-                quantum, rng);
-        }
+    for (std::size_t i = 0; i < 4; ++i) {
+        const double bias = (i % 2 == 0) ? -0.8 : 0.8;  // placement spread across the die
+        suite.cpu.emplace_back(util::celsius_t{bias}, noise_sigma, quantum);
     }
     for (std::size_t d = 0; d < dimm_count; ++d) {
         // Positional gradient: modules deeper in the airflow run warmer.
@@ -54,9 +36,7 @@ server_sensor_suite make_server_sensors(
                                 ? static_cast<double>(d) / static_cast<double>(dimm_count - 1)
                                 : 0.0;
         const double bias = -1.5 + 3.0 * frac;
-        suite.dimm.emplace_back(
-            "dimm" + std::to_string(d) + "_temp", dimm_temp, util::celsius_t{bias}, noise_sigma,
-            quantum, rng);
+        suite.dimm.emplace_back(util::celsius_t{bias}, noise_sigma, quantum);
     }
     return suite;
 }

@@ -4,11 +4,11 @@
 // DIMM temperatures (1 per module).  Real sensors carry placement bias,
 // noise and ADC quantization; modelling those keeps the controllers honest
 // (the bang-bang controller reacts to *sensor* readings, not to the plant
-// state).
+// state).  A sensor is only its error model: the plant hands it the true
+// temperature and the RNG stream at every read.
 #pragma once
 
-#include <functional>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -16,43 +16,33 @@
 
 namespace ltsc::thermal {
 
-/// One temperature sensor attached to a plant quantity.
+/// One temperature sensor's error model.
 class temperature_sensor {
 public:
-    /// `source` returns the true temperature at read time; `bias` models
-    /// placement offset, `noise_sigma` Gaussian read noise, `quantum` the
-    /// ADC step (0 disables quantization).
-    temperature_sensor(std::string name, std::function<util::celsius_t()> source,
-                       util::celsius_t bias, double noise_sigma, double quantum,
-                       util::pcg32& rng);
+    /// `bias` models placement offset, `noise_sigma` Gaussian read noise,
+    /// `quantum` the ADC step (0 disables quantization).
+    temperature_sensor(util::celsius_t bias, double noise_sigma, double quantum);
 
-    /// Takes a reading (bias + noise + quantization applied).
-    [[nodiscard]] util::celsius_t read();
-
-    [[nodiscard]] const std::string& name() const { return name_; }
+    /// Reads `truth` with bias + noise + quantization applied; the noise
+    /// draw (if any) advances `rng`.
+    [[nodiscard]] util::celsius_t read(util::celsius_t truth, util::pcg32& rng) const;
 
 private:
-    std::string name_;
-    std::function<util::celsius_t()> source_;
     double bias_c_;
     double noise_sigma_;
     double quantum_;
-    util::pcg32* rng_;
 };
 
-/// Builds the paper's sensor complement for a server thermal model:
-/// 2 sensors per CPU die (+/- 1 degC placement spread) and `dimm_count`
-/// DIMM sensors spread around the bank temperature by a positional
-/// gradient.  The returned sensors keep references to `cpu_temp(s)` /
-/// `dimm_temp()` sources and to `rng`; both must outlive them.
+/// The paper's sensor complement for one server: 2 sensors per CPU die
+/// (+/- 1 degC placement spread) and one per DIMM module, spread around
+/// the bank temperature by a positional gradient.
 struct server_sensor_suite {
     std::vector<temperature_sensor> cpu;   ///< 4 sensors: cpu0_a, cpu0_b, cpu1_a, cpu1_b.
     std::vector<temperature_sensor> dimm;  ///< One per DIMM module.
 };
 
-[[nodiscard]] server_sensor_suite make_server_sensors(
-    const std::function<util::celsius_t(std::size_t)>& cpu_temp,
-    const std::function<util::celsius_t()>& dimm_temp, std::size_t dimm_count, util::pcg32& rng,
-    double noise_sigma = 0.15, double quantum = 0.25);
+[[nodiscard]] server_sensor_suite make_server_sensors(std::size_t dimm_count,
+                                                      double noise_sigma = 0.15,
+                                                      double quantum = 0.25);
 
 }  // namespace ltsc::thermal

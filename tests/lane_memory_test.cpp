@@ -65,7 +65,7 @@ namespace {
 using namespace ltsc;
 using namespace ltsc::util::literals;
 
-constexpr double max_bytes_per_lane = 20.0 * 1024.0;
+constexpr double max_bytes_per_lane = 8.0 * 1024.0;
 
 /// Live heap held by a freshly constructed `lanes`-lane batch.
 long long batch_bytes(const sim::server_config& config, std::size_t lanes) {

@@ -9,12 +9,14 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -359,16 +361,25 @@ TEST(TelemetryService, SurvivesTraceClearsBetweenSteps) {
     }
 }
 
-/// Minimal blocking HTTP GET against 127.0.0.1:`port` (test-only; the
-/// production path is the nonblocking server).
-std::string http_get(std::uint16_t port, const std::string& path, int* status_out) {
+/// A loopback client socket connected to `port`, with a receive timeout
+/// so a misbehaving server fails the test instead of hanging it.
+int connect_client(std::uint16_t port) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd, 0);
+    const timeval timeout{5, 0};
+    EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    return fd;
+}
+
+/// Minimal blocking HTTP GET against 127.0.0.1:`port` (test-only; the
+/// production path is the nonblocking server).
+std::string http_get(std::uint16_t port, const std::string& path, int* status_out) {
+    const int fd = connect_client(port);
     const std::string req = "GET " + path + " HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n";
     EXPECT_EQ(::send(fd, req.data(), req.size(), 0), static_cast<ssize_t>(req.size()));
     std::string response;
@@ -438,6 +449,63 @@ TEST(TelemetryService, HttpEndpointsServeChecksummedJson) {
     http_get(svc.http_port(), "/nope", &status);
     EXPECT_EQ(status, 404);
     EXPECT_GE(svc.requests_served(), 5u);
+}
+
+/// Sends one request on `fd` and reads back exactly one response (head
+/// plus Content-Length body); returns "" if the server closed first.
+std::string round_trip(int fd, const std::string& request) {
+    if (::send(fd, request.data(), request.size(), MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(request.size())) {
+        return {};
+    }
+    std::string response;
+    char buf[4096];
+    for (;;) {
+        const std::size_t head_end = response.find("\r\n\r\n");
+        const std::size_t length_at = response.find("Content-Length: ");
+        if (head_end != std::string::npos && length_at < head_end) {
+            const std::size_t length = std::strtoul(response.c_str() + length_at + 16, nullptr, 10);
+            if (response.size() >= head_end + 4 + length) {
+                return response;
+            }
+        }
+        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        if (n <= 0) {
+            return {};
+        }
+        response.append(buf, static_cast<std::size_t>(n));
+    }
+}
+
+int status_of(const std::string& response) {
+    return response.size() > 9 ? std::atoi(response.c_str() + 9) : 0;  // after "HTTP/1.1 "
+}
+
+TEST(TelemetryService, KeepAliveIgnoresCloseInOtherHeaders) {
+    sim::fleet f(make_configs(2), fleet_cfg(1, 1));
+    bind_workloads(f);
+    f.force_cold_start();
+    telemetry_service::service svc(f, telemetry_service::service_config{});
+
+    // "close" in another header's value does not end a keep-alive
+    // connection: the second request on the socket is served too.
+    const int fd = connect_client(svc.http_port());
+    const std::string first = round_trip(fd,
+                                         "GET /health HTTP/1.1\r\nHost: x\r\n"
+                                         "Connection: keep-alive\r\nX-Note: close\r\n\r\n");
+    EXPECT_EQ(status_of(first), 200) << first;
+    EXPECT_NE(first.find("Connection: keep-alive"), std::string::npos) << first;
+    const std::string second = round_trip(fd, "GET /health HTTP/1.1\r\nHost: x\r\n\r\n");
+    EXPECT_EQ(status_of(second), 200) << second;
+    ::close(fd);
+
+    // Field names are case-insensitive.
+    const int upper = connect_client(svc.http_port());
+    const std::string last =
+        round_trip(upper, "GET /health HTTP/1.1\r\nHost: x\r\nCONNECTION: close\r\n\r\n");
+    EXPECT_EQ(status_of(last), 200) << last;
+    EXPECT_NE(last.find("Connection: close"), std::string::npos) << last;
+    ::close(upper);
 }
 
 TEST(TelemetryService, ConcurrentPollersSeeConsistentSnapshots) {

@@ -6,10 +6,12 @@
 #include <cmath>
 #include <vector>
 
+#include "sim/server_simulator.hpp"
 #include "thermal/sensors.hpp"
 #include "thermal/server_thermal_model.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "workload/paper_tests.hpp"
 
 namespace {
 
@@ -260,27 +262,24 @@ TEST(ServerThermal, LanesMatchOneLaneModelsBitwise) {
 
 TEST(Sensors, NoiselessSensorReportsBiasedTruth) {
     util::pcg32 rng(1);
-    thermal::temperature_sensor s("t", [] { return 60_degC; }, util::celsius_t{1.5}, 0.0, 0.0,
-                                  rng);
-    EXPECT_DOUBLE_EQ(s.read().value(), 61.5);
+    const thermal::temperature_sensor s(util::celsius_t{1.5}, 0.0, 0.0);
+    EXPECT_DOUBLE_EQ(s.read(60_degC, rng).value(), 61.5);
 }
 
 TEST(Sensors, QuantizationSnapsToGrid) {
     util::pcg32 rng(2);
-    thermal::temperature_sensor s("t", [] { return util::celsius_t{60.13}; },
-                                  util::celsius_t{0.0}, 0.0, 0.25, rng);
-    EXPECT_DOUBLE_EQ(s.read().value(), 60.25);
+    const thermal::temperature_sensor s(util::celsius_t{0.0}, 0.0, 0.25);
+    EXPECT_DOUBLE_EQ(s.read(util::celsius_t{60.13}, rng).value(), 60.25);
 }
 
 TEST(Sensors, NoiseHasExpectedSpread) {
     util::pcg32 rng(3);
-    thermal::temperature_sensor s("t", [] { return 60_degC; }, util::celsius_t{0.0}, 0.5, 0.0,
-                                  rng);
+    const thermal::temperature_sensor s(util::celsius_t{0.0}, 0.5, 0.0);
     double acc = 0.0;
     double acc2 = 0.0;
     constexpr int n = 5000;
     for (int i = 0; i < n; ++i) {
-        const double v = s.read().value();
+        const double v = s.read(60_degC, rng).value();
         acc += v;
         acc2 += v * v;
     }
@@ -291,21 +290,73 @@ TEST(Sensors, NoiseHasExpectedSpread) {
 }
 
 TEST(Sensors, ServerSuiteHasPaperComplement) {
-    util::pcg32 rng(4);
-    const auto suite = thermal::make_server_sensors([](std::size_t) { return 60_degC; },
-                                                    [] { return 45_degC; }, 32, rng);
+    const auto suite = thermal::make_server_sensors(32);
     EXPECT_EQ(suite.cpu.size(), 4U);    // 2 per die
     EXPECT_EQ(suite.dimm.size(), 32U);  // 1 per DIMM
 }
 
 TEST(Sensors, DimmGradientSpreadsReadings) {
     util::pcg32 rng(5);
-    auto suite = thermal::make_server_sensors([](std::size_t) { return 60_degC; },
-                                              [] { return 45_degC; }, 32, rng,
-                                              /*noise=*/0.0, /*quantum=*/0.0);
-    const double first = suite.dimm.front().read().value();
-    const double last = suite.dimm.back().read().value();
+    const auto suite = thermal::make_server_sensors(32, /*noise=*/0.0, /*quantum=*/0.0);
+    const double first = suite.dimm.front().read(45_degC, rng).value();
+    const double last = suite.dimm.back().read(45_degC, rng).value();
     EXPECT_NEAR(last - first, 3.0, 1e-9);  // positional gradient
+}
+
+TEST(Sensors, PlantReadingStreamIsPinned) {
+    // The goldens compare within bands, so a reordered or dropped noise
+    // draw could slip past them.  Readings are quantized to 0.25 degC,
+    // so the delivered CPU values of the first 30 polls (cold-start poll
+    // included) are exact.  Each poll draws cpu0_a, cpu0_b, cpu1_a,
+    // cpu1_b, then every DIMM sensor, from the lane's one RNG stream.
+    const std::vector<std::vector<double>> expected = {
+        {39, 40.5, 39, 40.5},
+        {39, 40.75, 39, 40.75},
+        {39.25, 40.75, 39.25, 40.75},
+        {39.25, 40.5, 39, 40.5},
+        {38.75, 40.25, 39, 40.5},
+        {39, 41, 39.25, 40.5},
+        {38.75, 40.75, 39, 40.5},
+        {39.25, 40.75, 39, 40.75},
+        {39, 40.5, 39.25, 40.75},
+        {39, 40.75, 39.25, 40.75},
+        {39, 41, 38.75, 40.5},
+        {39, 40.5, 39.25, 40.5},
+        {39, 40.25, 39.25, 41},
+        {38.75, 40.75, 39, 40.75},
+        {38.5, 40.5, 39, 40.5},
+        {38.75, 40.5, 39, 40.5},
+        {38.75, 40.75, 39.25, 41},
+        {38.75, 40.75, 39.25, 40.75},
+        {39.25, 40.5, 39, 40.5},
+        {39.25, 40.5, 39, 40.75},
+        {39, 40.25, 39, 40.5},
+        {39.25, 40.75, 39, 41},
+        {39, 40.75, 39, 40.5},
+        {38.75, 40.75, 39, 40.75},
+        {39, 40.5, 39, 40.75},
+        {38.75, 41, 39, 40.75},
+        {39.25, 40.75, 39, 40.5},
+        {39.25, 40.5, 39.25, 40.5},
+        {39, 40.75, 39.25, 40.5},
+        {39.25, 40.5, 39, 40.75}};
+    sim::server_config config = sim::paper_server();
+    config.seed = 1;
+    sim::server_simulator s(config);
+    s.bind_workload(workload::make_paper_test(workload::paper_test::test2_periods));
+    s.force_cold_start();
+    std::vector<std::vector<double>> polls{s.cpu_sensor_temps()};
+    double last_poll = s.telemetry().last_poll_time();
+    while (polls.size() < expected.size()) {
+        s.step(1_s);
+        if (s.telemetry().last_poll_time() != last_poll) {
+            last_poll = s.telemetry().last_poll_time();
+            polls.push_back(s.cpu_sensor_temps());
+        }
+    }
+    for (std::size_t p = 0; p < expected.size(); ++p) {
+        EXPECT_EQ(polls[p], expected[p]) << "poll " << p;
+    }
 }
 
 }  // namespace
