@@ -490,9 +490,9 @@ TEST(TelemetryService, KeepAliveIgnoresCloseInOtherHeaders) {
     // "close" in another header's value does not end a keep-alive
     // connection: the second request on the socket is served too.
     const int fd = connect_client(svc.http_port());
-    const std::string first = round_trip(fd,
-                                         "GET /health HTTP/1.1\r\nHost: x\r\n"
-                                         "Connection: keep-alive\r\nX-Note: close\r\n\r\n");
+    const std::string note_close =
+        "GET /health HTTP/1.1\r\nHost: x\r\nConnection: keep-alive\r\nX-Note: close\r\n\r\n";
+    const std::string first = round_trip(fd, note_close);
     EXPECT_EQ(status_of(first), 200) << first;
     EXPECT_NE(first.find("Connection: keep-alive"), std::string::npos) << first;
     const std::string second = round_trip(fd, "GET /health HTTP/1.1\r\nHost: x\r\n\r\n");

@@ -339,7 +339,8 @@ TEST(Sensors, PlantReadingStreamIsPinned) {
         {39.25, 40.75, 39, 40.5},
         {39.25, 40.5, 39.25, 40.5},
         {39, 40.75, 39.25, 40.5},
-        {39.25, 40.5, 39, 40.75}};
+        {39.25, 40.5, 39, 40.75},
+    };
     sim::server_config config = sim::paper_server();
     config.seed = 1;
     sim::server_simulator s(config);
