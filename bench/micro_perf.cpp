@@ -72,10 +72,10 @@ BENCHMARK(BM_SimulatorSecond);
 
 void BM_SimulatorSecondMonitored(benchmark::State& state) {
     // Detection overhead: the same plant second with the residual
-    // monitor enabled (twin thermal step + fan residuals every step,
-    // sensor residuals every poll).  Read against BM_SimulatorSecond for
-    // the monitor's cost; the monitor is off by default, so only
-    // fault-aware runs pay it.
+    // monitor enabled (the twin is a second lane of the plant's thermal
+    // kernel call, plus fan residuals every step and sensor residuals
+    // every poll).  Read against BM_SimulatorSecond for the monitor's
+    // cost; the monitor is off by default, so only fault-aware runs pay it.
     sim::server_config config = sim::paper_server();
     config.monitor.enabled = true;
     sim::server_simulator s(config);

@@ -44,7 +44,7 @@ void poll_and_actuate(sim::server_batch& batch, std::size_t lane, fan_controller
             in.fan_health.push_back(static_cast<std::uint8_t>(mon->fan_health(p)));
         }
         for (std::size_t d = 0; d < in.model_die_c.size(); ++d) {
-            in.model_die_c[d] = mon->die_estimate_c(d);
+            in.model_die_c[d] = batch.model_die_temp(lane, d).value();
         }
     }
     if (const auto cmds = controller.decide_zones(in)) {

@@ -1,9 +1,10 @@
 // Model-based fault detection: a healthy-twin residual monitor.
 //
-// The monitor steps a cheap twin of the server's thermal plant alongside
-// the real one, driven ONLY by quantities a real BMC could observe:
+// The twin is one more lane of the plant's thermal model (see
+// sim::server_batch), driven ONLY by quantities a real BMC could observe:
 // commanded fan speeds, tachometer readings, the host utilization
-// counter, and ambient.  Two residual families fall out:
+// counter, and ambient.  The monitor itself keeps only residuals and
+// verdicts.  Two residual families fall out:
 //
 //   * sensor residual  = delivered CSTH reading - twin die temperature.
 //     The twin runs the plant's own power model and airflow arithmetic,
@@ -63,18 +64,16 @@
 //
 // The monitor is a passive observer: it never touches the plant's RNG
 // or dynamics, so a monitor-on run records the same plant trajectory
-// bitwise as a monitor-off run.  Its full state (twin thermal state via
-// the PR 5 rc_state layer, latched commands, hysteresis counters) rides
-// `fault_monitor_state` through plant snapshot/restore bitwise.
+// bitwise as a monitor-off run.  Its state (latched commands,
+// hysteresis counters) rides `fault_monitor_state` through plant
+// snapshot/restore bitwise, next to the twin lane's thermal state.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "power/fan_model.hpp"
-#include "power/server_power_model.hpp"
-#include "thermal/server_thermal_model.hpp"
 #include "util/units.hpp"
 
 namespace ltsc::core {
@@ -125,10 +124,9 @@ struct fault_monitor_config {
 /// monitor is disabled.
 void validate(const fault_monitor_config& config);
 
-/// Snapshot of the monitor: twin thermal state plus every latched
-/// command and hysteresis counter.  Plain data; rides sim::server_state.
+/// Snapshot of the monitor: every latched command, hysteresis counter
+/// and residual.  Plain data; rides sim::server_state.
 struct fault_monitor_state {
-    thermal::rc_state twin;
     std::vector<double> commanded_rpm;
     std::vector<double> fan_prev_rpm;
     std::vector<int> fan_grace_steps;
@@ -148,22 +146,11 @@ struct fault_monitor_state {
 
 class fault_monitor {
 public:
-    /// A monitor over a server with `thermal`'s fan zones (one fan pair
-    /// each) and two CSTH sensors per die; the twin heats itself with
-    /// `power`, the model the plant runs.
-    fault_monitor(const fault_monitor_config& config, const thermal::server_thermal_config& thermal,
-                  const power::server_power_model& power);
-
-    /// Re-arms the monitor against the plant's current actuator state:
-    /// latches the commanded speeds, clears every verdict, and resets
-    /// the twin to ambient (the plant's cold state).
-    void reset(const power::fan_bank& fans, util::celsius_t ambient);
-
-    /// Teleports the twin to the steady state of (u_pct, imbalance,
-    /// ambient, current airflow) — the monitor-side mirror of the
-    /// plant's force_cold_start / settle_at jumps.
-    void settle(double u_pct, double imbalance, util::celsius_t ambient,
-                const power::fan_bank& fans);
+    /// Arms a monitor against the plant's current actuator state: one
+    /// fan pair per `commanded_rpm` entry, latched at that command, and
+    /// two CSTH sensors on each of the two dies (sensors 2d and 2d+1 on
+    /// die d), every verdict healthy.  A cold start re-arms by rebuilding.
+    fault_monitor(const fault_monitor_config& config, const std::vector<double>& commanded_rpm);
 
     /// Records a controller fan command (already clamped to the legal
     /// range).  Called at the plant's actuation entry points so the
@@ -171,18 +158,17 @@ public:
     void observe_fan_command(std::size_t pair_index, util::rpm_t clamped);
     void observe_all_fan_commands(util::rpm_t clamped);
 
-    /// Advances the twin by one plant step and refreshes the fan
-    /// command/tach residuals.  `u_inst` is the instantaneous host
-    /// utilization the plant heated with this step.
-    void step(util::seconds_t dt, double u_inst, double imbalance, util::celsius_t ambient,
-              const power::fan_bank& fans);
+    /// Refreshes the fan command/tach residuals for one plant step;
+    /// `tach_rpm` holds one tachometer reading per pair.
+    void step(const std::vector<double>& tach_rpm);
 
     /// Scores one telemetry poll: `delivered` are the (possibly
-    /// corrupted) CSTH readings, compared against the twin's dies.
-    void on_poll(const std::vector<double>& delivered);
+    /// corrupted) CSTH readings, compared against `twin_die`, the twin's
+    /// die temperatures [degC] in socket order.
+    void on_poll(const std::vector<double>& delivered, const std::array<double, 2>& twin_die);
 
-    [[nodiscard]] std::size_t sensor_count() const { return sensor_health_.size(); }
-    [[nodiscard]] std::size_t fan_pair_count() const { return fan_health_.size(); }
+    [[nodiscard]] std::size_t sensor_count() const { return st_.sensor_health.size(); }
+    [[nodiscard]] std::size_t fan_pair_count() const { return st_.fan_health.size(); }
     [[nodiscard]] component_health sensor_health(std::size_t sensor) const;
     /// Worst of the pair's tach-residual and thermal cross-check verdicts.
     [[nodiscard]] component_health fan_health(std::size_t pair_index) const;
@@ -194,51 +180,15 @@ public:
     /// to [0, sensor_cusum_h_c].  Exposed for tests and calibration.
     [[nodiscard]] double sensor_cusum_pos_c(std::size_t sensor) const;
     [[nodiscard]] double sensor_cusum_neg_c(std::size_t sensor) const;
-    /// The twin's modeled die temperature [degC] — the trusted stand-in
-    /// for a die whose sensors are flagged.
-    [[nodiscard]] double die_estimate_c(std::size_t die) const;
-    [[nodiscard]] double max_die_estimate_c() const;
-
-    [[nodiscard]] const fault_monitor_config& config() const { return config_; }
 
     void save_state(fault_monitor_state& out) const;
-    /// Restores a snapshot; `fans` must already hold the restored
-    /// actuator state (the twin's airflow is re-derived from it).
-    void restore_state(const fault_monitor_state& state, const power::fan_bank& fans);
+    /// Restores a snapshot; throws, leaving the monitor untouched, unless
+    /// every vector has this monitor's shape.
+    void restore_state(const fault_monitor_state& state);
 
 private:
-    void clear_health();
-    void sync_ambient(util::celsius_t ambient);
-    void sync_airflow(const power::fan_bank& fans, bool force);
-
     fault_monitor_config config_;
-    power::server_power_model power_;
-    thermal::server_thermal_model twin_;
-
-    std::vector<double> commanded_rpm_;
-    std::vector<double> fan_prev_rpm_;
-    std::vector<int> fan_grace_steps_;
-    std::vector<std::uint8_t> fan_health_;
-    std::vector<int> fan_bad_steps_;
-    std::vector<int> fan_good_steps_;
-    std::vector<std::uint8_t> fan_thermal_health_;
-    std::vector<int> fan_thermal_bad_polls_;
-    std::vector<int> fan_thermal_good_polls_;
-    std::vector<std::uint8_t> sensor_health_;
-    std::vector<int> sensor_bad_polls_;
-    std::vector<int> sensor_good_polls_;
-    std::vector<double> sensor_residual_;
-    std::vector<double> sensor_cusum_pos_;
-    std::vector<double> sensor_cusum_neg_;
-
-    // Airflow cache: twin conductances are recomputed only when a tach
-    // reading moves, mirroring the plant's apply-on-change policy.  The
-    // airflow is derived from the *tach reading* (not the plant's true
-    // delivery), which is exactly what makes a lying tach visible as a
-    // thermal divergence.
-    std::vector<double> effective_rpm_cache_;
-    std::vector<util::cfm_t> zone_airflow_scratch_;
-    std::vector<unsigned char> die_hot_scratch_;  ///< Per-die hot flag, reused each poll.
+    fault_monitor_state st_;
 };
 
 }  // namespace ltsc::core

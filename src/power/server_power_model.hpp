@@ -9,7 +9,7 @@
 // CPU active power and the leakage of its own temperature; the DIMM field
 // takes its idle share and the memory active power.
 //
-// Both plants, the fault monitor's healthy twin and the steady idle-power
+// The plant lanes, the fault monitor's twin lanes and the steady idle-power
 // probe run this one model, so their heat and power arithmetic agrees
 // bitwise by construction.
 #pragma once

@@ -8,7 +8,9 @@ namespace ltsc::sim {
 
 namespace {
 
-std::vector<thermal::server_thermal_config> thermal_configs(
+/// The thermal lanes of a batch: one per server, then one twin per
+/// monitored server, in server order.
+std::vector<thermal::server_thermal_config> thermal_lanes(
     const std::vector<server_config>& configs) {
     util::ensure(!configs.empty(), "server_batch: need at least one lane");
     std::vector<thermal::server_thermal_config> out;
@@ -16,17 +18,30 @@ std::vector<thermal::server_thermal_config> thermal_configs(
     for (const server_config& c : configs) {
         out.push_back(c.thermal);
     }
+    for (const server_config& c : configs) {
+        if (c.monitor.enabled) {
+            out.push_back(c.thermal);
+        }
+    }
     return out;
 }
 
 }  // namespace
 
 server_batch::server_batch(std::vector<server_config> configs)
-    : thermal_(thermal_configs(configs)), traces_(configs.size()), active_(configs.size(), 1) {
+    : thermal_(thermal_lanes(configs)),
+      twin_(configs.size(), no_twin),
+      traces_(configs.size()),
+      active_(thermal_.lane_count(), 1) {
     lanes_.reserve(configs.size());
+    std::size_t next_twin = configs.size();
     for (std::size_t l = 0; l < configs.size(); ++l) {
         lanes_.emplace_back(configs[l]);
         thermal_.set_zone_airflow(l, lanes_[l].zone_airflow());
+        if (lanes_[l].monitor() != nullptr) {
+            twin_[l] = next_twin++;
+            sync_twin_airflow(l);
+        }
     }
 }
 
@@ -81,21 +96,59 @@ void server_batch::clear_fault_schedule(std::size_t lane) {
     }
 }
 
+util::celsius_t server_batch::model_die_temp(std::size_t lane, std::size_t socket) const {
+    static_cast<void>(at(lane));
+    util::ensure(twin_[lane] != no_twin, "server_batch::model_die_temp: lane is not monitored");
+    return thermal_.cpu_die_temp(twin_[lane], socket);
+}
+
+void server_batch::set_ambient(std::size_t lane, util::celsius_t t) {
+    static_cast<void>(at(lane));
+    thermal_.set_ambient(lane, t);
+    if (twin_[lane] != no_twin) {
+        thermal_.set_ambient(twin_[lane], t);
+    }
+}
+
 void server_batch::snapshot_lane_state(std::size_t lane, server_state& out) const {
     at(lane).save_state(out);
     thermal_.save_state(lane, out.thermal);
+    if (twin_[lane] != no_twin) {
+        thermal_.save_state(twin_[lane], out.monitor.twin);
+    }
 }
 
 void server_batch::load_lane_state(std::size_t lane, const server_state& state) {
     server_lane& ln = at(lane);
+    const std::size_t twin = twin_[lane];
+    // Check the whole snapshot before changing anything: the thermal
+    // halves here, the lane's and its monitor's shapes in restore_state.
+    thermal_.check_state(state.thermal);
+    if (twin != no_twin) {
+        thermal_.check_state(state.monitor.twin);
+    }
     ln.restore_state(state);
     traces_.clear(lane);
     // Recompute the airflow-derived conductances from the restored speeds
     // (bitwise-identical to the snapshot's), then reload the thermal lane
-    // on top.
+    // on top; the twin likewise from the restored tach readings.
     thermal_.set_zone_airflow(lane, ln.zone_airflow());
     thermal_.restore_state(lane, state.thermal);
+    if (twin != no_twin) {
+        sync_twin_airflow(lane);
+        thermal_.restore_state(twin, state.monitor.twin);
+    }
     set_lane_active(lane, true);
+}
+
+void server_batch::sync_twin_airflow(std::size_t lane) {
+    if (const std::vector<util::cfm_t>* airflow = lanes_[lane].moved_tach_airflow()) {
+        thermal_.set_zone_airflow(twin_[lane], *airflow);
+    }
+}
+
+die_temps server_batch::twin_die_temps(std::size_t lane) const {
+    return twin_[lane] == no_twin ? die_temps{} : thermal_.die_temps(twin_[lane]);
 }
 
 void server_batch::step(util::seconds_t dt) {
@@ -117,6 +170,12 @@ void server_batch::step(util::seconds_t dt) {
         u_target_scratch_[l] = ln.target_utilization();
         u_inst_scratch_[l] = ln.instantaneous_utilization();
         ln.power().apply_heat(thermal_, l, u_inst_scratch_[l], ln.load_imbalance());
+        if (twin_[l] != no_twin) {
+            // The twin heats at the plant's utilization and split, under
+            // the airflow its tachs report.
+            sync_twin_airflow(l);
+            ln.power().apply_heat(thermal_, twin_[l], u_inst_scratch_[l], ln.load_imbalance());
+        }
     }
     thermal_.step(dt, inert_count_ == 0 ? nullptr : active_.data());
     for (std::size_t l = 0; l < n; ++l) {
@@ -124,12 +183,13 @@ void server_batch::step(util::seconds_t dt) {
             continue;
         }
         server_lane& ln = lanes_[l];
-        ln.advance_clock(dt, u_inst_scratch_[l], thermal_.ambient(l));
+        ln.advance_clock(dt);
         const die_temps die = thermal_.die_temps(l);
         const util::celsius_t dimm = thermal_.dimm_temp(l);
+        const die_temps twin_die = twin_die_temps(l);
         traces_.append(l, ln.now_s(),
-                       ln.make_row(u_target_scratch_[l], u_inst_scratch_[l], die, dimm));
-        ln.poll(die, dimm);
+                       ln.make_row(u_target_scratch_[l], u_inst_scratch_[l], die, dimm, twin_die));
+        ln.poll(die, dimm, twin_die);
     }
 }
 
@@ -140,6 +200,9 @@ void server_batch::set_lane_active(std::size_t lane, bool active) {
         return;
     }
     active_[lane] = flag;
+    if (twin_[lane] != no_twin) {
+        active_[twin_[lane]] = flag;  // an inert lane's twin is inert too
+    }
     if (active) {
         --inert_count_;
     } else {
@@ -167,10 +230,16 @@ void server_batch::force_cold_start(std::size_t lane) {
     ln.begin_cold_start();
     thermal_.set_zone_airflow(lane, ln.zone_airflow());
     ln.power().settle(thermal_, lane, 0.0, ln.load_imbalance());
+    if (twin_[lane] != no_twin) {
+        // The twin restarts cold and settles to its own idle state under
+        // its tach airflow; it never copies the plant lane.
+        thermal_.reset(twin_[lane]);
+        sync_twin_airflow(lane);
+        ln.power().settle(thermal_, twin_[lane], 0.0, ln.load_imbalance());
+    }
     traces_.clear(lane);
     set_lane_active(lane, true);
-    ln.finish_cold_start(thermal_.ambient(lane), thermal_.die_temps(lane),
-                         thermal_.dimm_temp(lane));
+    ln.finish_cold_start(thermal_.die_temps(lane), thermal_.dimm_temp(lane), twin_die_temps(lane));
 }
 
 void server_batch::force_cold_start() {
@@ -182,7 +251,10 @@ void server_batch::force_cold_start() {
 void server_batch::settle_at(std::size_t lane, double u_pct) {
     server_lane& ln = at(lane);
     ln.power().settle(thermal_, lane, u_pct, ln.load_imbalance());
-    ln.settle_monitor(u_pct, thermal_.ambient(lane));
+    if (twin_[lane] != no_twin) {
+        sync_twin_airflow(lane);
+        ln.power().settle(thermal_, twin_[lane], u_pct, ln.load_imbalance());
+    }
 }
 
 util::watts_t server_batch::idle_power(std::size_t lane, util::rpm_t fan_rpm) const {

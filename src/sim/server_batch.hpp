@@ -7,9 +7,11 @@
 // faults and monitor), held by value: the batch hands each lane its die
 // and DIMM temperatures at every step and poll, so no lane points back
 // into the batch.  The thermal half is one
-// thermal::server_thermal_model with one lane per server: every lane's
-// node state lives in lane-contiguous flat arrays, and all lanes
-// integrate through one batched RK4 kernel per step.
+// thermal::server_thermal_model with one lane per server, then one twin
+// lane per monitored server (the monitor's healthy twin, heated by its
+// server's power model under the tach-reported airflow): every lane's
+// node state lives in lane-contiguous flat arrays, and all lanes, twins
+// included, integrate through one batched RK4 kernel per step.
 //
 // Contract: a lane's results do not depend on how many lanes share the
 // batch or where it sits — an N-lane batch is *bitwise-identical* lane
@@ -81,6 +83,9 @@ public:
     [[nodiscard]] const core::fault_monitor* monitor(std::size_t lane) const {
         return at(lane).monitor();
     }
+    /// The monitor twin's modeled die temperature — the trusted stand-in
+    /// for a die whose sensors are flagged (throws for an unmonitored lane).
+    [[nodiscard]] util::celsius_t model_die_temp(std::size_t lane, std::size_t socket) const;
 
     /// Age of the lane's last telemetry poll (+infinity before any).
     [[nodiscard]] double telemetry_age_s(std::size_t lane) const {
@@ -135,8 +140,8 @@ public:
     }
 
     /// Changes one lane's room temperature mid-run (aisle gradients,
-    /// setpoint drift).
-    void set_ambient(std::size_t lane, util::celsius_t t) { thermal_.set_ambient(lane, t); }
+    /// setpoint drift); the lane's twin follows.
+    void set_ambient(std::size_t lane, util::celsius_t t);
     [[nodiscard]] util::celsius_t ambient(std::size_t lane) const {
         return thermal_.ambient(lane);
     }
@@ -152,7 +157,8 @@ public:
     /// resets the clock this call sets.  The lane's trace and telemetry
     /// histories clear (recording restarts at the snapshot instant) and
     /// the lane reactivates if it was inert.  Subsequent stepping is
-    /// bitwise-identical to the snapshot's source plant.
+    /// bitwise-identical to the snapshot's source plant.  The whole
+    /// snapshot is checked first: a rejected load leaves the lane untouched.
     void load_lane_state(std::size_t lane, const server_state& state);
 
     /// The lane's bound workload, or nullptr before any bind_workload.
@@ -204,17 +210,26 @@ public:
     [[nodiscard]] const server_config& config(std::size_t lane) const { return at(lane).config(); }
 
 private:
+    static constexpr std::size_t no_twin = static_cast<std::size_t>(-1);
+
     [[nodiscard]] server_lane& at(std::size_t lane);
     [[nodiscard]] const server_lane& at(std::size_t lane) const;
+    /// Pushes the lane's tach airflow into its twin lane if a tach moved.
+    void sync_twin_airflow(std::size_t lane);
+    /// The twin lane's die temperatures (zeros for an unmonitored lane).
+    [[nodiscard]] die_temps twin_die_temps(std::size_t lane) const;
 
-    thermal::server_thermal_model thermal_;  ///< One thermal lane per server.
+    /// Lanes [0, N) are the servers; a twin lane per monitored server follows.
+    thermal::server_thermal_model thermal_;
+    std::vector<std::size_t> twin_;  ///< [lane] its twin's thermal lane, or no_twin.
     std::vector<server_lane> lanes_;
 
     // Lane-major columnar recording: all lanes of a step append into one
     // contiguous arena row-group.
     batch_trace traces_;
 
-    // Per-lane active flags (ragged fleets); inert_count_ keeps the
+    // Per-thermal-lane active flags (ragged fleets; a twin's mirrors its
+    // server's); inert_count_ counts inert servers and keeps the
     // all-active hot path on the unmasked kernel.
     std::vector<unsigned char> active_;
     std::size_t inert_count_ = 0;

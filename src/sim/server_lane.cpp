@@ -23,12 +23,19 @@ server_lane::server_lane(const server_config& config)
     last_cpu_sensor_reads_.assign(sensors_.cpu.size(), config.thermal.ambient_c);
     fault_.reset(fans_.bank().pair_count(), sensors_.cpu.size());
     if (config_.monitor.enabled) {
-        monitor_.emplace(config_.monitor, config_.thermal, power_);
-        monitor_->reset(fans_.bank(), util::celsius_t{config_.thermal.ambient_c});
+        arm_monitor();
+        tach_rpm_.assign(fans_.bank().pair_count(), -1.0);
+        tach_airflow_.resize(fans_.bank().pair_count());
     }
 }
 
-void server_lane::take_poll(const die_temps& die, util::celsius_t dimm) {
+void server_lane::arm_monitor() {
+    std::vector<double> commanded;
+    fans_.save(commanded);
+    monitor_.emplace(config_.monitor, commanded);
+}
+
+void server_lane::take_poll(const die_temps& die, util::celsius_t dimm, const die_temps& twin_die) {
     // One row per poll: the 4 CPU sensors (sensors 2s and 2s+1 sit on
     // die s), system power and fan power.
     std::array<double, 6> row{};
@@ -49,7 +56,7 @@ void server_lane::take_poll(const die_temps& die, util::celsius_t dimm) {
     row[5] = fans_.bank().total_power().value();
     telemetry_.record(util::seconds_t{now_s_}, row.data(), row.size());
     if (monitor_) {
-        monitor_->on_poll(last_cpu_sensor_reads_);
+        monitor_->on_poll(last_cpu_sensor_reads_, twin_die);
     }
 }
 
@@ -125,15 +132,36 @@ double server_lane::telemetry_age_s() const {
                                     : std::numeric_limits<double>::infinity();
 }
 
-void server_lane::advance_clock(util::seconds_t dt, double u_inst, util::celsius_t ambient) {
+const std::vector<util::cfm_t>* server_lane::moved_tach_airflow() {
+    bool moved = false;
+    for (std::size_t i = 0; i < tach_rpm_.size(); ++i) {
+        const double tach = fans_.bank().effective_speed(i).value();
+        moved = moved || tach != tach_rpm_[i];
+        tach_rpm_[i] = tach;
+    }
+    if (!moved) {
+        return nullptr;
+    }
+    // The twin's airflow comes from the TACH reading, not the plant's
+    // true delivery: on honest tachs the two are identical (a stopped
+    // rotor reads 0 -> 0 CFM; a spinning one reads its clamped speed),
+    // but a lying tach feeds the twin phantom airflow — which is exactly
+    // the divergence the monitor's thermal cross-check detects.
+    for (std::size_t i = 0; i < tach_airflow_.size(); ++i) {
+        tach_airflow_[i] = fans_.bank().tach_airflow(i);
+    }
+    return &tach_airflow_;
+}
+
+void server_lane::advance_clock(util::seconds_t dt) {
     now_s_ += dt.value();
     if (monitor_) {
-        monitor_->step(dt, u_inst, imbalance_, ambient, fans_.bank());
+        monitor_->step(tach_rpm_);
     }
 }
 
 trace_row server_lane::make_row(double u_target, double u_inst, const die_temps& die,
-                                util::celsius_t dimm) const {
+                                util::celsius_t dimm, const die_temps& twin_die) const {
     const power::power_breakdown p = breakdown_at(u_inst, die);
     const double avg_die = 0.5 * (die[0] + die[1]);
     trace_row row;
@@ -161,16 +189,16 @@ trace_row server_lane::make_row(double u_target, double u_inst, const die_temps&
         monitor_ ? static_cast<double>(static_cast<int>(monitor_->worst_sensor_health())) : 0.0;
     row[trace_channel::monitor_fan_health] =
         monitor_ ? static_cast<double>(static_cast<int>(monitor_->worst_fan_health())) : 0.0;
-    row[trace_channel::monitor_die_estimate] = monitor_ ? monitor_->max_die_estimate_c() : 0.0;
+    row[trace_channel::monitor_die_estimate] = monitor_ ? std::max(twin_die[0], twin_die[1]) : 0.0;
     return row;
 }
 
-void server_lane::poll(const die_temps& die, util::celsius_t dimm) {
+void server_lane::poll(const die_temps& die, util::celsius_t dimm, const die_temps& twin_die) {
     // A lost poller drops every due poll: nothing is sampled and the poll
     // clock does not advance, so observers see the last delivered values
     // ageing, as with a crashed CSTH poller.
     if (!fault_.telemetry_lost(now_s_) && telemetry_.due(util::seconds_t{now_s_})) {
-        take_poll(die, dimm);
+        take_poll(die, dimm, twin_die);
     }
 }
 
@@ -181,24 +209,15 @@ void server_lane::begin_cold_start() {
     fans_.set_all(config_.cold_start_fan_rpm);
 }
 
-void server_lane::finish_cold_start(util::celsius_t ambient, const die_temps& die,
-                                    util::celsius_t dimm) {
+void server_lane::finish_cold_start(const die_temps& die, util::celsius_t dimm,
+                                    const die_temps& twin_die) {
     if (monitor_) {
-        // The twin restarts with the plant: re-latch the cold-start
-        // commands, clear verdicts, and settle to the same idle state.
-        monitor_->reset(fans_.bank(), ambient);
-        monitor_->settle(0.0, imbalance_, ambient, fans_.bank());
+        arm_monitor();  // re-latch the cold-start commands, clear verdicts
     }
     now_s_ = 0.0;
     fan_changes_ = 0;
     telemetry_.reset();
-    take_poll(die, dimm);
-}
-
-void server_lane::settle_monitor(double u_pct, util::celsius_t ambient) {
-    if (monitor_) {
-        monitor_->settle(u_pct, imbalance_, ambient, fans_.bank());
-    }
+    take_poll(die, dimm, twin_die);
 }
 
 void server_lane::save_state(server_state& out) const {
@@ -214,17 +233,31 @@ void server_lane::save_state(server_state& out) const {
     if (monitor_) {
         monitor_->save_state(out.monitor);
     } else {
-        out.monitor = core::fault_monitor_state{};
+        out.monitor = monitor_state{};
     }
 }
 
 void server_lane::restore_state(const server_state& state) {
-    util::ensure(state.fan_rpm.size() == fans_.bank().pair_count(),
+    const std::size_t pairs = fans_.bank().pair_count();
+    util::ensure(state.fan_rpm.size() == pairs,
                  "server_lane::restore_state: fan pair count mismatch");
+    for (const double rpm : state.fan_rpm) {
+        util::ensure(std::isfinite(rpm), "server_lane::restore_state: non-finite fan speed");
+    }
     util::ensure(state.sensor_reads.size() == last_cpu_sensor_reads_.size(),
                  "server_lane::restore_state: sensor count mismatch");
-    util::ensure(state.fault.sized_for(fans_.bank().pair_count(), sensors_.cpu.size()),
+    util::ensure(state.fault.sized_for(pairs, sensors_.cpu.size()),
                  "server_lane::restore_state: fault state shape mismatch");
+    // The thermal model rejects zero total airflow, and a stopped rotor
+    // (failed or tach-stuck) delivers none.
+    const std::vector<unsigned char>& modes = state.fault.fan_mode;
+    const auto stopped = std::count(modes.begin(), modes.end(), fault_state::fan_failed) +
+                         std::count(modes.begin(), modes.end(), fault_state::fan_tach);
+    util::ensure(static_cast<std::size_t>(stopped) < pairs,
+                 "server_lane::restore_state: no fan pair delivers airflow");
+    if (monitor_) {
+        monitor_->restore_state(state.monitor);  // the last check; nothing after throws
+    }
     now_s_ = state.now_s;
     imbalance_ = state.imbalance;
     fan_changes_ = state.fan_changes;
@@ -234,9 +267,6 @@ void server_lane::restore_state(const server_state& state) {
     last_cpu_sensor_reads_ = state.sensor_reads;
     telemetry_.reset();
     telemetry_.restore_poll_clock(state.telemetry_last_poll_s, state.telemetry_polled);
-    if (monitor_) {
-        monitor_->restore_state(state.monitor, fans_.bank());
-    }
 }
 
 bool server_lane::bind_fault_schedule(fault_schedule schedule) {

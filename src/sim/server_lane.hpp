@@ -12,12 +12,12 @@
 // the trace row, and the non-thermal half of snapshot/restore.
 //
 // The owning batch keeps the thermal half (one lane of its
-// thermal::server_thermal_model) and passes the current die and DIMM
-// temperatures into the per-step calls: the trace row, the telemetry
-// poll (which reads the lane's fixed channel set from them) and the
-// cold-start poll.  When a lane call reports that airflow changed, the
-// owner pushes zone_airflow() into its thermal half before anything
-// else happens.
+// thermal::server_thermal_model, and a twin lane if monitored) and
+// passes the current die, DIMM and twin die temperatures into the
+// per-step calls: the trace row, the telemetry poll (which reads the
+// lane's fixed channel set from them) and the cold-start poll.  When a
+// lane call reports that airflow changed, the owner pushes
+// zone_airflow() into its thermal half before anything else happens.
 #pragma once
 
 #include <cstddef>
@@ -84,6 +84,12 @@ public:
     /// Airflow each fan pair delivers to its zone right now (a failed or
     /// tach-stuck rotor moves nothing).
     [[nodiscard]] const std::vector<util::cfm_t>& zone_airflow() { return fans_.zone_airflow(); }
+    /// Monitored lanes only: the airflow the tach readings imply (what the
+    /// monitor twin is told; a lying tach reports phantom airflow) when a
+    /// reading moved since the last call, else nullptr.  The first call
+    /// always returns it.  The owner calls it before every step and pushes
+    /// the result into the twin lane.
+    [[nodiscard]] const std::vector<util::cfm_t>* moved_tach_airflow();
 
     // --- observation --------------------------------------------------------
     [[nodiscard]] const std::vector<double>& cpu_sensor_reads() const {
@@ -113,32 +119,34 @@ public:
     }
 
     // --- stepping (after the owner's thermal step) -----------------------------
-    /// Advances the clock by `dt` and steps the monitor twin.
-    void advance_clock(util::seconds_t dt, double u_inst, util::celsius_t ambient);
+    /// Advances the clock by `dt` and scores the monitor's fan residuals
+    /// against the tach readings moved_tach_airflow() saw this step.
+    void advance_clock(util::seconds_t dt);
+    // `twin_die` is the twin lane's die temperatures (ignored when the
+    // lane is unmonitored).
     /// The trace row of the step that just ended.
     [[nodiscard]] trace_row make_row(double u_target, double u_inst, const die_temps& die,
-                                     util::celsius_t dimm) const;
+                                     util::celsius_t dimm, const die_temps& twin_die) const;
     /// Polls the sensors at the dies' and DIMMs' true temperatures when
     /// a poll is due and telemetry is not lost, and feeds the poll to
     /// the monitor.
-    void poll(const die_temps& die, util::celsius_t dimm);
+    void poll(const die_temps& die, util::celsius_t dimm, const die_temps& twin_die);
 
     // --- cold start and settling ------------------------------------------------
     /// Clears live fault effects and sets the cold-start fan speed; the
     /// owner then pushes zone_airflow() and settles its thermal half.
     void begin_cold_start();
-    /// Restarts the monitor twin at the settled idle state, rewinds the
-    /// clock and fan counter, and takes a fresh telemetry poll of the
-    /// settled temperatures.
-    void finish_cold_start(util::celsius_t ambient, const die_temps& die, util::celsius_t dimm);
-    /// Settles the monitor twin at a constant utilization.
-    void settle_monitor(double u_pct, util::celsius_t ambient);
+    /// Re-arms the monitor on the cold-start commands, rewinds the clock
+    /// and fan counter, and takes a fresh telemetry poll of the settled
+    /// temperatures (the owner has settled the twin lane too).
+    void finish_cold_start(const die_temps& die, util::celsius_t dimm, const die_temps& twin_die);
 
     // --- snapshot (everything but out.thermal) -------------------------------------
     void save_state(server_state& out) const;
     /// Restores the non-thermal state and restarts the telemetry
     /// recording; the owner then pushes zone_airflow() and loads
-    /// state.thermal.
+    /// state.thermal (and the twin's state.monitor.twin).  Checks every
+    /// shape and value first, so a rejected state changes nothing.
     void restore_state(const server_state& state);
     void clear_telemetry_history() { telemetry_.clear_history(); }
 
@@ -146,7 +154,9 @@ private:
     /// Reads every channel at `now_s_` (the CPU sensors, corrupted by
     /// live faults, then the DIMM sensors, system and fan power),
     /// records the row and feeds the poll to the monitor.
-    void take_poll(const die_temps& die, util::celsius_t dimm);
+    void take_poll(const die_temps& die, util::celsius_t dimm, const die_temps& twin_die);
+    /// (Re)builds the monitor on the current fan commands.
+    void arm_monitor();
     [[nodiscard]] bool apply_fault_event(const fault_event& event);
     /// Clears every live fault effect; a degraded fan pair recovers as
     /// on fan_recover.  Returns whether any pair recovered.
@@ -169,6 +179,10 @@ private:
     std::optional<fault_schedule> schedule_;
     fault_state fault_;  ///< Always sized, so snapshots are always valid.
     std::optional<core::fault_monitor> monitor_;  ///< Present iff config.monitor.enabled.
+    // Monitored lanes only: the tach readings last pushed to the twin
+    // (-1 until the first push) and the airflow they imply.
+    std::vector<double> tach_rpm_;
+    std::vector<util::cfm_t> tach_airflow_;
 };
 
 }  // namespace ltsc::sim

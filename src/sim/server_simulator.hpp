@@ -11,7 +11,8 @@
 //
 // The plant is a one-lane server_batch: every method forwards to lane 0,
 // so a server_simulator and a batch lane step the same code by
-// construction.
+// construction (with the monitor on, the batch's thermal model holds a
+// second lane, the monitor's twin).
 #pragma once
 
 #include <utility>
@@ -90,6 +91,11 @@ public:
     /// false.  Read-only: the monitor is a passive observer of the plant
     /// (it never perturbs dynamics or the sensor RNG stream).
     [[nodiscard]] const core::fault_monitor* monitor() const { return batch_.monitor(0); }
+    /// The monitor twin's modeled die temperature (throws when the
+    /// monitor is disabled).
+    [[nodiscard]] util::celsius_t model_die_temp(std::size_t socket) const {
+        return batch_.model_die_temp(0, socket);
+    }
 
     /// Age of the last telemetry poll: now minus the last poll time, or
     /// +infinity before the first poll.  Under telemetry loss this grows

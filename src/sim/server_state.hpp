@@ -35,6 +35,12 @@
 
 namespace ltsc::sim {
 
+/// A monitored server's residual-monitor state: the monitor's latched
+/// commands and verdicts, plus the thermal state of its twin lane.
+struct monitor_state : core::fault_monitor_state {
+    thermal::rc_state twin;
+};
+
 /// Everything needed to resume a server bitwise from an instant.
 struct server_state {
     double now_s = 0.0;              ///< Simulation clock [s].
@@ -54,7 +60,7 @@ struct server_state {
     /// hysteresis counters); empty when the plant's monitor is disabled.
     /// Mid-hysteresis verdicts restore bitwise — a sensor snapshotted
     /// "suspect" resumes its escalation exactly where it stopped.
-    core::fault_monitor_state monitor;
+    monitor_state monitor;
 };
 
 }  // namespace ltsc::sim

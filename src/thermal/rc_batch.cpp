@@ -100,11 +100,23 @@ void rc_batch::save_lane_state(std::size_t lane, rc_state& out) const {
     out.ambient_c = ambient_[lane];
 }
 
-void rc_batch::load_lane_state(std::size_t lane, const rc_state& state) {
-    util::ensure(lane < lanes_, "rc_batch::load_lane_state: lane out of range");
+void rc_batch::check_lane_state(const rc_state& state) const {
     util::ensure(state.temps.size() == nodes_ && state.powers.size() == nodes_ &&
                      state.edge_g.size() == topo_.edge_count(),
                  "rc_batch::load_lane_state: state does not match topology");
+    for (std::size_t i = 0; i < nodes_; ++i) {
+        util::ensure(std::isfinite(state.temps[i]), "rc_batch: non-finite state temperature");
+        util::ensure(std::isfinite(state.powers[i]), "rc_batch: non-finite state power");
+    }
+    for (const double g : state.edge_g) {
+        util::ensure(g >= 0.0, "rc_batch: negative state conductance");
+    }
+    util::ensure(std::isfinite(state.ambient_c), "rc_batch: non-finite state ambient");
+}
+
+void rc_batch::load_lane_state(std::size_t lane, const rc_state& state) {
+    util::ensure(lane < lanes_, "rc_batch::load_lane_state: lane out of range");
+    check_lane_state(state);
     for (std::size_t i = 0; i < nodes_; ++i) {
         set_temperature(node_id{i}, lane, util::celsius_t{state.temps[i]});
         set_power(node_id{i}, lane, util::watts_t{state.powers[i]});

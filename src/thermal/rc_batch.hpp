@@ -136,8 +136,13 @@ public:
     /// Restores a state (saved from any lane of a same-topology batch)
     /// into one lane.  Only conductances that actually change dirty the
     /// lane's caches, so reloading a lane at its current operating point
-    /// is cache-neutral.
+    /// is cache-neutral.  A state check_lane_state rejects changes nothing.
     void load_lane_state(std::size_t lane, const rc_state& state);
+
+    /// Throws unless `state` matches the topology and holds only values
+    /// the setters accept (finite temperatures, powers and ambient,
+    /// non-negative conductances).
+    void check_lane_state(const rc_state& state) const;
 
 private:
     static constexpr bool default_validate() {

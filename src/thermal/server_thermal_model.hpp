@@ -96,9 +96,10 @@ private:
 /// injects the DIMM-to-CPU preheat when it steps, and runs the preheat
 /// fixed point of a steady solve.  Heat inputs are set by the caller
 /// each step (power::server_power_model couples this model with Eqn. 1).
-/// The fault monitor's twin and the idle-power probe own one lane;
-/// sim::server_batch owns one lane per server, and sim::rollout_engine
-/// one lane per candidate slot.
+/// The idle-power probe owns one lane; sim::server_batch owns one lane
+/// per server plus one twin lane per monitored server (the fault
+/// monitor's healthy twin), and sim::rollout_engine one lane per
+/// candidate slot.
 class server_thermal_model {
 public:
     /// One lane per configuration (at least one; each validated).  Lanes
@@ -155,6 +156,9 @@ public:
     void restore_state(std::size_t lane, const rc_state& state) {
         net_.load_lane_state(lane, state);
     }
+    /// Throws unless restore_state would accept `state` (see
+    /// rc_batch::check_lane_state).
+    void check_state(const rc_state& state) const { net_.check_lane_state(state); }
 
     // Inline: the telemetry channels, leakage model, and trace recorder
     // read these every simulation step.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -19,6 +20,7 @@
 #include "core/failsafe_controller.hpp"
 #include "core/fault_monitor.hpp"
 #include "core/rollout_controller.hpp"
+#include "power/fan_model.hpp"
 #include "sim/fault_schedule.hpp"
 #include "sim/metrics.hpp"
 #include "sim/fault_campaign.hpp"
@@ -142,7 +144,7 @@ TEST(FaultMonitor, TwinDieEstimateIsTheTrueDieBitwise) {
         }
         s.step();
         for (std::size_t d = 0; d < 2; ++d) {
-            ASSERT_EQ(s.monitor()->die_estimate_c(d), s.true_cpu_temp(d).value())
+            ASSERT_EQ(s.model_die_temp(d).value(), s.true_cpu_temp(d).value())
                 << "scalar step " << i << " die " << d;
         }
     }
@@ -161,7 +163,7 @@ TEST(FaultMonitor, TwinDieEstimateIsTheTrueDieBitwise) {
         }
         batch.step();
         for (std::size_t d = 0; d < 2; ++d) {
-            ASSERT_EQ(batch.monitor(1)->die_estimate_c(d), batch.true_cpu_temp(1, d).value())
+            ASSERT_EQ(batch.model_die_temp(1, d).value(), batch.true_cpu_temp(1, d).value())
                 << "lane step " << i << " die " << d;
         }
     }
@@ -186,8 +188,8 @@ TEST(FaultMonitor, BadConfigIsRejectedEvenWhileDisabled) {
         breaks[i](bad.monitor);
         ASSERT_FALSE(bad.monitor.enabled);
         EXPECT_THROW(sim::validate(bad), util::precondition_error) << "rule " << i;
-        EXPECT_THROW(core::fault_monitor(bad.monitor, bad.thermal, sim::power_model_for(bad)),
-                     util::precondition_error)
+        const std::vector<double> commanded(bad.fan_pairs, 3600.0);
+        EXPECT_THROW(core::fault_monitor(bad.monitor, commanded), util::precondition_error)
             << "rule " << i;
     }
 }
@@ -273,8 +275,9 @@ TEST(FaultMonitor, DeadAndStuckFansAreDetected) {
 }
 
 TEST(FaultMonitor, CusumAccumulatesSubThresholdBias) {
-    // Drive on_poll directly against a twin that never steps, so the
-    // residuals are exact: sensor 0 carries a +2.5 degC bias — under the
+    // Drive on_poll directly against a twin that never steps (its dies
+    // sit at the 35 degC ambient), so the residuals are exact: sensor 0
+    // carries a +2.5 degC bias — under the
     // 3 degC instantaneous threshold but above the 1.75 degC/poll CUSUM
     // allowance, so the positive sum grows exactly 0.75 per poll and
     // reaches the 5.0 bound on poll 7.  Sensor 1's +1.5 degC bias sits
@@ -282,20 +285,18 @@ TEST(FaultMonitor, CusumAccumulatesSubThresholdBias) {
     // the walk on the negative side.
     core::fault_monitor_config cfg;
     cfg.enabled = true;  // defaults: k = 1.75, h = 5.0, threshold 3.0
-    const sim::server_config server = sim::paper_server();
-    core::fault_monitor mon(cfg, server.thermal, sim::power_model_for(server));
-    const power::fan_bank fans;  // paper bank, all pairs at 3600 RPM
-    mon.reset(fans, util::celsius_t{35.0});
+    core::fault_monitor mon(cfg, {3600.0, 3600.0, 3600.0});  // paper bank, all at 3600 RPM
+    const std::array<double, 2> twin_die{35.0, 35.0};
 
     const auto poll = [&](double bias0, double bias1, double bias2) {
         std::vector<double> delivered(4);
         for (std::size_t s = 0; s < 4; ++s) {
-            delivered[s] = mon.die_estimate_c(s / 2);
+            delivered[s] = twin_die[s / 2];
         }
         delivered[0] += bias0;
         delivered[1] += bias1;
         delivered[2] += bias2;
-        mon.on_poll(delivered);
+        mon.on_poll(delivered, twin_die);
     };
     for (int p = 1; p <= 6; ++p) {
         poll(2.5, 1.5, -2.5);
@@ -336,24 +337,26 @@ TEST(FaultMonitor, FanCommandGraceToleratesTachLag) {
     // the same healthy ramp walks straight to failed — the transient
     // false positive the grace exists to kill.  A dead rotor matches
     // neither command and must still be caught through the window.
-    const sim::server_config server = sim::paper_server();
     const auto run_bang_bang = [&](int grace_steps, bool dead) {
         core::fault_monitor_config cfg;
         cfg.enabled = true;
         cfg.fan_command_grace_steps = grace_steps;
-        core::fault_monitor mon(cfg, server.thermal, sim::power_model_for(server));
-        power::fan_bank fans;
+        power::fan_bank fans;  // paper bank, all pairs at 3600 RPM
+        core::fault_monitor mon(cfg, {3600.0, 3600.0, 3600.0});
         if (dead) {
             fans.set_failed(0, true);
         }
-        mon.reset(fans, util::celsius_t{35.0});
+        std::vector<double> tach(fans.pair_count());
         util::rpm_t pending{3600.0};
         for (int i = 0; i < 40; ++i) {
             fans.set_speed(0, pending);  // last step's command lands now
             const util::rpm_t cmd{i % 2 == 0 ? 1800.0 : 4200.0};
             mon.observe_fan_command(0, cmd);
             pending = cmd;
-            mon.step(util::seconds_t{1.0}, 50.0, 0.0, util::celsius_t{35.0}, fans);
+            for (std::size_t p = 0; p < tach.size(); ++p) {
+                tach[p] = fans.effective_speed(p).value();
+            }
+            mon.step(tach);
         }
         return mon.fan_health(0);
     };
@@ -573,6 +576,78 @@ TEST(FaultMonitor, BatchLanesMatchScalarWithMonitor) {
 
     expect_traces_identical(batch.trace(0), faulted.trace());
     expect_traces_identical(batch.trace(1), healthy.trace());
+}
+
+TEST(FaultMonitor, MixedBatchMatchesScalar) {
+    // Monitored and unmonitored lanes share one batch, so a monitored
+    // lane's twin need not sit at its own lane index.  Lanes [off, on,
+    // off, on]: lane 1's tach-stuck pair keeps following commands while
+    // its rotor is dead, so its twin leaves the plant; lane 3 goes inert
+    // for steps 200-400; lane 1's snapshot is then loaded into lane 3.
+    // Every lane, monitor channels included, stays bitwise a one-lane
+    // plant driven through the same schedule.
+    std::vector<sim::server_config> configs(4, sim::paper_server());
+    for (std::size_t l = 0; l < configs.size(); ++l) {
+        configs[l].seed = 40 + l;
+        configs[l].monitor.enabled = l % 2 == 1;
+    }
+    configs[3].seed = configs[1].seed;  // lane 3 takes lane 1's snapshot
+    const sim::fault_schedule campaign({ev(100.0, sim::fault_kind::fan_tach_stuck, 0),
+                                        ev(350.0, sim::fault_kind::fan_recover, 0)});
+
+    sim::server_batch batch(configs);
+    std::vector<std::unique_ptr<sim::server_simulator>> scalars;
+    for (std::size_t l = 0; l < configs.size(); ++l) {
+        scalars.push_back(std::make_unique<sim::server_simulator>(configs[l]));
+        const auto profile = steady(40.0 + 15.0 * static_cast<double>(l), 900.0);
+        batch.bind_workload(l, profile);
+        scalars[l]->bind_workload(profile);
+    }
+    batch.bind_fault_schedule(1, campaign);
+    scalars[1]->bind_fault_schedule(campaign);
+    batch.force_cold_start();
+    for (auto& s : scalars) {
+        s->force_cold_start();
+    }
+
+    const double rpms[] = {2400.0, 4200.0, 1800.0, 3000.0};
+    for (int i = 0; i < 700; ++i) {
+        if (i % 60 == 30) {
+            const util::rpm_t rpm{rpms[(i / 60) % 4]};
+            for (std::size_t l = 0; l < 3; ++l) {
+                batch.set_fan_speed(l, (i / 60) % 3, rpm);
+                scalars[l]->set_fan_speed((i / 60) % 3, rpm);
+            }
+        }
+        if (i == 200 || i == 400) {
+            batch.set_lane_active(3, i == 400);
+        }
+        if (i == 500) {
+            sim::server_state snap;
+            batch.snapshot_lane_state(1, snap);
+            batch.load_lane_state(3, snap);
+            scalars[3]->restore_state(scalars[1]->snapshot_state());
+        }
+        batch.step();
+        for (std::size_t l = 0; l < scalars.size(); ++l) {
+            if (l != 3 || i < 200 || i >= 400) {
+                scalars[l]->step();
+            }
+        }
+    }
+    for (std::size_t l = 0; l < scalars.size(); ++l) {
+        SCOPED_TRACE(l);
+        expect_traces_identical(batch.trace(l), scalars[l]->trace());
+    }
+    // The tach-stuck window really pulled lane 1's twin off the plant.
+    const sim::trace_view t1 = batch.trace(1);
+    double max_gap = 0.0;
+    for (std::size_t j = 0; j < t1.size(); ++j) {
+        const double true_max = std::max(t1.cpu0_temp().v(j), t1.cpu1_temp().v(j));
+        max_gap = std::max(max_gap, std::fabs(t1.monitor_die_estimate().v(j) - true_max));
+    }
+    EXPECT_GT(max_gap, 1.0);
+    EXPECT_EQ(batch.trace(0).monitor_die_estimate().max(), 0.0);
 }
 
 TEST(FaultMonitor, RolloutRePlansPastDetectedDeadFan) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "core/fault_monitor.hpp"
 #include "sim/fault_schedule.hpp"
@@ -341,6 +342,66 @@ TEST(SnapshotRoundtrip, CusumMidAccumulationRoundTripsBitwise) {
     expect_rows_identical(a.trace(), 0, batch.trace(0));
     EXPECT_EQ(a.monitor()->sensor_cusum_neg_c(2), b.monitor()->sensor_cusum_neg_c(2));
     EXPECT_EQ(a.monitor()->sensor_cusum_neg_c(2), batch.monitor(0)->sensor_cusum_neg_c(2));
+}
+
+TEST(SnapshotRoundtrip, RejectedLoadLeavesLaneUntouched) {
+    // A snapshot the lane rejects changes nothing: not the clock, the
+    // trace, the true temperatures, the sensor stream, or the rows that
+    // follow.  (a) An unmonitored plant's snapshot fails a monitored
+    // lane's monitor shape check; (b) a NaN node temperature fails the
+    // thermal check; (c) so does a NaN twin temperature; (d) a NaN fan
+    // speed and (e) every rotor stopped fail the lane's checks.  Each is
+    // offered at t = 50 s to a monitored lane that runs next to a control
+    // lane which never sees the load.
+    const auto profile = busy_profile();
+    sim::server_config monitored = sim::paper_server();
+    monitored.monitor.enabled = true;
+    const auto run_to = [&](sim::server_simulator& s, int steps) {
+        s.bind_workload(profile);
+        s.force_cold_start();
+        for (int i = 0; i < steps; ++i) {
+            s.step();
+        }
+    };
+    sim::server_simulator plain;
+    run_to(plain, 100);
+    sim::server_simulator watched(monitored);
+    run_to(watched, 100);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const sim::server_state unmonitored = plain.snapshot_state();
+    sim::server_state bad_node = watched.snapshot_state();
+    bad_node.thermal.temps[3] = nan;
+    sim::server_state bad_twin = watched.snapshot_state();
+    bad_twin.monitor.twin.temps[3] = nan;
+    sim::server_state bad_fan = watched.snapshot_state();
+    bad_fan.fan_rpm[1] = nan;
+    sim::server_state no_airflow = watched.snapshot_state();
+    std::fill(no_airflow.fault.fan_mode.begin(), no_airflow.fault.fan_mode.end(),
+              sim::fault_state::fan_failed);
+
+    const char* names[] = {"unmonitored snapshot", "NaN node", "NaN twin node", "NaN fan speed",
+                           "every rotor stopped"};
+    const sim::server_state* bad[] = {&unmonitored, &bad_node, &bad_twin, &bad_fan, &no_airflow};
+    for (std::size_t c = 0; c < 5; ++c) {
+        SCOPED_TRACE(names[c]);
+        sim::server_simulator lane(monitored);
+        sim::server_simulator control(monitored);
+        run_to(lane, 50);
+        run_to(control, 50);
+        EXPECT_THROW(lane.restore_state(*bad[c]), util::precondition_error);
+        EXPECT_EQ(lane.now().value(), control.now().value());
+        EXPECT_EQ(lane.trace().size(), control.trace().size());
+        for (std::size_t d = 0; d < 2; ++d) {
+            EXPECT_EQ(lane.true_cpu_temp(d).value(), control.true_cpu_temp(d).value());
+        }
+        EXPECT_EQ(lane.true_dimm_temp().value(), control.true_dimm_temp().value());
+        EXPECT_EQ(lane.cpu_sensor_temps(), control.cpu_sensor_temps());
+        for (int i = 0; i < 60; ++i) {
+            lane.step();
+            control.step();
+        }
+        expect_rows_identical(control.trace(), 0, lane.trace());
+    }
 }
 
 TEST(SnapshotRoundtrip, ShapeMismatchesAreRejected) {
