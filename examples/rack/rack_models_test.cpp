@@ -79,7 +79,8 @@ TEST(Crac, ZeroItLoad) {
 
 TEST(Crac, NegativeLoadThrows) {
     const thermal::crac_model crac;
-    EXPECT_THROW(static_cast<void>(crac.cooling_power(util::watts_t{-1.0}, 20_degC)), util::precondition_error);
+    EXPECT_THROW(static_cast<void>(crac.cooling_power(util::watts_t{-1.0}, 20_degC)),
+                 util::precondition_error);
 }
 
 TEST(Crac, DegenerateCurveThrows) {

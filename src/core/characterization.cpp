@@ -1,6 +1,7 @@
 #include "core/characterization.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 
@@ -8,6 +9,7 @@
 #include "power/fan_model.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
+#include "util/time_series.hpp"
 
 namespace ltsc::core {
 
@@ -42,7 +44,8 @@ power_model_fit fit_power_model(const std::vector<sim::steady_point>& points) {
         r.reserve(points.size());
         for (const auto& pt : points) {
             const double target = pt.total_power_w - pt.fan_power_w;
-            const double model = p[0] + p[1] * pt.utilization_pct + p[2] * std::exp(p[3] * pt.avg_cpu_temp_c);
+            const double model =
+                p[0] + p[1] * pt.utilization_pct + p[2] * std::exp(p[3] * pt.avg_cpu_temp_c);
             r.push_back(model - target);
         }
         return r;
@@ -134,11 +137,38 @@ std::vector<sim::steady_point> measure_protocol_sweep(sim::server_simulator& sim
     util::ensure(!utilizations.empty() && !fan_speeds.empty(),
                  "measure_protocol_sweep: empty sweep axes");
     const workload::loadgen_config lg{};
+    // What CSTH logs at each poll: the 4 CPU sensors, system power and
+    // fan power.  The plant keeps only the latest poll, so the sweep
+    // samples every poll itself (a step that polled leaves age 0).
+    std::array<util::time_series, 6> polls;
+    const auto sample_poll = [&sim, &polls] {
+        const double t = sim.now().value();
+        for (std::size_t i = 0; i < 4; ++i) {
+            polls[i].push_back(t, sim.cpu_sensor_temps()[i]);
+        }
+        const power::power_breakdown p = sim.current_power();
+        polls[4].push_back(t, p.total().value());
+        polls[5].push_back(t, p.fan.value());
+    };
     std::vector<sim::steady_point> out;
     out.reserve(utilizations.size() * fan_speeds.size());
     for (double u : utilizations) {
         for (util::rpm_t rpm : fan_speeds) {
-            sim::run_protocol_experiment(sim, rpm, u, timing, lg);
+            // run_protocol_experiment's timeline, sampling each poll.
+            sim.bind_workload(sim::protocol_workload(u, timing, lg));
+            sim.force_cold_start();
+            polls = {};
+            sample_poll();  // the cold-start poll, taken before the fans move
+            sim.set_all_fans(rpm);
+            double remaining = timing.total().value();
+            while (remaining > 1e-9) {
+                const double h = std::min(remaining, 1.0);
+                sim.step(util::seconds_t{h});
+                remaining -= h;
+                if (sim.telemetry_age_s() == 0.0) {
+                    sample_poll();
+                }
+            }
             // Measurement window: the settled tail of the load phase.  The
             // span must be an integer number of LoadGen PWM periods or the
             // duty-cycle average is biased by the partial period.
@@ -149,17 +179,14 @@ std::vector<sim::steady_point> measure_protocol_sweep(sim::server_simulator& sim
             const double span = std::max(1.0, periods) * lg.pwm_period.value();
             const double w0 = std::max(timing.stabilization.value(), w1 - span);
 
-            const auto channel_mean = [&](const std::string& name) {
-                return sim.telemetry().history().column(name).mean(w0, w1);
-            };
             sim::steady_point p;
             p.utilization_pct = u;
             p.fan_rpm = rpm.value();
-            p.avg_cpu_temp_c = 0.25 * (channel_mean("cpu0_temp_a") + channel_mean("cpu0_temp_b") +
-                                       channel_mean("cpu1_temp_a") + channel_mean("cpu1_temp_b"));
+            p.avg_cpu_temp_c = 0.25 * (polls[0].mean(w0, w1) + polls[1].mean(w0, w1) +
+                                       polls[2].mean(w0, w1) + polls[3].mean(w0, w1));
             p.dimm_temp_c = sim.trace().dimm_temp().mean(w0, w1);
-            p.fan_power_w = channel_mean("fan_power");
-            p.total_power_w = channel_mean("system_power");
+            p.fan_power_w = polls[5].mean(w0, w1);
+            p.total_power_w = polls[4].mean(w0, w1);
             out.push_back(p);
         }
     }

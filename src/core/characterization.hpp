@@ -70,7 +70,8 @@ struct characterization_result {
 /// The *measured* characterization path: instead of jumping to analytic
 /// steady states, runs the paper's full Section-IV protocol for every
 /// (utilization, fan-speed) pair and extracts the operating point from
-/// CSTH telemetry averaged over the last 10 minutes of the load window —
+/// the CSTH polls it samples along the way (the plant keeps only the
+/// latest), averaged over the last 10 minutes of the load window —
 /// sensor noise, quantization and 10 s sampling included.  Slower than
 /// `run_steady_sweep` but validates that the shortcut agrees with what a
 /// real measurement campaign would produce.

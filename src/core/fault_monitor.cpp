@@ -23,7 +23,8 @@ void update_health(std::uint8_t& health, int& bad, int& good, bool out_of_band, 
     }
     if (bad >= fail_after) {
         health = static_cast<std::uint8_t>(component_health::failed);
-    } else if (bad >= suspect_after && health == static_cast<std::uint8_t>(component_health::healthy)) {
+    } else if (bad >= suspect_after &&
+               health == static_cast<std::uint8_t>(component_health::healthy)) {
         health = static_cast<std::uint8_t>(component_health::suspect);
     }
     if (good >= clear_after) {

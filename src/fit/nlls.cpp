@@ -117,7 +117,8 @@ nlls_result levenberg_marquardt(const residual_fn& residuals, std::vector<double
                 cost = cost_new;
                 lambda = std::max(1e-12, lambda * options.lambda_down);
                 step_accepted = true;
-                if (std::sqrt(step_norm) < options.step_tol * (std::sqrt(p_norm) + options.step_tol)) {
+                if (std::sqrt(step_norm) <
+                    options.step_tol * (std::sqrt(p_norm) + options.step_tol)) {
                     out.converged = true;
                 }
             } else {

@@ -5,10 +5,9 @@
 
 namespace ltsc::sim {
 
-void run_protocol_experiment(server_simulator& sim, util::rpm_t fan_rpm, double duty_pct,
-                             const protocol_timing& timing, const workload::loadgen_config& lg) {
-    util::ensure(duty_pct >= 0.0 && duty_pct <= 100.0,
-                 "run_protocol_experiment: duty out of [0, 100]");
+workload::loadgen protocol_workload(double duty_pct, const protocol_timing& timing,
+                                   const workload::loadgen_config& lg) {
+    util::ensure(duty_pct >= 0.0 && duty_pct <= 100.0, "protocol_workload: duty out of [0, 100]");
     workload::utilization_profile profile("protocol");
     profile.idle(timing.stabilization);
     if (duty_pct > 0.0) {
@@ -17,8 +16,12 @@ void run_protocol_experiment(server_simulator& sim, util::rpm_t fan_rpm, double 
         profile.idle(timing.load_window);
     }
     profile.idle(timing.cooldown);
+    return workload::loadgen(std::move(profile), lg);
+}
 
-    sim.bind_workload(workload::loadgen(std::move(profile), lg));
+void run_protocol_experiment(server_simulator& sim, util::rpm_t fan_rpm, double duty_pct,
+                             const protocol_timing& timing, const workload::loadgen_config& lg) {
+    sim.bind_workload(protocol_workload(duty_pct, timing, lg));
     sim.force_cold_start();
     sim.set_all_fans(fan_rpm);
     sim.advance(timing.total());

@@ -8,7 +8,9 @@
 //   (iv)  the last 10 minutes run with the CPUs idle.
 //
 // `run_protocol_experiment` reproduces that timeline (Fig. 1's 45-minute
-// x-axis: 5 min idle + 30 min load + 10 min idle); `run_steady_sweep`
+// x-axis: 5 min idle + 30 min load + 10 min idle) from the load pattern
+// `protocol_workload` builds, which the measured characterization sweep
+// (core/characterization.hpp) drives too; `run_steady_sweep`
 // jumps straight to the steady state of each (utilization, RPM) pair,
 // which is what the leakage fitting and LUT generation consume.
 #pragma once
@@ -30,6 +32,11 @@ struct protocol_timing {
         return stabilization + load_window + cooldown;
     }
 };
+
+/// The protocol's workload: idle for the stabilization head, `duty_pct`
+/// load for the load window, idle for the cooldown tail.
+[[nodiscard]] workload::loadgen protocol_workload(double duty_pct, const protocol_timing& timing,
+                                                  const workload::loadgen_config& lg);
 
 /// Runs one protocol experiment on `sim`: cold start, fans to `fan_rpm`,
 /// 5 min idle, `duty_pct` load for the load window, 10 min idle.  The
@@ -57,9 +64,9 @@ struct steady_point {
 /// Full characterization sweep over the cross product of utilization
 /// levels and fan speeds (the paper sweeps U in {10, 25, 40, 50, 60, 75,
 /// 90, 100} and RPM in {1800 ... 4200}).
-[[nodiscard]] std::vector<steady_point> run_steady_sweep(server_simulator& sim,
-                                                         const std::vector<double>& utilizations,
-                                                         const std::vector<util::rpm_t>& fan_speeds);
+[[nodiscard]] std::vector<steady_point> run_steady_sweep(
+    server_simulator& sim, const std::vector<double>& utilizations,
+    const std::vector<util::rpm_t>& fan_speeds);
 
 /// The utilization levels of the paper's characterization (Section IV).
 [[nodiscard]] std::vector<double> paper_utilization_levels();

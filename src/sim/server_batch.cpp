@@ -266,11 +266,6 @@ trace_view server_batch::trace(std::size_t lane) const {
     return traces_.lane(lane);
 }
 
-void server_batch::clear_trace(std::size_t lane) {
-    at(lane).clear_telemetry_history();
-    traces_.clear(lane);
-}
-
 util::watts_t steady_idle_power(const server_config& config, util::rpm_t fan_rpm) {
     // A scratch thermal half, so the query does not disturb any live plant.
     const power::server_power_model power = power_model_for(config);

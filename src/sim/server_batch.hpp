@@ -3,10 +3,10 @@
 //
 // A server_batch is the one plant class: server_simulator is a facade
 // over a one-lane batch.  Every lane is a server_lane (workload, power
-// models, sensors with their own seeded RNG stream, telemetry harness,
-// faults and monitor), held by value: the batch hands each lane its die
-// and DIMM temperatures at every step and poll, so no lane points back
-// into the batch.  The thermal half is one
+// models, sensors with their own seeded RNG stream, telemetry poll
+// clock, faults and monitor), held by value: the batch hands each lane
+// its die and DIMM temperatures at every step and poll, so no lane
+// points back into the batch.  The thermal half is one
 // thermal::server_thermal_model with one lane per server, then one twin
 // lane per monitored server (the monitor's healthy twin, heated by its
 // server's power model under the tach-reported airflow): every lane's
@@ -33,7 +33,6 @@
 #include "sim/server_config.hpp"
 #include "sim/server_lane.hpp"
 #include "sim/server_state.hpp"
-#include "telemetry/harness.hpp"
 #include "thermal/server_thermal_model.hpp"
 #include "workload/loadgen.hpp"
 
@@ -120,9 +119,6 @@ public:
     [[nodiscard]] util::watts_t system_power_reading(std::size_t lane) const {
         return current_power(lane).total();
     }
-    [[nodiscard]] const telemetry::harness& telemetry(std::size_t lane) const {
-        return at(lane).telemetry();
-    }
 
     // --- ground truth (per lane) -------------------------------------------
     [[nodiscard]] util::celsius_t true_cpu_temp(std::size_t lane, std::size_t socket) const {
@@ -154,9 +150,9 @@ public:
     /// Loads a snapshot (from any same-config lane) into one lane: the
     /// restore half of the snapshot round trip.  The lane's workload
     /// binding is left as-is — bind first, load after, since binding
-    /// resets the clock this call sets.  The lane's trace and telemetry
-    /// histories clear (recording restarts at the snapshot instant) and
-    /// the lane reactivates if it was inert.  Subsequent stepping is
+    /// resets the clock this call sets.  The lane's trace clears
+    /// (recording restarts at the snapshot instant) and the lane
+    /// reactivates if it was inert.  Subsequent stepping is
     /// bitwise-identical to the snapshot's source plant.  The whole
     /// snapshot is checked first: a rejected load leaves the lane untouched.
     void load_lane_state(std::size_t lane, const server_state& state);
@@ -199,9 +195,9 @@ public:
     /// (invalidated by the next step/clear; copy it with
     /// `batch_trace{batch.trace(l)}` to keep it).
     [[nodiscard]] trace_view trace(std::size_t lane) const;
-    /// Drops the lane's recorded trace rows and telemetry history rows
-    /// (the telemetry poll clock is untouched, so replay stays bitwise).
-    void clear_trace(std::size_t lane);
+    /// Drops the lane's recorded trace rows (the telemetry poll clock is
+    /// untouched, so replay stays bitwise).
+    void clear_trace(std::size_t lane) { traces_.clear(lane); }
 
     /// The shared lane-major recording arena (row-group publication for
     /// the streaming telemetry service reads it directly).

@@ -1,7 +1,6 @@
 #include "sim/server_lane.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -16,10 +15,7 @@ server_lane::server_lane(const server_config& config)
       fans_(config.fan_pairs, config.fan, config.default_fan_rpm),
       power_(power_model_for(config)),
       sensors_(thermal::make_server_sensors(config.dimm_count, config.sensor_noise_sigma,
-                                            config.sensor_quantum)),
-      telemetry_(util::seconds_t{config.telemetry_period_s},
-                 {"cpu0_temp_a", "cpu0_temp_b", "cpu1_temp_a", "cpu1_temp_b", "system_power",
-                  "fan_power"}) {
+                                            config.sensor_quantum)) {
     last_cpu_sensor_reads_.assign(sensors_.cpu.size(), config.thermal.ambient_c);
     fault_.reset(fans_.bank().pair_count(), sensors_.cpu.size());
     if (config_.monitor.enabled) {
@@ -36,25 +32,21 @@ void server_lane::arm_monitor() {
 }
 
 void server_lane::take_poll(const die_temps& die, util::celsius_t dimm, const die_temps& twin_die) {
-    // One row per poll: the 4 CPU sensors (sensors 2s and 2s+1 sit on
-    // die s), system power and fan power.
-    std::array<double, 6> row{};
+    // Sensors 2s and 2s+1 sit on die s.
     for (std::size_t i = 0; i < sensors_.cpu.size(); ++i) {
         // The true sensor is always read first so the noise stream
         // stays aligned with a healthy run; corruption (stuck, bias,
         // dropout) applies between the sensor and the delivered value.
         const double raw = sensors_.cpu[i].read(util::celsius_t{die[i / 2]}, rng_).value();
         last_cpu_sensor_reads_[i] = corrupt_sensor_reading(i, raw);
-        row[i] = last_cpu_sensor_reads_[i];
     }
-    // Nothing records the DIMM readings, but each one draws noise from
+    // Nothing keeps the DIMM readings, but each one draws noise from
     // the same stream, so they are still read, after the CPU sensors.
     for (const thermal::temperature_sensor& sensor : sensors_.dimm) {
         static_cast<void>(sensor.read(dimm, rng_));
     }
-    row[4] = breakdown_at(instantaneous_utilization(), die).total().value();
-    row[5] = fans_.bank().total_power().value();
-    telemetry_.record(util::seconds_t{now_s_}, row.data(), row.size());
+    last_poll_s_ = now_s_;
+    polled_ = true;
     if (monitor_) {
         monitor_->on_poll(last_cpu_sensor_reads_, twin_die);
     }
@@ -62,8 +54,10 @@ void server_lane::take_poll(const die_temps& die, util::celsius_t dimm, const di
 
 void server_lane::bind_workload(workload::loadgen generator) {
     workload_ = std::move(generator);
+    if (polled_) {
+        last_poll_s_ -= now_s_;  // rewind the poll clock with the lane clock
+    }
     now_s_ = 0.0;
-    telemetry_.clear_history();
 }
 
 double server_lane::target_utilization() const {
@@ -128,8 +122,7 @@ util::celsius_t server_lane::max_cpu_sensor_temp() const {
 }
 
 double server_lane::telemetry_age_s() const {
-    return telemetry_.ever_polled() ? now_s_ - telemetry_.last_poll_time()
-                                    : std::numeric_limits<double>::infinity();
+    return polled_ ? now_s_ - last_poll_s_ : std::numeric_limits<double>::infinity();
 }
 
 const std::vector<util::cfm_t>* server_lane::moved_tach_airflow() {
@@ -183,8 +176,7 @@ trace_row server_lane::make_row(double u_target, double u_inst, const die_temps&
     row[trace_channel::avg_fan_rpm] = fans_.bank().average_speed().value();
     // Rows are built before the step's poll check, so the age here is
     // always finite after a cold start and grows to the poll period.
-    row[trace_channel::sensor_age] =
-        telemetry_.ever_polled() ? now_s_ - telemetry_.last_poll_time() : now_s_;
+    row[trace_channel::sensor_age] = polled_ ? now_s_ - last_poll_s_ : now_s_;
     row[trace_channel::monitor_sensor_health] =
         monitor_ ? static_cast<double>(static_cast<int>(monitor_->worst_sensor_health())) : 0.0;
     row[trace_channel::monitor_fan_health] =
@@ -197,7 +189,8 @@ void server_lane::poll(const die_temps& die, util::celsius_t dimm, const die_tem
     // A lost poller drops every due poll: nothing is sampled and the poll
     // clock does not advance, so observers see the last delivered values
     // ageing, as with a crashed CSTH poller.
-    if (!fault_.telemetry_lost(now_s_) && telemetry_.due(util::seconds_t{now_s_})) {
+    const bool due = !polled_ || now_s_ - last_poll_s_ >= config_.telemetry_period_s - 1e-9;
+    if (due && !fault_.telemetry_lost(now_s_)) {
         take_poll(die, dimm, twin_die);
     }
 }
@@ -216,7 +209,6 @@ void server_lane::finish_cold_start(const die_temps& die, util::celsius_t dimm,
     }
     now_s_ = 0.0;
     fan_changes_ = 0;
-    telemetry_.reset();
     take_poll(die, dimm, twin_die);
 }
 
@@ -227,8 +219,8 @@ void server_lane::save_state(server_state& out) const {
     fans_.save(out.fan_rpm);
     out.rng = rng_;
     out.sensor_reads = last_cpu_sensor_reads_;
-    out.telemetry_last_poll_s = telemetry_.last_poll_time();
-    out.telemetry_polled = telemetry_.ever_polled();
+    out.telemetry_last_poll_s = last_poll_s_;
+    out.telemetry_polled = polled_;
     out.fault = fault_;
     if (monitor_) {
         monitor_->save_state(out.monitor);
@@ -265,8 +257,8 @@ void server_lane::restore_state(const server_state& state) {
     fault_ = state.fault;
     fans_.restore(state.fan_rpm, fault_);
     last_cpu_sensor_reads_ = state.sensor_reads;
-    telemetry_.reset();
-    telemetry_.restore_poll_clock(state.telemetry_last_poll_s, state.telemetry_polled);
+    last_poll_s_ = state.telemetry_last_poll_s;
+    polled_ = state.telemetry_polled;
 }
 
 bool server_lane::bind_fault_schedule(fault_schedule schedule) {

@@ -2,20 +2,22 @@
 // node state.
 //
 // Each server_batch lane owns one server_lane (a server_simulator is a
-// one-lane batch).  The lane holds everything about a server that is not a thermal node:
-// configuration, sensor RNG stream, fans, power model, sensors and
-// their telemetry harness, workload, clock, load split, fault schedule
-// and live fault effects, and the optional residual monitor.  It does
-// the fault-kind switch (handing fan kinds and fan commands to its
-// fan_actuator, which the rollout engine's candidate lanes share),
-// sensor corruption, the power breakdown from given die temperatures,
-// the trace row, and the non-thermal half of snapshot/restore.
+// one-lane batch).  The lane holds everything about a server that is
+// not a thermal node: configuration, sensor RNG stream, fans, power
+// model, sensors, workload, clock and telemetry poll clock, load split,
+// fault schedule and live fault effects, and the optional residual
+// monitor.  It does the fault-kind switch (handing fan kinds and fan
+// commands to its fan_actuator, which the rollout engine's candidate
+// lanes share), sensor corruption, the power breakdown from given die
+// temperatures, the trace row, and the non-thermal half of
+// snapshot/restore.
 //
 // The owning batch keeps the thermal half (one lane of its
 // thermal::server_thermal_model, and a twin lane if monitored) and
 // passes the current die, DIMM and twin die temperatures into the
 // per-step calls: the trace row, the telemetry poll (which reads the
-// lane's fixed channel set from them) and the cold-start poll.  When a
+// lane's fixed channel set from them) and the cold-start poll.  A poll
+// keeps only its latest readings; no poll history is recorded.  When a
 // lane call reports that airflow changed, the owner pushes
 // zone_airflow() into its thermal half before anything else happens.
 #pragma once
@@ -31,7 +33,6 @@
 #include "sim/fault_schedule.hpp"
 #include "sim/server_config.hpp"
 #include "sim/server_state.hpp"
-#include "telemetry/harness.hpp"
 #include "thermal/sensors.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -50,14 +51,14 @@ public:
     [[nodiscard]] const server_config& config() const { return config_; }
     /// The server's power model; its heat depends on load_imbalance().
     [[nodiscard]] const power::server_power_model& power() const { return power_; }
-    [[nodiscard]] const telemetry::harness& telemetry() const { return telemetry_; }
     [[nodiscard]] const core::fault_monitor* monitor() const {
         return monitor_ ? &*monitor_ : nullptr;
     }
 
     // --- workload and clock ----------------------------------------------
-    /// Installs the workload, rewinds the clock to 0 and drops the
-    /// telemetry history (the owner clears its trace).
+    /// Installs the workload and rewinds the clock to 0 (the owner
+    /// clears its trace).  The poll clock rewinds with it, so the
+    /// telemetry age carries over and polls keep their cadence.
     void bind_workload(workload::loadgen generator);
     [[nodiscard]] const workload::loadgen* workload() const {
         return workload_ ? &*workload_ : nullptr;
@@ -143,17 +144,16 @@ public:
 
     // --- snapshot (everything but out.thermal) -------------------------------------
     void save_state(server_state& out) const;
-    /// Restores the non-thermal state and restarts the telemetry
-    /// recording; the owner then pushes zone_airflow() and loads
-    /// state.thermal (and the twin's state.monitor.twin).  Checks every
-    /// shape and value first, so a rejected state changes nothing.
+    /// Restores the non-thermal state, poll clock included; the owner
+    /// then pushes zone_airflow() and loads state.thermal (and the
+    /// twin's state.monitor.twin).  Checks every shape and value first,
+    /// so a rejected state changes nothing.
     void restore_state(const server_state& state);
-    void clear_telemetry_history() { telemetry_.clear_history(); }
 
 private:
-    /// Reads every channel at `now_s_` (the CPU sensors, corrupted by
-    /// live faults, then the DIMM sensors, system and fan power),
-    /// records the row and feeds the poll to the monitor.
+    /// Reads every sensor at `now_s_` (the CPU sensors, corrupted by
+    /// live faults, then the DIMM sensors), restarts the poll clock and
+    /// feeds the poll to the monitor.
     void take_poll(const die_temps& die, util::celsius_t dimm, const die_temps& twin_die);
     /// (Re)builds the monitor on the current fan commands.
     void arm_monitor();
@@ -168,10 +168,13 @@ private:
     fan_actuator fans_;
     power::server_power_model power_;
     thermal::server_sensor_suite sensors_;
-    telemetry::harness telemetry_;
     std::optional<workload::loadgen> workload_;
 
     double now_s_ = 0.0;
+    // The CSTH poll clock: a poll is due once telemetry_period_s has
+    // passed since the last one, or before the first.
+    double last_poll_s_ = -1.0;
+    bool polled_ = false;
     double imbalance_ = 0.5;
     std::size_t fan_changes_ = 0;
     std::vector<double> last_cpu_sensor_reads_;  ///< Refreshed at each telemetry poll.

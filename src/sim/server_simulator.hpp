@@ -4,10 +4,11 @@
 // surface* is exactly what the paper's DLC-PC had: per-pair fan speed
 // commands (the Agilent supplies) and `sar`-style utilization polling.
 // Its *observation surface* is what CSTH reported: 4 CPU temperature
-// sensors, 32 DIMM sensors, and whole-system power.  Plant internals
-// (true die temperatures, exact power breakdown) are exposed separately
-// for analysis, clearly marked as ground truth the real controllers could
-// not see.
+// sensors, 32 DIMM sensors, and whole-system power; like the paper's
+// controller, readers see the latest poll only (no poll history is
+// kept).  Plant internals (true die temperatures, exact power
+// breakdown) are exposed separately for analysis, clearly marked as
+// ground truth the real controllers could not see.
 //
 // The plant is a one-lane server_batch: every method forwards to lane 0,
 // so a server_simulator and a batch lane step the same code by
@@ -36,7 +37,8 @@ public:
     [[nodiscard]] const server_batch& batch() const { return batch_; }
 
     // --- workload binding -------------------------------------------------
-    /// Installs the workload; resets simulation time to 0.
+    /// Installs the workload; resets simulation time to 0 (the poll
+    /// clock moves back with it, so the telemetry age carries over).
     void bind_workload(workload::loadgen generator) {
         batch_.bind_workload(0, std::move(generator));
     }
@@ -144,8 +146,6 @@ public:
     [[nodiscard]] util::watts_t system_power_reading() const {
         return batch_.system_power_reading(0);
     }
-    /// The underlying telemetry harness (poll clock and recorded history).
-    [[nodiscard]] const telemetry::harness& telemetry() const { return batch_.telemetry(0); }
 
     // --- ground truth (plant internals; not visible to real controllers) ---
     [[nodiscard]] util::celsius_t true_cpu_temp(std::size_t socket) const {
@@ -207,8 +207,8 @@ public:
     /// plant built from the same configuration).  The workload binding
     /// is left as-is — bind the matching workload first; restore after,
     /// since binding resets the clock this call sets.  Recording
-    /// restarts: the trace and telemetry histories clear and refill from
-    /// the snapshot instant.  Subsequent stepping is bitwise-identical
+    /// restarts: the trace clears and refills from the snapshot
+    /// instant.  Subsequent stepping is bitwise-identical
     /// to the source plant's (snapshot_roundtrip suite).
     void restore_state(const server_state& state) { batch_.load_lane_state(0, state); }
 
@@ -220,8 +220,8 @@ public:
     /// View of the recorded trace, invalidated by the next step or clear
     /// (copy it with `batch_trace{sim.trace()}` to keep it).
     [[nodiscard]] trace_view trace() const { return batch_.trace(0); }
-    /// Drops the recorded trace rows and telemetry history rows (the
-    /// telemetry poll clock is untouched, so replay stays bitwise).
+    /// Drops the recorded trace rows (the telemetry poll clock is
+    /// untouched, so replay stays bitwise).
     void clear_trace() { batch_.clear_trace(0); }
 
     [[nodiscard]] const server_config& config() const { return batch_.config(0); }

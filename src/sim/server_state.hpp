@@ -10,9 +10,8 @@
 //  * the workload binding — the profile is immutable during a run, so
 //    receivers bind it once (see rollout_engine) instead of copying it
 //    into every snapshot;
-//  * the recordings (trace, telemetry histories) — those describe the
-//    past, not the dynamics; a restored plant records a fresh trace
-//    from the snapshot instant.
+//  * the recorded trace — it describes the past, not the dynamics; a
+//    restored plant records a fresh trace from the snapshot instant.
 //
 // Snapshots are the substrate of the receding-horizon rollout family:
 // server_simulator::snapshot_state / server_batch::snapshot_lane_state

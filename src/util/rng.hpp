@@ -16,7 +16,8 @@ namespace ltsc::util {
 class pcg32 {
 public:
     /// Seeds the generator; `seq` selects an independent stream.
-    explicit pcg32(std::uint64_t seed = 0x853c49e6748fea9bULL, std::uint64_t seq = 0xda3e39cb94b95bdbULL);
+    explicit pcg32(std::uint64_t seed = 0x853c49e6748fea9bULL,
+                   std::uint64_t seq = 0xda3e39cb94b95bdbULL);
 
     /// Next uniformly distributed 32-bit value.
     std::uint32_t next_u32();

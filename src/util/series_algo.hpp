@@ -115,18 +115,6 @@ template <typename Series>
     return acc;
 }
 
-/// Uniform-grid resampling: emits (t, value_at(t)) from the first sample
-/// time in steps of `dt` (callers guarantee non-emptiness and dt > 0;
-/// `emit` owns the output representation).
-template <typename Series, typename Emit>
-void resample(const Series& s, double dt, Emit&& emit) {
-    const double t0 = s.t(0);
-    const double t1 = s.t(s.size() - 1);
-    for (double t = t0; t <= t1 + 1e-12; t += dt) {
-        emit(t, value_at(s, t));
-    }
-}
-
 template <typename Series>
 [[nodiscard]] double mean_over(const Series& s, double t0, double t1) {
     const double lo = std::max(t0, s.t(0));

@@ -48,7 +48,8 @@ double mae(const std::vector<double>& actual, const std::vector<double>& predict
 }
 
 double r_squared(const std::vector<double>& actual, const std::vector<double>& predicted) {
-    ensure(actual.size() == predicted.size() && !actual.empty(), "r_squared: size mismatch or empty");
+    ensure(actual.size() == predicted.size() && !actual.empty(),
+           "r_squared: size mismatch or empty");
     const double m = mean(actual);
     double ss_tot = 0.0;
     double ss_res = 0.0;

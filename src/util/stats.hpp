@@ -26,7 +26,8 @@ namespace ltsc::util {
 /// Coefficient of determination R^2 of `predicted` against `actual`.
 /// Returns 1.0 for a perfect fit; can be negative for fits worse than the
 /// mean.  Throws when sizes differ, inputs are empty, or actual is constant.
-[[nodiscard]] double r_squared(const std::vector<double>& actual, const std::vector<double>& predicted);
+[[nodiscard]] double r_squared(const std::vector<double>& actual,
+                               const std::vector<double>& predicted);
 
 /// Linearly interpolated p-th percentile (p in [0, 100]); throws on empty
 /// input or out-of-range p.  The input is copied and sorted internally.

@@ -98,16 +98,6 @@ double time_series::mean() const {
     return mean(front().t, back().t);
 }
 
-time_series time_series::resample(double dt) const {
-    ensure(dt > 0.0, "time_series::resample: non-positive step");
-    time_series out;
-    if (samples_.empty()) {
-        return out;
-    }
-    detail::resample(aos_adapter{samples_}, dt, [&out](double t, double v) { out.push_back(t, v); });
-    return out;
-}
-
 sample column_view::at(std::size_t i) const {
     ensure(i < n_, "column_view::at: index out of range");
     return sample{t(i), v(i)};
@@ -198,16 +188,6 @@ double column_view::mean() const {
         return n_ == 0 ? 0.0 : v(0);
     }
     return mean(t(0), t(n_ - 1));
-}
-
-time_series column_view::resample(double dt) const {
-    ensure(dt > 0.0, "column_view::resample: non-positive step");
-    time_series out;
-    if (n_ == 0) {
-        return out;
-    }
-    detail::resample(*this, dt, [&out](double at, double v) { out.push_back(at, v); });
-    return out;
 }
 
 }  // namespace ltsc::util

@@ -5,10 +5,11 @@
 //
 //  * `time_series` — an owning, array-of-structs (t, v) container, used
 //    where a channel genuinely has its own time axis (workload profiles,
-//    materialized exports).
+//    polls sampled by the measured characterization, materialized
+//    exports).
 //  * `column_view` — a non-owning, possibly strided view over separate
-//    time/value storage, used by the columnar stores (`util::frame`,
-//    `sim::batch_trace`) where many channels share one time column.
+//    time/value storage, used by the one columnar store
+//    (`sim::batch_trace`), where many channels share one time column.
 //
 // Both forward to the same templated algorithms (util/series_algo.hpp),
 // so statistics computed through a view are bitwise-identical to the
@@ -94,10 +95,6 @@ public:
     [[nodiscard]] double integrate(double t0, double t1) const;
     [[nodiscard]] double integrate() const;
 
-    /// Returns a copy resampled on a uniform grid with step `dt` starting at
-    /// the first sample time, using linear interpolation.
-    [[nodiscard]] time_series resample(double dt) const;
-
     /// Index of the last sample with time <= t, or 0 when t precedes the
     /// trace.  Throws on an empty series.
     [[nodiscard]] std::size_t index_at_or_before(double t) const;
@@ -162,7 +159,6 @@ public:
     [[nodiscard]] double mean() const;
     [[nodiscard]] double integrate(double t0, double t1) const;
     [[nodiscard]] double integrate() const;
-    [[nodiscard]] time_series resample(double dt) const;
     [[nodiscard]] std::size_t index_at_or_before(double t) const;
 
 private:
@@ -172,8 +168,8 @@ private:
     std::size_t stride_ = sizeof(double);
 };
 
-/// A named time series with a unit label, as exported by the telemetry
-/// harness and the benchmark CSV dumps.
+/// A named time series with a unit label, as the benchmark CSV dumps
+/// export it.
 struct named_series {
     std::string name;   ///< Channel name, e.g. "cpu0_temp".
     std::string unit;   ///< Unit label, e.g. "degC".

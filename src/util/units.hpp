@@ -41,8 +41,12 @@ public:
         return *this;
     }
 
-    friend constexpr quantity operator+(quantity a, quantity b) { return quantity{a.value_ + b.value_}; }
-    friend constexpr quantity operator-(quantity a, quantity b) { return quantity{a.value_ - b.value_}; }
+    friend constexpr quantity operator+(quantity a, quantity b) {
+        return quantity{a.value_ + b.value_};
+    }
+    friend constexpr quantity operator-(quantity a, quantity b) {
+        return quantity{a.value_ - b.value_};
+    }
     friend constexpr quantity operator-(quantity a) { return quantity{-a.value_}; }
     friend constexpr quantity operator*(quantity a, double s) { return quantity{a.value_ * s}; }
     friend constexpr quantity operator*(double s, quantity a) { return quantity{a.value_ * s}; }
@@ -95,12 +99,16 @@ constexpr double to_kwh(joules_t e) { return e.value() / 3.6e6; }
 constexpr joules_t from_kwh(double kwh) { return joules_t{kwh * 3.6e6}; }
 
 /// Absolute difference between two temperatures, in Celsius degrees.
-inline celsius_t abs_diff(celsius_t a, celsius_t b) { return celsius_t{std::fabs(a.value() - b.value())}; }
+inline celsius_t abs_diff(celsius_t a, celsius_t b) {
+    return celsius_t{std::fabs(a.value() - b.value())};
+}
 
 inline namespace literals {
 
 constexpr celsius_t operator""_degC(long double v) { return celsius_t{static_cast<double>(v)}; }
-constexpr celsius_t operator""_degC(unsigned long long v) { return celsius_t{static_cast<double>(v)}; }
+constexpr celsius_t operator""_degC(unsigned long long v) {
+    return celsius_t{static_cast<double>(v)};
+}
 constexpr watts_t operator""_W(long double v) { return watts_t{static_cast<double>(v)}; }
 constexpr watts_t operator""_W(unsigned long long v) { return watts_t{static_cast<double>(v)}; }
 constexpr joules_t operator""_J(long double v) { return joules_t{static_cast<double>(v)}; }
@@ -109,8 +117,12 @@ constexpr rpm_t operator""_rpm(long double v) { return rpm_t{static_cast<double>
 constexpr rpm_t operator""_rpm(unsigned long long v) { return rpm_t{static_cast<double>(v)}; }
 constexpr seconds_t operator""_s(long double v) { return seconds_t{static_cast<double>(v)}; }
 constexpr seconds_t operator""_s(unsigned long long v) { return seconds_t{static_cast<double>(v)}; }
-constexpr seconds_t operator""_min(long double v) { return seconds_t{static_cast<double>(v) * 60.0}; }
-constexpr seconds_t operator""_min(unsigned long long v) { return seconds_t{static_cast<double>(v) * 60.0}; }
+constexpr seconds_t operator""_min(long double v) {
+    return seconds_t{static_cast<double>(v) * 60.0};
+}
+constexpr seconds_t operator""_min(unsigned long long v) {
+    return seconds_t{static_cast<double>(v) * 60.0};
+}
 
 }  // namespace literals
 

@@ -92,7 +92,9 @@ utilization_profile test4_poisson(std::uint64_t seed) {
 
 }  // namespace
 
-util::seconds_t paper_test_duration() { return util::seconds_t{head_idle_s + body_s + tail_idle_s}; }
+util::seconds_t paper_test_duration() {
+    return util::seconds_t{head_idle_s + body_s + tail_idle_s};
+}
 
 utilization_profile make_paper_test(paper_test test, std::uint64_t seed) {
     switch (test) {

@@ -89,8 +89,9 @@ mmc_result simulate_mmc(const mmc_config& config, util::seconds_t horizon,
 
     const auto sample_up_to = [&](double t) {
         while (next_sample <= t && next_sample <= end) {
-            out.utilization.push_back(
-                next_sample, 100.0 * static_cast<double>(busy) / static_cast<double>(config.servers));
+            const double busy_pct =
+                100.0 * static_cast<double>(busy) / static_cast<double>(config.servers);
+            out.utilization.push_back(next_sample, busy_pct);
             next_sample += sample_dt.value();
         }
     };

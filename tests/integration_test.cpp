@@ -178,8 +178,8 @@ TEST(ClosedLoopExtra, PidHoldsSetpointOnSustainedLoad) {
     // In the last 10 minutes the max sensor temperature sits near the
     // 70 degC setpoint.
     const auto& tr = s.trace();
-    const double tail_mean =
-        tr.max_sensor_temp().mean(tr.max_sensor_temp().back().t - 600.0, tr.max_sensor_temp().back().t);
+    const double end_t = tr.max_sensor_temp().back().t;
+    const double tail_mean = tr.max_sensor_temp().mean(end_t - 600.0, end_t);
     EXPECT_NEAR(tail_mean, 70.0, 4.0);
 }
 

@@ -1,9 +1,10 @@
 // Validates the *measured* characterization path (full protocol runs,
-// telemetry extraction) against the analytic steady-sweep shortcut and
+// per-poll sampling) against the analytic steady-sweep shortcut and
 // the paper's constants.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 
 #include "core/characterization.hpp"
 #include "sim/server_simulator.hpp"
@@ -87,6 +88,40 @@ TEST_F(MeasuredSweep, MeasuredHotterAtLowerFanSpeed) {
     for (std::size_t i = 0; i + 2 < measured_->size(); i += 3) {
         EXPECT_GT((*measured_)[i].avg_cpu_temp_c, (*measured_)[i + 1].avg_cpu_temp_c);
         EXPECT_GT((*measured_)[i + 1].avg_cpu_temp_c, (*measured_)[i + 2].avg_cpu_temp_c);
+    }
+}
+
+TEST_F(MeasuredSweep, ValuesArePinned) {
+    // The sweep's exact output (%.17g, so every bit is pinned): the
+    // operating points come from the polls sampled during each run, and
+    // any change to the plant, the sensor stream or the window moves them.
+    struct pinned {
+        double u, rpm, cpu_c, dimm_c, fan_w, total_w;
+    };
+    const pinned expected[] = {
+        {25, 1800, 57.886067708333336, 36.594332272427422, 3.9437317784256538, 436.16165399084474},
+        {25, 3000, 47.483072916666664, 31.556868962279346, 18.258017492711385, 448.48270804422816},
+        {25, 4200, 43.147786458333336, 29.397763984041035, 50.099999999999994, 479.74361221216083},
+        {50, 1800, 66.579427083333329, 41.584588300763684, 3.9437317784256538, 526.31990567769776},
+        {50, 3000, 53.3046875, 34.551100219572433, 18.258017492711385, 536.99914567306166},
+        {50, 4200, 47.83984375, 31.536500657345087, 50.099999999999994, 567.8969723422997},
+        {75, 1800, 75.600911458333329, 46.574781675048669, 3.9437317784256538, 617.90513293481013},
+        {75, 3000, 59.129557291666671, 37.545331397412724, 18.258017492711385, 625.78925005443443},
+        {75, 4200, 52.554036458333329, 33.67523733053936, 50.099999999999994, 656.16758814120271},
+        {100, 1800, 85.229166666666671, 51.564882092341072, 3.9437317784256538, 708.38519859289124},
+        {100, 3000, 65.063151041666671, 40.539562421910048, 18.258017492711385, 711.31595822312067},
+        {100, 4200, 57.254557291666664, 35.813974003458448, 50.099999999999994, 740.95500357975072},
+    };
+    ASSERT_EQ(measured_->size(), std::size(expected));
+    for (std::size_t i = 0; i < measured_->size(); ++i) {
+        const sim::steady_point& m = (*measured_)[i];
+        const pinned& e = expected[i];
+        EXPECT_EQ(m.utilization_pct, e.u) << "point " << i;
+        EXPECT_EQ(m.fan_rpm, e.rpm) << "point " << i;
+        EXPECT_EQ(m.avg_cpu_temp_c, e.cpu_c) << "point " << i;
+        EXPECT_EQ(m.dimm_temp_c, e.dimm_c) << "point " << i;
+        EXPECT_EQ(m.fan_power_w, e.fan_w) << "point " << i;
+        EXPECT_EQ(m.total_power_w, e.total_w) << "point " << i;
     }
 }
 

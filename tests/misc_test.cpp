@@ -186,20 +186,4 @@ TEST(Protocol, CustomTimingHonoured) {
     EXPECT_DOUBLE_EQ(s.trace().target_util().value_at(2.0 * 60.0), 80.0);
 }
 
-TEST(FailureInjection, TelemetryChannelsPresent) {
-    // The CSTH complement: 4 CPU temps, 32 DIMM temps, system power
-    // (+ fan power).  The DIMM sensors are read at every poll (keeping
-    // the noise stream aligned) but not recorded.
-    sim::server_simulator s;
-    const util::frame& h = s.telemetry().history();
-    EXPECT_EQ(h.channel_count(), 4U + 1U + 1U);
-    for (const char* name : {"cpu0_temp_a", "cpu0_temp_b", "cpu1_temp_a", "cpu1_temp_b"}) {
-        EXPECT_TRUE(h.has_channel(name)) << name;
-    }
-    EXPECT_TRUE(h.has_channel("system_power"));
-    EXPECT_TRUE(h.has_channel("fan_power"));
-    EXPECT_FALSE(h.has_channel("dimm31_temp"));
-    EXPECT_THROW(static_cast<void>(h.column("nonexistent")), util::precondition_error);
-}
-
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
@@ -169,26 +170,43 @@ TEST(Simulator, TelemetryPollsEvery10s) {
     p.constant(50.0, 120_s);
     s.bind_workload(p);
     s.force_cold_start();
-    s.advance(100_s);
-    // Cold-start poll at t=0 plus one every 10 s.
-    const util::column_view power = s.telemetry().history().column("system_power");
-    EXPECT_NEAR(static_cast<double>(power.size()), 11.0, 1.0);
-}
-
-/// `cleared` must hold exactly the trailing rows of `kept`: same poll
-/// instants, same sampled values.
-void expect_history_is_tail(const util::frame& cleared, const util::frame& kept) {
-    ASSERT_FALSE(cleared.empty());
-    ASSERT_LT(cleared.size(), kept.size());
-    ASSERT_EQ(cleared.channel_count(), kept.channel_count());
-    const std::size_t skip = kept.size() - cleared.size();
-    for (std::size_t r = 0; r < cleared.size(); ++r) {
-        ASSERT_EQ(cleared.time()[r], kept.time()[skip + r]) << "row " << r;
-        for (std::size_t c = 0; c < cleared.channel_count(); ++c) {
-            ASSERT_EQ(cleared.values(c)[r], kept.values(c)[skip + r])
-                << "row " << r << " channel " << cleared.channel_name(c);
+    // Cold-start poll at t=0 plus one every 10 s; a step that polled
+    // leaves the telemetry age at exactly 0.
+    ASSERT_EQ(s.telemetry_age_s(), 0.0);
+    int polls = 1;
+    for (int k = 0; k < 100; ++k) {
+        s.step(1_s);
+        if (s.telemetry_age_s() == 0.0) {
+            ++polls;
         }
     }
+    EXPECT_EQ(polls, 11);
+}
+
+TEST(Simulator, RebindKeepsThePollCadence) {
+    // bind_workload rewinds the clock to 0; the poll clock rewinds with
+    // it, so the telemetry age carries over (never negative) and the
+    // sensors keep refreshing every period instead of freezing until the
+    // new clock passes the old last poll.
+    workload::utilization_profile p("x");
+    p.constant(100.0, 200_s);
+    server_simulator s;
+    s.bind_workload(p);
+    s.force_cold_start();
+    s.advance(95_s);  // last poll at t = 90
+    s.bind_workload(p);
+    EXPECT_EQ(s.telemetry_age_s(), 5.0);
+    std::vector<double> poll_times;
+    for (int k = 0; k < 30; ++k) {
+        s.step(1_s);
+        const double age = s.telemetry_age_s();
+        ASSERT_GE(age, 0.0) << "t=" << s.now().value();
+        ASSERT_LE(age, sim::paper_server().telemetry_period_s) << "t=" << s.now().value();
+        if (age == 0.0) {
+            poll_times.push_back(s.now().value());
+        }
+    }
+    EXPECT_EQ(poll_times, (std::vector<double>{5.0, 15.0, 25.0}));
 }
 
 TEST(Simulator, ClearTraceDropsTelemetryHistoryButKeepsPollClock) {
@@ -201,18 +219,21 @@ TEST(Simulator, ClearTraceDropsTelemetryHistoryButKeepsPollClock) {
         s->force_cold_start();
         s->advance(25_s);
     }
-    ASSERT_FALSE(cleared.telemetry().history().empty());
     cleared.clear_trace();
     EXPECT_TRUE(cleared.trace().empty());
-    EXPECT_TRUE(cleared.telemetry().history().empty());
-    EXPECT_EQ(cleared.telemetry().last_poll_time(), kept.telemetry().last_poll_time());
+    EXPECT_EQ(cleared.telemetry_age_s(), kept.telemetry_age_s());
 
-    cleared.advance(40_s);
-    kept.advance(40_s);
-    // Polls stay on the 10 s grid from the cold start: the first row
+    // Polls stay on the 10 s grid from the cold start: the first poll
     // after the clear is the t = 30 s poll the uncleared twin also took.
-    EXPECT_EQ(cleared.telemetry().history().time().front(), 30.0);
-    expect_history_is_tail(cleared.telemetry().history(), kept.telemetry().history());
+    for (int k = 0; k < 5; ++k) {
+        cleared.step(1_s);
+        kept.step(1_s);
+    }
+    EXPECT_EQ(cleared.now().value(), 30.0);
+    EXPECT_EQ(cleared.telemetry_age_s(), 0.0);
+    cleared.advance(35_s);
+    kept.advance(35_s);
+    EXPECT_EQ(cleared.telemetry_age_s(), kept.telemetry_age_s());
     EXPECT_EQ(cleared.cpu_sensor_temps(), kept.cpu_sensor_temps());
 }
 
@@ -231,16 +252,23 @@ TEST(Simulator, BatchClearTraceDropsOnlyThatLanesTelemetryHistory) {
         }
     }
     cleared.clear_trace(1);
-    EXPECT_TRUE(cleared.telemetry(1).history().empty());
-    EXPECT_EQ(cleared.telemetry(0).history().size(), kept.telemetry(0).history().size());
+    EXPECT_TRUE(cleared.trace(1).empty());
+    EXPECT_EQ(cleared.trace(0).size(), kept.trace(0).size());
+    EXPECT_EQ(cleared.telemetry_age_s(1), kept.telemetry_age_s(1));
 
-    for (sim::server_batch* b : {&cleared, &kept}) {
-        for (int k = 0; k < 40; ++k) {
+    for (int k = 0; k < 5; ++k) {
+        for (sim::server_batch* b : {&cleared, &kept}) {
             b->step(1_s);
         }
     }
-    EXPECT_EQ(cleared.telemetry(1).history().time().front(), 30.0);
-    expect_history_is_tail(cleared.telemetry(1).history(), kept.telemetry(1).history());
+    EXPECT_EQ(cleared.now(1).value(), 30.0);
+    EXPECT_EQ(cleared.telemetry_age_s(1), 0.0);  // the t = 30 s poll
+    for (int k = 0; k < 35; ++k) {
+        for (sim::server_batch* b : {&cleared, &kept}) {
+            b->step(1_s);
+        }
+    }
+    EXPECT_EQ(cleared.telemetry_age_s(1), kept.telemetry_age_s(1));
     EXPECT_EQ(cleared.cpu_sensor_temps(1), kept.cpu_sensor_temps(1));
 }
 

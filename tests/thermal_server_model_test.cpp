@@ -347,11 +347,9 @@ TEST(Sensors, PlantReadingStreamIsPinned) {
     s.bind_workload(workload::make_paper_test(workload::paper_test::test2_periods));
     s.force_cold_start();
     std::vector<std::vector<double>> polls{s.cpu_sensor_temps()};
-    double last_poll = s.telemetry().last_poll_time();
     while (polls.size() < expected.size()) {
         s.step(1_s);
-        if (s.telemetry().last_poll_time() != last_poll) {
-            last_poll = s.telemetry().last_poll_time();
+        if (s.telemetry_age_s() == 0.0) {  // this step polled
             polls.push_back(s.cpu_sensor_temps());
         }
     }

@@ -1,16 +1,17 @@
-// Unit tests for the columnar trace store (util/frame.hpp) and its
-// read view (util::column_view): append validation, interpolation
-// clamping, windowed statistics vs. time_series answers on identical
-// data, strided (lane-major) views, and the columnar CSV export.
+// Unit tests for the columnar read view (util::column_view): edge
+// cases, interpolation clamping, windowed statistics vs. time_series
+// answers on identical data, strided (lane-major) views of the trace
+// store, and the columnar CSV export.  The `Frame` suite is named for
+// the shared-time-column layout the view reads.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "sim/batch_trace.hpp"
 #include "sim/trace_io.hpp"
 #include "util/error.hpp"
-#include "util/frame.hpp"
 #include "util/time_series.hpp"
 
 #include "trace_csv_check.hpp"
@@ -18,77 +19,36 @@
 namespace {
 
 using ltsc::util::column_view;
-using ltsc::util::frame;
 using ltsc::util::precondition_error;
 using ltsc::util::time_series;
 
-frame make_ramp_frame() {
-    frame f;
-    f.add_channel("ramp");
-    f.add_channel("flat");
-    for (int i = 0; i <= 10; ++i) {
-        const double row[2] = {static_cast<double>(2 * i), 7.0};
-        f.append(static_cast<double>(i), row, 2);
+/// v = 2t sampled at t = 0, 1, ..., 10, as two plain columns.
+struct ramp_columns {
+    std::vector<double> t;
+    std::vector<double> v;
+
+    ramp_columns() {
+        for (int i = 0; i <= 10; ++i) {
+            t.push_back(static_cast<double>(i));
+            v.push_back(static_cast<double>(2 * i));
+        }
     }
-    return f;
-}
+    [[nodiscard]] column_view view() const { return column_view(t.data(), v.data(), t.size()); }
+};
 
 TEST(Frame, EmptyProperties) {
-    frame f;
-    EXPECT_TRUE(f.empty());
-    EXPECT_EQ(f.size(), 0U);
-    EXPECT_EQ(f.channel_count(), 0U);
-    f.add_channel("a");
-    EXPECT_EQ(f.channel_count(), 1U);
-    const column_view c = f.column(0);
+    const column_view c;
     EXPECT_TRUE(c.empty());
+    EXPECT_EQ(c.size(), 0U);
     EXPECT_DOUBLE_EQ(c.duration(), 0.0);
     EXPECT_THROW(static_cast<void>(c.value_at(0.0)), precondition_error);
     EXPECT_THROW(static_cast<void>(c.min()), precondition_error);
     EXPECT_THROW(static_cast<void>(c.front()), precondition_error);
 }
 
-TEST(Frame, ChannelRegistrationRules) {
-    frame f;
-    f.add_channel("a");
-    EXPECT_THROW(f.add_channel("a"), precondition_error);   // duplicate
-    EXPECT_THROW(f.add_channel(""), precondition_error);    // empty name
-    const double v = 1.0;
-    f.append(0.0, &v, 1);
-    EXPECT_THROW(f.add_channel("b"), precondition_error);   // after rows exist
-    EXPECT_TRUE(f.has_channel("a"));
-    EXPECT_FALSE(f.has_channel("b"));
-    EXPECT_EQ(f.channel_index("a"), 0U);
-    EXPECT_THROW(static_cast<void>(f.channel_index("b")), precondition_error);
-    EXPECT_EQ(f.channel_name(0), "a");
-}
-
-TEST(Frame, AppendRejectsNonMonotonicTime) {
-    frame f;
-    f.add_channel("a");
-    const double v = 1.0;
-    f.append(1.0, &v, 1);
-    EXPECT_THROW(f.append(0.5, &v, 1), precondition_error);
-    EXPECT_NO_THROW(f.append(1.0, &v, 1));  // equal stamps are legal
-}
-
-TEST(Frame, AppendRejectsNonFinite) {
-    frame f;
-    f.add_channel("a");
-    f.add_channel("b");
-    const double nan_row[2] = {1.0, std::nan("")};
-    EXPECT_THROW(f.append(0.0, nan_row, 2), precondition_error);
-    const double inf_row[2] = {INFINITY, 1.0};
-    EXPECT_THROW(f.append(0.0, inf_row, 2), precondition_error);
-    const double ok_row[2] = {1.0, 2.0};
-    EXPECT_THROW(f.append(std::nan(""), ok_row, 2), precondition_error);
-    EXPECT_THROW(f.append(0.0, ok_row, 1), precondition_error);  // wrong count
-    EXPECT_TRUE(f.empty());  // rejected rows leave no partial data
-}
-
 TEST(Frame, InterpolationClampsAtEdges) {
-    const frame f = make_ramp_frame();
-    const column_view ramp = f.column("ramp");
+    const ramp_columns cols;
+    const column_view ramp = cols.view();
     EXPECT_DOUBLE_EQ(ramp.value_at(-5.0), 0.0);   // clamp to first sample
     EXPECT_DOUBLE_EQ(ramp.value_at(100.0), 20.0); // clamp to last sample
     EXPECT_DOUBLE_EQ(ramp.value_at(2.5), 5.0);
@@ -98,11 +58,11 @@ TEST(Frame, InterpolationClampsAtEdges) {
 TEST(Frame, WindowedStatsMatchTimeSeriesOnIdenticalData) {
     // The contract behind the columnar swap: every statistic computed
     // through a view equals — bitwise — the same data in a time_series.
-    const frame f = make_ramp_frame();
-    const column_view ramp = f.column("ramp");
+    const ramp_columns cols;
+    const column_view ramp = cols.view();
     time_series ts;
-    for (std::size_t i = 0; i < f.size(); ++i) {
-        ts.push_back(f.time()[i], f.values(0)[i]);
+    for (std::size_t i = 0; i < cols.t.size(); ++i) {
+        ts.push_back(cols.t[i], cols.v[i]);
     }
     EXPECT_EQ(ramp.duration(), ts.duration());
     EXPECT_EQ(ramp.min(), ts.min());
@@ -125,36 +85,23 @@ TEST(Frame, WindowedStatsMatchTimeSeriesOnIdenticalData) {
 }
 
 TEST(Frame, WindowValidation) {
-    const frame f = make_ramp_frame();
-    const column_view ramp = f.column("ramp");
+    const ramp_columns cols;
+    const column_view ramp = cols.view();
     EXPECT_THROW(static_cast<void>(ramp.min(5.0, 3.0)), precondition_error);
     EXPECT_THROW(static_cast<void>(ramp.max(5.0, 3.0)), precondition_error);
     EXPECT_THROW(static_cast<void>(ramp.integrate(5.0, 3.0)), precondition_error);
-    EXPECT_THROW(static_cast<void>(ramp.resample(0.0)), precondition_error);
     EXPECT_THROW(static_cast<void>(ramp.at(99)), precondition_error);
 }
 
-TEST(Frame, ClearKeepsChannels) {
-    frame f = make_ramp_frame();
-    f.clear();
-    EXPECT_TRUE(f.empty());
-    EXPECT_EQ(f.channel_count(), 2U);
-    const double row[2] = {1.0, 2.0};
-    f.append(0.0, row, 2);  // fresh run restarts at t = 0
-    EXPECT_EQ(f.size(), 1U);
-}
-
 TEST(Frame, MaterializationRoundTrips) {
-    const frame f = make_ramp_frame();
-    const time_series ts = f.column("ramp").to_series();
-    ASSERT_EQ(ts.size(), f.size());
-    const auto samples = f.column("ramp").samples();
+    const ramp_columns cols;
+    const column_view ramp = cols.view();
+    const time_series ts = ramp.to_series();
+    ASSERT_EQ(ts.size(), ramp.size());
+    const auto samples = ramp.samples();
     for (std::size_t i = 0; i < ts.size(); ++i) {
         EXPECT_EQ(ts.at(i), samples[i]);
     }
-    const time_series grid = f.column("ramp").resample(0.5);
-    EXPECT_EQ(grid.size(), 21U);
-    EXPECT_DOUBLE_EQ(grid.at(1).v, 1.0);
 }
 
 TEST(BatchTraceView, StridedLaneViewsMatchMaterializedSeries) {
@@ -213,7 +160,8 @@ TEST(Frame, TraceCsvRoundTripPreservesValues) {
     ltsc::sim::trace_row row;
     for (int i = 0; i < 20; ++i) {
         for (std::size_t c = 0; c < ltsc::sim::trace_channel_count; ++c) {
-            row.values[c] = 0.1 * static_cast<double>(i) + 1e-3 * static_cast<double>(c) + 1.0 / 3.0;
+            row.values[c] =
+                0.1 * static_cast<double>(i) + 1e-3 * static_cast<double>(c) + 1.0 / 3.0;
         }
         tr.append(0, 0.5 * i, row);
     }

@@ -59,7 +59,9 @@ TEST(Stats, MeanVarianceStddev) {
 
 TEST(Stats, EmptyMeanThrows) { EXPECT_THROW(static_cast<void>(mean({})), precondition_error); }
 
-TEST(Stats, VarianceNeedsTwoSamples) { EXPECT_THROW(static_cast<void>(variance({1.0})), precondition_error); }
+TEST(Stats, VarianceNeedsTwoSamples) {
+    EXPECT_THROW(static_cast<void>(variance({1.0})), precondition_error);
+}
 
 TEST(Stats, RmseAndMae) {
     const std::vector<double> a{1.0, 2.0, 3.0};

@@ -136,19 +136,6 @@ TEST(TimeSeries, MeanOfConstantSeries) {
     EXPECT_DOUBLE_EQ(ts.mean(), 7.0);
 }
 
-TEST(TimeSeries, ResampleUniformGrid) {
-    const time_series ts = make_ramp();
-    const time_series r = ts.resample(0.5);
-    EXPECT_EQ(r.size(), 21U);
-    EXPECT_DOUBLE_EQ(r.at(1).t, 0.5);
-    EXPECT_DOUBLE_EQ(r.at(1).v, 1.0);
-}
-
-TEST(TimeSeries, ResampleRejectsNonPositiveStep) {
-    const time_series ts = make_ramp();
-    EXPECT_THROW(ts.resample(0.0), precondition_error);
-}
-
 TEST(TimeSeries, IndexAtOrBefore) {
     const time_series ts = make_ramp();
     EXPECT_EQ(ts.index_at_or_before(3.7), 3U);
