@@ -18,8 +18,6 @@
 #include "sim/server_batch.hpp"
 #include "sim/server_simulator.hpp"
 #include "telemetry_service/online_metrics.hpp"
-#include "telemetry_service/row_group.hpp"
-#include "util/spsc_ring.hpp"
 #include "thermal/server_thermal_model.hpp"
 #include "workload/paper_tests.hpp"
 #include "workload/queueing.hpp"
@@ -54,6 +52,22 @@ void BM_ThermalSteadyStateSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_ThermalSteadyStateSolve);
 
+/// Runs `step` once per iteration and `clear` after every 64th with the
+/// timer paused, so a plant bench times the step, not the growth of a
+/// trace arena that no caller keeps for millions of steps.
+template <class Step, class Clear>
+void step_with_trace_clears(benchmark::State& state, Step step, Clear clear) {
+    std::size_t steps = 0;
+    for (auto _ : state) {
+        step();
+        if (++steps % 64 == 0) {
+            state.PauseTiming();
+            clear();
+            state.ResumeTiming();
+        }
+    }
+}
+
 void BM_SimulatorSecond(benchmark::State& state) {
     // One plant second through server_simulator: the one-lane batch
     // behind the facade, so read it against BM_BatchStep/1 for the
@@ -62,9 +76,7 @@ void BM_SimulatorSecond(benchmark::State& state) {
     workload::utilization_profile p("bench");
     p.constant(60.0, util::seconds_t{1e9});
     s.bind_workload(p);
-    for (auto _ : state) {
-        s.step(1_s);
-    }
+    step_with_trace_clears(state, [&] { s.step(1_s); }, [&] { s.clear_trace(); });
     state.SetItemsProcessed(state.iterations());
     state.SetLabel("simulated seconds per wall second");
 }
@@ -82,9 +94,7 @@ void BM_SimulatorSecondMonitored(benchmark::State& state) {
     workload::utilization_profile p("bench");
     p.constant(60.0, util::seconds_t{1e9});
     s.bind_workload(p);
-    for (auto _ : state) {
-        s.step(1_s);
-    }
+    step_with_trace_clears(state, [&] { s.step(1_s); }, [&] { s.clear_trace(); });
     state.SetItemsProcessed(state.iterations());
     state.SetLabel("simulated seconds per wall second");
 }
@@ -102,9 +112,13 @@ void BM_BatchStep(benchmark::State& state) {
     for (std::size_t l = 0; l < lanes; ++l) {
         batch.bind_workload(l, p);
     }
-    for (auto _ : state) {
-        batch.step(1_s);
-    }
+    step_with_trace_clears(
+        state, [&] { batch.step(1_s); },
+        [&] {
+            for (std::size_t l = 0; l < lanes; ++l) {
+                batch.clear_trace(l);
+            }
+        });
     state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(lanes));
     state.SetLabel("per-server simulated seconds per wall second");
 }
@@ -334,42 +348,40 @@ void BM_FullTable1Cell(benchmark::State& state) {
 BENCHMARK(BM_FullTable1Cell);
 
 void BM_TelemetryIngest(benchmark::State& state) {
-    // The telemetry service's per-group ingestion pipeline, minus
-    // threads: fill a ring slot with a 64-lane row-group (the publish
-    // copy), drain it, and fold it into the online state (the
-    // aggregator apply).  Items = lane-rows ingested.
+    // The telemetry service's ingestion: one shard step's 64-lane arena
+    // row-group folded into the shard's online state, as
+    // service::on_shard_step does on the stepping thread (minus its
+    // uncontended lock).  The arena is refilled every 64 groups with the
+    // timer paused.  Items = lane-rows ingested.
     constexpr std::size_t lanes = 64;
-    telemetry_service::row_group proto;
-    proto.shard = 0;
-    proto.lanes = lanes;
-    proto.active.assign((lanes + 63) / 64, ~0ULL);
-    proto.data.assign(lanes * telemetry_service::row_group::lane_doubles, 0.0);
+    constexpr std::size_t groups = 64;
+    sim::batch_trace arena(lanes);
     telemetry_service::online_state online(lanes);
-    util::spsc_ring<telemetry_service::row_group> ring(8);
-    telemetry_service::row_group scratch;
     double t = 0.0;
-    std::uint64_t epoch = 0;
-    for (auto _ : state) {
-        t += 1.0;
-        ++epoch;
+    const auto refill = [&] {
         for (std::size_t l = 0; l < lanes; ++l) {
-            double* slot = proto.data.data() +
-                           l * telemetry_service::row_group::lane_doubles;
-            slot[0] = t;
-            slot[1 + static_cast<std::size_t>(sim::trace_channel::total_power)] =
-                250.0 + static_cast<double>(l);
-            slot[1 + static_cast<std::size_t>(sim::trace_channel::max_sensor_temp)] =
-                60.0 + static_cast<double>(l % 7);
+            arena.clear(l);
         }
-        ring.try_push([&](telemetry_service::row_group& g) {
-            g.epoch = epoch;
-            g.shard = proto.shard;
-            g.lanes = proto.lanes;
-            g.active = proto.active;
-            g.data = proto.data;
-        });
-        ring.try_pop([&](telemetry_service::row_group& g) { scratch = std::move(g); });
-        online.apply_group(scratch, 0);
+        sim::trace_row row;
+        for (std::size_t g = 0; g < groups; ++g) {
+            t += 1.0;
+            for (std::size_t l = 0; l < lanes; ++l) {
+                row[sim::trace_channel::total_power] = 250.0 + static_cast<double>(l);
+                row[sim::trace_channel::max_sensor_temp] = 60.0 + static_cast<double>(l % 7);
+                arena.append(l, t, row);
+            }
+        }
+    };
+    refill();
+    std::size_t group = 0;
+    for (auto _ : state) {
+        if (group == groups) {
+            state.PauseTiming();
+            refill();
+            state.ResumeTiming();
+            group = 0;
+        }
+        online.apply_group(arena, group++);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(lanes));

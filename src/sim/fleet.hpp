@@ -38,11 +38,13 @@ struct fleet_config {
 ///
 /// Publication hook for the streaming telemetry service: after shard
 /// `s` finishes a step, `on_shard_step` runs *on the pool thread that
-/// stepped the shard*, before the step's barrier.  Calls for one shard
-/// are serialized across steps by that barrier (a happens-before edge
-/// even when the stepping thread changes), so a per-shard SPSC ring is
-/// a valid sink.  Implementations must not touch other shards or the
-/// fleet itself from the callback.
+/// stepped the shard*, before the step's barrier, so its cost is part of
+/// the step.  Calls for one shard are serialized across steps by that
+/// barrier (a happens-before edge even when the stepping thread
+/// changes), so per-shard sink state needs no lock against the shard's
+/// own calls; readers on other threads still need one.  The shard's
+/// newest arena row-group is valid for the whole call.  Implementations
+/// must not touch other shards or the fleet itself from the callback.
 class fleet_sink {
 public:
     virtual ~fleet_sink() = default;

@@ -59,7 +59,10 @@ const server_lane& server_batch::at(std::size_t lane) const {
 }
 
 void server_batch::bind_workload(std::size_t lane, workload::loadgen generator) {
-    at(lane).bind_workload(std::move(generator));
+    server_lane& ln = at(lane);
+    if (ln.bind_workload(std::move(generator))) {
+        thermal_.set_zone_airflow(lane, ln.zone_airflow());
+    }
     traces_.clear(lane);
     set_lane_active(lane, true);
 }
@@ -189,7 +192,7 @@ void server_batch::step(util::seconds_t dt) {
         const die_temps twin_die = twin_die_temps(l);
         traces_.append(l, ln.now_s(),
                        ln.make_row(u_target_scratch_[l], u_inst_scratch_[l], die, dimm, twin_die));
-        ln.poll(die, dimm, twin_die);
+        ln.poll(die, twin_die);
     }
 }
 
@@ -239,7 +242,7 @@ void server_batch::force_cold_start(std::size_t lane) {
     }
     traces_.clear(lane);
     set_lane_active(lane, true);
-    ln.finish_cold_start(thermal_.die_temps(lane), thermal_.dimm_temp(lane), twin_die_temps(lane));
+    ln.finish_cold_start(thermal_.die_temps(lane), twin_die_temps(lane));
 }
 
 void server_batch::force_cold_start() {

@@ -31,7 +31,7 @@ void server_lane::arm_monitor() {
     monitor_.emplace(config_.monitor, commanded);
 }
 
-void server_lane::take_poll(const die_temps& die, util::celsius_t dimm, const die_temps& twin_die) {
+void server_lane::take_poll(const die_temps& die, const die_temps& twin_die) {
     // Sensors 2s and 2s+1 sit on die s.
     for (std::size_t i = 0; i < sensors_.cpu.size(); ++i) {
         // The true sensor is always read first so the noise stream
@@ -40,11 +40,10 @@ void server_lane::take_poll(const die_temps& die, util::celsius_t dimm, const di
         const double raw = sensors_.cpu[i].read(util::celsius_t{die[i / 2]}, rng_).value();
         last_cpu_sensor_reads_[i] = corrupt_sensor_reading(i, raw);
     }
-    // Nothing keeps the DIMM readings, but each one draws noise from
-    // the same stream, so they are still read, after the CPU sensors.
-    for (const thermal::temperature_sensor& sensor : sensors_.dimm) {
-        static_cast<void>(sensor.read(dimm, rng_));
-    }
+    // Nothing keeps the DIMM readings, but each noisy one draws a normal
+    // from the same stream after the CPU sensors, so the draws are
+    // skipped bitwise instead (every DIMM sensor has the config's noise).
+    rng_.skip_normals(config_.sensor_noise_sigma > 0.0 ? sensors_.dimm.size() : 0);
     last_poll_s_ = now_s_;
     polled_ = true;
     if (monitor_) {
@@ -52,12 +51,15 @@ void server_lane::take_poll(const die_temps& die, util::celsius_t dimm, const di
     }
 }
 
-void server_lane::bind_workload(workload::loadgen generator) {
+bool server_lane::bind_workload(workload::loadgen generator) {
     workload_ = std::move(generator);
     if (polled_) {
         last_poll_s_ -= now_s_;  // rewind the poll clock with the lane clock
     }
     now_s_ = 0.0;
+    // The fault timeline restarts with the clock: live effects hold
+    // old-clock expiry times, and the cursor replays from the top.
+    return clear_fault_effects();
 }
 
 double server_lane::target_utilization() const {
@@ -185,13 +187,13 @@ trace_row server_lane::make_row(double u_target, double u_inst, const die_temps&
     return row;
 }
 
-void server_lane::poll(const die_temps& die, util::celsius_t dimm, const die_temps& twin_die) {
+void server_lane::poll(const die_temps& die, const die_temps& twin_die) {
     // A lost poller drops every due poll: nothing is sampled and the poll
     // clock does not advance, so observers see the last delivered values
     // ageing, as with a crashed CSTH poller.
     const bool due = !polled_ || now_s_ - last_poll_s_ >= config_.telemetry_period_s - 1e-9;
     if (due && !fault_.telemetry_lost(now_s_)) {
-        take_poll(die, dimm, twin_die);
+        take_poll(die, twin_die);
     }
 }
 
@@ -202,14 +204,13 @@ void server_lane::begin_cold_start() {
     fans_.set_all(config_.cold_start_fan_rpm);
 }
 
-void server_lane::finish_cold_start(const die_temps& die, util::celsius_t dimm,
-                                    const die_temps& twin_die) {
+void server_lane::finish_cold_start(const die_temps& die, const die_temps& twin_die) {
     if (monitor_) {
         arm_monitor();  // re-latch the cold-start commands, clear verdicts
     }
     now_s_ = 0.0;
     fan_changes_ = 0;
-    take_poll(die, dimm, twin_die);
+    take_poll(die, twin_die);
 }
 
 void server_lane::save_state(server_state& out) const {

@@ -14,10 +14,11 @@
 //
 // The owning batch keeps the thermal half (one lane of its
 // thermal::server_thermal_model, and a twin lane if monitored) and
-// passes the current die, DIMM and twin die temperatures into the
-// per-step calls: the trace row, the telemetry poll (which reads the
-// lane's fixed channel set from them) and the cold-start poll.  A poll
-// keeps only its latest readings; no poll history is recorded.  When a
+// passes the current die (and, for the trace row, DIMM) and twin die
+// temperatures into the per-step calls: the trace row, the telemetry
+// poll and the cold-start poll.  A poll reads the CPU sensors and keeps
+// only their latest readings; the DIMM sensors' noise draws are skipped
+// bitwise (util::pcg32::skip_normals), since nothing reads them.  When a
 // lane call reports that airflow changed, the owner pushes
 // zone_airflow() into its thermal half before anything else happens.
 #pragma once
@@ -58,8 +59,10 @@ public:
     // --- workload and clock ----------------------------------------------
     /// Installs the workload and rewinds the clock to 0 (the owner
     /// clears its trace).  The poll clock rewinds with it, so the
-    /// telemetry age carries over and polls keep their cadence.
-    void bind_workload(workload::loadgen generator);
+    /// telemetry age carries over and polls keep their cadence.  The
+    /// fault timeline restarts too: live effects clear and the bound
+    /// schedule replays from its first event (true: airflow changed).
+    [[nodiscard]] bool bind_workload(workload::loadgen generator);
     [[nodiscard]] const workload::loadgen* workload() const {
         return workload_ ? &*workload_ : nullptr;
     }
@@ -128,10 +131,9 @@ public:
     /// The trace row of the step that just ended.
     [[nodiscard]] trace_row make_row(double u_target, double u_inst, const die_temps& die,
                                      util::celsius_t dimm, const die_temps& twin_die) const;
-    /// Polls the sensors at the dies' and DIMMs' true temperatures when
-    /// a poll is due and telemetry is not lost, and feeds the poll to
-    /// the monitor.
-    void poll(const die_temps& die, util::celsius_t dimm, const die_temps& twin_die);
+    /// Polls the sensors at the dies' true temperatures when a poll is
+    /// due and telemetry is not lost, and feeds the poll to the monitor.
+    void poll(const die_temps& die, const die_temps& twin_die);
 
     // --- cold start and settling ------------------------------------------------
     /// Clears live fault effects and sets the cold-start fan speed; the
@@ -140,7 +142,7 @@ public:
     /// Re-arms the monitor on the cold-start commands, rewinds the clock
     /// and fan counter, and takes a fresh telemetry poll of the settled
     /// temperatures (the owner has settled the twin lane too).
-    void finish_cold_start(const die_temps& die, util::celsius_t dimm, const die_temps& twin_die);
+    void finish_cold_start(const die_temps& die, const die_temps& twin_die);
 
     // --- snapshot (everything but out.thermal) -------------------------------------
     void save_state(server_state& out) const;
@@ -151,10 +153,10 @@ public:
     void restore_state(const server_state& state);
 
 private:
-    /// Reads every sensor at `now_s_` (the CPU sensors, corrupted by
-    /// live faults, then the DIMM sensors), restarts the poll clock and
+    /// Reads the CPU sensors at `now_s_` (corrupted by live faults),
+    /// skips the DIMM sensors' noise draws, restarts the poll clock and
     /// feeds the poll to the monitor.
-    void take_poll(const die_temps& die, util::celsius_t dimm, const die_temps& twin_die);
+    void take_poll(const die_temps& die, const die_temps& twin_die);
     /// (Re)builds the monitor on the current fan commands.
     void arm_monitor();
     [[nodiscard]] bool apply_fault_event(const fault_event& event);

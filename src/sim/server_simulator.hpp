@@ -38,7 +38,8 @@ public:
 
     // --- workload binding -------------------------------------------------
     /// Installs the workload; resets simulation time to 0 (the poll
-    /// clock moves back with it, so the telemetry age carries over).
+    /// clock moves back with it, so the telemetry age carries over) and
+    /// restarts the bound fault schedule from its first event.
     void bind_workload(workload::loadgen generator) {
         batch_.bind_workload(0, std::move(generator));
     }

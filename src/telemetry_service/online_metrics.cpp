@@ -74,28 +74,39 @@ sim::run_metrics window_accumulator::close(std::string test_name, std::string co
     return m;
 }
 
-online_state::online_state(std::size_t lanes, online_config cfg)
-    : cfg_(cfg),
-      margins_(cfg.margin_lo_c, cfg.margin_hi_c, cfg.margin_bins) {
+void online_rollup::merge(const online_rollup& other) {
+    rows += other.rows;
+    row_groups += other.row_groups;
+    closed_windows += other.closed_windows;
+    guard_trip_rows += other.guard_trip_rows;
+    sensor_alarm_rows += other.sensor_alarm_rows;
+    fan_alarm_rows += other.fan_alarm_rows;
+    closed_energy_kwh += other.closed_energy_kwh;
+    max_temp_c = std::max(max_temp_c, other.max_temp_c);
+    margins.merge(other.margins);
+}
+
+online_state::online_state(std::size_t lanes, online_config cfg) : cfg_(cfg) {
     util::ensure(lanes > 0, "online_state: need at least one lane");
     util::ensure(cfg.window_rows >= 2, "online_state: window_rows must be >= 2");
+    rollup_.margins = util::fixed_histogram(cfg.margin_lo_c, cfg.margin_hi_c, cfg.margin_bins);
     lanes_.reserve(lanes);
     for (std::size_t l = 0; l < lanes; ++l) {
         lanes_.emplace_back(cfg.guard_temp_c);
     }
 }
 
-void online_state::apply_group(const row_group& g, std::size_t lane_offset) {
-    util::ensure(lane_offset + g.lanes <= lanes_.size(),
-                 "online_state::apply_group: lane range out of bounds");
-    for (std::size_t l = 0; l < g.lanes; ++l) {
-        if (!g.lane_valid(l)) {
-            continue;
+void online_state::apply_group(const sim::batch_trace& trace, std::size_t group) {
+    util::ensure(trace.lane_count() == lanes_.size(),
+                 "online_state::apply_group: trace lane count mismatch");
+    const double* data = trace.group_data(group);
+    for (std::size_t l = 0; l < lanes_.size(); ++l) {
+        if (trace.lane_in_group(l, group)) {
+            const double* slot = data + l * sim::batch_trace::slot_doubles;
+            apply_row(l, slot[0], slot + 1);
         }
-        const double* slot = g.lane_data(l);
-        apply_row(lane_offset + l, slot[0], slot + 1);
     }
-    ++row_groups_;
+    ++rollup_.row_groups;
 }
 
 void online_state::apply_row(std::size_t lane, double t, const double* channels) {
@@ -104,18 +115,18 @@ void online_state::apply_row(std::size_t lane, double t, const double* channels)
     ln.acc.add(t, channels);
 
     const double max_sensor = channels[ch(sim::trace_channel::max_sensor_temp)];
-    max_temp_c_ = std::max(max_temp_c_, max_sensor);
-    margins_.add(cfg_.guard_temp_c - max_sensor);
+    rollup_.max_temp_c = std::max(rollup_.max_temp_c, max_sensor);
+    rollup_.margins.add(cfg_.guard_temp_c - max_sensor);
     if (max_sensor >= cfg_.guard_temp_c) {
-        ++guard_trip_rows_;
+        ++rollup_.guard_trip_rows;
     }
     if (channels[ch(sim::trace_channel::monitor_sensor_health)] >= 1.0) {
-        ++sensor_alarm_rows_;
+        ++rollup_.sensor_alarm_rows;
     }
     if (channels[ch(sim::trace_channel::monitor_fan_health)] >= 1.0) {
-        ++fan_alarm_rows_;
+        ++rollup_.fan_alarm_rows;
     }
-    ++rows_;
+    ++rollup_.rows;
     ++ln.window.rows;
     ln.window.open_rows = ln.acc.rows();
 
@@ -125,8 +136,8 @@ void online_state::apply_row(std::size_t lane, double t, const double* channels)
         ln.window.valid = true;
         ++ln.window.closed;
         ln.window.open_rows = 0;
-        ++closed_windows_;
-        closed_energy_kwh_ += ln.window.metrics.energy_kwh;
+        ++rollup_.closed_windows;
+        rollup_.closed_energy_kwh += ln.window.metrics.energy_kwh;
     }
 }
 

@@ -15,8 +15,9 @@
 // On top of the per-lane windows the engine keeps fleet-wide rollups no
 // post-hoc pass could serve live: guard-trip row counts, monitor-health
 // alarm rows, and thermal-margin percentiles from a fixed-bin
-// histogram.  Nothing here is thread-safe; the telemetry service
-// serializes writers and snapshots readers around it.
+// histogram.  The rollups of several states (one per fleet shard)
+// merge into one fleet view.  Nothing here is thread-safe; the
+// telemetry service serializes writers and snapshots readers around it.
 #pragma once
 
 #include <cstddef>
@@ -24,8 +25,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/batch_trace.hpp"
 #include "sim/metrics.hpp"
-#include "telemetry_service/row_group.hpp"
 #include "util/histogram.hpp"
 
 namespace ltsc::telemetry_service {
@@ -97,7 +98,28 @@ struct lane_window {
     std::uint64_t rows = 0;             ///< Lifetime rows ingested.
 };
 
-/// The whole fleet's online metrics: per-lane windows + global rollups.
+/// Rollups over every row an online_state ingested.
+struct online_rollup {
+    std::uint64_t rows = 0;
+    std::uint64_t row_groups = 0;
+    std::uint64_t closed_windows = 0;
+    std::uint64_t guard_trip_rows = 0;
+    std::uint64_t sensor_alarm_rows = 0;
+    std::uint64_t fan_alarm_rows = 0;
+    /// Sum of closed-window energies over every lane [kWh].
+    double closed_energy_kwh = 0.0;
+    /// Max sensor temperature over every row (0 when no rows yet).
+    double max_temp_c = 0.0;
+    /// Thermal margins (guard - max sensor) of every row.
+    util::fixed_histogram margins;
+
+    /// Adds another state's rollup: counts and energies sum, the maximum
+    /// and the margin histogram merge (same grid required).
+    void merge(const online_rollup& other);
+};
+
+/// Online metrics of a set of lanes (a fleet shard, or a whole fleet):
+/// per-lane windows + rollups.
 class online_state {
 public:
     online_state(std::size_t lanes, online_config cfg = {});
@@ -105,30 +127,16 @@ public:
     [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
     [[nodiscard]] const online_config& config() const { return cfg_; }
 
-    /// Applies one published row-group; `lane_offset` maps the group's
-    /// shard-local lanes onto global lane indices.
-    void apply_group(const row_group& g, std::size_t lane_offset);
+    /// Folds row-group `group` of a trace arena whose lanes are this
+    /// state's lanes: each lane that recorded in the group adds its row.
+    void apply_group(const sim::batch_trace& trace, std::size_t group);
 
-    /// Applies one row to one global lane (the group apply unrolled;
-    /// exposed for tests and the ingest micro-benchmark).
+    /// Applies one row to one lane (the group apply unrolled; exposed
+    /// for tests and the online-engine micro-benchmark).
     void apply_row(std::size_t lane, double t, const double* channels);
 
     [[nodiscard]] const lane_window& lane(std::size_t lane) const;
-
-    // --- fleet rollups ------------------------------------------------------
-    [[nodiscard]] std::uint64_t rows() const { return rows_; }
-    [[nodiscard]] std::uint64_t row_groups() const { return row_groups_; }
-    [[nodiscard]] std::uint64_t closed_windows() const { return closed_windows_; }
-    /// Sum of closed-window energies over every lane [kWh].
-    [[nodiscard]] double closed_energy_kwh() const { return closed_energy_kwh_; }
-    /// Max sensor temperature over every row ingested (NaN-free; 0 when
-    /// no rows yet — check rows()).
-    [[nodiscard]] double max_temp_c() const { return max_temp_c_; }
-    [[nodiscard]] std::uint64_t guard_trip_rows() const { return guard_trip_rows_; }
-    [[nodiscard]] std::uint64_t sensor_alarm_rows() const { return sensor_alarm_rows_; }
-    [[nodiscard]] std::uint64_t fan_alarm_rows() const { return fan_alarm_rows_; }
-    /// Thermal margins (guard - max sensor) of every row ingested.
-    [[nodiscard]] const util::fixed_histogram& margin_histogram() const { return margins_; }
+    [[nodiscard]] const online_rollup& rollup() const { return rollup_; }
 
 private:
     struct lane_state {
@@ -139,15 +147,7 @@ private:
 
     online_config cfg_;
     std::vector<lane_state> lanes_;
-    util::fixed_histogram margins_;
-    std::uint64_t rows_ = 0;
-    std::uint64_t row_groups_ = 0;
-    std::uint64_t closed_windows_ = 0;
-    double closed_energy_kwh_ = 0.0;
-    double max_temp_c_ = 0.0;
-    std::uint64_t guard_trip_rows_ = 0;
-    std::uint64_t sensor_alarm_rows_ = 0;
-    std::uint64_t fan_alarm_rows_ = 0;
+    online_rollup rollup_;
 };
 
 }  // namespace ltsc::telemetry_service

@@ -1,7 +1,6 @@
 #include "telemetry_service/service.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 #include "util/error.hpp"
@@ -54,144 +53,85 @@ std::uint64_t service::fnv1a(const std::string& s) {
     return h;
 }
 
-service::service(sim::fleet& fleet, service_config cfg)
-    : fleet_(fleet),
-      cfg_(cfg),
-      state_(fleet.lane_count(), cfg.online),
-      shard_epochs_(fleet.shard_count(), 0) {
+service::service(sim::fleet& fleet, service_config cfg) : fleet_(fleet) {
     util::ensure(fleet_.sink() == nullptr, "service: fleet already has a sink");
     const std::size_t shards = fleet_.shard_count();
-    rings_.reserve(shards);
+    parts_.reserve(shards);
     for (std::size_t s = 0; s < shards; ++s) {
-        rings_.push_back(std::make_unique<util::spsc_ring<row_group>>(cfg_.ring_slots));
+        parts_.push_back(std::make_unique<partition>(
+            fleet_.shard_offset(s + 1) - fleet_.shard_offset(s), cfg.online));
     }
-    last_appended_.assign(shards, 0);
-    dropped_.reset(new std::atomic<std::uint64_t>[shards]);
-    for (std::size_t s = 0; s < shards; ++s) {
-        dropped_[s].store(0, std::memory_order_relaxed);
-    }
-    aggregator_ = std::thread([this] { aggregator_loop(); });
-    if (cfg_.enable_http) {
+    if (cfg.enable_http) {
         http_ = std::make_unique<http_server>(
-            cfg_.port, cfg_.http_threads,
+            cfg.port, cfg.http_threads,
             [this](const std::string& path, std::string& body) { return handle(path, body); });
     }
     fleet_.attach_sink(this);
 }
 
-service::~service() {
-    fleet_.attach_sink(nullptr);
-    http_.reset();  // Stop serving before the state stops advancing.
-    stop_.store(true, std::memory_order_release);
-    aggregator_.join();
-}
+service::~service() { fleet_.attach_sink(nullptr); }
 
 void service::on_shard_step(std::size_t shard, std::uint64_t epoch,
                             const sim::server_batch& batch) {
+    partition& p = *parts_[shard];
     const sim::batch_trace& tr = batch.traces();
-    const std::uint64_t appended = tr.appended_groups();
-    if (appended == last_appended_[shard]) {
+    if (tr.appended_groups() == p.last_appended) {
         return;  // All lanes inert: the step recorded nothing.
     }
-    last_appended_[shard] = appended;
-    const std::size_t group = tr.group_count() - 1;
-    const std::size_t lanes = batch.lane_count();
-    const bool pushed = rings_[shard]->try_push([&](row_group& g) {
-        g.epoch = epoch;
-        g.shard = static_cast<std::uint32_t>(shard);
-        g.lanes = static_cast<std::uint32_t>(lanes);
-        g.active.assign((lanes + 63) / 64, 0);
-        for (std::size_t l = 0; l < lanes; ++l) {
-            if (tr.lane_in_group(l, group)) {
-                g.active[l / 64] |= 1ULL << (l % 64);
-            }
-        }
-        const double* src = tr.group_data(group);
-        g.data.assign(src, src + lanes * sim::batch_trace::slot_doubles);
-    });
-    if (pushed) {
-        published_.fetch_add(1, std::memory_order_release);
-    } else {
-        dropped_[shard].fetch_add(1, std::memory_order_relaxed);
-    }
-}
-
-void service::aggregator_loop() {
-    row_group scratch;
-    for (;;) {
-        bool idle = true;
-        for (std::size_t s = 0; s < rings_.size(); ++s) {
-            while (rings_[s]->try_pop([&](row_group& g) { scratch = std::move(g); })) {
-                idle = false;
-                {
-                    std::unique_lock<std::shared_mutex> lock(state_mutex_);
-                    state_.apply_group(scratch, fleet_.shard_offset(s));
-                    shard_epochs_[s] = std::max(shard_epochs_[s], scratch.epoch);
-                }
-                applied_.fetch_add(1, std::memory_order_release);
-            }
-        }
-        if (idle) {
-            if (stop_.load(std::memory_order_acquire)) {
-                return;  // Stopped and every ring is dry.
-            }
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
-    }
-}
-
-void service::drain() const {
-    while (applied_.load(std::memory_order_acquire) <
-           published_.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
+    p.last_appended = tr.appended_groups();
+    std::unique_lock<std::shared_mutex> lock(p.mutex);
+    p.state.apply_group(tr, tr.group_count() - 1);
+    p.epoch = epoch;
 }
 
 fleet_snapshot service::metrics() const {
     fleet_snapshot snap;
     snap.lanes = fleet_.lane_count();
-    snap.shards = fleet_.shard_count();
-    std::uint64_t dropped = 0;
-    for (std::size_t s = 0; s < snap.shards; ++s) {
-        dropped += dropped_[s].load(std::memory_order_relaxed);
+    snap.shards = parts_.size();
+    snap.shard_epochs.resize(parts_.size());
+    online_rollup total;
+    online_rollup part;
+    for (std::size_t s = 0; s < parts_.size(); ++s) {
+        {
+            std::shared_lock<std::shared_mutex> lock(parts_[s]->mutex);
+            part = parts_[s]->state.rollup();
+            snap.shard_epochs[s] = parts_[s]->epoch;
+        }
+        if (s == 0) {
+            total = part;
+        } else {
+            total.merge(part);
+        }
     }
-    snap.dropped_groups = dropped;
-
-    std::shared_lock<std::shared_mutex> lock(state_mutex_);
-    snap.shard_epochs = shard_epochs_;
-    snap.complete_epoch =
-        *std::min_element(shard_epochs_.begin(), shard_epochs_.end());
-    snap.rows = state_.rows();
-    snap.row_groups = state_.row_groups();
-    snap.closed_windows = state_.closed_windows();
-    snap.guard_trip_rows = state_.guard_trip_rows();
-    snap.sensor_alarm_rows = state_.sensor_alarm_rows();
-    snap.fan_alarm_rows = state_.fan_alarm_rows();
-    snap.closed_energy_kwh = state_.closed_energy_kwh();
-    snap.max_temp_c = state_.max_temp_c();
-    if (state_.rows() > 0) {
-        const util::fixed_histogram& h = state_.margin_histogram();
-        snap.margin_p01_c = h.quantile(0.01);
-        snap.margin_p50_c = h.quantile(0.50);
-        snap.margin_p99_c = h.quantile(0.99);
+    snap.complete_epoch = *std::min_element(snap.shard_epochs.begin(), snap.shard_epochs.end());
+    snap.rows = total.rows;
+    snap.row_groups = total.row_groups;
+    snap.closed_windows = total.closed_windows;
+    snap.guard_trip_rows = total.guard_trip_rows;
+    snap.sensor_alarm_rows = total.sensor_alarm_rows;
+    snap.fan_alarm_rows = total.fan_alarm_rows;
+    snap.closed_energy_kwh = total.closed_energy_kwh;
+    snap.max_temp_c = total.max_temp_c;
+    if (total.rows > 0) {
+        snap.margin_p01_c = total.margins.quantile(0.01);
+        snap.margin_p50_c = total.margins.quantile(0.50);
+        snap.margin_p99_c = total.margins.quantile(0.99);
     }
     return snap;
 }
 
 lane_window service::lane_window_snapshot(std::size_t lane) const {
-    std::shared_lock<std::shared_mutex> lock(state_mutex_);
-    return state_.lane(lane);
+    const partition& p = *parts_[fleet_.shard_of(lane)];
+    std::shared_lock<std::shared_mutex> lock(p.mutex);
+    return p.state.lane(fleet_.local_lane(lane));
 }
 
 ingest_stats service::stats() const {
+    const fleet_snapshot snap = metrics();
     ingest_stats st;
-    st.published_groups = published_.load(std::memory_order_acquire);
-    st.applied_groups = applied_.load(std::memory_order_acquire);
-    for (std::size_t s = 0; s < fleet_.shard_count(); ++s) {
-        st.dropped_groups += dropped_[s].load(std::memory_order_relaxed);
-    }
-    std::shared_lock<std::shared_mutex> lock(state_mutex_);
-    st.rows = state_.rows();
+    st.published_groups = snap.row_groups;
+    st.applied_groups = snap.row_groups;
+    st.rows = snap.rows;
     return st;
 }
 
@@ -241,28 +181,21 @@ std::string service::metrics_json() const {
 }
 
 std::string service::health_json() const {
-    const ingest_stats st = stats();
-    std::uint64_t complete = 0;
-    {
-        std::shared_lock<std::shared_mutex> lock(state_mutex_);
-        complete = *std::min_element(shard_epochs_.begin(), shard_epochs_.end());
-    }
+    const fleet_snapshot snap = metrics();
     std::string out;
     out.reserve(256);
-    out += "{\"status\":\"";
-    out += st.dropped_groups == 0 ? "ok" : "degraded";
-    out += "\",";
-    append_field(out, "lanes", static_cast<std::uint64_t>(fleet_.lane_count()));
+    out += "{\"status\":\"ok\",";
+    append_field(out, "lanes", static_cast<std::uint64_t>(snap.lanes));
     out += ',';
-    append_field(out, "shards", static_cast<std::uint64_t>(fleet_.shard_count()));
+    append_field(out, "shards", static_cast<std::uint64_t>(snap.shards));
     out += ',';
-    append_field(out, "complete_epoch", complete);
+    append_field(out, "complete_epoch", snap.complete_epoch);
     out += ',';
-    append_field(out, "published_groups", st.published_groups);
+    append_field(out, "published_groups", snap.row_groups);
     out += ',';
-    append_field(out, "applied_groups", st.applied_groups);
+    append_field(out, "applied_groups", snap.row_groups);
     out += ',';
-    append_field(out, "dropped_groups", st.dropped_groups);
+    append_field(out, "dropped_groups", snap.dropped_groups);
     out += ',';
     append_field(out, "requests_served",
                  http_ ? http_->requests_served() : std::uint64_t{0});

@@ -3,56 +3,53 @@
 // Attaching a `service` to a `sim::fleet` turns the simulator into a
 // system under observation while it runs:
 //
-//   fleet shards ──publish──▶ per-shard SPSC rings ──drain──▶ aggregator
-//                                                                 │
-//              HTTP pollers ◀──serve── snapshot reads ◀── online state
+//   fleet shard s ──fold──▶ partition s (online state, shared_mutex)
+//                                  │
+//   HTTP pollers ◀──serve── merge of copied partitions
 //
-//  * Ingestion: each shard step publishes its freshly appended
-//    lane-major row-group (epoch-stamped, validity-masked) into a
-//    lock-free ring on the stepping thread; a full ring counts a drop
-//    instead of ever stalling the plant.  A fleet with no sink attached
-//    is bitwise-identical to one that never had a service (pinned by
-//    TelemetryService.AttachedFleetTracesBitwiseIdentical).
-//  * Aggregation: one thread drains the rings and folds whole
-//    row-groups into the online state atomically, tracking the newest
-//    epoch applied per shard.  `complete_epoch` (the min across
-//    shards) names the newest fleet step every shard has reached — the
-//    snapshot-consistency watermark.
-//  * Queries: snapshot reads copy the state under a reader lock, so a
-//    response never shows a torn fleet step; serialized JSON carries an
-//    FNV-1a checksum over the body prefix that clients (and the soak
-//    gate) re-verify end to end.
+//  * Ingestion: when a shard finishes a step, its stepping thread folds
+//    the row-group the step appended to the shard's `batch_trace` arena
+//    straight into that shard's own partition of the online state,
+//    under the partition's lock, and stamps the partition with the step
+//    epoch.  Nothing is queued or copied on the way, so no row-group can
+//    drop, whatever the host's scheduling.  A fleet with no sink
+//    attached is bitwise-identical to one that never had a service
+//    (pinned by TelemetryService.AttachedFleetTracesBitwiseIdentical).
+//  * Queries: each partition is copied under its reader lock and the
+//    copies are merged outside the locks (rollups summed in shard
+//    order, margin histograms merged), so a partition is never read
+//    mid-fold.  `complete_epoch` (the min across partitions) names the
+//    newest fleet step every shard has reached — the consistency
+//    watermark.  Serialized JSON carries an FNV-1a checksum over the
+//    body prefix that clients (and the soak gate) re-verify end to end.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/fleet.hpp"
 #include "telemetry_service/http_server.hpp"
 #include "telemetry_service/online_metrics.hpp"
-#include "telemetry_service/row_group.hpp"
-#include "util/spsc_ring.hpp"
 
 namespace ltsc::telemetry_service {
 
 struct service_config {
-    online_config online;         ///< Window size, guard line, margin grid.
-    std::size_t ring_slots = 64;  ///< Row-group slots per shard ring.
+    online_config online;          ///< Window size, guard line, margin grid.
     std::size_t http_threads = 2;
-    std::uint16_t port = 0;       ///< 0 picks an ephemeral port.
-    bool enable_http = true;      ///< False: ingest/aggregate only.
+    std::uint16_t port = 0;        ///< 0 picks an ephemeral port.
+    bool enable_http = true;       ///< False: ingest only, no endpoint.
 };
 
-/// Ingestion counters (monotone; readable any time).
+/// Ingestion counters (monotone; readable any time).  Every published
+/// row-group is folded as it is published, so the two group counts are
+/// equal and none is ever dropped.
 struct ingest_stats {
-    std::uint64_t published_groups = 0;  ///< Row-groups accepted by rings.
-    std::uint64_t dropped_groups = 0;    ///< Row-groups lost to full rings.
+    std::uint64_t published_groups = 0;  ///< Row-groups published by shards.
+    std::uint64_t dropped_groups = 0;    ///< Always 0 (kept for readers).
     std::uint64_t applied_groups = 0;    ///< Row-groups folded into state.
     std::uint64_t rows = 0;              ///< Lane-rows folded into state.
 };
@@ -65,7 +62,7 @@ struct fleet_snapshot {
     std::vector<std::uint64_t> shard_epochs;
     std::uint64_t rows = 0;
     std::uint64_t row_groups = 0;
-    std::uint64_t dropped_groups = 0;
+    std::uint64_t dropped_groups = 0;  ///< Always 0 (see ingest_stats).
     std::uint64_t closed_windows = 0;
     std::uint64_t guard_trip_rows = 0;
     std::uint64_t sensor_alarm_rows = 0;
@@ -79,17 +76,17 @@ struct fleet_snapshot {
 
 class service final : public sim::fleet_sink {
 public:
-    /// Attaches to `fleet` (which must have no sink) and starts the
-    /// aggregator and, per config, the HTTP endpoint.  The fleet must
-    /// outlive the service; attach and destroy only while the fleet is
-    /// quiescent.
+    /// Attaches to `fleet` (which must have no sink) and starts, per
+    /// config, the HTTP endpoint.  The fleet must outlive the service;
+    /// attach and destroy only while the fleet is quiescent.
     explicit service(sim::fleet& fleet, service_config cfg = {});
     ~service() override;
 
     service(const service&) = delete;
     service& operator=(const service&) = delete;
 
-    /// Publication hook (fleet_sink); runs on fleet pool threads.
+    /// Publication hook (fleet_sink); runs on fleet pool threads and
+    /// folds the shard's newest row-group into its partition.
     void on_shard_step(std::size_t shard, std::uint64_t epoch,
                        const sim::server_batch& batch) override;
 
@@ -107,37 +104,30 @@ public:
     [[nodiscard]] std::uint16_t http_port() const;
     [[nodiscard]] std::uint64_t requests_served() const;
 
-    /// Blocks until every row-group published so far has been applied
-    /// (call with the fleet quiescent: the deterministic-read hook for
-    /// tests and benches).
-    void drain() const;
+    /// Returns at once: a step's row-groups are folded before the step
+    /// returns, so nothing is ever in flight.  Kept for readers that
+    /// wait for ingestion before a deterministic read.
+    void drain() const {}
 
     /// FNV-1a 64 over `s` (the JSON body checksum clients re-verify).
     [[nodiscard]] static std::uint64_t fnv1a(const std::string& s);
 
 private:
-    void aggregator_loop();
+    /// One shard's slice of the online state: its stepping thread folds
+    /// under the writer lock, queries copy under the reader lock.
+    struct partition {
+        partition(std::size_t lanes, const online_config& cfg) : state(lanes, cfg) {}
+        mutable std::shared_mutex mutex;
+        online_state state;
+        std::uint64_t epoch = 0;          ///< Newest fleet step folded.
+        std::uint64_t last_appended = 0;  ///< Arena watermark (stepping thread only).
+    };
+
     bool handle(const std::string& path, std::string& body);
 
     sim::fleet& fleet_;
-    service_config cfg_;
-
-    // Producer side (fleet pool threads, serialized per shard by the
-    // pool barrier).
-    std::vector<std::unique_ptr<util::spsc_ring<row_group>>> rings_;
-    std::vector<std::uint64_t> last_appended_;  ///< Per-shard arena watermark.
-    std::unique_ptr<std::atomic<std::uint64_t>[]> dropped_;  ///< Per shard.
-    std::atomic<std::uint64_t> published_{0};
-    std::atomic<std::uint64_t> applied_{0};
-
-    // Aggregated state (aggregator writes, queries read).
-    mutable std::shared_mutex state_mutex_;
-    online_state state_;
-    std::vector<std::uint64_t> shard_epochs_;
-
-    std::atomic<bool> stop_{false};
-    std::thread aggregator_;
-    std::unique_ptr<http_server> http_;
+    std::vector<std::unique_ptr<partition>> parts_;  ///< One per shard.
+    std::unique_ptr<http_server> http_;  ///< Last member: stops before parts_ go.
 };
 
 }  // namespace ltsc::telemetry_service

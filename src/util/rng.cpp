@@ -49,6 +49,23 @@ double pcg32::normal() {
     return r * std::cos(theta);
 }
 
+void pcg32::skip_normals(std::size_t n) {
+    if (n > 0 && has_cached_normal_) {
+        has_cached_normal_ = false;
+        --n;
+    }
+    for (; n >= 2; n -= 2) {
+        // normal() redraws u1 while next_double() is 0, i.e. while the
+        // draw is 0; u2 follows.
+        while (next_u32() == 0U) {
+        }
+        static_cast<void>(next_u32());
+    }
+    if (n == 1) {
+        static_cast<void>(normal());
+    }
+}
+
 double pcg32::normal(double mean, double stddev) {
     ensure(stddev >= 0.0, "pcg32::normal: negative stddev");
     return mean + stddev * normal();

@@ -4,9 +4,13 @@
 // sensor noise, random-walk profiles) draws from a seeded PCG32 so that
 // benchmark tables are bit-reproducible across runs and platforms —
 // std::mt19937 distributions are not portable across standard libraries,
-// so the distributions are implemented here too.
+// so the distributions are implemented here too.  A caller that must
+// keep a stream aligned without using some of its normal deviates skips
+// them (`skip_normals`), which advances the stream bit for bit as the
+// draws would but leaves out their transcendental math.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace ltsc::util {
@@ -30,6 +34,12 @@ public:
 
     /// Standard normal deviate (Box-Muller, cached pair).
     double normal();
+
+    /// Advances the generator exactly as `n` calls of normal() would:
+    /// the same next_u32 values are consumed (a zero u1 redrawn) and the
+    /// cached half is left as they leave it.  Only a trailing odd
+    /// half-pair is transformed, since its other half stays cached.
+    void skip_normals(std::size_t n);
 
     /// Normal deviate with the given mean and standard deviation.
     double normal(double mean, double stddev);

@@ -635,6 +635,63 @@ TEST(FaultInjection, TelemetryLossSuppressesPollsAndAgesObservations) {
     EXPECT_NE(s.cpu_sensor_temps(), last_good);
 }
 
+TEST(FaultInjection, RebindingWorkloadRestartsFaultTimeline) {
+    // A rebind rewinds the clock, so the fault timeline restarts with it:
+    // live effects (whose expiry times are on the old clock) clear, and
+    // the schedule replays from its first event on the new clock.
+    sim::server_simulator s;
+    s.bind_workload(steady(60.0, 400.0));
+    s.bind_fault_schedule(
+        sim::fault_schedule({ev(90.0, sim::fault_kind::telemetry_loss, 0, 0.0, 40.0)}));
+    s.force_cold_start();
+    s.advance(100_s);  // inside the loss window [90, 130)
+    ASSERT_TRUE(s.current_fault_state().telemetry_lost(s.now().value()));
+
+    s.bind_workload(steady(60.0, 400.0));  // mid-run, no cold start
+    EXPECT_EQ(s.now().value(), 0.0);
+    EXPECT_FALSE(s.current_fault_state().telemetry_lost(0.0));
+    s.step();  // new clock 1 s: the poll due since old-clock 100 s is taken
+    EXPECT_EQ(s.telemetry_age_s(), 0.0);
+    s.advance(88_s);  // new clock 89 s: healthy cadence
+    EXPECT_LE(s.telemetry_age_s(), 10.0);
+    s.advance(31_s);  // new clock 120 s: the loss fired again at 90 s
+    EXPECT_GT(s.telemetry_age_s(), 25.0);
+    s.advance(20_s);  // new clock 140 s: past the window, polls resumed
+    EXPECT_LE(s.telemetry_age_s(), 10.0);
+}
+
+TEST(FaultInjection, RebindingMidOutagePushesRestoredAirflow) {
+    // A rebind during a fan failure restarts the rotor with the fault
+    // timeline, and the thermal half must see that airflow at once: the
+    // dies match a twin lane whose schedule is cleared and rebound at the
+    // same instant, through the failure's replay at new-clock 50 s.
+    const auto profile = steady(80.0, 300.0);
+    const sim::fault_schedule fails({ev(50.0, sim::fault_kind::fan_failure, 1)});
+    sim::server_batch batch(sim::paper_server(), 2);
+    for (std::size_t l = 0; l < 2; ++l) {
+        batch.bind_workload(l, profile);
+        batch.bind_fault_schedule(l, fails);
+    }
+    batch.force_cold_start();
+    for (int i = 0; i < 100; ++i) {
+        batch.step();
+    }
+    ASSERT_TRUE(batch.current_fault_state(0).any_fan_fault());
+    batch.bind_workload(0, profile);
+    batch.clear_fault_schedule(1);
+    batch.bind_fault_schedule(1, fails);
+    batch.bind_workload(1, profile);
+    EXPECT_FALSE(batch.current_fault_state(0).any_fan_fault());
+    for (int i = 0; i < 80; ++i) {
+        batch.step();
+        for (std::size_t d = 0; d < 2; ++d) {
+            ASSERT_EQ(batch.true_cpu_temp(0, d).value(), batch.true_cpu_temp(1, d).value())
+                << "step " << i << " die " << d;
+        }
+    }
+    EXPECT_TRUE(batch.current_fault_state(0).any_fan_fault());
+}
+
 TEST(FaultInjection, FailsafeEngagesOnStaleSensorsAndHandsBack) {
     // Unit surface: fresh observations pass the baseline through
     // bitwise; stale ones override to max fans.

@@ -1,9 +1,10 @@
-// Telemetry-service suite: the SPSC ring is order-preserving under a
-// concurrent producer/consumer (hammered under TSan in CI), closed
-// online windows are bitwise-equal to post-hoc sim::compute_metrics
-// over the same rows (healthy, faulted, and monitored fleets), and
-// attaching the service leaves every fleet trace channel
-// bitwise-identical to an unobserved twin.
+// Telemetry-service suite: closed online windows are bitwise-equal to
+// post-hoc sim::compute_metrics over the same rows (healthy, faulted,
+// and monitored fleets), every shard step is folded exactly once (no
+// row-group can drop), and attaching the service leaves every fleet
+// trace channel bitwise-identical to an unobserved twin.  Shard steps
+// fold on pool threads while HTTP pollers read (hammered under TSan in
+// CI).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -29,7 +30,6 @@
 #include "telemetry_service/service.hpp"
 #include "util/error.hpp"
 #include "util/histogram.hpp"
-#include "util/spsc_ring.hpp"
 #include "workload/paper_tests.hpp"
 #include "workload/profile.hpp"
 
@@ -95,62 +95,6 @@ void expect_window_equals_posthoc(const telemetry_service::lane_window& w,
     EXPECT_EQ(w.metrics.fan_changes, 0u);
 }
 
-// --- SpscRing ---------------------------------------------------------------
-
-TEST(SpscRing, PushPopPreservesOrderAndBounds) {
-    util::spsc_ring<std::uint64_t> ring(4);
-    EXPECT_TRUE(ring.empty());
-    EXPECT_GE(ring.capacity(), 4u);
-    std::size_t pushed = 0;
-    while (ring.try_push([&](std::uint64_t& slot) { slot = pushed; })) {
-        ++pushed;
-    }
-    EXPECT_EQ(pushed, ring.capacity());
-    EXPECT_EQ(ring.size(), ring.capacity());
-    std::uint64_t expect = 0;
-    std::uint64_t got = 0;
-    while (ring.try_pop([&](std::uint64_t& slot) { got = slot; })) {
-        EXPECT_EQ(got, expect);
-        ++expect;
-    }
-    EXPECT_EQ(expect, pushed);
-    EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
-    EXPECT_EQ(util::spsc_ring<int>(1).capacity(), 1u);
-    EXPECT_EQ(util::spsc_ring<int>(3).capacity(), 4u);
-    EXPECT_EQ(util::spsc_ring<int>(64).capacity(), 64u);
-    EXPECT_EQ(util::spsc_ring<int>(65).capacity(), 128u);
-}
-
-TEST(SpscRing, ConcurrentHammerDeliversEverySlotInOrder) {
-    constexpr std::uint64_t k_items = 50000;
-    util::spsc_ring<std::uint64_t> ring(64);
-    std::thread producer([&] {
-        std::uint64_t next = 0;
-        while (next < k_items) {
-            if (ring.try_push([&](std::uint64_t& slot) { slot = next; })) {
-                ++next;
-            } else {
-                std::this_thread::yield();  // Single-core CI: let the consumer run.
-            }
-        }
-    });
-    std::uint64_t expect = 0;
-    std::uint64_t got = 0;
-    while (expect < k_items) {
-        if (ring.try_pop([&](std::uint64_t& slot) { got = slot; })) {
-            ASSERT_EQ(got, expect);
-            ++expect;
-        } else {
-            std::this_thread::yield();
-        }
-    }
-    producer.join();
-    EXPECT_TRUE(ring.empty());
-}
-
 // --- Histogram --------------------------------------------------------------
 
 TEST(Histogram, QuantilesClampAndMerge) {
@@ -202,9 +146,6 @@ TEST(OnlineMetrics, ClosedWindowsBitwiseMatchComputeMetrics) {
     telemetry_service::service_config cfg;
     cfg.online.window_rows = 16;
     cfg.enable_http = false;
-    // Room for every step's row-group: no group can drop however late
-    // the aggregator thread is scheduled, and the checks need every row.
-    cfg.ring_slots = 128;
     telemetry_service::service svc(f, cfg);
 
     f.advance(100.0_s, 1.0_s);
@@ -235,7 +176,6 @@ TEST(OnlineMetrics, FaultedMonitoredFleetWindowsStayBitwiseEqual) {
     telemetry_service::service_config cfg;
     cfg.online.window_rows = 25;
     cfg.enable_http = false;
-    cfg.ring_slots = 128;  // every row-group fits, as above
     telemetry_service::service svc(f, cfg);
 
     f.advance(120.0_s, 1.0_s);
@@ -309,27 +249,71 @@ TEST(TelemetryService, EpochsAndCountersAccountForEveryStep) {
 
     telemetry_service::service_config cfg;
     cfg.enable_http = false;
-    cfg.ring_slots = 8;
     telemetry_service::service svc(f, cfg);
 
     f.advance(50.0_s, 1.0_s);
     svc.drain();
 
     const telemetry_service::ingest_stats st = svc.stats();
-    EXPECT_EQ(st.published_groups + st.dropped_groups,
-              50u * f.shard_count());
-    EXPECT_EQ(st.applied_groups, st.published_groups);
+    EXPECT_EQ(st.published_groups, 50u * f.shard_count());
+    EXPECT_EQ(st.applied_groups, 50u * f.shard_count());
+    EXPECT_EQ(st.dropped_groups, 0u);
+    EXPECT_EQ(st.rows, 50u * f.lane_count());
 
     const telemetry_service::fleet_snapshot snap = svc.metrics();
     EXPECT_EQ(snap.shards, f.shard_count());
     EXPECT_EQ(snap.lanes, f.lane_count());
-    if (st.dropped_groups == 0) {
-        EXPECT_EQ(snap.complete_epoch, 50u);
-        EXPECT_EQ(snap.rows, 50u * f.lane_count());
-    }
+    EXPECT_EQ(snap.complete_epoch, 50u);
+    EXPECT_EQ(snap.rows, 50u * f.lane_count());
+    EXPECT_EQ(snap.row_groups, 50u * f.shard_count());
+    EXPECT_EQ(snap.dropped_groups, 0u);
     for (const std::uint64_t e : snap.shard_epochs) {
-        EXPECT_LE(e, 50u);
+        EXPECT_EQ(e, 50u);
     }
+}
+
+TEST(TelemetryService, ShardPartitionsMergeToTheOneShardView) {
+    // The same six lanes on one shard and on three: lanes step bitwise
+    // alike whatever the packing, so every lane window is equal, and the
+    // merged partitions count the same rows into the same histogram.
+    sim::fleet one(make_configs(6, /*monitored=*/true), fleet_cfg(1, 1));
+    sim::fleet three(make_configs(6, /*monitored=*/true), fleet_cfg(3, 2));
+    telemetry_service::service_config cfg;
+    cfg.online.window_rows = 16;
+    cfg.enable_http = false;
+    for (sim::fleet* f : {&one, &three}) {
+        bind_workloads(*f);
+        f->force_cold_start();
+    }
+    telemetry_service::service svc_one(one, cfg);
+    telemetry_service::service svc_three(three, cfg);
+    one.advance(70.0_s, 1.0_s);
+    three.advance(70.0_s, 1.0_s);
+
+    for (std::size_t l = 0; l < one.lane_count(); ++l) {
+        SCOPED_TRACE("lane " + std::to_string(l));
+        const telemetry_service::lane_window a = svc_one.lane_window_snapshot(l);
+        const telemetry_service::lane_window b = svc_three.lane_window_snapshot(l);
+        EXPECT_EQ(a.rows, b.rows);
+        EXPECT_EQ(a.closed, b.closed);
+        expect_window_equals_posthoc(b, a.metrics);
+    }
+    const telemetry_service::fleet_snapshot a = svc_one.metrics();
+    const telemetry_service::fleet_snapshot b = svc_three.metrics();
+    EXPECT_EQ(b.shard_epochs.size(), 3u);
+    EXPECT_EQ(a.complete_epoch, b.complete_epoch);
+    EXPECT_EQ(a.rows, b.rows);
+    EXPECT_EQ(b.row_groups, 3 * a.row_groups);
+    EXPECT_EQ(a.closed_windows, b.closed_windows);
+    EXPECT_EQ(a.guard_trip_rows, b.guard_trip_rows);
+    EXPECT_EQ(a.sensor_alarm_rows, b.sensor_alarm_rows);
+    EXPECT_EQ(a.fan_alarm_rows, b.fan_alarm_rows);
+    EXPECT_EQ(a.max_temp_c, b.max_temp_c);
+    EXPECT_EQ(a.margin_p01_c, b.margin_p01_c);
+    EXPECT_EQ(a.margin_p50_c, b.margin_p50_c);
+    EXPECT_EQ(a.margin_p99_c, b.margin_p99_c);
+    // Summed per lane in a different order: equal up to rounding.
+    EXPECT_NEAR(a.closed_energy_kwh, b.closed_energy_kwh, 1e-12 * a.closed_energy_kwh);
 }
 
 TEST(TelemetryService, SurvivesTraceClearsBetweenSteps) {
@@ -347,18 +331,17 @@ TEST(TelemetryService, SurvivesTraceClearsBetweenSteps) {
     for (int k = 0; k < 30; ++k) {
         f.step(1.0_s);
         if (k % 7 == 6) {
-            svc.drain();  // Let the copies land before the arena resets.
             for (std::size_t l = 0; l < f.lane_count(); ++l) {
                 f.clear_trace(l);
             }
         }
     }
-    svc.drain();
     const telemetry_service::ingest_stats st = svc.stats();
-    EXPECT_EQ(st.published_groups + st.dropped_groups, 30u * f.shard_count());
-    if (st.dropped_groups == 0) {
-        EXPECT_EQ(svc.stats().rows, 30u * f.lane_count());
-    }
+    EXPECT_EQ(st.published_groups, 30u * f.shard_count());
+    EXPECT_EQ(st.applied_groups, 30u * f.shard_count());
+    EXPECT_EQ(st.dropped_groups, 0u);
+    EXPECT_EQ(st.rows, 30u * f.lane_count());
+    EXPECT_EQ(svc.metrics().complete_epoch, 30u);
 }
 
 /// A loopback client socket connected to `port`, with a receive timeout
@@ -543,8 +526,8 @@ TEST(TelemetryService, ConcurrentPollersSeeConsistentSnapshots) {
         t.join();
     }
     EXPECT_FALSE(fail.load());
-    svc.drain();
-    EXPECT_EQ(svc.stats().applied_groups, svc.stats().published_groups);
+    EXPECT_EQ(svc.stats().applied_groups, 60u * f.shard_count());
+    EXPECT_EQ(svc.stats().published_groups, 60u * f.shard_count());
 }
 
 }  // namespace

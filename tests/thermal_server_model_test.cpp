@@ -308,7 +308,8 @@ TEST(Sensors, PlantReadingStreamIsPinned) {
     // draw could slip past them.  Readings are quantized to 0.25 degC,
     // so the delivered CPU values of the first 30 polls (cold-start poll
     // included) are exact.  Each poll draws cpu0_a, cpu0_b, cpu1_a,
-    // cpu1_b, then every DIMM sensor, from the lane's one RNG stream.
+    // cpu1_b, then skips every DIMM sensor's draw, on the lane's one RNG
+    // stream.
     const std::vector<std::vector<double>> expected = {
         {39, 40.5, 39, 40.5},
         {39, 40.75, 39, 40.75},
@@ -343,6 +344,62 @@ TEST(Sensors, PlantReadingStreamIsPinned) {
     };
     sim::server_config config = sim::paper_server();
     config.seed = 1;
+    sim::server_simulator s(config);
+    s.bind_workload(workload::make_paper_test(workload::paper_test::test2_periods));
+    s.force_cold_start();
+    std::vector<std::vector<double>> polls{s.cpu_sensor_temps()};
+    while (polls.size() < expected.size()) {
+        s.step(1_s);
+        if (s.telemetry_age_s() == 0.0) {  // this step polled
+            polls.push_back(s.cpu_sensor_temps());
+        }
+    }
+    for (std::size_t p = 0; p < expected.size(); ++p) {
+        EXPECT_EQ(polls[p], expected[p]) << "poll " << p;
+    }
+}
+
+TEST(Sensors, OddDimmCountMonitoredStreamIsPinned) {
+    // With 31 DIMMs a poll draws 35 normals, so every other poll starts
+    // on a cached half left by the skipped DIMM draws: this pins the
+    // odd half-pair the skip must still transform.  A monitored lane,
+    // so the monitor's poll path rides along.
+    const std::vector<std::vector<double>> expected = {
+        {39, 40.75, 39, 40.75},
+        {39, 41, 39.25, 40.5},
+        {39, 41, 39, 40.5},
+        {39, 40.5, 39, 40.5},
+        {38.75, 41, 38.75, 40.75},
+        {39.25, 40.5, 39.25, 40.75},
+        {39.25, 40.75, 39, 40.5},
+        {39, 40.5, 39.25, 40.5},
+        {39, 40.5, 39, 40.75},
+        {39, 40.75, 39, 40.75},
+        {39, 40.75, 39.25, 40.5},
+        {39, 40.75, 39.25, 40.5},
+        {39, 40.5, 39, 40.75},
+        {39.25, 40.75, 39, 40.5},
+        {39, 40.75, 39, 40.5},
+        {38.75, 40.5, 39.25, 40.5},
+        {38.75, 40.5, 39, 40.75},
+        {39.25, 40.5, 39, 40.75},
+        {38.75, 40.75, 39, 40.75},
+        {39, 40.75, 38.75, 40.75},
+        {39, 40.5, 39, 40.75},
+        {39, 40.75, 38.75, 40.75},
+        {39, 40.5, 39, 40.75},
+        {39, 40.5, 39, 40.5},
+        {39, 41, 39.25, 40.5},
+        {39, 40.25, 39, 40.75},
+        {39, 40.25, 39, 40.75},
+        {39, 40.25, 39, 41},
+        {39, 40.75, 39, 40.75},
+        {39, 40.75, 39, 40.5},
+    };
+    sim::server_config config = sim::paper_server();
+    config.seed = 7;
+    config.dimm_count = 31;
+    config.monitor.enabled = true;
     sim::server_simulator s(config);
     s.bind_workload(workload::make_paper_test(workload::paper_test::test2_periods));
     s.force_cold_start();
