@@ -382,6 +382,7 @@ void BM_TelemetryIngest(benchmark::State& state) {
             group = 0;
         }
         online.apply_group(arena, group++);
+        benchmark::DoNotOptimize(online.rollup().rows);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(lanes));

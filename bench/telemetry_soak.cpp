@@ -287,8 +287,8 @@ int main(int argc, char** argv) {
 
     // Step the plant flat out for the soak window.  Lane traces are
     // cleared periodically so the arena stays bounded: the service
-    // copies each row-group out at publish time, so the clears cannot
-    // race the rings.
+    // folds each row-group inside the step that appended it, so the
+    // clears cannot race it.
     const auto t0 = clock_type::now();
     std::uint64_t steps = 0;
     while (seconds_since(t0) < duration_s) {
@@ -305,8 +305,6 @@ int main(int argc, char** argv) {
     for (auto& c : clients) {
         c.join();
     }
-    svc.drain();
-
     const telemetry_service::ingest_stats ingest = svc.stats();
     const telemetry_service::fleet_snapshot snap = svc.metrics();
     std::vector<double> all;

@@ -22,8 +22,9 @@ rule a gain claim is held to:
   wide     PARENT's own IQR exceeds that bound of its median, so a change
            that size cannot be told from noise;
   flat     none of these.
-Neither perfbench/ nor BENCHMARK.json is modified; both are read from
-the CHANGE checkout.
+Every run's value is also written to --dir/samples.json.  Neither
+perfbench/ nor BENCHMARK.json is modified; both are read from the
+CHANGE checkout.
 """
 import argparse
 import json
@@ -172,6 +173,9 @@ def main():
                     samples.setdefault(("micro", name), ([], []))[side].append(ns)
         print("ab: pair %d/%d done" % (i + 1, args.pairs), file=sys.stderr)
 
+    with open(os.path.join(args.dir, "samples.json"), "w") as f:
+        json.dump({"%s %s" % key: {"parent": a, "change": b}
+                   for key, (a, b) in samples.items()}, f, indent=1)
     print("parent %s, change %s, %d pairs, perfbench on CPUs %s, micro on CPU %s"
           % (sides[0]["sha"], sides[1]["sha"], args.pairs, args.cpus, micro_cpu))
     for w, (a, b) in correct.items():

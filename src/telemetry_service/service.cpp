@@ -69,7 +69,9 @@ service::service(sim::fleet& fleet, service_config cfg) : fleet_(fleet) {
     fleet_.attach_sink(this);
 }
 
-service::~service() { fleet_.attach_sink(nullptr); }
+service::~service() {
+    fleet_.attach_sink(nullptr);
+}
 
 void service::on_shard_step(std::size_t shard, std::uint64_t epoch,
                             const sim::server_batch& batch) {

@@ -38,10 +38,10 @@
 namespace ltsc::telemetry_service {
 
 struct service_config {
-    online_config online;          ///< Window size, guard line, margin grid.
+    online_config online;     ///< Window size, guard line, margin grid.
     std::size_t http_threads = 2;
-    std::uint16_t port = 0;        ///< 0 picks an ephemeral port.
-    bool enable_http = true;       ///< False: ingest only, no endpoint.
+    std::uint16_t port = 0;   ///< 0 picks an ephemeral port.
+    bool enable_http = true;  ///< False: ingest only, no endpoint.
 };
 
 /// Ingestion counters (monotone; readable any time).  Every published
@@ -54,7 +54,7 @@ struct ingest_stats {
     std::uint64_t rows = 0;              ///< Lane-rows folded into state.
 };
 
-/// One consistent view of the fleet's online metrics.
+/// The fleet's online metrics, merged from whole shard partitions.
 struct fleet_snapshot {
     std::size_t lanes = 0;
     std::size_t shards = 0;

@@ -149,7 +149,6 @@ TEST(OnlineMetrics, ClosedWindowsBitwiseMatchComputeMetrics) {
     telemetry_service::service svc(f, cfg);
 
     f.advance(100.0_s, 1.0_s);
-    svc.drain();
 
     for (std::size_t l = 0; l < f.lane_count(); ++l) {
         SCOPED_TRACE("lane " + std::to_string(l));
@@ -179,7 +178,6 @@ TEST(OnlineMetrics, FaultedMonitoredFleetWindowsStayBitwiseEqual) {
     telemetry_service::service svc(f, cfg);
 
     f.advance(120.0_s, 1.0_s);
-    svc.drain();
 
     std::uint64_t sensor_rows = 0;
     std::uint64_t fan_rows = 0;
@@ -222,7 +220,6 @@ TEST(TelemetryService, AttachedFleetTracesBitwiseIdentical) {
         telemetry_service::service svc(observed, cfg);
         observed.advance(80.0_s, 1.0_s);
         unobserved.advance(80.0_s, 1.0_s);
-        svc.drain();
     }
 
     for (std::size_t l = 0; l < observed.lane_count(); ++l) {
@@ -252,7 +249,6 @@ TEST(TelemetryService, EpochsAndCountersAccountForEveryStep) {
     telemetry_service::service svc(f, cfg);
 
     f.advance(50.0_s, 1.0_s);
-    svc.drain();
 
     const telemetry_service::ingest_stats st = svc.stats();
     EXPECT_EQ(st.published_groups, 50u * f.shard_count());
@@ -406,7 +402,6 @@ TEST(TelemetryService, HttpEndpointsServeChecksummedJson) {
     telemetry_service::service svc(f, cfg);
 
     f.advance(30.0_s, 1.0_s);
-    svc.drain();
 
     int status = 0;
     const std::string metrics = http_get(svc.http_port(), "/metrics", &status);
