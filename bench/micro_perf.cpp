@@ -14,6 +14,7 @@
 #include "core/rollout_controller.hpp"
 #include "fit/nlls.hpp"
 #include "sim/batch_trace.hpp"
+#include "sim/fault_schedule.hpp"
 #include "sim/fleet.hpp"
 #include "sim/server_batch.hpp"
 #include "sim/server_simulator.hpp"
@@ -82,23 +83,44 @@ void BM_SimulatorSecond(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorSecond);
 
-void BM_SimulatorSecondMonitored(benchmark::State& state) {
-    // Detection overhead: the same plant second with the residual
-    // monitor enabled (the twin is a second lane of the plant's thermal
-    // kernel call, plus fan residuals every step and sensor residuals
-    // every poll).  Read against BM_SimulatorSecond for the monitor's
-    // cost; the monitor is off by default, so only fault-aware runs pay it.
+/// The monitored plant of the two benches below, stepped at 60 % load.
+void monitored_plant_second(benchmark::State& state, const sim::fault_schedule& faults) {
     sim::server_config config = sim::paper_server();
     config.monitor.enabled = true;
     sim::server_simulator s(config);
     workload::utilization_profile p("bench");
     p.constant(60.0, util::seconds_t{1e9});
     s.bind_workload(p);
+    s.bind_fault_schedule(faults);
     step_with_trace_clears(state, [&] { s.step(1_s); }, [&] { s.clear_trace(); });
     state.SetItemsProcessed(state.iterations());
     state.SetLabel("simulated seconds per wall second");
 }
+
+void BM_SimulatorSecondMonitored(benchmark::State& state) {
+    // Detection overhead on honest hardware: the same plant second with
+    // the residual monitor enabled.  The tachs never lie, so the twin
+    // stays dormant (the monitor reads the plant's own dies and the twin
+    // lane is neither heated nor integrated); what remains is the tach
+    // read and fan residuals every step and the sensor residuals every
+    // poll.  Read against BM_SimulatorSecond for the monitor's cost; the
+    // monitor is off by default, so only fault-aware runs pay it.
+    monitored_plant_second(state, sim::fault_schedule{});
+}
 BENCHMARK(BM_SimulatorSecondMonitored);
+
+void BM_SimulatorSecondMonitoredDiverged(benchmark::State& state) {
+    // The faulted plant's real monitor cost: the plenum pair's tach
+    // sticks in the first step, so the twin is live from then on and
+    // heats and integrates as a second lane of the thermal kernel call
+    // every step.  (A stuck CPU-zone pair would run its die away at this
+    // load with no controller in the loop.)
+    sim::fault_event stuck;
+    stuck.kind = sim::fault_kind::fan_tach_stuck;
+    stuck.target = 2;
+    monitored_plant_second(state, sim::fault_schedule({stuck}));
+}
+BENCHMARK(BM_SimulatorSecondMonitoredDiverged);
 
 void BM_BatchStep(benchmark::State& state) {
     // One batched plant second across N servers; items = server-steps, so
@@ -127,11 +149,13 @@ BENCHMARK(BM_BatchStep)->Arg(1)->Arg(8)->Arg(64)->Arg(256);
 void BM_FleetStep(benchmark::State& state) {
     // Sharded fleet stepping: N lanes split across K server_batch shards
     // stepped on a K-wide thread pool (sim::fleet).  args = (lanes,
-    // shards); items = server-steps, directly comparable to BM_BatchStep.
-    // Shard results are bitwise invariant in K (the fleet suite pins
-    // that), so this family measures pure partitioning/pool overhead or
-    // payoff on the host at hand.  The shards step on pool threads, so
-    // throughput is reported against wall-clock time.
+    // shards); items = server-steps.  Shard results are bitwise invariant
+    // in K (the fleet suite pins that), so this family measures the
+    // partitioning/pool overhead or payoff on the host at hand; 256/1 is
+    // one shard of the lane count BM_BatchStep/256 steps directly.  The
+    // shards step on pool threads, so throughput is reported against
+    // wall-clock time.  Traces clear every 64 steps with the timer
+    // paused, as in the other plant benches.
     const std::size_t lanes = static_cast<std::size_t>(state.range(0));
     const std::size_t shards = static_cast<std::size_t>(state.range(1));
     sim::fleet_config fc;
@@ -143,13 +167,18 @@ void BM_FleetStep(benchmark::State& state) {
     for (std::size_t l = 0; l < lanes; ++l) {
         fleet.bind_workload(l, p);
     }
-    for (auto _ : state) {
-        fleet.step(1_s);
-    }
+    step_with_trace_clears(
+        state, [&] { fleet.step(1_s); },
+        [&] {
+            for (std::size_t l = 0; l < lanes; ++l) {
+                fleet.clear_trace(l);
+            }
+        });
     state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(lanes));
     state.SetLabel("per-server simulated seconds per wall second");
 }
 BENCHMARK(BM_FleetStep)
+    ->Args({256, 1})
     ->Args({1024, 1})
     ->Args({1024, 4})
     ->Args({10240, 1})

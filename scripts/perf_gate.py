@@ -3,6 +3,7 @@
 
 Usage:
     perf_gate.py [--calibrate BENCH] CURRENT.json BASELINE.json BENCH [BENCH...]
+    perf_gate.py --ratio NUM DEN MAX CURRENT.json
     perf_gate.py --self-test
 
 CURRENT.json and BASELINE.json are Google Benchmark JSON files (e.g. a
@@ -29,7 +30,14 @@ BM_LeakageFit, pure compute that runs no plant code), absolute machine
 speed cancels and the gate compares code, not hardware — required when the baseline was
 recorded on a different machine than the CI runner.
 
---self-test exercises the gate against synthetic in-memory results and
+--ratio NUM DEN MAX is an in-run gate: the cost per item (1 /
+throughput) of NUM's median over that of DEN's median, both from the
+*same* CURRENT.json, must not exceed MAX.  Both benchmarks ran on the
+same host in the same process, so no baseline and no calibration are
+involved: e.g. BM_SimulatorSecondMonitored over BM_SimulatorSecond is
+what the residual monitor costs on top of the plant.
+
+--self-test exercises both gates against synthetic in-memory results and
 verifies the exit-code contract (pass=0, regression=1, missing name=2)
 and that medians, not means or single runs, decide; CI runs it before
 trusting the real gate.
@@ -110,6 +118,22 @@ def run_gate(current_path, baseline_path, names, calibrate, tolerance):
         failed = failed or status != "OK"
     if failed:
         print(f"perf_gate: regression beyond {tolerance:.0%} tolerance", file=sys.stderr)
+        return 1
+    return 0
+
+
+def run_ratio_gate(current_path, num, den, max_ratio):
+    current = load(current_path)
+    missing = [name for name in (num, den) if name not in current]
+    if missing:
+        for name in missing:
+            print(f"perf_gate: {name} missing from {current_path}", file=sys.stderr)
+        return 2
+    ratio = throughput(current[den]) / throughput(current[num])
+    status = "OK" if ratio <= max_ratio else "REGRESSION"
+    print(f"{num} / {den}: cost ratio {ratio:.3f} (max {max_ratio:.3f}) {status}")
+    if status != "OK":
+        print(f"perf_gate: {num} costs more than {max_ratio:.3f}x {den}", file=sys.stderr)
         return 1
     return 0
 
@@ -218,6 +242,28 @@ def self_test():
             0,
         )
 
+        # The ratio gate: cost per item of NUM over DEN, from one file.
+        pair = write(tmpdir, "pair.json", bench_doc(BM_Plain=1000.0, BM_Extra=800.0))
+        check("ratio under the max passes", run_ratio_gate(pair, "BM_Extra", "BM_Plain", 1.30), 0)
+        check("ratio over the max fails", run_ratio_gate(pair, "BM_Extra", "BM_Plain", 1.20), 1)
+        check(
+            "ratio name missing is a hard error",
+            run_ratio_gate(pair, "BM_Ghost", "BM_Plain", 1.30),
+            2,
+        )
+        # With repetitions, medians decide: BM_Hot's mean (601) against
+        # BM_Cal (100) would read a 0.17x cost, its median (990) 0.10x.
+        check(
+            "ratio of medians, not means",
+            run_ratio_gate(rep_mean_slow, "BM_Hot", "BM_Cal", 0.12),
+            0,
+        )
+        check(
+            "ratio of medians fails on the median",
+            run_ratio_gate(rep_median_slow, "BM_Hot", "BM_Cal", 0.15),
+            1,
+        )
+
     if failures:
         print(f"perf_gate --self-test: {len(failures)} check(s) failed", file=sys.stderr)
         return 1
@@ -229,6 +275,11 @@ def main(argv):
     args = argv[1:]
     if args and args[0] == "--self-test":
         return self_test()
+    if args and args[0] == "--ratio":
+        if len(args) != 5:
+            print(__doc__, file=sys.stderr)
+            return 2
+        return run_ratio_gate(args[4], args[1], args[2], float(args[3]))
     calibrate = None
     if args and args[0] == "--calibrate":
         if len(args) < 2:

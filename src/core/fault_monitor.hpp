@@ -1,7 +1,7 @@
 // Model-based fault detection: a healthy-twin residual monitor.
 //
-// The twin is one more lane of the plant's thermal model (see
-// sim::server_batch), driven ONLY by quantities a real BMC could observe:
+// The twin is one more lane of the plant's thermal model (dormant until a
+// tach lies, see sim::server_batch), driven ONLY by quantities a real BMC could observe:
 // commanded fan speeds, tachometer readings, the host utilization
 // counter, and ambient.  The monitor itself keeps only residuals and
 // verdicts.  Two residual families fall out:

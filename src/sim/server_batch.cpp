@@ -1,6 +1,7 @@
 #include "sim/server_batch.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/error.hpp"
 
@@ -31,16 +32,19 @@ std::vector<thermal::server_thermal_config> thermal_lanes(
 server_batch::server_batch(std::vector<server_config> configs)
     : thermal_(thermal_lanes(configs)),
       twin_(configs.size(), no_twin),
+      twin_live_(configs.size(), 0),
+      airflow_pushed_(configs.size(), 0),
       traces_(configs.size()),
       active_(thermal_.lane_count(), 1) {
     lanes_.reserve(configs.size());
     std::size_t next_twin = configs.size();
     for (std::size_t l = 0; l < configs.size(); ++l) {
         lanes_.emplace_back(configs[l]);
-        thermal_.set_zone_airflow(l, lanes_[l].zone_airflow());
+        push_airflow(l);
         if (lanes_[l].monitor() != nullptr) {
             twin_[l] = next_twin++;
-            sync_twin_airflow(l);
+            active_[twin_[l]] = 0;
+            static_cast<void>(lanes_[l].moved_tach_airflow());
         }
     }
 }
@@ -61,7 +65,7 @@ const server_lane& server_batch::at(std::size_t lane) const {
 void server_batch::bind_workload(std::size_t lane, workload::loadgen generator) {
     server_lane& ln = at(lane);
     if (ln.bind_workload(std::move(generator))) {
-        thermal_.set_zone_airflow(lane, ln.zone_airflow());
+        push_airflow(lane);
     }
     traces_.clear(lane);
     set_lane_active(lane, true);
@@ -74,35 +78,35 @@ void server_batch::bind_workload(std::size_t lane, const workload::utilization_p
 void server_batch::set_fan_speed(std::size_t lane, std::size_t pair_index, util::rpm_t rpm) {
     server_lane& ln = at(lane);
     if (ln.set_fan_speed(pair_index, rpm)) {
-        thermal_.set_zone_airflow(lane, ln.zone_airflow());
+        push_airflow(lane);
     }
 }
 
 void server_batch::set_all_fans(std::size_t lane, util::rpm_t rpm) {
     server_lane& ln = at(lane);
     if (ln.set_all_fans(rpm)) {
-        thermal_.set_zone_airflow(lane, ln.zone_airflow());
+        push_airflow(lane);
     }
 }
 
 void server_batch::bind_fault_schedule(std::size_t lane, fault_schedule schedule) {
     server_lane& ln = at(lane);
     if (ln.bind_fault_schedule(std::move(schedule))) {
-        thermal_.set_zone_airflow(lane, ln.zone_airflow());
+        push_airflow(lane);
     }
 }
 
 void server_batch::clear_fault_schedule(std::size_t lane) {
     server_lane& ln = at(lane);
     if (ln.clear_fault_schedule()) {
-        thermal_.set_zone_airflow(lane, ln.zone_airflow());
+        push_airflow(lane);
     }
 }
 
 util::celsius_t server_batch::model_die_temp(std::size_t lane, std::size_t socket) const {
     static_cast<void>(at(lane));
     util::ensure(twin_[lane] != no_twin, "server_batch::model_die_temp: lane is not monitored");
-    return thermal_.cpu_die_temp(twin_[lane], socket);
+    return thermal_.cpu_die_temp(model_lane(lane), socket);
 }
 
 void server_batch::set_ambient(std::size_t lane, util::celsius_t t) {
@@ -117,7 +121,7 @@ void server_batch::snapshot_lane_state(std::size_t lane, server_state& out) cons
     at(lane).save_state(out);
     thermal_.save_state(lane, out.thermal);
     if (twin_[lane] != no_twin) {
-        thermal_.save_state(twin_[lane], out.monitor.twin);
+        thermal_.save_state(model_lane(lane), out.monitor.twin);
     }
 }
 
@@ -134,24 +138,72 @@ void server_batch::load_lane_state(std::size_t lane, const server_state& state) 
     traces_.clear(lane);
     // Recompute the airflow-derived conductances from the restored speeds
     // (bitwise-identical to the snapshot's), then reload the thermal lane
-    // on top; the twin likewise from the restored tach readings.
-    thermal_.set_zone_airflow(lane, ln.zone_airflow());
+    // on top; the twin likewise, then under the restored tachs' airflow (a
+    // live twin saved before a fan command's first step lacks the command).
+    push_airflow(lane);
     thermal_.restore_state(lane, state.thermal);
     if (twin != no_twin) {
-        sync_twin_airflow(lane);
+        wake_twin(lane);
         thermal_.restore_state(twin, state.monitor.twin);
+        static_cast<void>(ln.moved_tach_airflow());
+        thermal_.set_zone_airflow(twin, ln.tach_airflow());
+        doze_twin(lane);
     }
     set_lane_active(lane, true);
 }
 
-void server_batch::sync_twin_airflow(std::size_t lane) {
-    if (const std::vector<util::cfm_t>* airflow = lanes_[lane].moved_tach_airflow()) {
-        thermal_.set_zone_airflow(twin_[lane], *airflow);
+void server_batch::push_airflow(std::size_t lane) {
+    thermal_.set_zone_airflow(lane, lanes_[lane].zone_airflow());
+    airflow_pushed_[lane] = 1;
+}
+
+bool server_batch::sync_twin(std::size_t lane) {
+    server_lane& ln = lanes_[lane];
+    const std::vector<util::cfm_t>* tach = ln.moved_tach_airflow();
+    if (twin_live_[lane] != 0 && tach != nullptr) {
+        thermal_.set_zone_airflow(twin_[lane], *tach);
+    } else if (twin_live_[lane] == 0 && (tach != nullptr || airflow_pushed_[lane] != 0) &&
+               ln.tach_airflow() != ln.zone_airflow()) {
+        wake_twin(lane);
+    }
+    airflow_pushed_[lane] = 0;
+    return twin_live_[lane] != 0;
+}
+
+void server_batch::wake_twin(std::size_t lane) {
+    if (twin_[lane] == no_twin || twin_live_[lane] != 0) {
+        return;
+    }
+    thermal_.save_state(lane, plant_scratch_);
+    thermal_.restore_state(twin_[lane], plant_scratch_);
+    thermal_.set_zone_airflow(twin_[lane], lanes_[lane].tach_airflow());
+    twin_live_[lane] = 1;
+    ++live_twins_;
+    active_[twin_[lane]] = active_[lane];
+}
+
+void server_batch::doze_twin(std::size_t lane) {
+    const auto same = [](const std::vector<double>& a, const std::vector<double>& b) {
+        return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+    };
+    thermal_.save_state(lane, plant_scratch_);
+    thermal_.save_state(twin_[lane], twin_scratch_);
+    const thermal::rc_state& p = plant_scratch_;
+    const thermal::rc_state& t = twin_scratch_;
+    if (lanes_[lane].tach_airflow() == lanes_[lane].zone_airflow() && same(p.temps, t.temps) &&
+        same(p.powers, t.powers) && same(p.edge_g, t.edge_g) && p.ambient_c == t.ambient_c) {
+        twin_live_[lane] = 0;
+        --live_twins_;
+        active_[twin_[lane]] = 0;
     }
 }
 
+std::size_t server_batch::model_lane(std::size_t lane) const {
+    return twin_live_[lane] != 0 ? twin_[lane] : lane;
+}
+
 die_temps server_batch::twin_die_temps(std::size_t lane) const {
-    return twin_[lane] == no_twin ? die_temps{} : thermal_.die_temps(twin_[lane]);
+    return twin_[lane] == no_twin ? die_temps{} : thermal_.die_temps(model_lane(lane));
 }
 
 void server_batch::step(util::seconds_t dt) {
@@ -168,19 +220,21 @@ void server_batch::step(util::seconds_t dt) {
         }
         server_lane& ln = lanes_[l];
         while (ln.apply_due_faults()) {
-            thermal_.set_zone_airflow(l, ln.zone_airflow());
+            push_airflow(l);
         }
         u_target_scratch_[l] = ln.target_utilization();
         u_inst_scratch_[l] = ln.instantaneous_utilization();
         ln.power().apply_heat(thermal_, l, u_inst_scratch_[l], ln.load_imbalance());
-        if (twin_[l] != no_twin) {
-            // The twin heats at the plant's utilization and split, under
-            // the airflow its tachs report.
-            sync_twin_airflow(l);
+        if (twin_[l] != no_twin && sync_twin(l)) {
+            // A live twin heats at the plant's utilization and split,
+            // under the airflow its tachs report.
             ln.power().apply_heat(thermal_, twin_[l], u_inst_scratch_[l], ln.load_imbalance());
         }
     }
-    thermal_.step(dt, inert_count_ == 0 ? nullptr : active_.data());
+    // With no twin live, the twin block after the servers is skipped.
+    const std::size_t twins = thermal_.lane_count() - n;
+    const bool masked = inert_count_ != 0 || (live_twins_ != 0 && live_twins_ != twins);
+    thermal_.step_prefix(live_twins_ == 0 ? n : n + twins, dt, masked ? active_.data() : nullptr);
     for (std::size_t l = 0; l < n; ++l) {
         if (active_[l] == 0) {
             continue;
@@ -204,7 +258,7 @@ void server_batch::set_lane_active(std::size_t lane, bool active) {
     }
     active_[lane] = flag;
     if (twin_[lane] != no_twin) {
-        active_[twin_[lane]] = flag;  // an inert lane's twin is inert too
+        active_[twin_[lane]] = flag & twin_live_[lane];  // inert or dormant: masked
     }
     if (active) {
         --inert_count_;
@@ -230,15 +284,17 @@ void server_batch::advance(util::seconds_t duration, util::seconds_t dt) {
 
 void server_batch::force_cold_start(std::size_t lane) {
     server_lane& ln = at(lane);
+    wake_twin(lane);
     ln.begin_cold_start();
-    thermal_.set_zone_airflow(lane, ln.zone_airflow());
+    push_airflow(lane);
     ln.power().settle(thermal_, lane, 0.0, ln.load_imbalance());
     if (twin_[lane] != no_twin) {
-        // The twin restarts cold and settles to its own idle state under
-        // its tach airflow; it never copies the plant lane.
+        // The twin restarts cold under its tach airflow while the plant
+        // settles from where it was: it sleeps again only if they agree.
         thermal_.reset(twin_[lane]);
-        sync_twin_airflow(lane);
+        static_cast<void>(sync_twin(lane));
         ln.power().settle(thermal_, twin_[lane], 0.0, ln.load_imbalance());
+        doze_twin(lane);
     }
     traces_.clear(lane);
     set_lane_active(lane, true);
@@ -253,10 +309,12 @@ void server_batch::force_cold_start() {
 
 void server_batch::settle_at(std::size_t lane, double u_pct) {
     server_lane& ln = at(lane);
+    wake_twin(lane);
     ln.power().settle(thermal_, lane, u_pct, ln.load_imbalance());
     if (twin_[lane] != no_twin) {
-        sync_twin_airflow(lane);
+        static_cast<void>(sync_twin(lane));
         ln.power().settle(thermal_, twin_[lane], u_pct, ln.load_imbalance());
+        doze_twin(lane);
     }
 }
 

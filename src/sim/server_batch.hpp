@@ -9,9 +9,11 @@
 // points back into the batch.  The thermal half is one
 // thermal::server_thermal_model with one lane per server, then one twin
 // lane per monitored server (the monitor's healthy twin, heated by its
-// server's power model under the tach-reported airflow): every lane's
-// node state lives in lane-contiguous flat arrays, and all lanes, twins
-// included, integrate through one batched RK4 kernel per step.
+// server's power model under the tach-reported airflow).  While its tachs
+// are honest a twin is its server bitwise, so it stays dormant (the monitor
+// reads the server's dies; the kernel skips the twin) until a tach lies.
+// Every lane's node state lives in lane-contiguous flat arrays, and all
+// stepped lanes integrate through one batched RK4 kernel per step.
 //
 // Contract: a lane's results do not depend on how many lanes share the
 // batch or where it sits — an N-lane batch is *bitwise-identical* lane
@@ -210,23 +212,39 @@ private:
 
     [[nodiscard]] server_lane& at(std::size_t lane);
     [[nodiscard]] const server_lane& at(std::size_t lane) const;
-    /// Pushes the lane's tach airflow into its twin lane if a tach moved.
-    void sync_twin_airflow(std::size_t lane);
-    /// The twin lane's die temperatures (zeros for an unmonitored lane).
+    /// Pushes the lane's delivered airflow into its thermal lane.
+    void push_airflow(std::size_t lane);
+    /// Reads the tachs: a live twin takes their airflow if one moved; a
+    /// dormant one wakes if they now lie.  Returns whether it is live.
+    [[nodiscard]] bool sync_twin(std::size_t lane);
+    /// Makes a monitored lane's dormant twin live: the plant lane's thermal
+    /// state under the tach airflow, as if it had stepped all along.
+    void wake_twin(std::size_t lane);
+    /// Puts a live twin to sleep if the tachs are honest and its thermal
+    /// state equals the plant lane's bitwise.
+    void doze_twin(std::size_t lane);
+    /// The thermal lane the monitor reads: the live twin, else the plant.
+    [[nodiscard]] std::size_t model_lane(std::size_t lane) const;
+    /// The monitor's die temperatures (zeros for an unmonitored lane).
     [[nodiscard]] die_temps twin_die_temps(std::size_t lane) const;
 
     /// Lanes [0, N) are the servers; a twin lane per monitored server follows.
     thermal::server_thermal_model thermal_;
     std::vector<std::size_t> twin_;  ///< [lane] its twin's thermal lane, or no_twin.
+    std::vector<unsigned char> twin_live_;  ///< [lane]; a dormant twin's lane is stale.
+    std::size_t live_twins_ = 0;
+    std::vector<unsigned char> airflow_pushed_;  ///< [lane] since its last sync_twin.
+    thermal::rc_state plant_scratch_;            ///< wake_twin / doze_twin scratch.
+    thermal::rc_state twin_scratch_;
     std::vector<server_lane> lanes_;
 
     // Lane-major columnar recording: all lanes of a step append into one
     // contiguous arena row-group.
     batch_trace traces_;
 
-    // Per-thermal-lane active flags (ragged fleets; a twin's mirrors its
-    // server's); inert_count_ counts inert servers and keeps the
-    // all-active hot path on the unmasked kernel.
+    // Per-thermal-lane active flags (ragged fleets; a live twin's mirrors
+    // its server's, a dormant twin's is 0); inert_count_ counts inert
+    // servers and keeps the all-active hot path on the unmasked kernel.
     std::vector<unsigned char> active_;
     std::size_t inert_count_ = 0;
 

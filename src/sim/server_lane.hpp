@@ -15,7 +15,8 @@
 // The owning batch keeps the thermal half (one lane of its
 // thermal::server_thermal_model, and a twin lane if monitored) and
 // passes the current die (and, for the trace row, DIMM) and twin die
-// temperatures into the per-step calls: the trace row, the telemetry
+// temperatures (the plant's own while the twin is dormant, see
+// server_batch) into the per-step calls: the trace row, the telemetry
 // poll and the cold-start poll.  A poll reads the CPU sensors and keeps
 // only their latest readings; the DIMM sensors' noise draws are skipped
 // bitwise (util::pcg32::skip_normals), since nothing reads them.  When a
@@ -92,8 +93,10 @@ public:
     /// monitor twin is told; a lying tach reports phantom airflow) when a
     /// reading moved since the last call, else nullptr.  The first call
     /// always returns it.  The owner calls it before every step and pushes
-    /// the result into the twin lane.
+    /// the result into a live twin lane.
     [[nodiscard]] const std::vector<util::cfm_t>* moved_tach_airflow();
+    /// Monitored lanes only: the airflow the tachs implied at the last call.
+    [[nodiscard]] const std::vector<util::cfm_t>& tach_airflow() const { return tach_airflow_; }
 
     // --- observation --------------------------------------------------------
     [[nodiscard]] const std::vector<double>& cpu_sensor_reads() const {

@@ -13,7 +13,7 @@
 // The plant is a one-lane server_batch: every method forwards to lane 0,
 // so a server_simulator and a batch lane step the same code by
 // construction (with the monitor on, the batch's thermal model holds a
-// second lane, the monitor's twin).
+// second lane, the monitor's twin, stepped only once a tach lies).
 #pragma once
 
 #include <utility>

@@ -34,8 +34,8 @@
 
 namespace ltsc::sim {
 
-/// A monitored server's residual-monitor state: the monitor's latched
-/// commands and verdicts, plus the thermal state of its twin lane.
+/// A monitored server's residual-monitor state: latched commands and
+/// verdicts, plus its twin's thermal state (a dormant twin's is `thermal`).
 struct monitor_state : core::fault_monitor_state {
     thermal::rc_state twin;
 };

@@ -47,24 +47,24 @@ void rc_network::batch_derivatives_into(std::size_t lanes, std::size_t count,
                                         const double* capacities, const double* ambient,
                                         const double* edge_g, double* out) const {
     const std::size_t n = capacities_.size();
-    if (lanes == 1) {
-        // The same operation sequence as the lane loops below, without
+    if (count == 1) {
+        // Lane 0 alone, strided: the lane loops' operation sequence without
         // their per-edge loop overhead (a one-lane plant steps here).
         for (std::size_t i = 0; i < n; ++i) {
-            out[i] = 0.0;
+            out[i * lanes] = 0.0;
         }
         for (std::size_t k = 0; k < edges_.size(); ++k) {
             const edge& e = edges_[k];
             if (e.to_ambient) {
-                out[e.a] += edge_g[k] * (ambient[0] - temps[e.a]);
+                out[e.a * lanes] += edge_g[k * lanes] * (ambient[0] - temps[e.a * lanes]);
             } else {
-                const double q = edge_g[k] * (temps[e.b] - temps[e.a]);
-                out[e.a] += q;
-                out[e.b] -= q;
+                const double q = edge_g[k * lanes] * (temps[e.b * lanes] - temps[e.a * lanes]);
+                out[e.a * lanes] += q;
+                out[e.b * lanes] -= q;
             }
         }
         for (std::size_t i = 0; i < n; ++i) {
-            out[i] = (out[i] + powers[i]) / capacities[i];
+            out[i * lanes] = (out[i * lanes] + powers[i * lanes]) / capacities[i * lanes];
         }
         return;
     }

@@ -75,7 +75,7 @@ public:
     /// Writes dT/dt of lanes [0, count) into `out` (size node_count() *
     /// lanes); the other lanes' entries are left alone.  Edge flows
     /// accumulate in insertion order, then the (flow + power) / capacity
-    /// division runs per node.
+    /// division runs per node; count == 1 runs it as one strided lane.
     void batch_derivatives_into(std::size_t lanes, std::size_t count, const double* temps,
                                 const double* powers, const double* capacities,
                                 const double* ambient, const double* edge_g,

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -167,6 +169,91 @@ TEST(FaultMonitor, TwinDieEstimateIsTheTrueDieBitwise) {
                 << "lane step " << i << " die " << d;
         }
     }
+}
+
+TEST(FaultMonitor, TwinGoesLiveAtTheFirstLyingTach) {
+    // Pair 0's tach sticks at 100 s: its rotor stops while the tach keeps
+    // reporting full speed.  Until then the twin sleeps and the monitor
+    // reads the plant's own dies; at the onset step it wakes from the
+    // plant's state and integrates under the tach airflow.  The estimates
+    // after the onset were recorded from a plant whose twin integrated
+    // on every step.
+    sim::server_simulator s(monitored_server());
+    s.bind_fault_schedule(sim::fault_schedule({ev(100.0, sim::fault_kind::fan_tach_stuck, 0)}));
+    s.bind_workload(steady(90.0, 600.0));
+    s.force_cold_start();
+    for (int i = 0; i < 130; ++i) {
+        s.step();
+        for (std::size_t d = 0; d < 2 && i < 100; ++d) {
+            ASSERT_EQ(s.model_die_temp(d).value(), s.true_cpu_temp(d).value())
+                << "step " << i << " die " << d;
+        }
+    }
+    const double recorded[30] = {
+        0x1.af7686c3c6b1p+5,  0x1.afdf09da01483p+5, 0x1.b046c6042f478p+5, 0x1.b0adbc9c58473p+5,
+        0x1.b113eefa7f25dp+5, 0x1.b1795e74a8676p+5, 0x1.b1de0c5edfda6p+5, 0x1.b241fa0b3d9cdp+5,
+        0x1.b2a528c9ea964p+5, 0x1.b30799e9247afp+5, 0x1.b3694eb541689p+5, 0x1.b3ca4878b32a7p+5,
+        0x1.b42a887c0a32ap+5, 0x1.b48a1005f8523p+5, 0x1.b4e8e05b533ap+5,  0x1.b546fabf16ccbp+5,
+        0x1.b5a4607267485p+5, 0x1.b60112b4934e5p+5, 0x1.b65d12c315ce9p+5, 0x1.b6b861d997da6p+5,
+        0x1.b7130131f263ap+5, 0x1.b76cf2042feacp+5, 0x1.b7c635868e1f6p+5, 0x1.b81ecced7f757p+5,
+        0x1.b876b96bacb16p+5, 0x1.b8cdfc31f66dp+5,  0x1.b924966f7696fp+5, 0x1.b97a895181eep+5,
+        0x1.b9cfd603a9793p+5, 0x1.ba247dafbbfep+5,
+    };
+    const sim::trace_view t = s.trace();
+    ASSERT_EQ(t.size(), 130U);
+    const util::column_view estimate = t.monitor_die_estimate();
+    for (std::size_t j = 0; j < 30; ++j) {
+        EXPECT_EQ(estimate.v(100 + j), recorded[j]) << "row " << 100 + j;
+    }
+    // The twin really diverged: the stricken die runs hotter than it.
+    EXPECT_LT(s.model_die_temp(0).value(), s.true_cpu_temp(0).value());
+}
+
+TEST(FaultMonitor, ColdStartAfterDivergenceReplaysTheRecordedRun) {
+    // A tach lies from 50 s to 150 s, so the twin goes live and stays
+    // apart from the plant; the schedule is cleared and the plant cold
+    // starts mid-run with honest tachs.  The cold start resets and
+    // settles the twin but only settles the hot plant, and under this
+    // steeper leakage the two fixed-point settles end apart, so the twin
+    // must stay live.  The next 100 steps must match, bitwise, a run
+    // recorded from a plant whose twin integrated on every step (FNV-1a
+    // over every channel of every row).
+    sim::server_config config = monitored_server();
+    config.leakage.k2 = 1.0;
+    config.leakage.k3 = 0.06;
+    sim::server_simulator s(config);
+    s.bind_fault_schedule(sim::fault_schedule({ev(50.0, sim::fault_kind::fan_tach_stuck, 0),
+                                               ev(150.0, sim::fault_kind::fan_recover, 0)}));
+    s.bind_workload(steady(90.0, 1200.0));
+    s.force_cold_start();
+    for (int i = 0; i < 300; ++i) {
+        s.step();
+    }
+    ASSERT_NE(s.model_die_temp(0).value(), s.true_cpu_temp(0).value());
+    s.clear_fault_schedule();
+    s.force_cold_start();
+    EXPECT_NE(s.model_die_temp(0).value(), s.true_cpu_temp(0).value());
+    for (int i = 0; i < 100; ++i) {
+        s.step();
+    }
+    const sim::trace_view t = s.trace();
+    ASSERT_EQ(t.size(), 100U);
+    std::uint64_t digest = 1469598103934665603ULL;
+    for (std::size_t c = 0; c < sim::trace_channel_count; ++c) {
+        const util::column_view col = t.channel(static_cast<sim::trace_channel>(c));
+        for (std::size_t j = 0; j < col.size(); ++j) {
+            for (const double v : {col.t(j), col.v(j)}) {
+                std::uint64_t bits = 0;
+                std::memcpy(&bits, &v, sizeof bits);
+                for (int b = 0; b < 8; ++b) {
+                    digest = (digest ^ ((bits >> (8 * b)) & 0xffU)) * 1099511628211ULL;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(digest, 16206679221423063437ULL);
+    EXPECT_EQ(t.monitor_die_estimate().v(0), 0x1.5228f7fb66887p+5);
+    EXPECT_EQ(t.monitor_die_estimate().v(99), 0x1.c6a00facb858fp+5);
 }
 
 TEST(FaultMonitor, BadConfigIsRejectedEvenWhileDisabled) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "core/fault_monitor.hpp"
 #include "sim/fault_schedule.hpp"
@@ -401,6 +402,118 @@ TEST(SnapshotRoundtrip, RejectedLoadLeavesLaneUntouched) {
             control.step();
         }
         expect_rows_identical(control.trace(), 0, lane.trace());
+    }
+}
+
+sim::server_config monitored_server() {
+    sim::server_config config = sim::paper_server();
+    config.monitor.enabled = true;
+    return config;
+}
+
+/// Pair 0's tach sticks at 100 s and recovers at 200 s: the monitor twin
+/// goes live at the onset and stays apart from the plant after the tachs
+/// are honest again.
+sim::fault_schedule lying_tach_window() {
+    sim::fault_event stuck;
+    stuck.t_s = 100.0;
+    stuck.kind = sim::fault_kind::fan_tach_stuck;
+    sim::fault_event recover;
+    recover.t_s = 200.0;
+    recover.kind = sim::fault_kind::fan_recover;
+    return sim::fault_schedule({stuck, recover});
+}
+
+void expect_same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i], b[i]) << "entry " << i;
+    }
+}
+
+TEST(SnapshotRoundtrip, DormantAndLiveTwinsCrossLoadBitwise) {
+    // Batch a: lane 0's tachs stay honest, so its twin stays dormant;
+    // lane 1's twin went live at the lying tach.  Batch b has them the
+    // other way round when it loads a's snapshots crosswise, so a dormant
+    // twin's snapshot lands on a live twin and a live one on a dormant
+    // twin.  Each loaded lane then replays its source lane bitwise.
+    const auto profile = busy_profile();
+    sim::server_batch a(monitored_server(), 2);
+    a.bind_workload(0, profile);
+    a.bind_workload(1, profile);
+    a.bind_fault_schedule(1, lying_tach_window());
+    a.force_cold_start();
+    for (int k = 0; k < 300; ++k) {
+        a.step(1_s);
+    }
+    sim::server_state dormant;
+    sim::server_state live;
+    a.snapshot_lane_state(0, dormant);
+    a.snapshot_lane_state(1, live);
+    // A dormant twin's saved state is the plant's, bitwise.
+    expect_same_bits(dormant.monitor.twin.temps, dormant.thermal.temps);
+    expect_same_bits(dormant.monitor.twin.powers, dormant.thermal.powers);
+    expect_same_bits(dormant.monitor.twin.edge_g, dormant.thermal.edge_g);
+    EXPECT_EQ(dormant.monitor.twin.ambient_c, dormant.thermal.ambient_c);
+    ASSERT_NE(live.monitor.twin.temps, live.thermal.temps);
+
+    sim::server_batch b(monitored_server(), 2);
+    b.bind_workload(0, profile);
+    b.bind_workload(1, profile);
+    b.bind_fault_schedule(0, lying_tach_window());
+    b.force_cold_start();
+    for (int k = 0; k < 250; ++k) {
+        b.step(1_s);
+    }
+    ASSERT_NE(b.model_die_temp(0, 0).value(), b.true_cpu_temp(0, 0).value());  // live
+    ASSERT_EQ(b.model_die_temp(1, 0).value(), b.true_cpu_temp(1, 0).value());  // dormant
+    // Each target lane's schedule matches its source lane's.
+    b.clear_fault_schedule(0);
+    b.bind_fault_schedule(1, lying_tach_window());
+    b.load_lane_state(0, dormant);
+    b.load_lane_state(1, live);
+    for (int k = 0; k < 300; ++k) {
+        a.step(1_s);
+        b.step(1_s);
+        for (std::size_t l = 0; l < 2; ++l) {
+            for (std::size_t d = 0; d < 2; ++d) {
+                ASSERT_EQ(a.model_die_temp(l, d).value(), b.model_die_temp(l, d).value())
+                    << "lane " << l << " step " << k << " die " << d;
+            }
+        }
+    }
+    expect_rows_identical(a.trace(0), 300, b.trace(0));
+    expect_rows_identical(a.trace(1), 300, b.trace(1));
+}
+
+TEST(SnapshotRoundtrip, TwinSnapshotKeepsAPendingFanCommand) {
+    // A fan command reaches the twin at the next step.  A snapshot taken
+    // in between, of a dormant or a live twin, must restore a twin that
+    // still gets the command.
+    for (const bool lie : {false, true}) {
+        SCOPED_TRACE(lie ? "live twin" : "dormant twin");
+        const auto profile = busy_profile();
+        sim::server_simulator a(monitored_server());
+        a.bind_workload(profile);
+        if (lie) {
+            a.bind_fault_schedule(lying_tach_window());
+        }
+        a.force_cold_start();
+        for (int k = 0; k < 300; ++k) {
+            a.step(1_s);
+        }
+        a.set_all_fans(3000_rpm);
+        const sim::server_state snap = a.snapshot_state();
+
+        sim::server_simulator b(monitored_server());
+        b.bind_workload(profile);
+        b.restore_state(snap);
+        for (int k = 0; k < 200; ++k) {
+            a.step(1_s);
+            b.step(1_s);
+            ASSERT_EQ(a.model_die_temp(0).value(), b.model_die_temp(0).value()) << "step " << k;
+        }
+        expect_rows_identical(a.trace(), 300, b.trace());
     }
 }
 

@@ -204,28 +204,33 @@ struct twin {
 /// fan-speed-like conductance changes, and ambient drift, all mid-run so
 /// every cache invalidation path is exercised.  Lanes run phase-shifted
 /// variants, so their conductances (and hence substep counts) differ.
+/// Step k of the hostile schedule for one lane; `variant` phase-shifts it.
+void drive_lane(twin& t, std::size_t lane, std::size_t variant, int k) {
+    const double phase = 0.9 * static_cast<double>(variant);
+    // Power waveform (deterministic, same doubles on both sides).
+    t.set_power(lane, 0, 80.0 + 40.0 * std::sin(0.11 * k + phase));
+    t.set_power(lane, 2, 75.0 + 35.0 * std::cos(0.07 * k + phase));
+    t.set_power(lane, 4, 120.0 + 20.0 * std::sin(0.05 * k + phase));
+    // "Fan speed change": rescale the convective conductances.
+    if ((k + 5 * static_cast<int>(variant)) % 37 == 13) {
+        const double scale = (k % 2 == 0) ? 1.4 : 0.8;
+        t.set_conductance(lane, 1, 2.857 * scale);
+        t.set_conductance(lane, 3, 2.857 * scale);
+        t.set_conductance(lane, 4, 5.26 * scale * (1.0 + 0.1 * static_cast<double>(variant)));
+    }
+    // Room drift: the derivative must track it with no cached quantity
+    // depending on it.
+    if ((k + static_cast<int>(variant)) % 53 == 20) {
+        t.set_ambient(lane, 24.0 + 0.05 * k);
+    }
+}
+
 void run_rk4_schedule(std::size_t lanes, double dt) {
     twin t(lanes);
     t.batch.set_validate_steps(true);
     for (int k = 0; k < 240; ++k) {
         for (std::size_t l = 0; l < lanes; ++l) {
-            const double phase = 0.9 * static_cast<double>(l);
-            // Power waveform (deterministic, same doubles on both sides).
-            t.set_power(l, 0, 80.0 + 40.0 * std::sin(0.11 * k + phase));
-            t.set_power(l, 2, 75.0 + 35.0 * std::cos(0.07 * k + phase));
-            t.set_power(l, 4, 120.0 + 20.0 * std::sin(0.05 * k + phase));
-            // "Fan speed change": rescale the convective conductances.
-            if ((k + 5 * static_cast<int>(l)) % 37 == 13) {
-                const double scale = (k % 2 == 0) ? 1.4 : 0.8;
-                t.set_conductance(l, 1, 2.857 * scale);
-                t.set_conductance(l, 3, 2.857 * scale);
-                t.set_conductance(l, 4, 5.26 * scale * (1.0 + 0.1 * static_cast<double>(l)));
-            }
-            // Room drift: the derivative must track it with no cached
-            // quantity depending on it.
-            if ((k + static_cast<int>(l)) % 53 == 20) {
-                t.set_ambient(l, 24.0 + 0.05 * k);
-            }
+            drive_lane(t, l, l, k);
             t.ref[l].step_rk4(dt);
         }
         t.batch.step(util::seconds_t{dt});
@@ -241,6 +246,29 @@ void run_rk4_schedule(std::size_t lanes, double dt) {
 TEST(ThermalEquivalence, Rk4BitwiseIdenticalToSeed) {
     run_rk4_schedule(1, 5.0);
     run_rk4_schedule(3, 5.0);
+}
+
+TEST(ThermalEquivalence, OneLanePrefixOfAWiderBatchIsTheOneLaneBatch) {
+    // A monitored plant whose twin is dormant steps lane 0 of a 2-lane
+    // batch alone.  That lane must integrate bitwise as a 1-lane batch
+    // does, while lane 1, driven through a different schedule, is never
+    // read and never stepped.
+    twin wide(2);
+    twin one(1);
+    wide.batch.set_validate_steps(true);
+    for (int k = 0; k < 240; ++k) {
+        drive_lane(wide, 0, 0, k);
+        drive_lane(wide, 1, 3, k);
+        drive_lane(one, 0, 0, k);
+        wide.batch.step_prefix(1, util::seconds_t{5.0});
+        one.batch.step(util::seconds_t{5.0});
+        for (std::size_t i = 0; i < one.batch.node_count(); ++i) {
+            const thermal::node_id n{i};
+            ASSERT_EQ(wide.batch.temperature(n, 0).value(), one.batch.temperature(n, 0).value())
+                << "step " << k << ", node " << i;
+            ASSERT_EQ(wide.batch.temperature(n, 1).value(), 24.0) << "step " << k;
+        }
+    }
 }
 
 void run_steady_rounds(std::size_t lanes) {
