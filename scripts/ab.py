@@ -182,12 +182,10 @@ def main():
     samples = {}
     correct = {w: [0, 0] for w in workloads}
     pairs = 0
-    while pairs < cap:
-        if pairs >= args.pairs and all(r[5] not in ("wide", "flat")
-                                       for r in rows(samples, spec)):
+    for i in range(cap):
+        if i >= args.pairs and all(r[5] not in ("wide", "flat") for r in rows(samples, spec)):
             break
-        i = pairs
-        pairs += 1
+        pairs = i + 1
         order = (0, 1) if i % 2 == 0 else (1, 0)
         for side in order:
             s = sides[side]
