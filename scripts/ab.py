@@ -2,8 +2,7 @@
 """A/B two revisions on the end-to-end benchmark and the micro benches.
 
     scripts/ab.py PARENT CHANGE [--workloads chaos,fleet_observed] [--pairs 10]
-                  [--until-resolved CAP] [--seconds 15] [--micro 'BM_BatchStep/256']
-                  [--cpus 0-3]
+                  [--seconds 15] [--micro 'BM_BatchStep/256'] [--cpus 0-3]
 
 Extracts both revisions with `git archive` into --dir (default
 $TMPDIR/ltsc-ab), builds each in its own tree, then runs the chosen
@@ -23,9 +22,6 @@ rule a gain claim is held to:
   wide     PARENT's own IQR exceeds that bound of its median, so a change
            that size cannot be told from noise;
   flat     none of these.
-With --until-resolved CAP, pairs keep running past --pairs until no
-metric's verdict is `wide` or `flat` any more, or CAP pairs have run (a
-metric the change does not move stays `flat` and runs it to CAP).
 Every run's value is also written to --dir/samples.json.  Neither
 perfbench/ nor BENCHMARK.json is modified; both are read from the
 CHANGE checkout.
@@ -122,22 +118,6 @@ def verdict(a, b, higher_better, bound):
     return wins, word
 
 
-def rows(samples, spec):
-    """(group, metric, parent values, change values, wins, verdict) per metric
-    both sides report."""
-    out = []
-    for (group, name), (a, b) in samples.items():
-        if len(a) != len(b):
-            continue  # a metric one side does not report
-        if group == "micro":
-            higher_better, bound = False, MICRO_BOUND
-        else:
-            higher_better = spec[name]["better"] == "higher"
-            bound = spec[name]["bound"]
-        out.append((group, name, a, b) + verdict(a, b, higher_better, bound))
-    return out
-
-
 def parse_cpus(spec):
     cpus = []
     for part in spec.split(","):
@@ -153,8 +133,6 @@ def main():
     parser.add_argument("--workloads", default="chaos",
                         help="comma-separated perfbench workloads ('' for none)")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--until-resolved", type=int, default=0, metavar="CAP",
-                        help="keep running pairs until no verdict is wide/flat, up to CAP")
     parser.add_argument("--seconds", type=int, default=15)
     parser.add_argument("--micro", default="", help="micro_perf filter regex ('' for none)")
     parser.add_argument("--micro-min-time", type=float, default=0.2)
@@ -165,7 +143,6 @@ def main():
     workloads = [w for w in args.workloads.split(",") if w]
     if args.pairs < 2 or (not workloads and not args.micro):
         parser.error("need --pairs >= 2 and at least one workload or micro filter")
-    cap = max(args.pairs, args.until_resolved)
     micro_cpu = str(parse_cpus(args.cpus)[-1])
 
     sides = []
@@ -181,11 +158,7 @@ def main():
     # samples[(group, metric)] = ([parent values], [change values])
     samples = {}
     correct = {w: [0, 0] for w in workloads}
-    pairs = 0
-    for i in range(cap):
-        if i >= args.pairs and all(r[5] not in ("wide", "flat") for r in rows(samples, spec)):
-            break
-        pairs = i + 1
+    for i in range(args.pairs):
         order = (0, 1) if i % 2 == 0 else (1, 0)
         for side in order:
             s = sides[side]
@@ -198,26 +171,34 @@ def main():
                 for name, ns in micro(s["micro"], micro_cpu, args.micro,
                                       args.micro_min_time).items():
                     samples.setdefault(("micro", name), ([], []))[side].append(ns)
-        print("ab: pair %d/%d done" % (pairs, cap), file=sys.stderr)
+        print("ab: pair %d/%d done" % (i + 1, args.pairs), file=sys.stderr)
 
     with open(os.path.join(args.dir, "samples.json"), "w") as f:
         json.dump({"%s %s" % key: {"parent": a, "change": b}
                    for key, (a, b) in samples.items()}, f, indent=1)
     print("parent %s, change %s, %d pairs, perfbench on CPUs %s, micro on CPU %s"
-          % (sides[0]["sha"], sides[1]["sha"], pairs, args.cpus, micro_cpu))
+          % (sides[0]["sha"], sides[1]["sha"], args.pairs, args.cpus, micro_cpu))
     for w, (a, b) in correct.items():
-        print("%s correct: parent %d/%d, change %d/%d" % (w, a, pairs, b, pairs))
+        print("%s correct: parent %d/%d, change %d/%d" % (w, a, args.pairs, b, args.pairs))
     header = ("group", "metric", "parent med", "IQR", "change med", "IQR", "change", "wins",
               "verdict")
-    table = [header]
-    for group, name, a, b, wins, word in rows(samples, spec):
+    rows = [header]
+    for (group, name), (a, b) in samples.items():
+        if len(a) != len(b):
+            continue  # a metric one side does not report
+        if group == "micro":
+            higher_better, bound = False, MICRO_BOUND
+        else:
+            higher_better = spec[name]["better"] == "higher"
+            bound = spec[name]["bound"]
+        wins, word = verdict(a, b, higher_better, bound)
         med_a, med_b = quantile(a, 0.5), quantile(b, 0.5)
         delta = (med_b - med_a) / med_a * 100.0 if med_a else float("nan")
-        table.append((group, name, "%.4g" % med_a, "%.3g" % (quantile(a, .75) - quantile(a, .25)),
-                      "%.4g" % med_b, "%.3g" % (quantile(b, .75) - quantile(b, .25)),
-                      "%+.1f%%" % delta, "%d/%d" % (wins, len(a)), word))
-    widths = [max(len(r[c]) for r in table) for c in range(len(header))]
-    for r in table:
+        rows.append((group, name, "%.4g" % med_a, "%.3g" % (quantile(a, .75) - quantile(a, .25)),
+                     "%.4g" % med_b, "%.3g" % (quantile(b, .75) - quantile(b, .25)),
+                     "%+.1f%%" % delta, "%d/%d" % (wins, len(a)), word))
+    widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
+    for r in rows:
         print("  ".join(cell.ljust(width) for cell, width in zip(r, widths)).rstrip())
 
 

@@ -33,7 +33,6 @@ server_batch::server_batch(std::vector<server_config> configs)
     : thermal_(thermal_lanes(configs)),
       twin_(configs.size(), no_twin),
       twin_live_(configs.size(), 0),
-      airflow_pushed_(configs.size(), 0),
       traces_(configs.size()),
       active_(thermal_.lane_count(), 1) {
     lanes_.reserve(configs.size());
@@ -154,7 +153,6 @@ void server_batch::load_lane_state(std::size_t lane, const server_state& state) 
 
 void server_batch::push_airflow(std::size_t lane) {
     thermal_.set_zone_airflow(lane, lanes_[lane].zone_airflow());
-    airflow_pushed_[lane] = 1;
 }
 
 bool server_batch::sync_twin(std::size_t lane) {
@@ -162,11 +160,9 @@ bool server_batch::sync_twin(std::size_t lane) {
     const std::vector<util::cfm_t>* tach = ln.moved_tach_airflow();
     if (twin_live_[lane] != 0 && tach != nullptr) {
         thermal_.set_zone_airflow(twin_[lane], *tach);
-    } else if (twin_live_[lane] == 0 && (tach != nullptr || airflow_pushed_[lane] != 0) &&
-               ln.tach_airflow() != ln.zone_airflow()) {
+    } else if (twin_live_[lane] == 0 && ln.tach_airflow() != ln.zone_airflow()) {
         wake_twin(lane);
     }
-    airflow_pushed_[lane] = 0;
     return twin_live_[lane] != 0;
 }
 

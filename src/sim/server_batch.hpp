@@ -233,8 +233,7 @@ private:
     std::vector<std::size_t> twin_;  ///< [lane] its twin's thermal lane, or no_twin.
     std::vector<unsigned char> twin_live_;  ///< [lane]; a dormant twin's lane is stale.
     std::size_t live_twins_ = 0;
-    std::vector<unsigned char> airflow_pushed_;  ///< [lane] since its last sync_twin.
-    thermal::rc_state plant_scratch_;            ///< wake_twin / doze_twin scratch.
+    thermal::rc_state plant_scratch_;  ///< wake_twin / doze_twin scratch.
     thermal::rc_state twin_scratch_;
     std::vector<server_lane> lanes_;
 
