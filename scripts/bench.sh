@@ -9,9 +9,13 @@
 # Writes BENCH_micro.json (Google Benchmark JSON) at the repo root — the
 # perf trajectory the README's Performance section points at — while
 # still printing the human-readable console table.  Every benchmark runs
-# 5 repetitions and only their aggregates (mean, median, stddev, cv) are
+# 10 repetitions and only their aggregates (mean, median, stddev, cv) are
 # kept; scripts/perf_gate.py compares the medians, because single
 # samples on a shared host swing by more than the gate's tolerance.
+# Repetitions run randomly interleaved across benchmarks, as in CI's perf
+# smoke step, so a slow host phase spreads over all of them instead of
+# landing on whichever benchmarks ran during it; twice CI's 5 keep a
+# quarter of slow samples from moving the baseline's median.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -59,8 +63,9 @@ fi
 "$BUILD_DIR/bench/micro_perf" \
     --benchmark_filter="$FILTER" \
     --benchmark_min_time="$MIN_TIME" \
-    --benchmark_repetitions=5 \
+    --benchmark_repetitions=10 \
     --benchmark_report_aggregates_only=true \
+    --benchmark_enable_random_interleaving=true \
     --benchmark_context=hw_threads="$HW_THREADS" \
     --benchmark_context=affine_threads="$AFFINE_THREADS" \
     --benchmark_context=pool_threads="$POOL_THREADS" \
