@@ -39,7 +39,7 @@ server_batch::server_batch(std::vector<server_config> configs)
     std::size_t next_twin = configs.size();
     for (std::size_t l = 0; l < configs.size(); ++l) {
         lanes_.emplace_back(configs[l]);
-        push_airflow(l);
+        thermal_.set_zone_airflow(l, lanes_[l].zone_airflow());
         if (lanes_[l].monitor() != nullptr) {
             twin_[l] = next_twin++;
             active_[twin_[l]] = 0;
@@ -64,7 +64,7 @@ const server_lane& server_batch::at(std::size_t lane) const {
 void server_batch::bind_workload(std::size_t lane, workload::loadgen generator) {
     server_lane& ln = at(lane);
     if (ln.bind_workload(std::move(generator))) {
-        push_airflow(lane);
+        thermal_.set_zone_airflow(lane, ln.zone_airflow());
     }
     traces_.clear(lane);
     set_lane_active(lane, true);
@@ -77,28 +77,28 @@ void server_batch::bind_workload(std::size_t lane, const workload::utilization_p
 void server_batch::set_fan_speed(std::size_t lane, std::size_t pair_index, util::rpm_t rpm) {
     server_lane& ln = at(lane);
     if (ln.set_fan_speed(pair_index, rpm)) {
-        push_airflow(lane);
+        thermal_.set_zone_airflow(lane, ln.zone_airflow());
     }
 }
 
 void server_batch::set_all_fans(std::size_t lane, util::rpm_t rpm) {
     server_lane& ln = at(lane);
     if (ln.set_all_fans(rpm)) {
-        push_airflow(lane);
+        thermal_.set_zone_airflow(lane, ln.zone_airflow());
     }
 }
 
 void server_batch::bind_fault_schedule(std::size_t lane, fault_schedule schedule) {
     server_lane& ln = at(lane);
     if (ln.bind_fault_schedule(std::move(schedule))) {
-        push_airflow(lane);
+        thermal_.set_zone_airflow(lane, ln.zone_airflow());
     }
 }
 
 void server_batch::clear_fault_schedule(std::size_t lane) {
     server_lane& ln = at(lane);
     if (ln.clear_fault_schedule()) {
-        push_airflow(lane);
+        thermal_.set_zone_airflow(lane, ln.zone_airflow());
     }
 }
 
@@ -139,7 +139,7 @@ void server_batch::load_lane_state(std::size_t lane, const server_state& state) 
     // (bitwise-identical to the snapshot's), then reload the thermal lane
     // on top; the twin likewise, then under the restored tachs' airflow (a
     // live twin saved before a fan command's first step lacks the command).
-    push_airflow(lane);
+    thermal_.set_zone_airflow(lane, ln.zone_airflow());
     thermal_.restore_state(lane, state.thermal);
     if (twin != no_twin) {
         wake_twin(lane);
@@ -151,16 +151,12 @@ void server_batch::load_lane_state(std::size_t lane, const server_state& state) 
     set_lane_active(lane, true);
 }
 
-void server_batch::push_airflow(std::size_t lane) {
-    thermal_.set_zone_airflow(lane, lanes_[lane].zone_airflow());
-}
-
 bool server_batch::sync_twin(std::size_t lane) {
     server_lane& ln = lanes_[lane];
     const std::vector<util::cfm_t>* tach = ln.moved_tach_airflow();
     if (twin_live_[lane] != 0 && tach != nullptr) {
         thermal_.set_zone_airflow(twin_[lane], *tach);
-    } else if (twin_live_[lane] == 0 && ln.tach_airflow() != ln.zone_airflow()) {
+    } else if (twin_live_[lane] == 0 && !thermal_.runs_under(lane, ln.tach_airflow())) {
         wake_twin(lane);
     }
     return twin_live_[lane] != 0;
@@ -186,7 +182,7 @@ void server_batch::doze_twin(std::size_t lane) {
     thermal_.save_state(twin_[lane], twin_scratch_);
     const thermal::rc_state& p = plant_scratch_;
     const thermal::rc_state& t = twin_scratch_;
-    if (lanes_[lane].tach_airflow() == lanes_[lane].zone_airflow() && same(p.temps, t.temps) &&
+    if (thermal_.runs_under(lane, lanes_[lane].tach_airflow()) && same(p.temps, t.temps) &&
         same(p.powers, t.powers) && same(p.edge_g, t.edge_g) && p.ambient_c == t.ambient_c) {
         twin_live_[lane] = 0;
         --live_twins_;
@@ -216,7 +212,7 @@ void server_batch::step(util::seconds_t dt) {
         }
         server_lane& ln = lanes_[l];
         while (ln.apply_due_faults()) {
-            push_airflow(l);
+            thermal_.set_zone_airflow(l, ln.zone_airflow());
         }
         u_target_scratch_[l] = ln.target_utilization();
         u_inst_scratch_[l] = ln.instantaneous_utilization();
@@ -282,7 +278,7 @@ void server_batch::force_cold_start(std::size_t lane) {
     server_lane& ln = at(lane);
     wake_twin(lane);
     ln.begin_cold_start();
-    push_airflow(lane);
+    thermal_.set_zone_airflow(lane, ln.zone_airflow());
     ln.power().settle(thermal_, lane, 0.0, ln.load_imbalance());
     if (twin_[lane] != no_twin) {
         // The twin restarts cold under its tach airflow while the plant

@@ -212,8 +212,6 @@ private:
 
     [[nodiscard]] server_lane& at(std::size_t lane);
     [[nodiscard]] const server_lane& at(std::size_t lane) const;
-    /// Pushes the lane's delivered airflow into its thermal lane.
-    void push_airflow(std::size_t lane);
     /// Reads the tachs: a live twin takes their airflow if one moved; a
     /// dormant one wakes if they now lie.  Returns whether it is live.
     [[nodiscard]] bool sync_twin(std::size_t lane);

@@ -53,6 +53,12 @@ void server_airflow::set_zone_airflow(const std::vector<util::cfm_t>& per_zone) 
     update();
 }
 
+bool server_airflow::runs_under(const std::vector<util::cfm_t>& per_zone) const {
+    return std::equal(per_zone.begin(), per_zone.end(), zone_airflow_cfm_.begin(),
+                      zone_airflow_cfm_.end(),
+                      [](util::cfm_t q, double cfm) { return q.value() == cfm; });
+}
+
 void server_airflow::update() {
     const double q_ref = config_.ref_airflow_cfm;
     for (std::size_t s = 0; s < 2; ++s) {

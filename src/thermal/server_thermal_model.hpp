@@ -56,6 +56,8 @@ public:
     /// Zone 0 predominantly cools CPU0, zone 1 CPU1, zone 2 the shared
     /// plenum; the zone_mixing fraction models cross-flow in the plenum.
     void set_zone_airflow(const std::vector<util::cfm_t>& per_zone);
+    /// Whether the zones run under exactly `per_zone`, entry by entry.
+    [[nodiscard]] bool runs_under(const std::vector<util::cfm_t>& per_zone) const;
 
     /// Sink-to-ambient convection of socket `s` [W/K].
     [[nodiscard]] double sink_conductance(std::size_t s) const { return sink_g_w_per_k_[s]; }
@@ -117,6 +119,10 @@ public:
 
     /// Sets one lane's per-zone airflow (see server_airflow::set_zone_airflow).
     void set_zone_airflow(std::size_t lane, const std::vector<util::cfm_t>& per_zone);
+    /// Whether lane `lane` runs under exactly this per-zone airflow.
+    [[nodiscard]] bool runs_under(std::size_t lane, const std::vector<util::cfm_t>& airflow) const {
+        return airflow_[lane].runs_under(airflow);
+    }
 
     /// Total heat dissipated in socket `s`'s die (idle + active + leakage
     /// share), applied until the next call.
