@@ -304,42 +304,6 @@ void BM_RolloutDecision(benchmark::State& state) {
 }
 BENCHMARK(BM_RolloutDecision);
 
-void BM_RolloutDecisionSharded(benchmark::State& state) {
-    // The same decision with the candidate lanes split across shards.
-    // Scores and the argmin are shard/thread invariant (pinned by the
-    // fleet suite), so the delta vs BM_RolloutDecision is pure
-    // partitioning overhead on this host.  Shards may step on pool
-    // threads, so throughput is reported against wall-clock time.
-    sim::server_simulator s;
-    workload::utilization_profile p("bench");
-    p.constant(60.0, util::seconds_t{1e9});
-    s.bind_workload(p);
-    s.force_cold_start();
-    s.advance(300_s);
-
-    core::rollout_controller_config cfg;
-    cfg.horizon = 120_s;
-    cfg.lattice_radius = 2;
-    cfg.engine.shards = 4;
-    cfg.engine.threads = 1;
-    core::rollout_controller roll(std::make_unique<core::bang_bang_controller>(), cfg);
-    const core::batch_lane_plant_view plant(s.batch(), 0);
-    roll.attach_plant(&plant);
-
-    core::controller_inputs in;
-    in.now = s.now();
-    in.utilization_pct = s.measured_utilization(240_s);
-    in.max_cpu_temp = s.max_cpu_sensor_temp();
-    in.current_rpm = s.average_fan_rpm();
-    in.system_power = s.system_power_reading();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(roll.decide(in));
-    }
-    state.SetItemsProcessed(state.iterations());
-    state.SetLabel("rollout decisions per second");
-}
-BENCHMARK(BM_RolloutDecisionSharded)->UseRealTime();
-
 void BM_LeakageFit(benchmark::State& state) {
     sim::server_simulator s;
     const auto sweep =

@@ -46,8 +46,8 @@ fi
 
 # Record the parallel topology alongside the numbers: Google Benchmark's
 # own num_cpus only sees the affinity mask, which hides how wide the
-# thread-pool benches (BM_FleetStep, BM_RolloutDecisionSharded) actually
-# ran.  LTSC_THREADS is the pool override honored across the library.
+# thread-pool bench (BM_FleetStep) actually ran.  LTSC_THREADS is the
+# pool override honored across the library.
 HW_THREADS=$(nproc --all 2>/dev/null || getconf _NPROCESSORS_CONF)
 AFFINE_THREADS=$(nproc 2>/dev/null || echo "$HW_THREADS")
 POOL_THREADS="${LTSC_THREADS:-$AFFINE_THREADS}"

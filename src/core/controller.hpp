@@ -51,9 +51,9 @@ public:
     [[nodiscard]] virtual const workload::loadgen* plant_workload() const = 0;
 
     /// The plant's bound fault campaign, or nullptr when healthy.  Like
-    /// the workload preview, a predictive controller binds it to its
-    /// rollout lanes so the lookahead replays the scheduled faults the
-    /// committed trajectory will hit.
+    /// the workload preview, a predictive controller reads it at every
+    /// decision and hands it to its rollout lanes, so the lookahead
+    /// replays the scheduled faults the committed trajectory will hit.
     [[nodiscard]] virtual const sim::fault_schedule* plant_fault_schedule() const {
         return nullptr;
     }

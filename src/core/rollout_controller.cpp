@@ -7,9 +7,8 @@
 namespace ltsc::core {
 
 rollout_controller::rollout_controller(std::unique_ptr<fan_controller> baseline,
-                                       const rollout_controller_config& config,
-                                       candidate_generator extra_candidates)
-    : baseline_(std::move(baseline)), config_(config), extra_(std::move(extra_candidates)) {
+                                       const rollout_controller_config& config)
+    : baseline_(std::move(baseline)), config_(config) {
     util::ensure(baseline_ != nullptr, "rollout_controller: null baseline");
     util::ensure(config_.horizon.value() >= 0.0, "rollout_controller: negative horizon");
     util::ensure(config_.sim_dt.value() > 0.0, "rollout_controller: non-positive sim_dt");
@@ -17,10 +16,6 @@ rollout_controller::rollout_controller(std::unique_ptr<fan_controller> baseline,
                  "rollout_controller: non-positive lattice step");
     util::ensure(config_.min_rpm.value() <= config_.max_rpm.value(),
                  "rollout_controller: inverted RPM clamp");
-    const std::size_t lattice =
-        1 + (config_.include_hold ? 1 : 0) + 2 * config_.lattice_radius;
-    util::ensure(config_.max_candidates >= lattice,
-                 "rollout_controller: max_candidates smaller than the lattice");
 }
 
 util::seconds_t rollout_controller::polling_period() const {
@@ -32,8 +27,6 @@ std::string rollout_controller::name() const { return "Rollout(" + baseline_->na
 
 void rollout_controller::reset() {
     baseline_->reset();
-    bound_from_ = nullptr;
-    fault_sync_valid_ = false;
     last_ = sim::rollout_result{};
 }
 
@@ -42,8 +35,6 @@ void rollout_controller::attach_plant(const plant_access* plant) {
         return;
     }
     plant_ = plant;
-    bound_from_ = nullptr;
-    fault_sync_valid_ = false;
     // The engine models the plant it was built from, so attaching a
     // different window discards it — reusing one controller across
     // differently-calibrated plants can never silently predict with the
@@ -85,9 +76,6 @@ void rollout_controller::build_candidates(const controller_inputs& in,
         add(base - offset);
     }
     candidates_.resize(n);
-    if (extra_) {
-        extra_(in, baseline_cmd, candidates_);
-    }
 }
 
 std::optional<util::rpm_t> rollout_controller::decide(const controller_inputs& in) {
@@ -118,29 +106,17 @@ std::optional<util::rpm_t> rollout_controller::decide(const controller_inputs& i
     // rollout lanes replay them faithfully, and re-planning around a
     // known-dead fan beats abandoning the lookahead (pinned by
     // the fault-injection suite's energy comparison).  *Scheduled*
-    // future faults are previewed either way through the fault-campaign
-    // binding below.
+    // future faults are previewed either way: the plant's campaign is
+    // handed to the rollout below.
     if (snapshot_.fault.any_active(in.now.value()) && !in.monitor_valid) {
         return baseline_cmd;
     }
 
     if (engine_ == nullptr) {
-        engine_ = std::make_unique<sim::rollout_engine>(plant_->plant_config(),
-                                                        config_.max_candidates, config_.engine);
-    }
-    if (bound_from_ != workload) {
-        engine_->bind_workload(*workload);
-        bound_from_ = workload;
-    }
-    const sim::fault_schedule* faults = plant_->plant_fault_schedule();
-    if (!fault_sync_valid_ || fault_bound_from_ != faults) {
-        if (faults != nullptr) {
-            engine_->bind_fault_schedule(*faults);
-        } else {
-            engine_->clear_fault_schedule();
-        }
-        fault_bound_from_ = faults;
-        fault_sync_valid_ = true;
+        // The lattice bounds the candidate count (duplicates collapse).
+        const std::size_t lattice =
+            1 + (config_.include_hold ? 1 : 0) + 2 * config_.lattice_radius;
+        engine_ = std::make_unique<sim::rollout_engine>(plant_->plant_config(), lattice);
     }
 
     sim::rollout_options options;
@@ -150,7 +126,8 @@ std::optional<util::rpm_t> rollout_controller::decide(const controller_inputs& i
     options.guard_temp_c = config_.guard_temp_c;
     options.guard_penalty_j = config_.guard_penalty_j;
     options.overshoot_weight_j_per_k = config_.overshoot_weight_j_per_k;
-    last_ = engine_->evaluate(snapshot_, candidates_, options);
+    last_ = engine_->evaluate(snapshot_, *workload, plant_->plant_fault_schedule(), candidates_,
+                              options);
     return candidates_[last_.best].moves.front();
 }
 

@@ -9,9 +9,13 @@
 // sim::rollout_engine — physics-only lanes loaded from a snapshot of the
 // live plant, whose prediction for the committed schedule is bitwise
 // what the plant realizes — and commits the first move of the schedule
-// with the lowest predicted energy + constraint penalty.  The baseline is consulted (and its
-// internal state advanced) exactly once per epoch whether or not its
-// proposal wins, so the wrapped policy behaves as it would alone.
+// with the lowest predicted energy + constraint penalty.  The engine is
+// sized to the lattice.  The plant's workload and fault campaign are
+// read through the plant_access window at every decision, so a campaign
+// rebound mid-run is previewed from the next decision on.  The baseline
+// is consulted (and its internal state advanced) exactly once per epoch
+// whether or not its proposal wins, so the wrapped policy behaves as it
+// would alone.
 //
 // Scope: the rollout searches *uniform* (all-pairs) fan schedules and
 // consults the baseline through its single-speed decide() surface.  A
@@ -40,11 +44,10 @@
 // rather than abandoning the horizon (a lying sensor cannot mislead it:
 // candidates are open-loop and the lanes integrate true temperatures).
 // *Scheduled* future faults are previewed either way: the plant's bound
-// fault campaign is installed on the rollout engine, so the lookahead
-// replays the fan faults the committed trajectory will hit.
+// fault campaign is handed to every rollout, so the lookahead replays
+// the fan faults the committed trajectory will hit.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -72,28 +75,13 @@ struct rollout_controller_config {
     double guard_temp_c = 85.0;
     double guard_penalty_j = 1e9;
     double overshoot_weight_j_per_k = 1e6;
-    /// Engine lane budget (extra user-supplied candidates beyond the
-    /// lattice must fit too; excess candidates are an error).
-    std::size_t max_candidates = 16;
-    /// Engine topology (sharding, pool width).  The defaults keep the
-    /// engine single-shard and serial; the degenerate and prediction ==
-    /// realization contracts above hold for any shard and thread count.
-    sim::rollout_engine_config engine;
 };
-
-/// Hook for user-supplied candidates: called once per decision with the
-/// observations and the baseline's proposal; append schedules to `out`
-/// (after the built-in lattice, so built-ins win ties).
-using candidate_generator = std::function<void(
-    const controller_inputs& in, std::optional<util::rpm_t> baseline_cmd,
-    std::vector<sim::fan_schedule>& out)>;
 
 /// Predictive fan controller: baseline proposal + lattice + rollout.
 class rollout_controller final : public fan_controller {
 public:
     explicit rollout_controller(std::unique_ptr<fan_controller> baseline,
-                                const rollout_controller_config& config = {},
-                                candidate_generator extra_candidates = {});
+                                const rollout_controller_config& config = {});
 
     [[nodiscard]] util::seconds_t polling_period() const override;
     [[nodiscard]] std::optional<util::rpm_t> decide(const controller_inputs& in) override;
@@ -113,16 +101,9 @@ private:
 
     std::unique_ptr<fan_controller> baseline_;
     rollout_controller_config config_;
-    candidate_generator extra_;
 
     const plant_access* plant_ = nullptr;
     std::unique_ptr<sim::rollout_engine> engine_;
-    const workload::loadgen* bound_from_ = nullptr;
-    // Fault-campaign sync: which schedule (possibly nullptr = healthy)
-    // the engine lanes currently carry.  A separate validity flag keeps
-    // "synced to no campaign" distinct from "never synced".
-    const sim::fault_schedule* fault_bound_from_ = nullptr;
-    bool fault_sync_valid_ = false;
 
     // Per-decision scratch, reused so deciding does not allocate.
     sim::server_state snapshot_;

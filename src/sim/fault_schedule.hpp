@@ -122,7 +122,8 @@ public:
     [[nodiscard]] std::size_t size() const { return events_.size(); }
 
     /// Largest fan-pair / CPU-sensor index any event targets (0 when no
-    /// event of that class exists); bind-time validation helpers.
+    /// event of that class exists); validation helpers for binding a
+    /// campaign and for handing one to a rollout.
     [[nodiscard]] std::size_t max_fan_target() const;
     [[nodiscard]] std::size_t max_sensor_target() const;
 

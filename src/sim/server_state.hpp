@@ -8,8 +8,8 @@
 //  * the configuration — states only move between plants built from the
 //    same server_config (the snapshot APIs validate the shapes);
 //  * the workload binding — the profile is immutable during a run, so
-//    receivers bind it once (see rollout_engine) instead of copying it
-//    into every snapshot;
+//    receivers read it from the plant (rollout_engine::evaluate takes
+//    it as an argument) instead of copying it into every snapshot;
 //  * the recorded trace — it describes the past, not the dynamics; a
 //    restored plant records a fresh trace from the snapshot instant.
 //

@@ -14,7 +14,6 @@
 #include "core/controller_runtime.hpp"
 #include "sim/fleet.hpp"
 #include "sim/metrics.hpp"
-#include "sim/rollout_engine.hpp"
 #include "sim/server_batch.hpp"
 #include "sim/server_simulator.hpp"
 #include "sim/trace_io.hpp"
@@ -29,13 +28,6 @@ using namespace ltsc::util::literals;
 
 sim::fleet_config fleet_cfg(std::size_t shards, std::size_t threads) {
     sim::fleet_config c;
-    c.shards = shards;
-    c.threads = threads;
-    return c;
-}
-
-sim::rollout_engine_config engine_cfg(std::size_t shards, std::size_t threads) {
-    sim::rollout_engine_config c;
     c.shards = shards;
     c.threads = threads;
     return c;
@@ -275,51 +267,6 @@ TEST(Fleet, ConcurrentShardSteppingHammer) {
     f.advance(60.0_s);
     for (std::size_t l = 0; l < kLanes; ++l) {
         EXPECT_EQ(f.now(l).value(), 180.0);
-    }
-}
-
-TEST(Fleet, RolloutEngineIsShardAndThreadInvariant) {
-    workload::utilization_profile profile("rollout-fleet");
-    profile.constant(55.0, 10.0_min);
-    sim::server_simulator s;
-    s.bind_workload(profile);
-    s.force_cold_start();
-    s.advance(240.0_s);
-    const sim::server_state snap = s.snapshot_state();
-
-    const std::vector<sim::fan_schedule> candidates = {
-        {{2400_rpm}}, {{1800_rpm}}, {{3600_rpm, 3000_rpm}}, {{4200_rpm}}, {{2700_rpm, 2100_rpm}}};
-    sim::rollout_options opt;
-    opt.horizon = 90.0_s;
-    opt.epoch = 30.0_s;
-
-    sim::rollout_engine reference(s.config(), 6);
-    reference.bind_workload(*s.workload());
-    const sim::rollout_result base = reference.evaluate(snap, candidates, opt);
-    ASSERT_EQ(base.scores.size(), candidates.size());
-
-    for (const auto& ec : {engine_cfg(3, 1), engine_cfg(3, 3), engine_cfg(6, 2)}) {
-        SCOPED_TRACE("shards " + std::to_string(ec.shards) + " threads " +
-                     std::to_string(ec.threads));
-        sim::rollout_engine engine(s.config(), 6, ec);
-        EXPECT_EQ(engine.shard_count(), ec.shards);
-        engine.bind_workload(*s.workload());
-        const sim::rollout_result r = engine.evaluate(snap, candidates, opt);
-        ASSERT_EQ(r.scores.size(), base.scores.size());
-        EXPECT_EQ(r.best, base.best);
-        for (std::size_t l = 0; l < base.scores.size(); ++l) {
-            EXPECT_EQ(r.scores[l].score_j, base.scores[l].score_j) << "candidate " << l;
-            EXPECT_EQ(r.scores[l].energy_j, base.scores[l].energy_j) << "candidate " << l;
-            EXPECT_EQ(r.scores[l].peak_temp_c, base.scores[l].peak_temp_c) << "candidate " << l;
-            EXPECT_EQ(r.scores[l].steps, base.scores[l].steps) << "candidate " << l;
-            EXPECT_EQ(r.scores[l].guarded, base.scores[l].guarded) << "candidate " << l;
-        }
-        // Every candidate, whichever shard holds it, rolled the whole
-        // horizon.
-        for (std::size_t l = 0; l < candidates.size(); ++l) {
-            EXPECT_EQ(r.scores[l].steps, 90) << "candidate " << l;
-            EXPECT_GT(r.scores[l].energy_j, 0.0) << "candidate " << l;
-        }
     }
 }
 

@@ -117,13 +117,13 @@ TEST(LaneMemory, RolloutEvaluationsHoldNoMoreHeap) {
     opt.horizon = 180_s;
     opt.epoch = 30_s;
     sim::rollout_engine engine(s.config(), 16);
-    engine.bind_workload(*s.workload());
-    static_cast<void>(engine.evaluate(snap, five, opt));
-    static_cast<void>(engine.evaluate(snap, three, opt));
+    const workload::loadgen& load = *s.workload();
+    static_cast<void>(engine.evaluate(snap, load, nullptr, five, opt));
+    static_cast<void>(engine.evaluate(snap, load, nullptr, three, opt));
 
     const long long before = live_bytes.load();
     for (int i = 0; i < 200; ++i) {
-        static_cast<void>(engine.evaluate(snap, i % 50 == 0 ? five : three, opt));
+        static_cast<void>(engine.evaluate(snap, load, nullptr, i % 50 == 0 ? five : three, opt));
     }
     EXPECT_EQ(live_bytes.load() - before, 0);
 }

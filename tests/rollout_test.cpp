@@ -133,11 +133,10 @@ TEST(Rollout, EvaluationIsAPureFunctionOfStateAndCandidates) {
 
     sim::rollout_engine e1(s.config(), 4);
     sim::rollout_engine e2(s.config(), 4);
-    e1.bind_workload(*s.workload());
-    e2.bind_workload(*s.workload());
-    const sim::rollout_result r1 = e1.evaluate(snap, candidates, opt);
-    const sim::rollout_result r2 = e1.evaluate(snap, candidates, opt);  // same engine again
-    const sim::rollout_result r3 = e2.evaluate(snap, candidates, opt);  // fresh engine
+    const workload::loadgen& load = *s.workload();
+    const sim::rollout_result r1 = e1.evaluate(snap, load, nullptr, candidates, opt);
+    const sim::rollout_result r2 = e1.evaluate(snap, load, nullptr, candidates, opt);  // reused
+    const sim::rollout_result r3 = e2.evaluate(snap, load, nullptr, candidates, opt);  // fresh
     ASSERT_EQ(r1.scores.size(), 3U);
     for (const sim::rollout_result* r : {&r2, &r3}) {
         EXPECT_EQ(r1.best, r->best);
@@ -166,12 +165,12 @@ TEST(Rollout, PrefersCheaperCandidateWhenGuardIsSafe) {
     s.advance(120_s);
 
     sim::rollout_engine engine(s.config(), 2);
-    engine.bind_workload(*s.workload());
     sim::rollout_options opt;
     opt.horizon = 120_s;
     opt.epoch = 30_s;
     const std::vector<sim::fan_schedule> candidates = {{{4200_rpm}}, {{1800_rpm}}};
-    const sim::rollout_result r = engine.evaluate(s.snapshot_state(), candidates, opt);
+    const sim::rollout_result r =
+        engine.evaluate(s.snapshot_state(), *s.workload(), nullptr, candidates, opt);
     EXPECT_EQ(r.best, 1U);  // idle machine: slow fans win on energy
     EXPECT_FALSE(r.scores[0].guarded);
     EXPECT_FALSE(r.scores[1].guarded);
@@ -188,7 +187,6 @@ TEST(Rollout, GuardTerminatesHotCandidatesEarlyAndPenalizesThem) {
     s.advance(600_s);
 
     sim::rollout_engine engine(s.config(), 2);
-    engine.bind_workload(*s.workload());
     sim::rollout_options opt;
     opt.horizon = 600_s;
     opt.epoch = 60_s;
@@ -196,7 +194,8 @@ TEST(Rollout, GuardTerminatesHotCandidatesEarlyAndPenalizesThem) {
     // maximum fans hold them under it.
     opt.guard_temp_c = 70.0;
     const std::vector<sim::fan_schedule> candidates = {{{1800_rpm}}, {{4200_rpm}}};
-    const sim::rollout_result r = engine.evaluate(s.snapshot_state(), candidates, opt);
+    const sim::rollout_result r =
+        engine.evaluate(s.snapshot_state(), *s.workload(), nullptr, candidates, opt);
     EXPECT_TRUE(r.scores[0].guarded);
     EXPECT_LT(r.scores[0].steps, 600);  // terminated before the horizon
     EXPECT_FALSE(r.scores[1].guarded);
@@ -214,11 +213,11 @@ TEST(Rollout, TiesBreakToTheLowestCandidateIndex) {
     s.force_cold_start();
     s.advance(60_s);
     sim::rollout_engine engine(s.config(), 2);
-    engine.bind_workload(*s.workload());
     sim::rollout_options opt;
     opt.horizon = 60_s;
     const std::vector<sim::fan_schedule> twins = {{{2400_rpm}}, {{2400_rpm}}};
-    const sim::rollout_result r = engine.evaluate(s.snapshot_state(), twins, opt);
+    const sim::rollout_result r =
+        engine.evaluate(s.snapshot_state(), *s.workload(), nullptr, twins, opt);
     EXPECT_EQ(r.scores[0].score_j, r.scores[1].score_j);
     EXPECT_EQ(r.best, 0U);
 }
@@ -230,22 +229,45 @@ TEST(Rollout, EngineRejectsBadInputs) {
     s.bind_workload(idle);
     s.force_cold_start();
     const sim::server_state snap = s.snapshot_state();
+    const workload::loadgen& load = *s.workload();
     sim::rollout_engine engine(s.config(), 2);
     sim::rollout_options opt;
 
-    // No workload bound yet.
-    EXPECT_THROW(static_cast<void>(engine.evaluate(snap, {{{2400_rpm}}}, opt)),
-                 util::precondition_error);
-    engine.bind_workload(*s.workload());
     // Empty candidate set / over budget / empty schedule / bad knobs.
-    EXPECT_THROW(static_cast<void>(engine.evaluate(snap, {}, opt)), util::precondition_error);
-    EXPECT_THROW(static_cast<void>(
-                     engine.evaluate(snap, {{{2400_rpm}}, {{2400_rpm}}, {{2400_rpm}}}, opt)),
+    EXPECT_THROW(static_cast<void>(engine.evaluate(snap, load, nullptr, {}, opt)),
                  util::precondition_error);
-    EXPECT_THROW(static_cast<void>(engine.evaluate(snap, {sim::fan_schedule{}}, opt)),
+    EXPECT_THROW(static_cast<void>(engine.evaluate(
+                     snap, load, nullptr, {{{2400_rpm}}, {{2400_rpm}}, {{2400_rpm}}}, opt)),
                  util::precondition_error);
+    EXPECT_THROW(
+        static_cast<void>(engine.evaluate(snap, load, nullptr, {sim::fan_schedule{}}, opt)),
+        util::precondition_error);
     opt.horizon = 0_s;
-    EXPECT_THROW(static_cast<void>(engine.evaluate(snap, {{{2400_rpm}}}, opt)),
+    EXPECT_THROW(static_cast<void>(engine.evaluate(snap, load, nullptr, {{{2400_rpm}}}, opt)),
+                 util::precondition_error);
+}
+
+TEST(Rollout, EngineRejectsAFanTargetPastThePairCount) {
+    // A fan event's target indexes the lanes' per-pair state unchecked,
+    // so evaluate validates the campaign it is handed.
+    sim::server_simulator s;
+    workload::utilization_profile idle("idle");
+    idle.idle(600_s);
+    s.bind_workload(idle);
+    s.force_cold_start();
+    const sim::server_state snap = s.snapshot_state();
+    const workload::loadgen& load = *s.workload();
+    const std::size_t pairs = s.config().fan_pairs;
+    sim::rollout_engine engine(s.config(), 1);
+    const sim::rollout_options opt;
+    const std::vector<sim::fan_schedule> hold = {{{2400_rpm}}};
+
+    const sim::fault_schedule last_pair(
+        {sim::fault_event{30.0, sim::fault_kind::fan_failure, pairs - 1, 0.0, 0.0}});
+    EXPECT_NO_THROW(static_cast<void>(engine.evaluate(snap, load, &last_pair, hold, opt)));
+    const sim::fault_schedule past_the_end(
+        {sim::fault_event{30.0, sim::fault_kind::fan_failure, pairs, 0.0, 0.0}});
+    EXPECT_THROW(static_cast<void>(engine.evaluate(snap, load, &past_the_end, hold, opt)),
                  util::precondition_error);
 }
 
@@ -339,19 +361,17 @@ TEST(Rollout, GuardedLaneIsRecycledCleanlyAcrossEvaluations) {
     const std::vector<sim::fan_schedule> all_cool = {{{4200_rpm}}, {{3600_rpm}}};
 
     sim::rollout_engine reused(s.config(), 2);
-    reused.bind_workload(*s.workload());
-    const sim::rollout_result first = reused.evaluate(snap, with_hot, opt);
+    const sim::rollout_result first = reused.evaluate(snap, *s.workload(), nullptr, with_hot, opt);
     ASSERT_TRUE(first.scores[0].guarded);  // lane 0 parked mid-horizon
     ASSERT_LT(first.scores[0].steps, 300);
 
     // Same engine, next epoch: lane 0 must behave as if never guarded.
-    const sim::rollout_result second = reused.evaluate(snap, all_cool, opt);
+    const sim::rollout_result second = reused.evaluate(snap, *s.workload(), nullptr, all_cool, opt);
     EXPECT_FALSE(second.scores[0].guarded);
     EXPECT_EQ(second.scores[0].steps, 300);  // the full horizon again
 
     sim::rollout_engine fresh(s.config(), 2);
-    fresh.bind_workload(*s.workload());
-    const sim::rollout_result clean = fresh.evaluate(snap, all_cool, opt);
+    const sim::rollout_result clean = fresh.evaluate(snap, *s.workload(), nullptr, all_cool, opt);
     EXPECT_EQ(second.best, clean.best);
     ASSERT_EQ(second.scores.size(), clean.scores.size());
     for (std::size_t i = 0; i < clean.scores.size(); ++i) {
@@ -382,14 +402,13 @@ TEST(Rollout, CandidateCountShrinkThenGrowStaysBitwise) {
     const std::vector<sim::fan_schedule> two = {{{2100_rpm}}, {{2700_rpm}}};
 
     sim::rollout_engine reused(s.config(), 4);
-    reused.bind_workload(*s.workload());
-    static_cast<void>(reused.evaluate(snap, four, opt));
-    static_cast<void>(reused.evaluate(snap, two, opt));  // shrink: lanes 2-3 parked
-    const sim::rollout_result regrown = reused.evaluate(snap, four, opt);
+    const workload::loadgen& load = *s.workload();
+    static_cast<void>(reused.evaluate(snap, load, nullptr, four, opt));
+    static_cast<void>(reused.evaluate(snap, load, nullptr, two, opt));  // shrink: lanes 2-3 parked
+    const sim::rollout_result regrown = reused.evaluate(snap, load, nullptr, four, opt);
 
     sim::rollout_engine fresh(s.config(), 4);
-    fresh.bind_workload(*s.workload());
-    const sim::rollout_result clean = fresh.evaluate(snap, four, opt);
+    const sim::rollout_result clean = fresh.evaluate(snap, load, nullptr, four, opt);
     EXPECT_EQ(regrown.best, clean.best);
     ASSERT_EQ(regrown.scores.size(), clean.scores.size());
     for (std::size_t i = 0; i < clean.scores.size(); ++i) {
@@ -493,9 +512,8 @@ TEST(Rollout, PredictionEqualsRealization) {
         opt.sim_dt = pc.sim_dt;
         opt.guard_temp_c = 95.0;
         sim::rollout_engine engine(cfg, candidates.size());
-        engine.bind_workload(*source.workload());
-        engine.bind_fault_schedule(schedule);
-        const sim::rollout_result r = engine.evaluate(snap, candidates, opt);
+        const sim::rollout_result r =
+            engine.evaluate(snap, *source.workload(), &schedule, candidates, opt);
 
         const double dt = pc.sim_dt.value();
         for (std::size_t c = 0; c < candidates.size(); ++c) {
@@ -533,25 +551,53 @@ TEST(Rollout, PredictionEqualsRealization) {
     }
 }
 
-TEST(Rollout, UserCandidateGeneratorExtendsTheLattice) {
-    const auto profile = short_profile();
+TEST(Rollout, CampaignReboundInPlaceIsPreviewedAtTheNextDecision) {
+    // Rebinding a plant's campaign replaces it at the same address.  The
+    // next decision must preview the new campaign, bitwise as a
+    // controller that never saw the old one.
+    workload::utilization_profile profile("steady");
+    profile.constant(60.0, 3600_s);
     sim::server_simulator s;
-    core::rollout_controller_config cfg;
-    cfg.horizon = 60_s;
-    cfg.lattice_radius = 0;
-    cfg.include_hold = false;
-    bool called = false;
-    core::rollout_controller roll(
-        std::make_unique<core::bang_bang_controller>(), cfg,
-        [&called](const core::controller_inputs&, std::optional<util::rpm_t>,
-                  std::vector<sim::fan_schedule>& out) {
-            called = true;
-            out.push_back({{1800_rpm, 2400_rpm}});  // a two-move schedule
-        });
-    static_cast<void>(core::run_controlled(s, roll, profile));
-    EXPECT_TRUE(called);
-    ASSERT_FALSE(roll.last_rollout().scores.empty());
-    EXPECT_EQ(roll.last_rollout().scores.size(), 2U);
+    s.bind_workload(profile);
+    s.force_cold_start();
+    s.advance(300_s);
+    const core::batch_lane_plant_view plant(s.batch(), 0);
+    core::controller_inputs in;
+    in.now = s.now();
+    in.utilization_pct = s.measured_utilization(240_s);
+    in.max_cpu_temp = s.max_cpu_sensor_temp();
+    in.current_rpm = s.average_fan_rpm();
+    in.system_power = s.system_power_reading();
+    const double now = in.now.value();
+
+    s.bind_fault_schedule(
+        sim::fault_schedule({fault_at(now + 3000.0, sim::fault_kind::fan_failure, 0)}));
+    core::rollout_controller rebound(std::make_unique<core::bang_bang_controller>());
+    rebound.attach_plant(&plant);
+    static_cast<void>(rebound.decide(in));
+    s.bind_fault_schedule(
+        sim::fault_schedule({fault_at(now + 30.0, sim::fault_kind::fan_failure, 0),
+                             fault_at(now + 30.0, sim::fault_kind::fan_failure, 1)}));
+    static_cast<void>(rebound.decide(in));
+
+    core::rollout_controller fresh(std::make_unique<core::bang_bang_controller>());
+    fresh.attach_plant(&plant);
+    static_cast<void>(fresh.decide(in));
+    static_cast<void>(fresh.decide(in));
+
+    const sim::rollout_result& got = rebound.last_rollout();
+    const sim::rollout_result& want = fresh.last_rollout();
+    ASSERT_FALSE(want.scores.empty());
+    EXPECT_EQ(got.best, want.best);
+    ASSERT_EQ(got.scores.size(), want.scores.size());
+    for (std::size_t i = 0; i < want.scores.size(); ++i) {
+        SCOPED_TRACE("candidate " + std::to_string(i));
+        EXPECT_EQ(got.scores[i].score_j, want.scores[i].score_j);
+        EXPECT_EQ(got.scores[i].energy_j, want.scores[i].energy_j);
+        EXPECT_EQ(got.scores[i].peak_temp_c, want.scores[i].peak_temp_c);
+        EXPECT_EQ(got.scores[i].steps, want.scores[i].steps);
+        EXPECT_EQ(got.scores[i].guarded, want.scores[i].guarded);
+    }
 }
 
 }  // namespace
