@@ -29,7 +29,9 @@ const rollout_result& rollout_engine::evaluate(const server_state& start,
     const std::size_t k = candidates.size();
     util::ensure(k >= 1, "rollout_engine::evaluate: no candidates");
     util::ensure(k <= fans_.size(), "rollout_engine::evaluate: more candidates than lanes");
-    // fan_actuator::apply indexes the commanded speeds by target unchecked.
+    // Checked whole and up front, as binding a campaign to a plant checks
+    // it: fan_actuator::apply writes per-pair fault state by target
+    // before the fan bank's own range checks (fan_recover first of all).
     util::ensure(faults == nullptr ||
                      faults->max_fan_target() < fans_.front().bank().pair_count(),
                  "rollout_engine::evaluate: fan target out of range");
