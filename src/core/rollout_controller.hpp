@@ -29,8 +29,9 @@
 // false), no attached plant, or no bound workload, decide() returns the
 // baseline's decision untouched — the whole closed-loop trajectory is
 // bitwise-identical to running the wrapped controller directly.  A
-// rollout decision is a pure function of (plant state, candidate set):
-// rollouts run on engine-owned lanes and never perturb the live plant.
+// rollout decision is a pure function of (plant state, workload, fault
+// campaign, candidate set): rollouts run on engine-owned lanes and never
+// perturb the live plant.
 //
 // Fault handling, pinned by the fault-injection suite: while the plant
 // reports an *active* fault (dead fan pair, faulted sensor, telemetry
