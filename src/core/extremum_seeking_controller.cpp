@@ -3,20 +3,25 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/error.hpp"
+#include "power/fan_model.hpp"
 
 namespace ltsc::core {
 
-extremum_seeking_controller::extremum_seeking_controller(const extremum_seeking_config& config)
-    : config_(config) {
-    util::ensure(config.decision_period.value() > 0.0,
-                 "extremum_seeking_controller: bad decision period");
-    util::ensure(config.step.value() > 0.0, "extremum_seeking_controller: bad step");
-    util::ensure(config.max_rpm > config.min_rpm, "extremum_seeking_controller: bad RPM range");
-}
+namespace {
+
+constexpr double k_decision_period_s = 120.0;  ///< Settle time between probes.
+constexpr double k_step_rpm = 600.0;           ///< Probe step size.
+constexpr double k_min_rpm = power::fan_spec{}.min_rpm.value();
+constexpr double k_max_rpm = power::fan_spec{}.max_rpm.value();
+constexpr double k_max_cpu_temp_c = 75.0;      ///< Reliability guard.
+/// Utilization change (percent points) that restarts the search; a new
+/// operating point invalidates the previous power comparison.
+constexpr double k_util_restart_delta_pct = 15.0;
+
+}  // namespace
 
 util::seconds_t extremum_seeking_controller::polling_period() const {
-    return config_.decision_period;
+    return util::seconds_t{k_decision_period_s};
 }
 
 std::optional<util::rpm_t> extremum_seeking_controller::decide(const controller_inputs& in) {
@@ -24,9 +29,9 @@ std::optional<util::rpm_t> extremum_seeking_controller::decide(const controller_
     const double power = in.system_power.value();
 
     // Reliability guard dominates everything.
-    if (in.max_cpu_temp.value() > config_.max_cpu_temp_c) {
+    if (in.max_cpu_temp.value() > k_max_cpu_temp_c) {
         has_baseline_ = false;
-        const double target = std::min(config_.max_rpm.value(), rpm + config_.step.value());
+        const double target = std::min(k_max_rpm, rpm + k_step_rpm);
         if (target != rpm) {
             return util::rpm_t{target};
         }
@@ -36,7 +41,7 @@ std::optional<util::rpm_t> extremum_seeking_controller::decide(const controller_
     // A large utilization move lands us on a new power curve; previous
     // comparisons are meaningless.
     if (has_util_ &&
-        std::fabs(in.utilization_pct - last_util_pct_) > config_.util_restart_delta_pct) {
+        std::fabs(in.utilization_pct - last_util_pct_) > k_util_restart_delta_pct) {
         has_baseline_ = false;
     }
     last_util_pct_ = in.utilization_pct;
@@ -49,8 +54,7 @@ std::optional<util::rpm_t> extremum_seeking_controller::decide(const controller_
         has_baseline_ = true;
         baseline_power_w_ = power;
         direction_ = -1.0;
-        const double target = std::clamp(rpm + direction_ * config_.step.value(),
-                                         config_.min_rpm.value(), config_.max_rpm.value());
+        const double target = std::clamp(rpm + direction_ * k_step_rpm, k_min_rpm, k_max_rpm);
         if (target == rpm) {
             direction_ = -direction_;
             return std::nullopt;
@@ -63,8 +67,7 @@ std::optional<util::rpm_t> extremum_seeking_controller::decide(const controller_
         direction_ = -direction_;  // got worse: turn around
     }
     baseline_power_w_ = power;
-    const double target = std::clamp(rpm + direction_ * config_.step.value(),
-                                     config_.min_rpm.value(), config_.max_rpm.value());
+    const double target = std::clamp(rpm + direction_ * k_step_rpm, k_min_rpm, k_max_rpm);
     if (target == rpm) {
         direction_ = -direction_;  // pinned at a rail: try the other way next time
         return std::nullopt;

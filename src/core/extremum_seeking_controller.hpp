@@ -14,34 +14,17 @@
 
 namespace ltsc::core {
 
-/// Tunables of the extremum-seeking policy.
-struct extremum_seeking_config {
-    util::seconds_t decision_period{120.0};  ///< Settle time between probes.
-    util::rpm_t step{600.0};                 ///< Probe step size.
-    util::rpm_t min_rpm{1800.0};
-    util::rpm_t max_rpm{4200.0};
-    double max_cpu_temp_c = 75.0;            ///< Reliability guard.
-    /// Utilization change (percent points) that restarts the search; a new
-    /// operating point invalidates the previous power comparison.
-    double util_restart_delta_pct = 15.0;
-};
-
-/// Perturb-and-observe power minimizer.  Uses the wall-power reading in
-/// `controller_inputs::system_power` to compare consecutive settled
-/// operating points.
+/// Perturb-and-observe power minimizer over the fan's legal range.  Uses
+/// the wall-power reading in `controller_inputs::system_power` to compare
+/// consecutive settled operating points.
 class extremum_seeking_controller final : public fan_controller {
 public:
-    explicit extremum_seeking_controller(const extremum_seeking_config& config = {});
-
     [[nodiscard]] util::seconds_t polling_period() const override;
     [[nodiscard]] std::optional<util::rpm_t> decide(const controller_inputs& in) override;
     [[nodiscard]] std::string name() const override { return "ExtremumSeek"; }
     void reset() override;
 
-    [[nodiscard]] const extremum_seeking_config& config() const { return config_; }
-
 private:
-    extremum_seeking_config config_;
     double direction_ = -1.0;       ///< Current search direction (start downward:
                                     ///< stock speed over-cools).
     bool has_baseline_ = false;

@@ -3,11 +3,20 @@
 #include <algorithm>
 
 #include "core/fault_monitor.hpp"
+#include "power/fan_model.hpp"
 #include "util/error.hpp"
 
 namespace ltsc::core {
 
 namespace {
+
+/// Staleness budget: override when the newest poll is older than this.
+/// 2.5 CSTH periods — one missed poll is scheduling jitter, two is an
+/// outage.
+constexpr double k_stale_after_s = 25.0;
+
+/// Speed commanded while engaged: maximum cooling.
+constexpr util::rpm_t k_failsafe_rpm = power::fan_spec{}.max_rpm;
 
 /// Whether the monitor distrusts any CPU sensor on this plant.
 [[nodiscard]] bool any_sensor_distrusted(const controller_inputs& in) {
@@ -51,14 +60,9 @@ namespace {
 
 }  // namespace
 
-failsafe_controller::failsafe_controller(std::unique_ptr<fan_controller> baseline,
-                                         const failsafe_config& config)
-    : baseline_(std::move(baseline)), config_(config) {
+failsafe_controller::failsafe_controller(std::unique_ptr<fan_controller> baseline)
+    : baseline_(std::move(baseline)) {
     util::ensure(baseline_ != nullptr, "failsafe_controller: null baseline");
-    util::ensure(config_.stale_after_s > 0.0,
-                 "failsafe_controller: non-positive staleness budget");
-    util::ensure(config_.failsafe_rpm.value() > 0.0,
-                 "failsafe_controller: non-positive failsafe speed");
 }
 
 util::seconds_t failsafe_controller::polling_period() const {
@@ -97,10 +101,10 @@ std::optional<util::rpm_t> failsafe_controller::decide(const controller_inputs& 
     } else {
         baseline_cmd = baseline_->decide(in);
     }
-    fan_override_ = config_.fan_override && any_fan_failed(in);
-    if (in.sensor_age_s > config_.stale_after_s || fan_override_) {
+    fan_override_ = any_fan_failed(in);
+    if (in.sensor_age_s > k_stale_after_s || fan_override_) {
         engaged_ = true;
-        return config_.failsafe_rpm;
+        return k_failsafe_rpm;
     }
     engaged_ = false;
     return baseline_cmd;

@@ -45,25 +45,10 @@
 
 namespace ltsc::core {
 
-/// Tunables of the sensor-loss failsafe.
-struct failsafe_config {
-    /// Staleness budget: override when the newest poll is older than
-    /// this.  The default is 2.5 CSTH periods — one missed poll is
-    /// scheduling jitter, two is an outage.
-    double stale_after_s = 25.0;
-    /// Speed commanded while engaged (maximum cooling).
-    util::rpm_t failsafe_rpm{4200.0};
-    /// Command `failsafe_rpm` while the residual monitor marks any fan
-    /// pair failed: a dead or lying pair starves its zone of airflow,
-    /// and the surviving pairs' 30 % mixing share is all that cools it.
-    bool fan_override = true;
-};
-
 /// Failsafe wrapper around any baseline fan controller.
 class failsafe_controller final : public fan_controller {
 public:
-    explicit failsafe_controller(std::unique_ptr<fan_controller> baseline,
-                                 const failsafe_config& config = {});
+    explicit failsafe_controller(std::unique_ptr<fan_controller> baseline);
 
     [[nodiscard]] util::seconds_t polling_period() const override;
     [[nodiscard]] std::optional<util::rpm_t> decide(const controller_inputs& in) override;
@@ -71,7 +56,6 @@ public:
     void reset() override;
     void attach_plant(const plant_access* plant) override;
 
-    [[nodiscard]] const failsafe_config& config() const { return config_; }
     [[nodiscard]] const fan_controller& baseline() const { return *baseline_; }
     /// Whether the last decision was a failsafe override.
     [[nodiscard]] bool engaged() const { return engaged_; }
@@ -79,12 +63,13 @@ public:
     /// with monitor-backed estimates before consulting the baseline.
     [[nodiscard]] bool sensor_override() const { return sensor_override_; }
     /// Whether the last decision forced maximum cooling because the
-    /// monitor marked a fan pair failed.
+    /// monitor marked a fan pair failed: a dead or lying pair starves its
+    /// zone of airflow, and the surviving pairs' 30 % mixing share is
+    /// all that cools it.
     [[nodiscard]] bool fan_override() const { return fan_override_; }
 
 private:
     std::unique_ptr<fan_controller> baseline_;
-    failsafe_config config_;
     bool engaged_ = false;
     bool sensor_override_ = false;
     bool fan_override_ = false;

@@ -9,18 +9,17 @@ lut_controller::lut_controller(fan_lut table, const lut_controller_config& confi
     util::ensure(!table_.empty(), "lut_controller: empty LUT");
     util::ensure(config.polling_period.value() > 0.0, "lut_controller: bad polling period");
     util::ensure(config.min_hold.value() >= 0.0, "lut_controller: negative hold time");
-    util::ensure(config.emergency_temp_c > 0.0, "lut_controller: bad emergency threshold");
 }
 
 util::seconds_t lut_controller::polling_period() const { return config_.polling_period; }
 
 std::optional<util::rpm_t> lut_controller::decide(const controller_inputs& in) {
     // Safety override first: it ignores the rate limiter by design.
-    if (in.max_cpu_temp.value() > config_.emergency_temp_c) {
-        if (in.current_rpm.value() != config_.emergency_rpm.value()) {
+    if (in.max_cpu_temp.value() > k_lut_emergency_temp_c) {
+        if (in.current_rpm.value() != k_lut_emergency_rpm.value()) {
             has_changed_ = true;
             last_change_s_ = in.now.value();
-            return config_.emergency_rpm;
+            return k_lut_emergency_rpm;
         }
         return std::nullopt;
     }

@@ -11,18 +11,21 @@
 
 #include "core/controller.hpp"
 #include "core/fan_lut.hpp"
+#include "power/fan_model.hpp"
 
 namespace ltsc::core {
+
+/// Emergency override of the LUT controllers: if a CPU sensor exceeds
+/// this, command the fan's top speed regardless of the lockout (safety
+/// net; never triggers in the paper's tests because the LUT keeps
+/// temperature low).
+inline constexpr double k_lut_emergency_temp_c = 85.0;
+inline constexpr util::rpm_t k_lut_emergency_rpm = power::fan_spec{}.max_rpm;
 
 /// Tunables of the LUT controller.
 struct lut_controller_config {
     util::seconds_t polling_period{1.0};  ///< Utilization poll cadence.
     util::seconds_t min_hold{60.0};       ///< Lockout after an RPM change.
-    /// Emergency override: if the max CPU sensor exceeds this, command max
-    /// RPM regardless of the lockout (safety net; never triggers in the
-    /// paper's tests because the LUT keeps temperature low).
-    double emergency_temp_c = 85.0;
-    util::rpm_t emergency_rpm{4200.0};
 };
 
 /// LUT-addressed, utilization-driven fan controller.

@@ -11,35 +11,15 @@
 
 namespace ltsc::core {
 
-/// PID gains and limits.  Positive error (too hot) must raise RPM, so the
-/// gains act on (T - setpoint).
-struct pid_config {
-    double setpoint_c = 70.0;        ///< Target max CPU temperature.
-    double kp = 120.0;               ///< RPM per degC.
-    double ki = 2.0;                 ///< RPM per degC-second.
-    double kd = 300.0;               ///< RPM per degC/second.
-    util::seconds_t period{10.0};    ///< Decision cadence (CSTH polling).
-    util::rpm_t min_rpm{1800.0};
-    util::rpm_t max_rpm{4200.0};
-    /// Deadband: command changes smaller than this are suppressed to keep
-    /// the fan-change count sane.
-    util::rpm_t deadband{150.0};
-};
-
-/// PID regulator on max CPU temperature.
+/// PID regulator on max CPU temperature, over the fan's legal range.
 class pid_controller final : public fan_controller {
 public:
-    explicit pid_controller(const pid_config& config = {});
-
     [[nodiscard]] util::seconds_t polling_period() const override;
     [[nodiscard]] std::optional<util::rpm_t> decide(const controller_inputs& in) override;
     [[nodiscard]] std::string name() const override { return "PID"; }
     void reset() override;
 
-    [[nodiscard]] const pid_config& config() const { return config_; }
-
 private:
-    pid_config config_;
     double integral_ = 0.0;
     double prev_error_ = 0.0;
     bool has_prev_ = false;

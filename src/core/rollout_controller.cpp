@@ -14,8 +14,6 @@ rollout_controller::rollout_controller(std::unique_ptr<fan_controller> baseline,
     util::ensure(config_.sim_dt.value() > 0.0, "rollout_controller: non-positive sim_dt");
     util::ensure(config_.lattice_radius == 0 || config_.lattice_step.value() > 0.0,
                  "rollout_controller: non-positive lattice step");
-    util::ensure(config_.min_rpm.value() <= config_.max_rpm.value(),
-                 "rollout_controller: inverted RPM clamp");
 }
 
 util::seconds_t rollout_controller::polling_period() const {
@@ -48,9 +46,10 @@ void rollout_controller::attach_plant(const plant_access* plant) {
 
 void rollout_controller::build_candidates(const controller_inputs& in,
                                           std::optional<util::rpm_t> baseline_cmd) {
+    const power::fan_spec& fan = plant_->plant_config().fan;
     std::size_t n = 0;
     const auto add = [&](double rpm) {
-        rpm = std::min(std::max(rpm, config_.min_rpm.value()), config_.max_rpm.value());
+        rpm = std::min(std::max(rpm, fan.min_rpm.value()), fan.max_rpm.value());
         for (std::size_t j = 0; j < n; ++j) {
             if (candidates_[j].moves.size() == 1 && candidates_[j].moves[0].value() == rpm) {
                 return;  // lattice duplicate (clamping collapses the edges)

@@ -4,8 +4,9 @@
 // Wraps any reactive baseline policy (LUT, bang-bang, ...) and upgrades
 // it to a predictive one: at every decision epoch the controller asks
 // the baseline for its proposal, surrounds it with a lattice of
-// alternatives (hold the current speed, proposal, proposal +/- i*step),
-// rolls every candidate out over an H-second horizon on a private
+// alternatives (hold the current speed, proposal, proposal +/- i*step,
+// each clamped to the attached plant's fan range), rolls every
+// candidate out over an H-second horizon on a private
 // sim::rollout_engine — physics-only lanes loaded from a snapshot of the
 // live plant, whose prediction for the committed schedule is bitwise
 // what the plant realizes — and commits the first move of the schedule
@@ -68,8 +69,6 @@ struct rollout_controller_config {
     util::rpm_t lattice_step{300.0};  ///< Spacing of the candidate lattice.
     std::size_t lattice_radius = 2;   ///< Candidates at proposal +/- 1..radius steps.
     bool include_hold = true;         ///< Also try keeping the current speed.
-    util::rpm_t min_rpm{1800.0};      ///< Lattice clamp (legal fan range).
-    util::rpm_t max_rpm{4200.0};
     /// Rollout integration/scoring knobs (epoch defaults to the
     /// decision cadence; see rollout_options for the guard semantics).
     util::seconds_t sim_dt{1.0};

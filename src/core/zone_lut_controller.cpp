@@ -17,8 +17,8 @@ util::seconds_t zone_lut_controller::polling_period() const { return config_.pol
 
 util::rpm_t zone_lut_controller::zone_target(double socket_util_pct,
                                              double socket_temp_c) const {
-    if (socket_temp_c > config_.emergency_temp_c) {
-        return config_.emergency_rpm;
+    if (socket_temp_c > k_lut_emergency_temp_c) {
+        return k_lut_emergency_rpm;
     }
     return table_.lookup(std::clamp(socket_util_pct, 0.0, 100.0));
 }
@@ -46,9 +46,9 @@ std::optional<std::vector<util::rpm_t>> zone_lut_controller::decide_zones(
         if (target[z].value() != in.zone_rpm[z].value()) {
             any_change = true;
         }
-        if (target[z].value() == config_.emergency_rpm.value() &&
-            (in.socket_temp_c[0] > config_.emergency_temp_c ||
-             in.socket_temp_c[1] > config_.emergency_temp_c)) {
+        if (target[z].value() == k_lut_emergency_rpm.value() &&
+            (in.socket_temp_c[0] > k_lut_emergency_temp_c ||
+             in.socket_temp_c[1] > k_lut_emergency_temp_c)) {
             emergency = true;
         }
     }

@@ -10,6 +10,14 @@ namespace ltsc::fit {
 
 namespace {
 
+constexpr int k_max_iterations = 200;      ///< Outer iteration cap.
+constexpr double k_gradient_tol = 1e-10;   ///< Stop when ||J^T r||_inf falls below.
+constexpr double k_step_tol = 1e-12;       ///< Stop when the relative step falls below.
+constexpr double k_initial_lambda = 1e-3;  ///< Initial damping factor.
+constexpr double k_lambda_up = 10.0;       ///< Damping multiplier on rejected steps.
+constexpr double k_lambda_down = 0.5;      ///< Damping multiplier on accepted steps.
+constexpr double k_jacobian_step = 1e-6;   ///< Relative finite-difference step.
+
 /// Sum of squared residuals; +infinity when any residual is non-finite
 /// (an overflowing trial step must be rejected, not fatal).
 double sum_squares_or_inf(const std::vector<double>& r) {
@@ -31,11 +39,11 @@ double sum_squares(const std::vector<double>& r) {
 
 /// Forward-difference Jacobian: J(i, j) = d r_i / d p_j.
 util::matrix numeric_jacobian(const residual_fn& residuals, const std::vector<double>& p,
-                              const std::vector<double>& r0, double rel_step) {
+                              const std::vector<double>& r0) {
     util::matrix jac(r0.size(), p.size());
     std::vector<double> probe = p;
     for (std::size_t j = 0; j < p.size(); ++j) {
-        const double h = rel_step * std::max(1.0, std::fabs(p[j]));
+        const double h = k_jacobian_step * std::max(1.0, std::fabs(p[j]));
         probe[j] = p[j] + h;
         const std::vector<double> r1 = residuals(probe);
         util::ensure(r1.size() == r0.size(), "levenberg_marquardt: residual size changed");
@@ -49,8 +57,7 @@ util::matrix numeric_jacobian(const residual_fn& residuals, const std::vector<do
 
 }  // namespace
 
-nlls_result levenberg_marquardt(const residual_fn& residuals, std::vector<double> initial,
-                                const nlls_options& options) {
+nlls_result levenberg_marquardt(const residual_fn& residuals, std::vector<double> initial) {
     util::ensure(!initial.empty(), "levenberg_marquardt: empty parameter vector");
     std::vector<double> p = std::move(initial);
     std::vector<double> r = residuals(p);
@@ -59,14 +66,14 @@ nlls_result levenberg_marquardt(const residual_fn& residuals, std::vector<double
 
     double cost = sum_squares(r);
     const std::size_t n = p.size();
-    double lambda = options.initial_lambda;
+    double lambda = k_initial_lambda;
 
     nlls_result out;
     out.initial_rmse = std::sqrt(cost / static_cast<double>(r.size()));
 
-    for (int iter = 0; iter < options.max_iterations; ++iter) {
+    for (int iter = 0; iter < k_max_iterations; ++iter) {
         out.iterations = iter + 1;
-        const util::matrix jac = numeric_jacobian(residuals, p, r, options.jacobian_step);
+        const util::matrix jac = numeric_jacobian(residuals, p, r);
         const util::matrix jt = jac.transposed();
         const util::matrix jtj = jt * jac;
         const std::vector<double> grad = jt * r;
@@ -75,7 +82,7 @@ nlls_result levenberg_marquardt(const residual_fn& residuals, std::vector<double
         for (double g : grad) {
             grad_inf = std::max(grad_inf, std::fabs(g));
         }
-        if (grad_inf < options.gradient_tol) {
+        if (grad_inf < k_gradient_tol) {
             out.converged = true;
             break;
         }
@@ -96,7 +103,7 @@ nlls_result levenberg_marquardt(const residual_fn& residuals, std::vector<double
             try {
                 delta = util::solve(damped, rhs);
             } catch (const util::numeric_error&) {
-                lambda *= options.lambda_up;
+                lambda *= k_lambda_up;
                 continue;
             }
 
@@ -115,14 +122,13 @@ nlls_result levenberg_marquardt(const residual_fn& residuals, std::vector<double
                 p = std::move(candidate);
                 r = r_new;
                 cost = cost_new;
-                lambda = std::max(1e-12, lambda * options.lambda_down);
+                lambda = std::max(1e-12, lambda * k_lambda_down);
                 step_accepted = true;
-                if (std::sqrt(step_norm) <
-                    options.step_tol * (std::sqrt(p_norm) + options.step_tol)) {
+                if (std::sqrt(step_norm) < k_step_tol * (std::sqrt(p_norm) + k_step_tol)) {
                     out.converged = true;
                 }
             } else {
-                lambda *= options.lambda_up;
+                lambda *= k_lambda_up;
             }
         }
         if (!step_accepted || out.converged) {

@@ -15,17 +15,6 @@ namespace ltsc::fit {
 /// observation (model(params, x_i) - y_i).
 using residual_fn = std::function<std::vector<double>(const std::vector<double>&)>;
 
-/// Options controlling the Levenberg-Marquardt iteration.
-struct nlls_options {
-    int max_iterations = 200;      ///< Outer iteration cap.
-    double gradient_tol = 1e-10;   ///< Stop when ||J^T r||_inf falls below.
-    double step_tol = 1e-12;       ///< Stop when the relative step falls below.
-    double initial_lambda = 1e-3;  ///< Initial damping factor.
-    double lambda_up = 10.0;       ///< Damping multiplier on rejected steps.
-    double lambda_down = 0.5;      ///< Damping multiplier on accepted steps.
-    double jacobian_step = 1e-6;   ///< Relative finite-difference step.
-};
-
 /// Result of a nonlinear fit.
 struct nlls_result {
     std::vector<double> parameters;  ///< Best parameters found.
@@ -39,7 +28,6 @@ struct nlls_result {
 /// computed by forward finite differences.  Throws when the residual
 /// vector is empty, its size changes between calls, or numerics break down.
 [[nodiscard]] nlls_result levenberg_marquardt(const residual_fn& residuals,
-                                              std::vector<double> initial,
-                                              const nlls_options& options = {});
+                                              std::vector<double> initial);
 
 }  // namespace ltsc::fit

@@ -32,29 +32,6 @@ util::cfm_t fan_pair::airflow(util::rpm_t rpm) const {
     return util::cfm_t{spec_.ref_airflow.value() * ratio};
 }
 
-tabulated_fan_model::tabulated_fan_model(std::vector<fan_calibration_point> points) {
-    util::ensure(points.size() >= 2, "tabulated_fan_model: need >= 2 calibration points");
-    std::vector<double> x;
-    std::vector<double> y;
-    x.reserve(points.size());
-    y.reserve(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (i > 0) {
-            util::ensure(points[i].rpm > points[i - 1].rpm,
-                         "tabulated_fan_model: RPM points not strictly increasing");
-            util::ensure(points[i].power >= points[i - 1].power,
-                         "tabulated_fan_model: fan power must be non-decreasing in RPM");
-        }
-        x.push_back(points[i].rpm.value());
-        y.push_back(points[i].power.value());
-    }
-    interp_ = util::pchip_interpolator(std::move(x), std::move(y));
-}
-
-util::watts_t tabulated_fan_model::power(util::rpm_t rpm) const {
-    return util::watts_t{interp_(rpm.value())};
-}
-
 fan_bank::fan_bank(std::size_t pair_count, const fan_spec& spec, util::rpm_t initial)
     : pair_(spec),
       speeds_(pair_count, util::rpm_t{0.0}),

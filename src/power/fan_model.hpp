@@ -3,14 +3,13 @@
 // The paper's server has 6 fans in 3 rows of 2, each pair driven by its own
 // external power supply.  Fan affinity laws give airflow proportional to
 // RPM and power proportional to RPM^3; the paper measures the power at each
-// RPM setting during characterization.  This module provides both the pure
-// fan-law model and a tabulated model built from measured points.
+// RPM setting during characterization.  This module provides the fan-law
+// model.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-#include "util/interpolate.hpp"
 #include "util/units.hpp"
 
 namespace ltsc::power {
@@ -45,28 +44,6 @@ public:
 
 private:
     fan_spec spec_{};
-};
-
-/// Measured (RPM, Watts) calibration point for the tabulated model.
-struct fan_calibration_point {
-    util::rpm_t rpm{0.0};
-    util::watts_t power{0.0};
-};
-
-/// Fan power model built from measured calibration points (monotone cubic
-/// interpolation), as produced by the paper's vibration-sensor fan
-/// characterization.  Falls back to cubic extrapolation via clamping.
-class tabulated_fan_model {
-public:
-    /// Builds the model from at least two points with strictly increasing
-    /// RPM and non-decreasing power.
-    explicit tabulated_fan_model(std::vector<fan_calibration_point> points);
-
-    /// Interpolated pair power at `rpm`.
-    [[nodiscard]] util::watts_t power(util::rpm_t rpm) const;
-
-private:
-    util::pchip_interpolator interp_;
 };
 
 /// The server's bank of 3 independently controllable fan pairs.

@@ -7,6 +7,7 @@
 
 #include "core/bang_bang_controller.hpp"
 #include "core/controller_runtime.hpp"
+#include "core/failsafe_controller.hpp"
 #include "sim/server_simulator.hpp"
 #include "util/error.hpp"
 #include "workload/profile.hpp"
@@ -57,14 +58,12 @@ struct leg_outcome {
 leg_outcome run_leg(const fault_campaign_options& options, const fault_schedule* campaign,
                     const char* label) {
     server_config config;  // paper plant
-    config.seed = options.plant_seed;
     config.monitor.enabled = options.monitored;
     server_simulator sim(config);
     if (campaign != nullptr) {
         sim.bind_fault_schedule(*campaign);
     }
-    core::failsafe_controller controller(std::make_unique<core::bang_bang_controller>(),
-                                         options.failsafe);
+    core::failsafe_controller controller(std::make_unique<core::bang_bang_controller>());
     const workload::utilization_profile profile =
         options.fault_class == campaign_class::lying_sensor ||
                 options.fault_class == campaign_class::drifting_sensor
@@ -94,7 +93,7 @@ const char* to_string(campaign_class c) {
 fault_campaign_result run_fault_campaign(std::uint64_t campaign_seed,
                                          const fault_campaign_options& options) {
     util::ensure(options.duration_s > 0.0, "run_fault_campaign: non-positive duration");
-    fault_campaign_config generator = options.faults;
+    fault_campaign_config generator;
     generator.duration_s = options.duration_s;
 
     fault_campaign_result result;

@@ -9,7 +9,7 @@
 //   * thermal envelope — the *true* die temperatures (not the possibly
 //     lying sensors) of the faulted run stay under a cap.  The generator
 //     keeps the guard truthful (each die retains one unfaulted sensor;
-//     biases are non-negative by default), so the controller always has
+//     biases are non-negative), so the controller always has
 //     an honest worst-case reading to act on;
 //   * bounded energy regret — surviving faults costs fan power (failsafe
 //     overrides, failed-pair compensation), but only a bounded factor
@@ -28,7 +28,6 @@
 #include <optional>
 #include <string>
 
-#include "core/failsafe_controller.hpp"
 #include "sim/fault_schedule.hpp"
 #include "sim/metrics.hpp"
 
@@ -61,17 +60,13 @@ enum class campaign_class : int {
 /// Human-readable class name ("survivable", ...).
 [[nodiscard]] const char* to_string(campaign_class c);
 
-/// Fixed (non-seed) parameters of a campaign run.
+/// Fixed (non-seed) parameters of a campaign run.  Both legs run the
+/// paper plant (its default sensor-noise seed, independent of the
+/// campaign seed) under the default failsafe, and the generator runs
+/// its default shape over `duration_s`.
 struct fault_campaign_options {
     /// Run length; also the window faults are drawn over.
     double duration_s = 900.0;
-    /// Plant seed (sensor-noise stream); independent of the campaign seed.
-    std::uint64_t plant_seed = 0x5eed;
-    /// Fault-generator shape (duration_s inside is overridden to match;
-    /// the correlated class also overrides the correlation knobs).
-    fault_campaign_config faults{};
-    /// Failsafe wrapper tunables for the controller under test.
-    core::failsafe_config failsafe{};
     /// Generator class the campaign seed is drawn through.
     campaign_class fault_class = campaign_class::survivable;
     /// Run both legs with the residual monitor enabled (the failsafe

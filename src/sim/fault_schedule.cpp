@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "thermal/sensors.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -23,6 +24,9 @@ constexpr std::uint64_t k_campaign_stream = 0x9e3779b97f4a7c15ULL;
 // configs generating valid campaigns.  Defaults draw spans >= 10 s, so
 // the floor is bitwise-invisible to every calibrated campaign.
 constexpr double k_min_fault_span_s = 1e-3;
+
+// Fan pairs one correlated (PSU-rail) event takes down at most.
+constexpr std::size_t k_max_correlated_pairs = 2;
 
 bool takes_nan_value(fault_kind kind) {
     return kind == fault_kind::fan_stuck_pwm || kind == fault_kind::sensor_stuck;
@@ -149,7 +153,6 @@ std::size_t fault_schedule::max_sensor_target() const {
 fault_schedule make_random_campaign(std::uint64_t seed, const fault_campaign_config& config) {
     util::ensure(config.duration_s > 0.0, "make_random_campaign: non-positive duration");
     util::ensure(config.fan_pairs >= 1, "make_random_campaign: need at least one fan pair");
-    util::ensure(config.cpu_sensors >= 1, "make_random_campaign: need at least one sensor");
     util::ensure(config.max_faults >= 1, "make_random_campaign: need at least one fault");
     util::ensure(config.min_fan_outage_s > 0.0 &&
                      config.max_fan_outage_s >= config.min_fan_outage_s,
@@ -158,17 +161,11 @@ fault_schedule make_random_campaign(std::uint64_t seed, const fault_campaign_con
                  "make_random_campaign: bad sensor outage bound");
     util::ensure(config.max_telemetry_loss_s > 0.0,
                  "make_random_campaign: bad telemetry loss bound");
-    util::ensure(config.max_bias_c >= 0.0, "make_random_campaign: negative bias bound");
     util::ensure(config.max_concurrent_fan_faults >= 1 &&
                      config.max_concurrent_fan_faults < config.fan_pairs,
                  "make_random_campaign: concurrent fan faults must leave a healthy pair");
     util::ensure(config.correlated_probability >= 0.0 && config.correlated_probability <= 1.0,
                  "make_random_campaign: correlated probability out of [0, 1]");
-    util::ensure(config.max_correlated_pairs >= 1,
-                 "make_random_campaign: correlated group must hold at least one pair");
-    util::ensure(config.allow_fan_faults || config.allow_sensor_faults ||
-                     config.allow_telemetry_loss,
-                 "make_random_campaign: every fault class disabled");
 
     util::pcg32 rng(seed, k_campaign_stream);
     std::vector<fault_event> events;
@@ -177,7 +174,7 @@ fault_schedule make_random_campaign(std::uint64_t seed, const fault_campaign_con
     // effect's busy-until window is known the moment it is drawn, and
     // eligibility at each later onset is a plain comparison.
     std::vector<double> fan_busy_until(config.fan_pairs, 0.0);
-    std::vector<double> sensor_busy_until(config.cpu_sensors, 0.0);
+    std::vector<double> sensor_busy_until(thermal::k_cpu_sensors, 0.0);
     double telemetry_busy_until = 0.0;
 
     const double mean_gap = config.duration_s / static_cast<double>(config.max_faults + 1);
@@ -189,7 +186,8 @@ fault_schedule make_random_campaign(std::uint64_t seed, const fault_campaign_con
         }
 
         // Class selection draws run unconditionally so the stream layout
-        // stays simple; an ineligible class just skips this onset.
+        // stays simple; an ineligible class just skips this onset.  Fan,
+        // sensor and telemetry faults share the class draw in thirds.
         const double class_draw = rng.next_double();
         const double sub_draw = rng.next_double();
         const std::size_t target_draw = rng.next_u32();
@@ -200,13 +198,9 @@ fault_schedule make_random_campaign(std::uint64_t seed, const fault_campaign_con
         const double corr_draw =
             config.correlated_fan_events ? rng.next_double() : 1.0;
 
-        double weight_fan = config.allow_fan_faults ? 1.0 : 0.0;
-        double weight_sensor = config.allow_sensor_faults ? 1.0 : 0.0;
-        double weight_tel = config.allow_telemetry_loss ? 1.0 : 0.0;
-        const double total = weight_fan + weight_sensor + weight_tel;
-        const double pick = class_draw * total;
+        const double pick = class_draw * 3.0;
 
-        if (pick < weight_fan) {
+        if (pick < 1.0) {
             std::size_t active = 0;
             std::vector<std::size_t> eligible;
             for (std::size_t p = 0; p < config.fan_pairs; ++p) {
@@ -227,7 +221,7 @@ fault_schedule make_random_campaign(std::uint64_t seed, const fault_campaign_con
             if (config.correlated_fan_events && corr_draw < config.correlated_probability) {
                 // One PSU rail drops a whole group of pairs at the same
                 // instant; they recover together when the rail returns.
-                std::size_t group = std::min(config.max_correlated_pairs, eligible.size());
+                std::size_t group = std::min(k_max_correlated_pairs, eligible.size());
                 group = std::min(group, config.max_concurrent_fan_faults - active);
                 group = std::max<std::size_t>(group, 1);
                 const std::size_t start = target_draw % eligible.size();
@@ -261,14 +255,12 @@ fault_schedule make_random_campaign(std::uint64_t seed, const fault_campaign_con
             } else {
                 fan_busy_until[pair] = config.duration_s;  // persists to the end
             }
-        } else if (pick < weight_fan + weight_sensor) {
+        } else if (pick < 2.0) {
             // A die's sensors are 2s and 2s+1: faulting one requires its
             // partner healthy so every die keeps a truthful reading.
             std::vector<std::size_t> eligible;
-            for (std::size_t s = 0; s < config.cpu_sensors; ++s) {
-                const std::size_t partner = s ^ 1U;
-                const bool partner_busy =
-                    partner < config.cpu_sensors && sensor_busy_until[partner] > t;
+            for (std::size_t s = 0; s < thermal::k_cpu_sensors; ++s) {
+                const bool partner_busy = sensor_busy_until[s ^ 1U] > t;
                 if (sensor_busy_until[s] <= t && !partner_busy) {
                     eligible.push_back(s);
                 }
@@ -292,12 +284,7 @@ fault_schedule make_random_campaign(std::uint64_t seed, const fault_campaign_con
                 onset.value = std::numeric_limits<double>::quiet_NaN();  // freeze at current
             } else if (sub_draw < 2.0 / 3.0) {
                 onset.kind = fault_kind::sensor_bias;
-                const double magnitude = value_draw * config.max_bias_c;
-                // sub_draw sits in [1/3, 2/3); its position inside that
-                // band doubles as the sign draw when negative bias is on.
-                const bool negative =
-                    config.allow_negative_bias && (sub_draw - 1.0 / 3.0) * 3.0 >= 0.5;
-                onset.value = negative ? -magnitude : magnitude;
+                onset.value = value_draw * k_max_sensor_bias_c;
             } else {
                 onset.kind = fault_kind::sensor_dropout;
                 onset.duration_s = span;
@@ -328,21 +315,19 @@ fault_schedule make_random_campaign(std::uint64_t seed, const fault_campaign_con
 fault_schedule make_lying_sensor_campaign(std::uint64_t seed,
                                           const fault_campaign_config& config) {
     util::ensure(config.duration_s > 0.0, "make_lying_sensor_campaign: non-positive duration");
-    util::ensure(config.cpu_sensors >= 2 && config.cpu_sensors % 2 == 0,
-                 "make_lying_sensor_campaign: need an even CPU-sensor count");
 
     util::pcg32 rng(seed, k_campaign_stream);
     const double onset = rng.uniform(0.15, 0.4) * config.duration_s;
     const double span = rng.uniform(0.35, 0.6) * config.duration_s;
     const double magnitude = rng.uniform(12.0, 25.0);
-    const std::size_t dies = config.cpu_sensors / 2;
+    constexpr std::size_t dies = thermal::k_cpu_sensors / 2;
     // Scope: one whole die's sensor complement, or every sensor — in
     // both cases no truthful reading survives on the lied-about die(s).
     const std::size_t scope = rng.next_u32() % (dies + 1);
 
     std::vector<fault_event> events;
     const double recover_at = onset + span;
-    for (std::size_t s = 0; s < config.cpu_sensors; ++s) {
+    for (std::size_t s = 0; s < thermal::k_cpu_sensors; ++s) {
         if (scope < dies && s / 2 != scope) {
             continue;
         }
@@ -357,8 +342,6 @@ fault_schedule make_lying_sensor_campaign(std::uint64_t seed,
 fault_schedule make_drifting_sensor_campaign(std::uint64_t seed,
                                              const fault_campaign_config& config) {
     util::ensure(config.duration_s > 0.0, "make_drifting_sensor_campaign: non-positive duration");
-    util::ensure(config.cpu_sensors >= 2 && config.cpu_sensors % 2 == 0,
-                 "make_drifting_sensor_campaign: need an even CPU-sensor count");
 
     util::pcg32 rng(seed, k_campaign_stream);
     // Drawn unconditionally in a fixed order so the stream layout never
@@ -370,7 +353,7 @@ fault_schedule make_drifting_sensor_campaign(std::uint64_t seed,
     // asserts 95% onset coverage over; negative = lying cool, the
     // direction that hides a real excursion.
     const double rate = rng.uniform(0.02, 0.1);
-    const std::size_t dies = config.cpu_sensors / 2;
+    constexpr std::size_t dies = thermal::k_cpu_sensors / 2;
     // Scope: one die's whole sensor complement, or every sensor — no
     // truthful partner survives on a drifting die either way.
     const std::size_t scope = rng.next_u32() % (dies + 1);
@@ -381,7 +364,7 @@ fault_schedule make_drifting_sensor_campaign(std::uint64_t seed,
 
     std::vector<fault_event> events;
     const double recover_at = onset + span;
-    for (std::size_t s = 0; s < config.cpu_sensors; ++s) {
+    for (std::size_t s = 0; s < thermal::k_cpu_sensors; ++s) {
         if (scope < dies && s / 2 != scope) {
             continue;
         }
@@ -393,12 +376,11 @@ fault_schedule make_drifting_sensor_campaign(std::uint64_t seed,
     // When the drift spares a die, half the campaigns add a cool-lying
     // burst episode there: sub-threshold per-streak, so consecutive-poll
     // hysteresis alone never latches — accumulation has to.
-    if (scope < dies && dies >= 2 && intermittent_draw < 0.5) {
+    if (scope < dies && intermittent_draw < 0.5) {
         const std::size_t burst_die = (scope + 1) % dies;
         const double burst_at = intermittent_start_frac * config.duration_s;
         const double burst_span = intermittent_span_frac * config.duration_s;
-        for (std::size_t s = 2 * burst_die; s < 2 * burst_die + 2 && s < config.cpu_sensors;
-             ++s) {
+        for (std::size_t s = 2 * burst_die; s < 2 * burst_die + 2; ++s) {
             events.push_back(
                 {burst_at, fault_kind::sensor_intermittent, s, -intermittent_bias, burst_span});
         }

@@ -131,27 +131,25 @@ private:
     std::vector<fault_event> events_;
 };
 
-/// Knobs of the randomized campaign generator.  The defaults describe
-/// the *survivable, truthful-guard* class the chaos sweep asserts the
-/// envelope invariant over: at most one fan pair degraded at a time, at
-/// most one CPU sensor per die faulted at a time (so the max-sensor
-/// guard always has a truthful reading of the hottest die), and only
-/// non-negative sensor bias (a sensor lying *hot* makes the controller
-/// conservative; lying *cool* defeats any guard steering on raw
-/// readings — FaultInjection.NegativeBiasDefeatsTheGuardWithoutMonitor
-/// pins the defeat, and the residual monitor plus failsafe override is
-/// the mitigation, exercised by make_lying_sensor_campaign).
+/// Upper bound on a generated sensor bias [degC].
+inline constexpr double k_max_sensor_bias_c = 4.0;
+
+/// Knobs of the randomized campaign generator.  It draws fan, sensor and
+/// telemetry faults with equal odds over the plant's 4 CPU sensors.  The
+/// defaults describe the *survivable, truthful-guard* class the chaos
+/// sweep asserts the envelope invariant over: at most one fan pair
+/// degraded at a time, at most one CPU sensor per die faulted at a time
+/// (so the max-sensor guard always has a truthful reading of the hottest
+/// die).  Generated sensor biases are always non-negative (a sensor
+/// lying *hot* makes the controller conservative; lying *cool* defeats
+/// any guard steering on raw readings —
+/// FaultInjection.NegativeBiasDefeatsTheGuardWithoutMonitor pins the
+/// defeat, and the residual monitor plus failsafe override is the
+/// mitigation, exercised by make_lying_sensor_campaign).
 struct fault_campaign_config {
     double duration_s = 900.0;        ///< Campaign span the events land in.
     std::size_t fan_pairs = 3;        ///< Plant fan-pair count.
-    std::size_t cpu_sensors = 4;      ///< Plant CPU-sensor count (2 per die).
     std::size_t max_faults = 6;       ///< Fault onsets per campaign (>= 1).
-    bool allow_fan_faults = true;
-    bool allow_sensor_faults = true;
-    bool allow_telemetry_loss = true;
-    /// Negative bias = sensor lying cool; off for envelope campaigns.
-    bool allow_negative_bias = false;
-    double max_bias_c = 4.0;             ///< |bias| upper bound [degC].
     double min_fan_outage_s = 60.0;      ///< Fan fault span bounds [s].
     double max_fan_outage_s = 240.0;
     double max_sensor_outage_s = 120.0;  ///< Stuck/bias/dropout span cap [s].
@@ -159,17 +157,16 @@ struct fault_campaign_config {
     std::size_t max_concurrent_fan_faults = 1;  ///< Keeps >= 1 pair healthy.
 
     /// Correlated (rack-level) fan events: with probability
-    /// `correlated_probability`, a drawn fan fault takes out up to
-    /// `max_correlated_pairs` pairs *at the same instant* — one PSU rail
-    /// dropping several fans at once — recovering together too.  The
-    /// group is still capped by `max_concurrent_fan_faults`, so raise
-    /// that cap alongside (the correlated campaign class uses
-    /// fan_pairs - 1).  Off by default: with the flag false the
-    /// generator's RNG stream is bitwise-identical to earlier revisions,
-    /// preserving every calibrated campaign.
+    /// `correlated_probability`, a drawn fan fault takes out up to 2
+    /// pairs *at the same instant* — one PSU rail dropping several fans
+    /// at once — recovering together too.  The group is still capped by
+    /// `max_concurrent_fan_faults`, so raise that cap alongside (the
+    /// correlated campaign class uses fan_pairs - 1).  Off by default:
+    /// with the flag false the generator's RNG stream is
+    /// bitwise-identical to earlier revisions, preserving every
+    /// calibrated campaign.
     bool correlated_fan_events = false;
-    double correlated_probability = 0.6;   ///< P(group event | fan fault drawn).
-    std::size_t max_correlated_pairs = 2;  ///< Pairs per correlated group.
+    double correlated_probability = 0.6;  ///< P(group event | fan fault drawn).
 };
 
 /// Draws a randomized campaign from a dedicated PCG32 stream seeded
@@ -187,8 +184,7 @@ struct fault_campaign_config {
 /// starting 15–40% in.  This is the failure mode that defeats any
 /// guard steering on raw sensor maxima (no truthful partner survives on
 /// the lied-about die); only a model-based monitor catches it.  Uses
-/// `duration_s` and `cpu_sensors` from the config; the other knobs are
-/// ignored.
+/// only `duration_s` from the config.
 [[nodiscard]] fault_schedule make_lying_sensor_campaign(std::uint64_t seed,
                                                         const fault_campaign_config& config = {});
 
@@ -200,8 +196,7 @@ struct fault_campaign_config {
 /// spares a die) an optional sensor_intermittent burst episode on the
 /// other die.  Every error here walks under the instantaneous residual
 /// threshold for minutes; only accumulated-residual (CUSUM) detection
-/// catches the onset.  Uses `duration_s` and `cpu_sensors` from the
-/// config; the other knobs are ignored.
+/// catches the onset.  Uses only `duration_s` from the config.
 [[nodiscard]] fault_schedule make_drifting_sensor_campaign(
     std::uint64_t seed, const fault_campaign_config& config = {});
 

@@ -25,7 +25,6 @@ server_config validated(const server_config& config) {
 }
 
 void validate(const server_config& config) {
-    util::ensure(config.sockets == 2, "server_config: thermal model assumes 2 sockets");
     util::ensure(config.dimm_count >= 1, "server_config: need at least one DIMM");
     util::ensure(config.fan_pairs >= 1, "server_config: need at least one fan pair");
     util::ensure(config.fan_pairs == config.thermal.fan_zones,
@@ -47,7 +46,8 @@ void validate(const server_config& config) {
     util::ensure(config.cpu_idle_each_w >= 0.0, "server_config: negative CPU idle power");
     util::ensure(config.dimm_idle_total_w >= 0.0, "server_config: negative DIMM idle power");
     util::ensure(config.base_power_w >=
-                     config.cpu_idle_each_w * static_cast<double>(config.sockets) +
+                     config.cpu_idle_each_w *
+                             static_cast<double>(thermal::server_thermal_model::socket_count()) +
                          config.dimm_idle_total_w,
                  "server_config: component idle power exceeds base power");
     util::ensure(config.active_coeff_w_per_pct >= 0.0, "server_config: negative active slope");

@@ -23,9 +23,7 @@ namespace ltsc::sim {
 /// Full plant description; every knob a study might vary lives here.
 struct server_config {
     // --- topology ------------------------------------------------------
-    std::size_t sockets = 2;            ///< CPU packages.
-    std::size_t cores_per_socket = 16;  ///< SPARC T3 core count.
-    std::size_t threads_per_core = 8;   ///< Hardware strands per core.
+    // Two CPU packages: thermal::server_thermal_model::socket_count().
     std::size_t dimm_count = 32;        ///< Memory modules.
     std::size_t fan_pairs = 3;          ///< Independently driven fan pairs.
 
@@ -66,13 +64,6 @@ struct server_config {
     // --- defaults ---------------------------------------------------------
     /// Fixed speed of the server's stock fan policy (Table I baseline).
     util::rpm_t default_fan_rpm{3300.0};
-    /// Fan speed the paper's protocol uses to force the cold start.
-    util::rpm_t cold_start_fan_rpm{3600.0};
-
-    /// Total hardware threads (256 on the target machine).
-    [[nodiscard]] std::size_t hardware_threads() const {
-        return sockets * cores_per_socket * threads_per_core;
-    }
 };
 
 /// The paper's server, exactly as described in Section III.

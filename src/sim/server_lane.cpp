@@ -9,6 +9,13 @@
 
 namespace ltsc::sim {
 
+namespace {
+
+/// Fan speed the paper's protocol uses to force the cold start.
+constexpr util::rpm_t k_cold_start_fan_rpm{3600.0};
+
+}  // namespace
+
 server_lane::server_lane(const server_config& config)
     : config_(validated(config)),
       rng_(config.seed, 0xda3e39cb94b95bdbULL),
@@ -201,7 +208,7 @@ void server_lane::begin_cold_start() {
     // Faults are part of the run being restarted: clear live effects and
     // rewind the campaign cursor with the clock.
     static_cast<void>(clear_fault_effects());  // the owner pushes airflow next
-    fans_.set_all(config_.cold_start_fan_rpm);
+    fans_.set_all(k_cold_start_fan_rpm);
 }
 
 void server_lane::finish_cold_start(const die_temps& die, const die_temps& twin_die) {

@@ -10,6 +10,11 @@ namespace ltsc::telemetry_service {
 
 namespace {
 
+/// Thermal-margin histogram grid (margin = guard - max sensor).
+constexpr double k_margin_lo_c = -25.0;
+constexpr double k_margin_hi_c = 100.0;
+constexpr std::size_t k_margin_bins = 500;
+
 [[nodiscard]] constexpr std::size_t ch(sim::trace_channel c) {
     return static_cast<std::size_t>(c);
 }
@@ -89,7 +94,7 @@ void online_rollup::merge(const online_rollup& other) {
 online_state::online_state(std::size_t lanes, online_config cfg) : cfg_(cfg) {
     util::ensure(lanes > 0, "online_state: need at least one lane");
     util::ensure(cfg.window_rows >= 2, "online_state: window_rows must be >= 2");
-    rollup_.margins = util::fixed_histogram(cfg.margin_lo_c, cfg.margin_hi_c, cfg.margin_bins);
+    rollup_.margins = util::fixed_histogram(k_margin_lo_c, k_margin_hi_c, k_margin_bins);
     lanes_.reserve(lanes);
     for (std::size_t l = 0; l < lanes; ++l) {
         lanes_.emplace_back(cfg.guard_temp_c);

@@ -39,10 +39,6 @@ struct online_config {
     /// counts as a guard-trip row, and thermal margin is measured
     /// against it.
     double guard_temp_c = 101.0;
-    /// Thermal-margin histogram grid (margin = guard - max sensor).
-    double margin_lo_c = -25.0;
-    double margin_hi_c = 100.0;
-    std::size_t margin_bins = 500;
 };
 
 /// Streaming accumulator for one lane's current window.

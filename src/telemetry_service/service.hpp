@@ -38,7 +38,7 @@
 namespace ltsc::telemetry_service {
 
 struct service_config {
-    online_config online;     ///< Window size, guard line, margin grid.
+    online_config online;     ///< Window size and guard line.
     std::size_t http_threads = 2;
     std::uint16_t port = 0;   ///< 0 picks an ephemeral port.
     bool enable_http = true;  ///< False: ingest only, no endpoint.

@@ -26,7 +26,7 @@ util::celsius_t temperature_sensor::read(util::celsius_t truth, util::pcg32& rng
 server_sensor_suite make_server_sensors(std::size_t dimm_count, double noise_sigma,
                                         double quantum) {
     server_sensor_suite suite;
-    for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t i = 0; i < k_cpu_sensors; ++i) {
         const double bias = (i % 2 == 0) ? -0.8 : 0.8;  // placement spread across the die
         suite.cpu.emplace_back(util::celsius_t{bias}, noise_sigma, quantum);
     }

@@ -33,6 +33,9 @@ private:
     double quantum_;
 };
 
+/// CPU sensors per server: 2 per die on the 2-socket plant.
+inline constexpr std::size_t k_cpu_sensors = 4;
+
 /// The paper's sensor complement for one server: 2 sensors per CPU die
 /// (+/- 1 degC placement spread) and one per DIMM module, spread around
 /// the bank temperature by a positional gradient.

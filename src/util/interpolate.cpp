@@ -1,22 +1,12 @@
 #include "util/interpolate.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/error.hpp"
 
 namespace ltsc::util {
 
 namespace {
-
-void check_knots(const std::vector<double>& x, const std::vector<double>& y, std::size_t min_knots,
-                 const char* who) {
-    ensure(x.size() == y.size(), std::string(who) + ": size mismatch");
-    ensure(x.size() >= min_knots, std::string(who) + ": too few knots");
-    for (std::size_t i = 1; i < x.size(); ++i) {
-        ensure(x[i] > x[i - 1], std::string(who) + ": knots not strictly increasing");
-    }
-}
 
 /// Index of the interval [x[i], x[i+1]] containing q (clamped).
 std::size_t interval_of(const std::vector<double>& x, double q) {
@@ -32,7 +22,11 @@ std::size_t interval_of(const std::vector<double>& x, double q) {
 
 linear_interpolator::linear_interpolator(std::vector<double> x, std::vector<double> y)
     : x_(std::move(x)), y_(std::move(y)) {
-    check_knots(x_, y_, 1, "linear_interpolator");
+    ensure(x_.size() == y_.size(), "linear_interpolator: size mismatch");
+    ensure(!x_.empty(), "linear_interpolator: too few knots");
+    for (std::size_t i = 1; i < x_.size(); ++i) {
+        ensure(x_[i] > x_[i - 1], "linear_interpolator: knots not strictly increasing");
+    }
 }
 
 double linear_interpolator::operator()(double q) const {
@@ -46,66 +40,6 @@ double linear_interpolator::operator()(double q) const {
     const std::size_t i = interval_of(x_, q);
     const double alpha = (q - x_[i]) / (x_[i + 1] - x_[i]);
     return y_[i] + alpha * (y_[i + 1] - y_[i]);
-}
-
-pchip_interpolator::pchip_interpolator(std::vector<double> x, std::vector<double> y)
-    : x_(std::move(x)), y_(std::move(y)) {
-    check_knots(x_, y_, 2, "pchip_interpolator");
-    const std::size_t n = x_.size();
-    std::vector<double> h(n - 1);
-    std::vector<double> delta(n - 1);
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-        h[i] = x_[i + 1] - x_[i];
-        delta[i] = (y_[i + 1] - y_[i]) / h[i];
-    }
-    slope_.assign(n, 0.0);
-    if (n == 2) {
-        slope_[0] = slope_[1] = delta[0];
-        return;
-    }
-    // Interior slopes: weighted harmonic mean when the secants agree in
-    // sign, zero at local extrema (Fritsch-Carlson condition).
-    for (std::size_t i = 1; i + 1 < n; ++i) {
-        if (delta[i - 1] * delta[i] <= 0.0) {
-            slope_[i] = 0.0;
-        } else {
-            const double w1 = 2.0 * h[i] + h[i - 1];
-            const double w2 = h[i] + 2.0 * h[i - 1];
-            slope_[i] = (w1 + w2) / (w1 / delta[i - 1] + w2 / delta[i]);
-        }
-    }
-    // One-sided three-point end slopes, clipped to preserve monotonicity.
-    const auto end_slope = [](double h0, double h1, double d0, double d1) {
-        double s = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1);
-        if (s * d0 <= 0.0) {
-            s = 0.0;
-        } else if (d0 * d1 <= 0.0 && std::fabs(s) > 3.0 * std::fabs(d0)) {
-            s = 3.0 * d0;
-        }
-        return s;
-    };
-    slope_[0] = end_slope(h[0], h[1], delta[0], delta[1]);
-    slope_[n - 1] = end_slope(h[n - 2], h[n - 3], delta[n - 2], delta[n - 3]);
-}
-
-double pchip_interpolator::operator()(double q) const {
-    ensure(x_.size() >= 2, "pchip_interpolator: not built");
-    if (q <= x_.front()) {
-        return y_.front();
-    }
-    if (q >= x_.back()) {
-        return y_.back();
-    }
-    const std::size_t i = interval_of(x_, q);
-    const double h = x_[i + 1] - x_[i];
-    const double t = (q - x_[i]) / h;
-    const double t2 = t * t;
-    const double t3 = t2 * t;
-    const double h00 = 2.0 * t3 - 3.0 * t2 + 1.0;
-    const double h10 = t3 - 2.0 * t2 + t;
-    const double h01 = -2.0 * t3 + 3.0 * t2;
-    const double h11 = t3 - t2;
-    return h00 * y_[i] + h10 * h * slope_[i] + h01 * y_[i + 1] + h11 * h * slope_[i + 1];
 }
 
 }  // namespace ltsc::util

@@ -1,9 +1,7 @@
 // 1-D interpolation over tabulated data.
 //
-// Fan power curves, RPM->airflow maps and the controller LUT are all
-// tabulated functions; this header provides a clamped linear interpolator
-// and a monotone cubic (Fritsch-Carlson PCHIP) interpolator for smooth
-// physical curves that must not overshoot their data.
+// A clamped linear interpolator for tabulated functions such as
+// efficiency curves.
 #pragma once
 
 #include <cstddef>
@@ -31,28 +29,6 @@ public:
 private:
     std::vector<double> x_;
     std::vector<double> y_;
-};
-
-/// Monotone cubic Hermite interpolation (Fritsch-Carlson).  Preserves the
-/// monotonicity of the data — essential for physical curves such as fan
-/// power vs. RPM where a plain cubic spline could oscillate.
-class pchip_interpolator {
-public:
-    pchip_interpolator() = default;
-
-    /// Builds the interpolator; `x` must be strictly increasing with at
-    /// least two knots.
-    pchip_interpolator(std::vector<double> x, std::vector<double> y);
-
-    /// Interpolated value at `q` (clamped outside the knot range).
-    [[nodiscard]] double operator()(double q) const;
-
-    [[nodiscard]] std::size_t size() const { return x_.size(); }
-
-private:
-    std::vector<double> x_;
-    std::vector<double> y_;
-    std::vector<double> slope_;  ///< Hermite end-point derivatives.
 };
 
 }  // namespace ltsc::util

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "sim/fault_campaign.hpp"
@@ -292,6 +293,169 @@ TEST(FaultCampaign, CorrelatedClassReplaysBitwiseAcrossThreadCounts) {
     }
 }
 
+/// One generator draw, pinned event by event: fire time, kind, target,
+/// value and span, each compared bitwise (hex literals).
+struct pinned_campaign {
+    std::uint64_t seed = 0;
+    std::vector<sim::fault_event> events;
+};
+
+using kind = sim::fault_kind;
+constexpr double k_nan = std::numeric_limits<double>::quiet_NaN();
+
+const std::vector<pinned_campaign> k_pinned_default = {
+    {1,
+     {
+         {0x1.b8e3d7a7ddb6fp+6, kind::sensor_bias, 0, 0x1.3cedd858p+0, 0.0},
+         {0x1.c1c3489386db8p+7, kind::sensor_recover, 0, 0.0, 0.0},
+         {0x1.06211f682524ap+8, kind::telemetry_loss, 0, 0.0, 0x1.9413223p+3},
+         {0x1.b42df4b47524bp+8, kind::fan_failure, 1, 0.0, 0.0},
+         {0x1.3642981cd76ddp+9, kind::sensor_stuck, 1, k_nan, 0.0},
+         {0x1.378d550a88926p+9, kind::fan_recover, 1, 0.0, 0.0},
+         {0x1.50924bd3806ddp+9, kind::sensor_recover, 1, 0.0, 0.0},
+         {0x1.8e609d29d0002p+9, kind::telemetry_loss, 0, 0.0, 0x1.53606f9p+5},
+         {0x1.b7eeb0182e927p+9, kind::telemetry_loss, 0, 0.0, 0x1.05b9f89fcp+6},
+     }},
+    {2,
+     {
+         {0x1.8d63534c2db6fp+6, kind::telemetry_loss, 0, 0.0, 0x1.220ebbe78p+6},
+         {0x1.617318aa02494p+7, kind::sensor_bias, 3, 0x1.9d0f0642p+1, 0.0},
+         {0x1.172938b0cd24ap+8, kind::sensor_recover, 3, 0.0, 0.0},
+         {0x1.64335fe9f0002p+8, kind::fan_stuck_pwm, 1, k_nan, 0.0},
+         {0x1.b525bde490002p+8, kind::fan_recover, 1, 0.0, 0.0},
+         {0x1.05c61f5aaa002p+9, kind::telemetry_loss, 0, 0.0, 0x1.ce4d1ad7p+4},
+         {0x1.63c0680dc56dep+9, kind::telemetry_loss, 0, 0.0, 0x1.4f621bca8p+5},
+     }},
+    {5,
+     {
+         {0x1.71f2f4e47b6dcp+6, kind::fan_failure, 0, 0.0, 0.0},
+         {0x1.4e143f82d5b6ep+7, kind::fan_recover, 0, 0.0, 0.0},
+         {0x1.f868e7d7d2494p+7, kind::sensor_dropout, 1, 0.0, 0x1.68b275168p+4},
+         {0x1.94ba3538e0926p+8, kind::fan_stuck_pwm, 2, k_nan, 0.0},
+         {0x1.d9b1fa1a48926p+8, kind::fan_recover, 2, 0.0, 0.0},
+         {0x1.ed93c1fe776ddp+8, kind::telemetry_loss, 0, 0.0, 0x1.2a6d045b8p+5},
+         {0x1.3a1a981999b6fp+9, kind::sensor_dropout, 0, 0.0, 0x1.e95aaa15ap+5},
+         {0x1.8eb2584d31b7p+9, kind::sensor_stuck, 1, k_nan, 0.0},
+         {0x1.9878ec2509b7p+9, kind::sensor_recover, 1, 0.0, 0.0},
+     }},
+};
+
+const std::vector<pinned_campaign> k_pinned_correlated = {
+    {1,
+     {
+         {0x1.b8e3d7a7ddb6fp+6, kind::sensor_bias, 0, 0x1.3cedd858p+0, 0.0},
+         {0x1.c1c3489386db8p+7, kind::sensor_recover, 0, 0.0, 0.0},
+         {0x1.2ba10fb1ef6ddp+8, kind::telemetry_loss, 0, 0.0, 0x1.ef045632p+5},
+         {0x1.86c70546b0002p+8, kind::telemetry_loss, 0, 0.0, 0x1.52cdbbf64p+6},
+         {0x1.1961e3b648494p+9, kind::sensor_dropout, 2, 0.0, 0x1.9a2dcd2eb8p+6},
+         {0x1.539425c676002p+9, kind::sensor_stuck, 0, k_nan, 0.0},
+         {0x1.7443f73dac494p+9, kind::telemetry_loss, 0, 0.0, 0x1.db0e6384p+4},
+         {0x1.8b2c6cf58a002p+9, kind::sensor_recover, 0, 0.0, 0.0},
+     }},
+    {2,
+     {
+         {0x1.8d63534c2db6fp+6, kind::telemetry_loss, 0, 0.0, 0x1.220ebbe78p+6},
+         {0x1.bb6436834db7p+7, kind::sensor_dropout, 2, 0.0, 0x1.8af8e960b8p+6},
+         {0x1.7eb99a9f94926p+8, kind::fan_failure, 0, 0.0, 0.0},
+         {0x1.7eb99a9f94926p+8, kind::fan_failure, 1, 0.0, 0.0},
+         {0x1.c195774a0c926p+8, kind::fan_recover, 0, 0.0, 0.0},
+         {0x1.c195774a0c926p+8, kind::fan_recover, 1, 0.0, 0.0},
+         {0x1.17def7c3edb6fp+9, kind::fan_failure, 2, 0.0, 0.0},
+         {0x1.17def7c3edb6fp+9, kind::fan_failure, 0, 0.0, 0.0},
+         {0x1.7e84e33097b6fp+9, kind::fan_recover, 2, 0.0, 0.0},
+         {0x1.7e84e33097b6fp+9, kind::fan_recover, 0, 0.0, 0.0},
+         {0x1.7fa6f765e4002p+9, kind::sensor_bias, 3, 0x1.71fca512p+1, 0.0},
+         {0x1.90f1286247002p+9, kind::sensor_recover, 3, 0.0, 0.0},
+     }},
+    {5,
+     {
+         {0x1.71f2f4e47b6dcp+6, kind::fan_failure, 0, 0.0, 0.0},
+         {0x1.4e143f82d5b6ep+7, kind::fan_recover, 0, 0.0, 0.0},
+         {0x1.d7f8fefad6db8p+7, kind::telemetry_loss, 0, 0.0, 0x1.43acee944p+6},
+         {0x1.84b91215a8001p+8, kind::sensor_stuck, 3, k_nan, 0.0},
+         {0x1.a3bd26f798001p+8, kind::sensor_recover, 3, 0.0, 0.0},
+         {0x1.f48856150924ap+8, kind::sensor_dropout, 1, 0.0, 0x1.e726d0adep+5},
+         {0x1.385031a5dd24ap+9, kind::sensor_dropout, 0, 0.0, 0x1.306728d73p+5},
+         {0x1.5eb02bb702493p+9, kind::telemetry_loss, 0, 0.0, 0x1.467017f18p+6},
+     }},
+};
+
+const std::vector<pinned_campaign> k_pinned_lying_sensor = {
+    {1,
+     {
+         {0x1.aec75cb2e2p+7, kind::sensor_bias, 2, -0x1.3ac1a8bb2p+4, 0.0},
+         {0x1.aec75cb2e2p+7, kind::sensor_bias, 3, -0x1.3ac1a8bb2p+4, 0.0},
+         {0x1.45416003df8p+9, kind::sensor_recover, 2, 0.0, 0.0},
+         {0x1.45416003df8p+9, kind::sensor_recover, 3, 0.0, 0.0},
+     }},
+    {2,
+     {
+         {0x1.88b6e8e2a8p+7, kind::sensor_bias, 0, -0x1.35218815bp+4, 0.0},
+         {0x1.88b6e8e2a8p+7, kind::sensor_bias, 1, -0x1.35218815bp+4, 0.0},
+         {0x1.88b6e8e2a8p+7, kind::sensor_bias, 2, -0x1.35218815bp+4, 0.0},
+         {0x1.88b6e8e2a8p+7, kind::sensor_bias, 3, -0x1.35218815bp+4, 0.0},
+         {0x1.5494cb9e6fp+9, kind::sensor_recover, 0, 0.0, 0.0},
+         {0x1.5494cb9e6fp+9, kind::sensor_recover, 1, 0.0, 0.0},
+         {0x1.5494cb9e6fp+9, kind::sensor_recover, 2, 0.0, 0.0},
+         {0x1.5494cb9e6fp+9, kind::sensor_recover, 3, 0.0, 0.0},
+     }},
+    {5,
+     {
+         {0x1.70b49647ecp+7, kind::sensor_bias, 0, -0x1.bd577b794p+3, 0.0},
+         {0x1.70b49647ecp+7, kind::sensor_bias, 1, -0x1.bd577b794p+3, 0.0},
+         {0x1.061a4bd71d8p+9, kind::sensor_recover, 0, 0.0, 0.0},
+         {0x1.061a4bd71d8p+9, kind::sensor_recover, 1, 0.0, 0.0},
+     }},
+};
+
+const std::vector<pinned_campaign> k_pinned_drifting_sensor = {
+    {1,
+     {
+         {0x1.8e9f7d5be7fffp+7, kind::sensor_drift, 2, -0x1.134f05170a3d7p-4, 0.0},
+         {0x1.8e9f7d5be7fffp+7, kind::sensor_drift, 3, -0x1.134f05170a3d7p-4, 0.0},
+         {0x1.1ab44ccfe6p+9, kind::sensor_recover, 2, 0.0, 0.0},
+         {0x1.1ab44ccfe6p+9, kind::sensor_recover, 3, 0.0, 0.0},
+     }},
+    {2,
+     {
+         {0x1.702bed821ffffp+7, kind::sensor_drift, 0, -0x1.0a7243ep-4, 0.0},
+         {0x1.702bed821ffffp+7, kind::sensor_drift, 1, -0x1.0a7243ep-4, 0.0},
+         {0x1.702bed821ffffp+7, kind::sensor_drift, 2, -0x1.0a7243ep-4, 0.0},
+         {0x1.702bed821ffffp+7, kind::sensor_drift, 3, -0x1.0a7243ep-4, 0.0},
+         {0x1.26f7094b8cp+9, kind::sensor_recover, 0, 0.0, 0.0},
+         {0x1.26f7094b8cp+9, kind::sensor_recover, 1, 0.0, 0.0},
+         {0x1.26f7094b8cp+9, kind::sensor_recover, 2, 0.0, 0.0},
+         {0x1.26f7094b8cp+9, kind::sensor_recover, 3, 0.0, 0.0},
+     }},
+    {5,
+     {
+         {0x1.5cf6de9feffffp+7, kind::sensor_drift, 0, -0x1.047a108p-5, 0.0},
+         {0x1.5cf6de9feffffp+7, kind::sensor_drift, 1, -0x1.047a108p-5, 0.0},
+         {0x1.d05d4624fcp+8, kind::sensor_recover, 0, 0.0, 0.0},
+         {0x1.d05d4624fcp+8, kind::sensor_recover, 1, 0.0, 0.0},
+         {0x1.f934196eeep+8, kind::sensor_intermittent, 2, -0x1.dd1c67efp+2, 0x1.7ce60ff938p+7},
+         {0x1.f934196eeep+8, kind::sensor_intermittent, 3, -0x1.dd1c67efp+2, 0x1.7ce60ff938p+7},
+     }},
+};
+
+void expect_pinned(const sim::fault_schedule& got, const pinned_campaign& want) {
+    ASSERT_EQ(got.size(), want.events.size()) << "seed " << want.seed;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        const sim::fault_event& g = got.events()[i];
+        const sim::fault_event& w = want.events[i];
+        SCOPED_TRACE(testing::Message() << "seed " << want.seed << ", event " << i);
+        EXPECT_EQ(g.t_s, w.t_s);
+        EXPECT_EQ(g.kind, w.kind);
+        EXPECT_EQ(g.target, w.target);
+        if (std::isnan(w.value)) {
+            EXPECT_TRUE(std::isnan(g.value));
+        } else {
+            EXPECT_EQ(g.value, w.value);
+        }
+        EXPECT_EQ(g.duration_s, w.duration_s);
+    }
+}
+
 TEST(FaultCampaign, DefaultClassGeneratorStreamIsUnchanged) {
     // The correlated knobs must not move the default generator's RNG
     // stream: with correlation off (the default) the campaign for a seed
@@ -309,6 +473,26 @@ TEST(FaultCampaign, DefaultClassGeneratorStreamIsUnchanged) {
     ASSERT_FALSE(gated.empty());
     EXPECT_EQ(base.events()[0].t_s, gated.events()[0].t_s);
     EXPECT_EQ(base.events()[0].kind, gated.events()[0].kind);
+
+    // Every generator's stream, pinned against recorded event lists: the
+    // default class, the correlated class as run_fault_campaign
+    // configures it, and the lying- and drifting-sensor generators.
+    const sim::fault_campaign_config defaults;
+    sim::fault_campaign_config correlated;
+    correlated.correlated_fan_events = true;
+    correlated.max_concurrent_fan_faults = correlated.fan_pairs - 1;
+    for (const pinned_campaign& want : k_pinned_default) {
+        expect_pinned(sim::make_random_campaign(want.seed, defaults), want);
+    }
+    for (const pinned_campaign& want : k_pinned_correlated) {
+        expect_pinned(sim::make_random_campaign(want.seed, correlated), want);
+    }
+    for (const pinned_campaign& want : k_pinned_lying_sensor) {
+        expect_pinned(sim::make_lying_sensor_campaign(want.seed, defaults), want);
+    }
+    for (const pinned_campaign& want : k_pinned_drifting_sensor) {
+        expect_pinned(sim::make_drifting_sensor_campaign(want.seed, defaults), want);
+    }
 }
 
 TEST(FaultCampaign, ViolationMessagesNameTheBrokenInvariant) {

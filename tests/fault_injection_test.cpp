@@ -21,6 +21,7 @@
 #include "sim/metrics.hpp"
 #include "sim/server_batch.hpp"
 #include "sim/server_simulator.hpp"
+#include "thermal/sensors.hpp"
 #include "util/error.hpp"
 #include "workload/profile.hpp"
 
@@ -111,13 +112,13 @@ TEST(FaultInjection, CampaignsRespectSurvivableConstraints) {
                     break;
                 case sim::fault_kind::sensor_bias:
                     EXPECT_GE(e.value, 0.0);  // truthful-guard class
-                    EXPECT_LE(e.value, cfg.max_bias_c);
-                    EXPECT_LT(e.target, cfg.cpu_sensors);
+                    EXPECT_LE(e.value, sim::k_max_sensor_bias_c);
+                    EXPECT_LT(e.target, thermal::k_cpu_sensors);
                     break;
                 case sim::fault_kind::sensor_stuck:
                 case sim::fault_kind::sensor_dropout:
                 case sim::fault_kind::sensor_recover:
-                    EXPECT_LT(e.target, cfg.cpu_sensors);
+                    EXPECT_LT(e.target, thermal::k_cpu_sensors);
                     break;
                 case sim::fault_kind::telemetry_loss:
                     EXPECT_GT(e.duration_s, 0.0);

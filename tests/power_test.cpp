@@ -188,24 +188,6 @@ TEST(Fan, PaperRpmGrid) {
     EXPECT_DOUBLE_EQ(grid.back().value(), 4200.0);
 }
 
-TEST(Fan, TabulatedModelMatchesCalibrationPoints) {
-    std::vector<power::fan_calibration_point> pts;
-    for (double r : {1800.0, 2400.0, 3000.0, 3600.0, 4200.0}) {
-        pts.push_back({util::rpm_t{r}, util::watts_t{16.7 * std::pow(r / 4200.0, 3.0)}});
-    }
-    const power::tabulated_fan_model m(pts);
-    EXPECT_NEAR(m.power(3000_rpm).value(), 16.7 * std::pow(3000.0 / 4200.0, 3.0), 1e-9);
-    // Between points the monotone interpolant stays within the bracket.
-    const double mid = m.power(2700_rpm).value();
-    EXPECT_GT(mid, m.power(2400_rpm).value());
-    EXPECT_LT(mid, m.power(3000_rpm).value());
-}
-
-TEST(Fan, TabulatedModelRejectsNonMonotonicPower) {
-    std::vector<power::fan_calibration_point> pts{{1800_rpm, 10_W}, {2400_rpm, 5_W}};
-    EXPECT_THROW(power::tabulated_fan_model{pts}, util::precondition_error);
-}
-
 // --- aggregate -----------------------------------------------------------
 
 TEST(ServerPower, BreakdownSums) {

@@ -13,6 +13,7 @@
 
 #include "core/bang_bang_controller.hpp"
 #include "core/controller_runtime.hpp"
+#include "core/default_controller.hpp"
 #include "core/rollout_controller.hpp"
 #include "sim/metrics.hpp"
 #include "sim/parallel_runner.hpp"
@@ -540,6 +541,48 @@ TEST(Rollout, PredictionEqualsRealization) {
             EXPECT_EQ(peak, score.peak_temp_c);
         }
     }
+}
+
+TEST(Rollout, LatticeClampFollowsThePlantFanRange) {
+    // A plant whose fans reach 5000 RPM, a baseline proposing 4200 and a
+    // load step to 100 %: only lattice points above 4200 keep the dies
+    // under the guard, so the committed move must use the plant's range.
+    sim::server_config cfg;
+    cfg.fan.max_rpm = 5000_rpm;
+    workload::utilization_profile profile("step");
+    profile.idle(300_s).constant(100.0, 1200_s);
+    sim::server_simulator s(cfg);
+    s.bind_workload(profile);
+    s.force_cold_start();
+    s.advance(300_s);
+
+    // Guard between the 4200 and 4500 RPM peaks over the horizon.
+    sim::rollout_options opt;
+    opt.horizon = 180_s;
+    opt.epoch = 10_s;
+    opt.guard_temp_c = 1000.0;
+    sim::rollout_engine probe(cfg, 2);
+    const sim::rollout_result peaks = probe.evaluate(
+        s.snapshot_state(), *s.workload(), nullptr, {{{4200_rpm}}, {{4500_rpm}}}, opt);
+    ASSERT_GT(peaks.scores[0].peak_temp_c, peaks.scores[1].peak_temp_c);
+    core::rollout_controller_config rc;
+    rc.horizon = opt.horizon;
+    rc.guard_temp_c = 0.5 * (peaks.scores[0].peak_temp_c + peaks.scores[1].peak_temp_c);
+
+    const core::batch_lane_plant_view plant(s.batch(), 0);
+    core::rollout_controller roll(std::make_unique<core::default_controller>(4200_rpm), rc);
+    roll.attach_plant(&plant);
+    core::controller_inputs in;
+    in.now = s.now();
+    in.utilization_pct = s.measured_utilization(240_s);
+    in.max_cpu_temp = s.max_cpu_sensor_temp();
+    in.current_rpm = s.average_fan_rpm();
+    in.system_power = s.system_power_reading();
+    const std::optional<util::rpm_t> cmd = roll.decide(in);
+    ASSERT_TRUE(cmd.has_value());
+    EXPECT_GT(cmd->value(), 4200.0);
+    EXPECT_LE(cmd->value(), 5000.0);
+    EXPECT_FALSE(roll.last_rollout().scores[roll.last_rollout().best].guarded);
 }
 
 TEST(Rollout, CampaignReboundInPlaceIsPreviewedAtTheNextDecision) {

@@ -1,4 +1,4 @@
-// Unit tests for linear and PCHIP interpolation.
+// Unit tests for linear interpolation.
 #include <gtest/gtest.h>
 
 #include "util/error.hpp"
@@ -7,7 +7,6 @@
 namespace {
 
 using ltsc::util::linear_interpolator;
-using ltsc::util::pchip_interpolator;
 using ltsc::util::precondition_error;
 
 TEST(LinearInterp, ExactAtKnots) {
@@ -42,75 +41,6 @@ TEST(LinearInterp, RejectsUnsortedKnots) {
 
 TEST(LinearInterp, RejectsSizeMismatch) {
     EXPECT_THROW(linear_interpolator({1.0, 2.0}, {1.0}), precondition_error);
-}
-
-TEST(Pchip, ExactAtKnots) {
-    const pchip_interpolator f({0.0, 1.0, 3.0, 4.0}, {0.0, 1.0, 9.0, 16.0});
-    EXPECT_DOUBLE_EQ(f(0.0), 0.0);
-    EXPECT_DOUBLE_EQ(f(1.0), 1.0);
-    EXPECT_DOUBLE_EQ(f(3.0), 9.0);
-    EXPECT_DOUBLE_EQ(f(4.0), 16.0);
-}
-
-TEST(Pchip, PreservesMonotonicity) {
-    // Data with a sharp step: a natural cubic spline would overshoot; the
-    // Fritsch-Carlson slopes must not.
-    const pchip_interpolator f({0.0, 1.0, 2.0, 3.0, 4.0}, {0.0, 0.0, 10.0, 10.0, 10.0});
-    double prev = f(0.0);
-    for (double q = 0.05; q <= 4.0; q += 0.05) {
-        const double v = f(q);
-        EXPECT_GE(v, prev - 1e-12) << "not monotone at q=" << q;
-        EXPECT_GE(v, -1e-12);
-        EXPECT_LE(v, 10.0 + 1e-12);
-        prev = v;
-    }
-}
-
-TEST(Pchip, TwoKnotsDegeneratesToLinear) {
-    const pchip_interpolator f({0.0, 2.0}, {0.0, 4.0});
-    EXPECT_NEAR(f(1.0), 2.0, 1e-12);
-}
-
-TEST(Pchip, ClampsOutsideRange) {
-    const pchip_interpolator f({0.0, 1.0, 2.0}, {1.0, 2.0, 3.0});
-    EXPECT_DOUBLE_EQ(f(-1.0), 1.0);
-    EXPECT_DOUBLE_EQ(f(3.0), 3.0);
-}
-
-TEST(Pchip, FlatDataStaysFlat) {
-    const pchip_interpolator f({0.0, 1.0, 2.0, 3.0}, {5.0, 5.0, 5.0, 5.0});
-    for (double q = 0.0; q <= 3.0; q += 0.1) {
-        EXPECT_NEAR(f(q), 5.0, 1e-12);
-    }
-}
-
-TEST(Pchip, LocalExtremumGetsZeroSlope) {
-    // A peak in the data: interpolant must not exceed the peak value.
-    const pchip_interpolator f({0.0, 1.0, 2.0}, {0.0, 1.0, 0.0});
-    for (double q = 0.0; q <= 2.0; q += 0.05) {
-        EXPECT_LE(f(q), 1.0 + 1e-12);
-        EXPECT_GE(f(q), -1e-12);
-    }
-}
-
-TEST(Pchip, RejectsTooFewKnots) {
-    EXPECT_THROW(pchip_interpolator({1.0}, {1.0}), precondition_error);
-}
-
-TEST(Pchip, CubicFanCurveInterpolatesAccurately) {
-    // Fan power is cubic in RPM; PCHIP through five measured points should
-    // track the cubic within a few percent everywhere in range.
-    std::vector<double> rpm;
-    std::vector<double> pw;
-    for (double r : {1800.0, 2400.0, 3000.0, 3600.0, 4200.0}) {
-        rpm.push_back(r);
-        pw.push_back(50.0 * (r / 4200.0) * (r / 4200.0) * (r / 4200.0));
-    }
-    const pchip_interpolator f(rpm, pw);
-    for (double r = 1800.0; r <= 4200.0; r += 50.0) {
-        const double exact = 50.0 * (r / 4200.0) * (r / 4200.0) * (r / 4200.0);
-        EXPECT_NEAR(f(r), exact, 0.05 * exact + 0.05);
-    }
 }
 
 }  // namespace
