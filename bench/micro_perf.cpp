@@ -20,6 +20,7 @@
 #include "sim/server_simulator.hpp"
 #include "telemetry_service/online_metrics.hpp"
 #include "thermal/server_thermal_model.hpp"
+#include "workload/loadgen.hpp"
 #include "workload/paper_tests.hpp"
 #include "workload/queueing.hpp"
 
@@ -303,6 +304,34 @@ void BM_RolloutDecision(benchmark::State& state) {
     state.SetLabel("rollout decisions per second");
 }
 BENCHMARK(BM_RolloutDecision);
+
+void BM_MeasuredUtilization(benchmark::State& state) {
+    // The controller runtime's utilization reads: a fresh loadgen polled
+    // every 10 s over the 240 s window, three asks per poll (the system
+    // and both sockets' views), wrapping to the start at the profile
+    // end.  One item averages one slid count and two repeats.  Arg 4 is
+    // Test-4, whose ~780 five-second ramps are counted slot by slot;
+    // arg 0 is the fault-campaign sweep's 30/90 % square wave, counted
+    // in closed form.  CI gates the ratio of the two.
+    const workload::utilization_profile profile =
+        state.range(0) == 4
+            ? workload::make_paper_test(workload::paper_test::test4_poisson)
+            : workload::utilization_profile("FaultSweep").square(90.0, 30.0, 150_s, 3);
+    const workload::loadgen gen(profile);
+    const double end = profile.duration().value();
+    double t = 10.0;
+    int asks = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(gen.measured_utilization(util::seconds_t{t}, 240_s));
+        if (++asks == 3) {
+            asks = 0;
+            t = t + 10.0 > end ? 10.0 : t + 10.0;
+        }
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.SetLabel("utilization reads per second");
+}
+BENCHMARK(BM_MeasuredUtilization)->Arg(4)->Arg(0);
 
 void BM_LeakageFit(benchmark::State& state) {
     sim::server_simulator s;

@@ -2,19 +2,26 @@
 
 #include <algorithm>
 
+#include "power/fan_model.hpp"
 #include "util/error.hpp"
 
 namespace ltsc::core {
 
-bang_bang_controller::bang_bang_controller(const bang_bang_thresholds& thresholds, util::rpm_t step,
-                                           util::rpm_t min_rpm, util::rpm_t max_rpm)
-    : thresholds_(thresholds), step_(step), min_rpm_(min_rpm), max_rpm_(max_rpm) {
+namespace {
+
+// The paper's five actions step by 600 RPM and jump to the ends of the
+// fan's legal range.
+constexpr double k_step_rpm = 600.0;
+constexpr double k_min_rpm = power::fan_spec{}.min_rpm.value();
+constexpr double k_max_rpm = power::fan_spec{}.max_rpm.value();
+
+}  // namespace
+
+bang_bang_controller::bang_bang_controller(const bang_bang_thresholds& thresholds)
+    : thresholds_(thresholds) {
     util::ensure(thresholds.floor_c < thresholds.low_c && thresholds.low_c < thresholds.high_c &&
                      thresholds.high_c < thresholds.ceiling_c,
                  "bang_bang_controller: thresholds not strictly ordered");
-    util::ensure(step.value() > 0.0, "bang_bang_controller: non-positive step");
-    util::ensure(min_rpm.value() > 0.0 && max_rpm > min_rpm,
-                 "bang_bang_controller: invalid RPM range");
 }
 
 // The paper notes "the time between two consecutive actions of the
@@ -29,17 +36,17 @@ std::optional<util::rpm_t> bang_bang_controller::decide(const controller_inputs&
 
     double target = rpm;
     if (t > thresholds_.ceiling_c) {
-        target = max_rpm_.value();
+        target = k_max_rpm;
     } else if (t > thresholds_.high_c) {
-        target = rpm + step_.value();
+        target = rpm + k_step_rpm;
     } else if (t < thresholds_.floor_c) {
-        target = min_rpm_.value();
+        target = k_min_rpm;
     } else if (t < thresholds_.low_c) {
-        target = rpm - step_.value();
+        target = rpm - k_step_rpm;
     } else {
         return std::nullopt;  // inside the 65-75 band: hold
     }
-    target = std::clamp(target, min_rpm_.value(), max_rpm_.value());
+    target = std::clamp(target, k_min_rpm, k_max_rpm);
     if (target == rpm) {
         return std::nullopt;
     }

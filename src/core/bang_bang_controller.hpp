@@ -27,12 +27,9 @@ struct bang_bang_thresholds {
 /// Bang-bang fan controller with the paper's thresholds.
 class bang_bang_controller final : public fan_controller {
 public:
-    /// `step` is the RPM increment (600 in the paper); `min_rpm`/`max_rpm`
-    /// bound the commanded range.
-    bang_bang_controller(const bang_bang_thresholds& thresholds = {},
-                         util::rpm_t step = util::rpm_t{600.0},
-                         util::rpm_t min_rpm = util::rpm_t{1800.0},
-                         util::rpm_t max_rpm = util::rpm_t{4200.0});
+    /// Steps by the paper's 600 RPM within the fan's legal range
+    /// (`power::fan_spec`).
+    explicit bang_bang_controller(const bang_bang_thresholds& thresholds = {});
 
     /// Rides the CSTH telemetry cadence (10 s).
     [[nodiscard]] util::seconds_t polling_period() const override;
@@ -43,9 +40,6 @@ public:
 
 private:
     bang_bang_thresholds thresholds_;
-    util::rpm_t step_;
-    util::rpm_t min_rpm_;
-    util::rpm_t max_rpm_;
 };
 
 }  // namespace ltsc::core

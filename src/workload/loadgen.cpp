@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -23,8 +24,8 @@ loadgen& loadgen::operator=(const loadgen& other) {
     if (this != &other) {
         profile_ = other.profile_;
         config_ = other.config_;
-        const std::lock_guard<std::mutex> lock(measured_cache_mutex_);
-        measured_cache_valid_ = false;
+        const std::lock_guard<std::mutex> lock(window_mutex_);
+        window_valid_ = false;
     }
     return *this;
 }
@@ -33,8 +34,8 @@ loadgen& loadgen::operator=(loadgen&& other) noexcept {
     if (this != &other) {
         profile_ = std::move(other.profile_);
         config_ = other.config_;
-        const std::lock_guard<std::mutex> lock(measured_cache_mutex_);
-        measured_cache_valid_ = false;
+        const std::lock_guard<std::mutex> lock(window_mutex_);
+        window_valid_ = false;
     }
     return *this;
 }
@@ -86,11 +87,8 @@ namespace {
 long long odd_significand(double v) {
     int e = 0;
     const double m = std::frexp(v, &e);  // v = m * 2^e, m in [0.5, 1)
-    auto sig = static_cast<long long>(std::ldexp(m, 53));
-    while (sig % 2 == 0) {
-        sig /= 2;
-    }
-    return sig;
+    const auto sig = static_cast<long long>(std::ldexp(m, 53));
+    return sig / (sig & -sig);  // divide out the lowest set bit's power of two
 }
 
 /// Busy quarter-second slots among slot indices [0, i): slots whose
@@ -101,7 +99,89 @@ long long busy_below(long long i, long long q4, long long r_star) {
 
 }  // namespace
 
-bool loadgen::measured_analytic(double t0, double t1, double& out) const {
+long long loadgen::busy_slots(long long lo, long long hi) const {
+    if (hi <= lo) {
+        return 0;
+    }
+    const double peak = 100.0 * config_.stress_intensity;
+    const double period = config_.pwm_period.value();
+    // Closed-form phase counting needs the period on the slot grid too;
+    // ramps and off-grid periods are counted slot by slot instead.
+    const double q4d = period * 4.0;
+    const bool dyadic_period = q4d == std::floor(q4d) && q4d < 9.0e15;
+    const auto q4 = static_cast<long long>(dyadic_period ? q4d : 0.0);
+
+    const auto count_by_sampling = [&](long long from, long long to) {
+        long long busy = 0;
+        for (long long i = from; i < to; ++i) {
+            busy += instantaneous_utilization(util::seconds_t{0.25 * static_cast<double>(i)}) > 0.0;
+        }
+        return busy;
+    };
+
+    // First segment holding slot `lo`, found as utilization_at finds
+    // the segment of an instant; slots past the profile end are idle
+    // (utilization_at returns 0) and contribute nothing.
+    const std::vector<utilization_profile::segment>& segments = profile_.segments();
+    const double x_lo = 0.25 * static_cast<double>(lo);
+    auto it = std::upper_bound(segments.begin(), segments.end(), x_lo,
+                               [](double lhs, const utilization_profile::segment& s) {
+                                   return lhs < s.t1;
+                               });
+    long long busy = 0;
+    for (; it != segments.end(); ++it) {
+        const utilization_profile::segment& s = *it;
+        // Slot range of this segment clipped to [lo, hi): a sample
+        // x = i/4 lands in [s.t0, s.t1) iff 4*s.t0 <= i < 4*s.t1, and
+        // both products are exact.
+        const long long s_lo = static_cast<long long>(std::ceil(s.t0 * 4.0));
+        if (s_lo >= hi) {
+            break;
+        }
+        const long long from = std::max(lo, s_lo);
+        const long long to = std::min(hi, static_cast<long long>(std::ceil(s.t1 * 4.0)));
+        if (to <= from) {
+            continue;
+        }
+        if (s.u0 != s.u1) {  // ramp: the duty threshold moves per sample
+            busy += count_by_sampling(from, to);
+            continue;
+        }
+        const double u = s.u0;
+        if (u <= 0.0) {
+            continue;  // idle segment
+        }
+        if (u >= peak) {
+            busy += to - from;  // saturated: every slot is busy
+            continue;
+        }
+        if (!dyadic_period) {
+            busy += count_by_sampling(from, to);
+            continue;
+        }
+        // A slot with residue r (mod q4) samples phase fl((0.25*r)/period)
+        // — fmod is exact on the slot grid — and is busy iff that rounded
+        // quotient is < duty.  The quotient is monotone in r, so the busy
+        // residues are exactly a prefix [0, r_star); find the threshold
+        // by bisection on the *rounded* comparison the reference makes.
+        const double duty = u / peak;
+        long long lo_r = 0;   // phase(0) = 0 < duty (duty > 0)
+        long long hi_r = q4;  // phase(q4) = 1 >= duty
+        while (hi_r - lo_r > 1) {
+            const long long mid = lo_r + (hi_r - lo_r) / 2;
+            if (0.25 * static_cast<double>(mid) / period < duty) {
+                lo_r = mid;
+            } else {
+                hi_r = mid;
+            }
+        }
+        const long long r_star = hi_r;
+        busy += busy_below(to, q4, r_star) - busy_below(from, q4, r_star);
+    }
+    return busy;
+}
+
+bool loadgen::measured_analytic(double t0, double t1, double window, double& out) const {
     const double period = config_.pwm_period.value();
     // Eligibility: the reference sum's step must be exactly 0.25 s
     // (period >= 16 s), the window start must sit on the quarter-second
@@ -122,73 +202,32 @@ bool loadgen::measured_analytic(double t0, double t1, double& out) const {
     if (n <= 0 || n > 2000000000LL) {  // the reference loop counts in int
         return false;
     }
-    const double peak = 100.0 * config_.stress_intensity;
-    // Closed-form phase counting needs the period on the slot grid too;
-    // ramps and off-grid periods are counted slot by slot instead.
-    const double q4d = period * 4.0;
-    const bool dyadic_period = q4d == std::floor(q4d) && q4d < 9.0e15;
-    const auto q4 = static_cast<long long>(dyadic_period ? q4d : 0.0);
-
-    const auto count_by_sampling = [&](long long lo, long long hi) {
-        long long busy = 0;
-        for (long long i = lo; i < hi; ++i) {
-            busy += instantaneous_utilization(util::seconds_t{0.25 * static_cast<double>(i)}) > 0.0;
-        }
-        return busy;
-    };
 
     long long busy = 0;
-    for (const utilization_profile::segment& s : profile_.segments()) {
-        // Slot range of this segment clipped to the window: a sample
-        // x = i/4 lands in [s.t0, s.t1) iff 4*s.t0 <= i < 4*s.t1, and
-        // both products are exact.
-        const long long lo = std::max(i0, static_cast<long long>(std::ceil(s.t0 * 4.0)));
-        const long long hi = std::min(i1, static_cast<long long>(std::ceil(s.t1 * 4.0)));
-        if (hi <= lo) {
-            continue;
+    {
+        // Slide the last window's count when this window, of the same
+        // length, moved forward and still overlaps it: add the slots
+        // that entered, [old i1, i1), and drop those that left,
+        // [old i0, i0).  Anything else counts the window whole.
+        const std::lock_guard<std::mutex> lock(window_mutex_);
+        if (window_valid_ && window_s_ == window && i0 >= window_i0_ && i1 >= window_i1_ &&
+            i0 < window_i1_) {
+            busy = window_busy_ + busy_slots(window_i1_, i1) - busy_slots(window_i0_, i0);
+        } else {
+            busy = busy_slots(i0, i1);
         }
-        if (s.u0 != s.u1) {  // ramp: the duty threshold moves per sample
-            busy += count_by_sampling(lo, hi);
-            continue;
-        }
-        const double u = s.u0;
-        if (u <= 0.0) {
-            continue;  // idle segment
-        }
-        if (u >= peak) {
-            busy += hi - lo;  // saturated: every slot is busy
-            continue;
-        }
-        if (!dyadic_period) {
-            busy += count_by_sampling(lo, hi);
-            continue;
-        }
-        // A slot with residue r (mod q4) samples phase fl((0.25*r)/period)
-        // — fmod is exact on the slot grid — and is busy iff that rounded
-        // quotient is < duty.  The quotient is monotone in r, so the busy
-        // residues are exactly a prefix [0, r_star); find the threshold
-        // by bisection on the *rounded* comparison the reference makes.
-        const double duty = u / peak;
-        long long lo_r = 0;   // phase(0) = 0 < duty (duty > 0)
-        long long hi_r = q4;  // phase(q4) = 1 >= duty
-        while (hi_r - lo_r > 1) {
-            const long long mid = lo_r + (hi_r - lo_r) / 2;
-            if (0.25 * static_cast<double>(mid) / period < duty) {
-                lo_r = mid;
-            } else {
-                hi_r = mid;
-            }
-        }
-        const long long r_star = hi_r;
-        busy += busy_below(hi, q4, r_star) - busy_below(lo, q4, r_star);
+        window_valid_ = true;
+        window_s_ = window;
+        window_i0_ = i0;
+        window_i1_ = i1;
+        window_busy_ = busy;
     }
-    // Slots past the profile end are idle (utilization_at returns 0)
-    // and contribute nothing; nothing to add for them.
 
     // The reference accumulator is `busy` sequential additions of
     // `peak` (the 0.0 samples add exactly).  When every partial sum
     // k*peak is representable the whole chain is exact and collapses to
     // one multiplication; otherwise replay the cheap addition chain.
+    const double peak = 100.0 * config_.stress_intensity;
     double acc = 0.0;
     if (busy > 0) {
         const bool exact_chain = odd_significand(peak) <= (1LL << 53) / busy;
@@ -206,30 +245,15 @@ bool loadgen::measured_analytic(double t0, double t1, double& out) const {
 
 double loadgen::measured_utilization(util::seconds_t t, util::seconds_t window) const {
     util::ensure(window.value() > 0.0, "loadgen::measured_utilization: non-positive window");
-    {
-        const std::lock_guard<std::mutex> lock(measured_cache_mutex_);
-        if (measured_cache_valid_ && measured_cache_t_ == t.value() &&
-            measured_cache_window_ == window.value()) {
-            return measured_cache_value_;
-        }
-    }
-    // Computed outside the lock: concurrent misses at most duplicate
-    // work, and the result is a pure function of (t, window) so
-    // last-writer-wins is harmless.
     const double t1 = t.value();
     const double t0 = std::max(0.0, t1 - window.value());
     if (t1 <= t0) {
         return instantaneous_utilization(t);
     }
     double value = 0.0;
-    if (!measured_analytic(t0, t1, value)) {
+    if (!measured_analytic(t0, t1, window.value(), value)) {
         value = measured_utilization_sampled(t, window);
     }
-    const std::lock_guard<std::mutex> lock(measured_cache_mutex_);
-    measured_cache_t_ = t.value();
-    measured_cache_window_ = window.value();
-    measured_cache_value_ = value;
-    measured_cache_valid_ = true;
     return value;
 }
 

@@ -35,9 +35,9 @@ public:
     /// Binds the generator to a profile.  The profile is copied.
     loadgen(utilization_profile profile, const loadgen_config& config = {});
 
-    // Copy/move transfer the binding, not the memo: the cache is a
-    // per-instance performance detail, and starting it cold keeps the
-    // mutex non-copyable problem out of the special members.
+    // Copy/move transfer the binding, not the sliding count: the count
+    // is a per-instance performance detail, and starting it cold keeps
+    // the mutex non-copyable problem out of the special members.
     loadgen(const loadgen& other);
     loadgen(loadgen&& other) noexcept;
     loadgen& operator=(const loadgen& other);
@@ -55,23 +55,29 @@ public:
 
     /// Utilization as measured by the monitoring utilities: the mean
     /// instantaneous utilization over the window [t - window, t].
-    /// Deterministic in (t, window); the last result is memoized because
-    /// the controller runtime asks for the same instant several times per
-    /// decision (system plus per-socket views).  Thread-safe: one
-    /// loadgen is shared by every rollout lane (bind_workload copies
-    /// nothing), so the memo mutates under `const` from concurrent
-    /// evaluations — the cache is mutex-guarded, and a racing miss at
-    /// worst recomputes the same deterministic value.
+    /// Deterministic in (t, window).
     ///
-    /// Evaluation is analytic — O(profile segments) counting of busy
-    /// duty slots, not a sweep of the window — and *bitwise equal* to
-    /// the reference Riemann sum below: every sample of that sum is
-    /// either 0 or the stress peak, adding 0.0 is exact, and on the
-    /// dyadic quarter-second grid the sample positions, the duty-edge
+    /// Evaluation is analytic — a count of busy quarter-second duty
+    /// slots, not a sweep of the window — and *bitwise equal* to the
+    /// reference Riemann sum below: every sample of that sum is either 0
+    /// or the stress peak, adding 0.0 is exact, and on the dyadic
+    /// quarter-second grid the sample positions, the duty-edge
     /// comparisons, and the accumulated sum are all reproduced exactly
     /// (pinned by the loadgen equivalence suite).  Configurations off
     /// that grid (PWM period < 16 s or a window edge not on a multiple
     /// of 0.25 s) fall back to the reference sum itself.
+    ///
+    /// The count slides: the loadgen keeps the last window's slot range
+    /// and busy count, and a call whose window of the same length moved
+    /// forward and still overlaps the last one counts only the slots
+    /// that entered and left it.  A controller polling a clock that
+    /// advances costs in proportion to how far the window slid (a
+    /// repeated instant slides by zero); the first call, a backward
+    /// jump, a disjoint window or a new window length counts the window
+    /// whole.  Counting visits only the profile segments a slot range
+    /// overlaps: constant segments in closed form, ramp slots one by
+    /// one.  Thread-safe: the count mutates under `const` behind a
+    /// mutex, so a loadgen a caller shares across threads stays exact.
     [[nodiscard]] double measured_utilization(util::seconds_t t, util::seconds_t window) const;
 
     /// Reference implementation of measured_utilization: the original
@@ -84,22 +90,30 @@ public:
     [[nodiscard]] const loadgen_config& config() const { return config_; }
 
 private:
-    /// Analytic fast path: counts busy duty slots in closed form and
-    /// reconstructs the reference sum's exact value.  Returns false
-    /// (leaving `out` untouched) when the configuration is off the
-    /// dyadic grid the exactness argument needs.
-    [[nodiscard]] bool measured_analytic(double t0, double t1, double& out) const;
+    /// Analytic fast path: counts busy duty slots (sliding the last
+    /// window's count where it can) and reconstructs the reference
+    /// sum's exact value.  Returns false (leaving `out` untouched) when
+    /// the configuration is off the dyadic grid the exactness argument
+    /// needs.
+    [[nodiscard]] bool measured_analytic(double t0, double t1, double window,
+                                         double& out) const;
+
+    /// Busy slots among quarter-second slot indices [lo, hi): visits
+    /// only the profile segments that overlap the range.
+    [[nodiscard]] long long busy_slots(long long lo, long long hi) const;
 
     utilization_profile profile_;
     loadgen_config config_;
 
-    // One-entry memo for measured_utilization (see above), guarded by
-    // its mutex because a shared loadgen is read from many threads.
-    mutable std::mutex measured_cache_mutex_;
-    mutable bool measured_cache_valid_ = false;
-    mutable double measured_cache_t_ = 0.0;
-    mutable double measured_cache_window_ = 0.0;
-    mutable double measured_cache_value_ = 0.0;
+    // The last analytic window (see measured_utilization): its length,
+    // its slot range [i0, i1) and its busy-slot count, guarded by the
+    // mutex because a shared loadgen may be read from many threads.
+    mutable std::mutex window_mutex_;
+    mutable bool window_valid_ = false;
+    mutable double window_s_ = 0.0;
+    mutable long long window_i0_ = 0;
+    mutable long long window_i1_ = 0;
+    mutable long long window_busy_ = 0;
 };
 
 }  // namespace ltsc::workload

@@ -1,15 +1,18 @@
-// parallel_runner environment parsing and the shared-loadgen memo cache.
+// parallel_runner environment parsing and the loadgen's thread safety.
 //
 // threads_from_env: LTSC_THREADS must parse as a complete non-negative
 // integer — strtol's silent acceptance of trailing garbage ("4x" -> 4)
 // and its saturating overflow both previously leaked through as thread
 // counts.  Malformed values fall back to hardware concurrency (0).
 //
-// LoadgenRace: one loadgen is shared by every rollout lane and every
-// batch lane bound to it, so its measured_utilization memo cache mutates
-// under `const` from many threads at once.  The hammer test drives that
-// exact pattern; under ThreadSanitizer (LTSC_SANITIZE=thread) the
-// pre-mutex cache reports a data race here.
+// LoadgenRace: guards a loadgen that a caller shares across threads.
+// Its measured_utilization keeps the last window's busy-slot count and
+// mutates it under `const`, so concurrent calls at non-monotone
+// instants drive the count's recount path behind its mutex.  (Lanes
+// each own a copy, and rollout evaluation reads only the instantaneous
+// utilization, so the library itself shares none.)  Under
+// ThreadSanitizer (LTSC_SANITIZE=thread) an unguarded count reports a
+// data race here.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -74,9 +77,8 @@ TEST_F(ThreadsFromEnv, RejectsMalformedValuesToHardwareDefault) {
 }
 
 TEST(LoadgenRace, SharedMemoCacheIsThreadSafeAndExact) {
-    // The shape rollout evaluation produces: one shared loadgen, many
-    // threads asking measured_utilization at a mix of repeated (cache
-    // hit) and fresh (cache replace) instants, concurrently.
+    // One shared loadgen, many threads asking measured_utilization at a
+    // mix of repeated and fresh instants, concurrently.
     workload::utilization_profile p("race");
     p.constant(40.0, 600_s).ramp(40.0, 95.0, 600_s).constant(95.0, 600_s);
     const workload::loadgen shared(p);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -186,17 +189,20 @@ TEST(LoadGen, BadConfigThrows) {
     EXPECT_THROW(loadgen(p, cfg), util::precondition_error);
 }
 
-// The O(segments) analytic measured_utilization against the retained
-// sampled reference.
-TEST(LoadGen, AnalyticMeasuredUtilizationMatchesSampledBitwise) {
-    util::pcg32 rng(0xfeedbeef, 9);
+/// The loadgen configurations the equivalence suites sweep: each takes
+/// a different branch of the analytic count or its fallback.
+std::vector<workload::loadgen_config> equivalence_configs() {
     std::vector<workload::loadgen_config> configs;
     configs.push_back({});  // stock: 240 s period, intensity 1
     configs.push_back({util::seconds_t{180.5}, 1.0});   // dyadic off-round period
     configs.push_back({util::seconds_t{240.0}, 0.97});  // peak with a long significand
     configs.push_back({util::seconds_t{17.3}, 1.0});    // off-grid period: slot sampling
     configs.push_back({util::seconds_t{10.0}, 1.0});    // step < 0.25 s: sampled fallback
+    return configs;
+}
 
+/// Constant, ramp, square and off-grid segment layouts.
+std::vector<workload::utilization_profile> equivalence_profiles() {
     std::vector<workload::utilization_profile> profiles;
     profiles.push_back(workload::utilization_profile("const").constant(35.0, 20.0_min));
     profiles.push_back(workload::utilization_profile("mix")
@@ -212,9 +218,15 @@ TEST(LoadGen, AnalyticMeasuredUtilizationMatchesSampledBitwise) {
         p.constant(41.7, util::seconds_t{333.33}).constant(63.9, util::seconds_t{777.77});
         profiles.push_back(p);
     }
+    return profiles;
+}
 
-    for (const auto& lc : configs) {
-        for (const auto& profile : profiles) {
+// The analytic measured_utilization at random instants (each a whole-
+// window count) against the retained sampled reference.
+TEST(LoadGen, AnalyticMeasuredUtilizationMatchesSampledBitwise) {
+    util::pcg32 rng(0xfeedbeef, 9);
+    for (const auto& lc : equivalence_configs()) {
+        for (const auto& profile : equivalence_profiles()) {
             const workload::loadgen gen(profile, lc);
             const double dur = profile.duration().value();
             for (int i = 0; i < 40; ++i) {
@@ -239,6 +251,135 @@ TEST(LoadGen, AnalyticMeasuredUtilizationMatchesSampledBitwise) {
                     << " profile=" << profile.name() << " t=" << t << " window=" << window;
             }
         }
+    }
+}
+
+/// One call of a sequence: the instant and the window asked.
+struct measured_call {
+    double t = 0.0;
+    double window = 0.0;
+};
+
+/// Call sequences a controller (or a caller sharing a loadgen) makes:
+/// the sliding count must match the reference on every call of each,
+/// whatever the last window was.  `end` is the profile duration.
+std::vector<std::pair<const char*, std::vector<measured_call>>> measured_sequences(double end) {
+    std::vector<std::pair<const char*, std::vector<measured_call>>> seqs;
+    // Closed-loop polling, three asks per instant (system and per-socket
+    // views), from the first poll (window clipped at t = 0) to past the
+    // profile end.
+    for (const double cadence : {10.0, 30.0, 60.0}) {
+        std::vector<measured_call> calls;
+        for (double t = cadence; t <= end + 300.0; t += cadence) {
+            for (int k = 0; k < 3; ++k) {
+                calls.push_back({t, 240.0});
+            }
+        }
+        seqs.emplace_back(cadence == 10.0 ? "poll10" : cadence == 30.0 ? "poll30" : "poll60",
+                          calls);
+    }
+    {
+        // Two window lengths asked alternately at each instant.
+        std::vector<measured_call> calls;
+        for (double t = 10.0; t <= end + 60.0; t += 10.0) {
+            calls.push_back({t, 240.0});
+            calls.push_back({t, 30.0});
+        }
+        seqs.emplace_back("alternate", calls);
+    }
+    {
+        // Forward polling with backward jumps: a far one (a disjoint
+        // window), a near one (an overlapping window that moved back),
+        // and one back into the clipped head.
+        std::vector<measured_call> calls;
+        const double mid = std::floor(end / 2.0);
+        for (double t = 10.0; t <= mid; t += 10.0) {
+            calls.push_back({t, 240.0});
+        }
+        for (const double back : {mid - 600.0, mid - 605.0, 100.0}) {
+            for (double t = std::max(1.0, back); t <= std::max(1.0, back) + 200.0; t += 10.0) {
+                calls.push_back({t, 240.0});
+            }
+        }
+        seqs.emplace_back("backward", calls);
+    }
+    {
+        // Slides of every size, including sub-slot (quarter-second
+        // instants) and ones longer than the window.
+        std::vector<measured_call> calls;
+        double t = 0.25;
+        for (int i = 0; t <= end + 300.0; ++i) {
+            calls.push_back({t, 240.0});
+            t += 0.25 * static_cast<double>(1 + (i * 37) % 1100);
+        }
+        seqs.emplace_back("uneven", calls);
+    }
+    return seqs;
+}
+
+// The sliding count against the sampled reference along call sequences
+// (the random instants above each count a window whole).
+TEST(LoadGen, SlidingMeasuredUtilizationMatchesSampledBitwise) {
+    std::vector<workload::utilization_profile> profiles = equivalence_profiles();
+    for (const auto& p : workload::all_paper_tests()) {
+        profiles.push_back(p);
+    }
+    // Test-4 at three seeds: all_paper_tests' default and two more.
+    for (const std::uint64_t seed : {1ULL, 2ULL}) {
+        profiles.push_back(workload::make_paper_test(workload::paper_test::test4_poisson, seed));
+    }
+    // The fault-campaign sweep's 30/90 % square wave (150 s halves).
+    profiles.push_back(workload::utilization_profile("FaultSweep").square(90.0, 30.0, 150.0_s, 3));
+
+    for (const auto& lc : equivalence_configs()) {
+        for (const auto& profile : profiles) {
+            // Reference values, shared by the sequences that ask the
+            // same (t, window).
+            const workload::loadgen reference(profile, lc);
+            std::map<std::pair<double, double>, double> sampled;
+            for (const auto& [name, calls] : measured_sequences(profile.duration().value())) {
+                const workload::loadgen gen(profile, lc);
+                for (const measured_call& c : calls) {
+                    const util::seconds_t t{c.t};
+                    const util::seconds_t window{c.window};
+                    const auto [it, fresh] = sampled.try_emplace({c.t, c.window}, 0.0);
+                    if (fresh) {
+                        it->second = reference.measured_utilization_sampled(t, window);
+                    }
+                    ASSERT_EQ(gen.measured_utilization(t, window), it->second)
+                        << "period=" << lc.pwm_period.value()
+                        << " intensity=" << lc.stress_intensity << " profile=" << profile.name()
+                        << " sequence=" << name << " t=" << c.t << " window=" << c.window;
+                }
+            }
+        }
+    }
+}
+
+// Copies and assignments carry the profile, not the last window's count:
+// a loadgen assigned a new profile must count it afresh.
+TEST(LoadGen, AssignedLoadgenCountsItsNewProfile) {
+    const workload::utilization_profile busy =
+        workload::utilization_profile("busy").constant(90.0, 60.0_min);
+    const workload::utilization_profile light =
+        workload::utilization_profile("light").constant(10.0, 60.0_min);
+    const loadgen reference(light);
+    const util::seconds_t window = 240_s;
+
+    loadgen copied(busy);
+    loadgen moved(busy);
+    static_cast<void>(copied.measured_utilization(1000_s, window));
+    static_cast<void>(moved.measured_utilization(1000_s, window));
+    const loadgen source(light);
+    static_cast<void>(source.measured_utilization(900_s, window));
+    copied = source;
+    moved = loadgen(light);
+    const loadgen constructed(source);
+    for (const util::seconds_t t : {1000_s, 1010_s, 1300_s}) {
+        const double expected = reference.measured_utilization_sampled(t, window);
+        EXPECT_EQ(copied.measured_utilization(t, window), expected) << t.value();
+        EXPECT_EQ(moved.measured_utilization(t, window), expected) << t.value();
+        EXPECT_EQ(constructed.measured_utilization(t, window), expected) << t.value();
     }
 }
 
