@@ -82,7 +82,8 @@ public:
 
     /// Reference implementation of measured_utilization: the original
     /// sampled Riemann sum over the window.  Public so equivalence
-    /// tests can pin the analytic path against it; not memoized.
+    /// tests can pin the analytic path against it; it neither reads nor
+    /// moves the sliding count.
     [[nodiscard]] double measured_utilization_sampled(util::seconds_t t,
                                                       util::seconds_t window) const;
 
