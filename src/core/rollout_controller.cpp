@@ -123,8 +123,6 @@ std::optional<util::rpm_t> rollout_controller::decide(const controller_inputs& i
     options.epoch = polling_period();
     options.sim_dt = config_.sim_dt;
     options.guard_temp_c = config_.guard_temp_c;
-    options.guard_penalty_j = config_.guard_penalty_j;
-    options.overshoot_weight_j_per_k = config_.overshoot_weight_j_per_k;
     last_ = engine_->evaluate(snapshot_, *workload, plant_->plant_fault_schedule(), candidates_,
                               options);
     return candidates_[last_.best].moves.front();

@@ -10,7 +10,8 @@
 // sim::rollout_engine — physics-only lanes loaded from a snapshot of the
 // live plant, whose prediction for the committed schedule is bitwise
 // what the plant realizes — and commits the first move of the schedule
-// with the lowest predicted energy + constraint penalty.  The engine is
+// the engine ranks first (least predicted energy among the candidates
+// that keep under the temperature guard).  The engine is
 // sized to the lattice.  The plant's workload and fault campaign are
 // read through the plant_access window at every decision, so a campaign
 // rebound mid-run is previewed from the next decision on.  The baseline
@@ -69,12 +70,10 @@ struct rollout_controller_config {
     util::rpm_t lattice_step{300.0};  ///< Spacing of the candidate lattice.
     std::size_t lattice_radius = 2;   ///< Candidates at proposal +/- 1..radius steps.
     bool include_hold = true;         ///< Also try keeping the current speed.
-    /// Rollout integration/scoring knobs (epoch defaults to the
+    /// Rollout integration/ranking knobs (epoch defaults to the
     /// decision cadence; see rollout_options for the guard semantics).
     util::seconds_t sim_dt{1.0};
     double guard_temp_c = 85.0;
-    double guard_penalty_j = 1e9;
-    double overshoot_weight_j_per_k = 1e6;
 };
 
 /// Predictive fan controller: baseline proposal + lattice + rollout.

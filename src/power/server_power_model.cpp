@@ -18,21 +18,38 @@ server_power_model::server_power_model(util::watts_t base, util::watts_t cpu_idl
                  "server_power_model: negative idle power");
 }
 
-server_heat server_power_model::heat_at(double u_pct, double imbalance,
-                                        const die_temps& die) const {
+load_terms server_power_model::load_at(double u_pct, double imbalance) const {
     const double shares[2] = {imbalance, 1.0 - imbalance};
-    server_heat heat;
+    load_terms out;
     for (std::size_t s = 0; s < 2; ++s) {
-        const util::watts_t die_heat = cpu_idle_each_ + active_.cpu(u_pct) * shares[s] +
-                                       leakage_.share_at(util::celsius_t{die[s]}, 2);
-        heat.cpu_w[s] = die_heat.value();
+        out.cpu_w[s] = (cpu_idle_each_ + active_.cpu(u_pct) * shares[s]).value();
     }
-    heat.dimm_w = (dimm_idle_total_ + active_.memory(u_pct)).value();
-    heat.other_w = active_.other(u_pct).value();
-    util::ensure(heat.cpu_w[0] >= 0.0 && heat.cpu_w[1] >= 0.0 && heat.dimm_w >= 0.0 &&
-                     heat.other_w >= 0.0,
+    out.dimm_w = (dimm_idle_total_ + active_.memory(u_pct)).value();
+    out.other_w = active_.other(u_pct).value();
+    out.base_active_w = (base_ + active_.total(u_pct)).value();
+    return out;
+}
+
+die_watts server_power_model::leakage_at(const die_temps& die) const {
+    return {leakage_.share_at(util::celsius_t{die[0]}, 2).value(),
+            leakage_.share_at(util::celsius_t{die[1]}, 2).value()};
+}
+
+server_heat load_terms::heat(const die_watts& leak) const {
+    server_heat out;
+    out.cpu_w[0] = cpu_w[0] + leak[0];
+    out.cpu_w[1] = cpu_w[1] + leak[1];
+    out.dimm_w = dimm_w;
+    out.other_w = other_w;
+    util::ensure(out.cpu_w[0] >= 0.0 && out.cpu_w[1] >= 0.0 && out.dimm_w >= 0.0 &&
+                     out.other_w >= 0.0,
                  "server_power_model::heat_at: negative heat");
-    return heat;
+    return out;
+}
+
+double load_terms::wall_w(const die_watts& leak, util::watts_t fan) const {
+    util::ensure(fan.value() >= 0.0, "server_power_model: negative fan power");
+    return base_active_w + (0.0 + leak[0] + leak[1]) + fan.value();
 }
 
 power_breakdown server_power_model::breakdown_at(double u_pct, const die_temps& die,
@@ -41,11 +58,8 @@ power_breakdown server_power_model::breakdown_at(double u_pct, const die_temps& 
     power_breakdown out;
     out.base = base_;
     out.active = active_.total(u_pct);
-    util::watts_t leak{0.0};
-    for (std::size_t s = 0; s < 2; ++s) {
-        leak += leakage_.share_at(util::celsius_t{die[s]}, 2);
-    }
-    out.leakage = leak;
+    const die_watts leak = leakage_at(die);
+    out.leakage = util::watts_t{0.0 + leak[0] + leak[1]};
     out.fan = fan;
     return out;
 }

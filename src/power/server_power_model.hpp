@@ -40,12 +40,31 @@ struct power_breakdown {
 
 /// Die temperatures of both sockets [degC], socket order.
 using die_temps = std::array<double, 2>;
+/// A per-die power of both sockets [W], socket order.
+using die_watts = std::array<double, 2>;
 
 /// Heat one step injects into the thermal network [W].
 struct server_heat {
     double cpu_w[2] = {0.0, 0.0};  ///< Per-socket die heat.
     double dimm_w = 0.0;           ///< Whole DIMM field.
     double other_w = 0.0;          ///< Downstream heat (I/O, VRs); no node takes it.
+};
+
+/// The utilization-only terms of heat_at() and breakdown_at(): what
+/// every lane stepping at one utilization and imbalance shares.  Adding
+/// each die's leakage share (server_power_model::leakage_at) gives the
+/// lane's heat and wall power with the same operations, in the same
+/// order, as heat_at() and breakdown_at().total().
+struct load_terms {
+    double cpu_w[2] = {0.0, 0.0};  ///< Each die's idle plus active heat.
+    double dimm_w = 0.0;           ///< DIMM field heat.
+    double other_w = 0.0;          ///< Downstream heat.
+    double base_active_w = 0.0;    ///< base + active.
+
+    /// heat_at() with the dies' leakage shares `leak`.
+    [[nodiscard]] server_heat heat(const die_watts& leak) const;
+    /// breakdown_at().total() with the dies' leakage shares `leak`.
+    [[nodiscard]] double wall_w(const die_watts& leak, util::watts_t fan) const;
 };
 
 /// Eqn. 1 of one two-socket server and the heat it drives into the
@@ -60,7 +79,14 @@ public:
 
     /// Heat at utilization `u_pct` with the dies at `die`; socket 0
     /// carries `imbalance` of the CPU active heat.
-    [[nodiscard]] server_heat heat_at(double u_pct, double imbalance, const die_temps& die) const;
+    [[nodiscard]] server_heat heat_at(double u_pct, double imbalance, const die_temps& die) const {
+        return load_at(u_pct, imbalance).heat(leakage_at(die));
+    }
+
+    /// The utilization-only terms at `u_pct` and `imbalance`.
+    [[nodiscard]] load_terms load_at(double u_pct, double imbalance) const;
+    /// Each die's leakage share at its own temperature.
+    [[nodiscard]] die_watts leakage_at(const die_temps& die) const;
 
     /// Eqn. 1 at utilization `u_pct` with the dies at `die` and the fan
     /// bank drawing `fan`.

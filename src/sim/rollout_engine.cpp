@@ -7,12 +7,33 @@
 
 namespace ltsc::sim {
 
+namespace {
+
+/// The ranking of rollout_result::best: strict, so ties keep the lower
+/// index.
+bool ranks_before(const candidate_score& a, const candidate_score& b) {
+    if (a.guarded != b.guarded) {
+        return !a.guarded;
+    }
+    if (!a.guarded) {
+        return a.energy_j < b.energy_j;
+    }
+    if (a.steps != b.steps) {
+        return a.steps > b.steps;
+    }
+    return a.peak_temp_c < b.peak_temp_c;
+}
+
+}  // namespace
+
 rollout_engine::rollout_engine(const server_config& config, std::size_t max_candidates)
     : power_(power_model_for(validated(config))),
       thermal_(std::vector<thermal::server_thermal_config>(max_candidates, config.thermal)),
       fans_(max_candidates, fan_actuator(config.fan_pairs, config.fan, config.default_fan_rpm)),
       faults_(max_candidates),
-      active_(max_candidates, 1) {
+      active_(max_candidates, 1),
+      leak_(max_candidates),
+      fan_w_(max_candidates) {
     util::ensure(max_candidates >= 1, "rollout_engine: need at least one candidate lane");
     // Sized up front, so loading a snapshot's fan half allocates nothing.
     for (fault_state& f : faults_) {
@@ -57,6 +78,8 @@ const rollout_result& rollout_engine::evaluate(const server_state& start,
         thermal_.set_zone_airflow(l, fans_[l].zone_airflow());
         thermal_.restore_state(l, start.thermal);
         active_[l] = 1;
+        leak_[l] = power_.leakage_at(thermal_.die_temps(l));
+        fan_w_[l] = fans_[l].bank().total_power();
     }
 
     static const std::vector<fault_event> no_events;
@@ -87,6 +110,7 @@ const rollout_result& rollout_engine::evaluate(const server_state& start,
                 if (fans_[l].command_all(rpm, faults_[l])) {
                     thermal_.set_zone_airflow(l, fans_[l].zone_airflow());
                 }
+                fan_w_[l] = fans_[l].bank().total_power();
             }
             ++move_idx;
             next_move_step =
@@ -97,15 +121,25 @@ const rollout_result& rollout_engine::evaluate(const server_state& start,
         while (next_event < events.size() && events[next_event].t_s <= now + 1e-9) {
             const fault_event& event = events[next_event++];
             for (std::size_t l = 0; l < span; ++l) {
-                if (active_[l] != 0 && fans_[l].apply(event, faults_[l])) {
+                if (active_[l] == 0) {
+                    continue;
+                }
+                if (fans_[l].apply(event, faults_[l])) {
                     thermal_.set_zone_airflow(l, fans_[l].zone_airflow());
                 }
+                fan_w_[l] = fans_[l].bank().total_power();
             }
         }
+        // The utilization-only terms once for every lane; each lane adds
+        // its dies' leakage shares, taken at the end of its last step.
         const double u_inst = workload.instantaneous_utilization(util::seconds_t{now});
+        const power::load_terms load = power_.load_at(u_inst, start.imbalance);
         for (std::size_t l = 0; l < span; ++l) {
             if (active_[l] != 0) {
-                power_.apply_heat(thermal_, l, u_inst, start.imbalance);
+                const power::server_heat heat = load.heat(leak_[l]);
+                thermal_.set_cpu_heat(l, 0, util::watts_t{heat.cpu_w[0]});
+                thermal_.set_cpu_heat(l, 1, util::watts_t{heat.cpu_w[1]});
+                thermal_.set_dimm_heat(l, util::watts_t{heat.dimm_w});
             }
         }
         thermal_.step_prefix(span, util::seconds_t{dt}, active_.data());
@@ -117,9 +151,8 @@ const rollout_result& rollout_engine::evaluate(const server_state& start,
             }
             candidate_score& sc = out.scores[l];
             const power::die_temps die = thermal_.die_temps(l);
-            const double wall_w =
-                power_.breakdown_at(u_inst, die, fans_[l].bank().total_power()).total().value();
-            sc.energy_j += wall_w * dt;
+            leak_[l] = power_.leakage_at(die);
+            sc.energy_j += load.wall_w(leak_[l], fan_w_[l]) * dt;
             ++sc.steps;
             const double t_max = std::max(die[0], die[1]);
             sc.peak_temp_c = std::max(sc.peak_temp_c, t_max);
@@ -134,15 +167,8 @@ const rollout_result& rollout_engine::evaluate(const server_state& start,
         }
     }
 
-    for (std::size_t l = 0; l < k; ++l) {
-        candidate_score& sc = out.scores[l];
-        sc.score_j = sc.energy_j;
-        if (sc.guarded) {
-            sc.score_j +=
-                options.guard_penalty_j +
-                options.overshoot_weight_j_per_k * (sc.peak_temp_c - options.guard_temp_c);
-        }
-        if (sc.score_j < out.scores[out.best].score_j) {
+    for (std::size_t l = 1; l < k; ++l) {
+        if (ranks_before(out.scores[l], out.scores[out.best])) {
             out.best = l;
         }
     }

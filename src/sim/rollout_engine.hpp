@@ -10,23 +10,28 @@
 // telemetry, the trace and the monitor twin only observe — so the lanes
 // carry none of them.  Every evaluation loads the snapshot into the
 // candidate lanes, applies each candidate's moves at the decision-epoch
-// cadence, integrates the lanes together through the batched thermal
-// kernel on the caller's thread, and scores each lane by predicted
-// energy plus a constraint penalty.  A lane whose predicted die
-// temperature trips the guard stops there and is masked out, and only
-// the prefix of lanes that still holds a live candidate is stepped.
+// cadence, steps the lanes together through the fused thermal kernel on
+// the caller's thread, and ranks them (see rollout_result::best).  A
+// lane whose predicted die temperature trips the guard stops there and
+// is masked out, and only the prefix of lanes that still holds a live
+// candidate is stepped.
 //
 // Each step keeps the plant's own operation order: due fan-kind fault
 // events, the utilization at the current instant, Eqn-1 heat, the
 // thermal step, the clock, then the step's wall energy at the new die
-// temperatures.  The workload preview and the fault campaign are
-// arguments of every evaluation, read there and never copied or kept:
-// handed the plant's own loadgen and campaign, the prediction for the
-// schedule that is ultimately committed is exactly the trajectory the
-// plant will realize (pinned bitwise by Rollout.PredictionEqualsRealization).
-// Evaluation is a pure function of its arguments: it touches only
-// engine-owned lanes, never the live plant, and allocates nothing after
-// the first call.
+// temperatures.  Power is evaluated once per lane and step: the
+// utilization-only terms (power::load_terms) once for all lanes, each
+// die's leakage share at the step-end temperatures for that step's wall
+// energy and the next step's heat, and each lane's fan power only when a
+// move or fault event reaches its fans.  The arithmetic is the plant's
+// (heat_at, breakdown_at), operation for operation.  The workload
+// preview and the fault campaign are arguments of every evaluation, read
+// there and never copied or kept: handed the plant's own loadgen and
+// campaign, the prediction for the schedule that is ultimately committed
+// is exactly the trajectory the plant will realize (pinned bitwise by
+// Rollout.PredictionEqualsRealization).  Evaluation is a pure function of
+// its arguments: it touches only engine-owned lanes, never the live
+// plant, and allocates nothing after the first call.
 #pragma once
 
 #include <cstddef>
@@ -57,19 +62,13 @@ struct rollout_options {
     util::seconds_t epoch{30.0};     ///< Cadence at which schedule moves apply.
     util::seconds_t sim_dt{1.0};     ///< Rollout integration step.
     /// Predicted-temperature guard: a lane whose max *true* die
-    /// temperature exceeds this terminates early and is penalized.
+    /// temperature exceeds this stops at that step and ranks behind
+    /// every lane that does not.
     double guard_temp_c = 85.0;
-    /// Penalty added to a guarded lane's score [J]; large enough that
-    /// any guarded candidate loses to any unguarded one.
-    double guard_penalty_j = 1e9;
-    /// Additional penalty per degC of peak overshoot [J/K], so among
-    /// all-guarded candidate sets the least-violating one wins.
-    double overshoot_weight_j_per_k = 1e6;
 };
 
 /// Outcome of one candidate's rollout.
 struct candidate_score {
-    double score_j = 0.0;    ///< energy_j + guard penalties (the ranking key).
     double energy_j = 0.0;   ///< Predicted wall energy over the steps taken.
     double peak_temp_c = 0.0;  ///< Peak predicted true die temperature.
     long steps = 0;          ///< Steps integrated (horizon steps unless guarded).
@@ -78,7 +77,14 @@ struct candidate_score {
 
 /// Result of one decision epoch's evaluation.
 struct rollout_result {
-    std::size_t best = 0;  ///< Argmin score; ties break to the lowest index.
+    /// The first candidate in rank order: any unguarded candidate ranks
+    /// before any guarded one; unguarded candidates rank by less energy;
+    /// guarded ones by the later trip (more steps), then the smaller
+    /// peak.  Ties break to the lowest index.  A guarded lane stops at
+    /// its first step over the guard, so its energy covers fewer steps
+    /// and its peak sits about one step's rise above the guard: ranking
+    /// guarded lanes by energy would pick the one that trips first.
+    std::size_t best = 0;
     std::vector<candidate_score> scores;  ///< One per candidate, in order.
 };
 
@@ -116,6 +122,8 @@ private:
     std::vector<fan_actuator> fans_;         ///< [lane]
     std::vector<fault_state> faults_;        ///< [lane]; the fan half only.
     std::vector<unsigned char> active_;      ///< [lane]; 0 once guarded.
+    std::vector<power::die_watts> leak_;     ///< [lane]; dies' leakage at the last step's end.
+    std::vector<util::watts_t> fan_w_;       ///< [lane]; fan power since the last move or event.
     rollout_result result_;                  ///< Reused per-evaluation scratch.
 };
 

@@ -7,10 +7,63 @@
 
 namespace ltsc::thermal {
 
+namespace {
+
+// The server network's size and edge list (see the header comment).
+constexpr std::size_t k_nodes = 5;
+constexpr std::size_t k_edges = 5;
+
+bool is_server_network(const rc_network& net) {
+    if (net.node_count() != k_nodes || net.edge_count() != k_edges) {
+        return false;
+    }
+    const rc_network::edge_ends want[k_edges] = {
+        {0, 1, false}, {1, 0, true}, {2, 3, false}, {3, 0, true}, {4, 0, true}};
+    for (std::size_t e = 0; e < k_edges; ++e) {
+        const rc_network::edge_ends got = net.ends(edge_id{e});
+        if (got.a != want[e].a || got.to_ambient != want[e].to_ambient ||
+            (!got.to_ambient && got.b != want[e].b)) {
+            return false;
+        }
+    }
+    return true;
+}
+
+/// One lane's step inputs, node and edge order.
+struct lane_inputs {
+    double g[k_edges];
+    double p[k_nodes];
+    double c[k_nodes];
+    double ambient;
+};
+
+/// dT/dt of one lane at `x`: flows accumulate from zero in edge
+/// insertion order (`-= q` on an internal edge's b side), then
+/// (flow + power) / capacity per node.
+inline void derivatives(const lane_inputs& in, const double (&x)[k_nodes], double (&k)[k_nodes]) {
+    double f[k_nodes] = {0.0, 0.0, 0.0, 0.0, 0.0};
+    const double q0 = in.g[0] * (x[1] - x[0]);
+    f[0] += q0;
+    f[1] -= q0;
+    f[1] += in.g[1] * (in.ambient - x[1]);
+    const double q2 = in.g[2] * (x[3] - x[2]);
+    f[2] += q2;
+    f[3] -= q2;
+    f[3] += in.g[3] * (in.ambient - x[3]);
+    f[4] += in.g[4] * (in.ambient - x[4]);
+    for (std::size_t i = 0; i < k_nodes; ++i) {
+        k[i] = (f[i] + in.p[i]) / in.c[i];
+    }
+}
+
+}  // namespace
+
 rc_batch::rc_batch(const rc_network& topology, std::size_t lanes)
     : topo_(topology), lanes_(lanes), nodes_(topology.node_count()) {
     util::ensure(lanes_ > 0, "rc_batch: need at least one lane");
-    util::ensure(nodes_ > 0, "rc_batch: empty topology");
+    util::ensure(is_server_network(topology),
+                 "rc_batch: topology is not the server network (die 0, sink 0, die 1, sink 1, "
+                 "DIMM)");
     const std::size_t total = nodes_ * lanes_;
     temps_.resize(total);
     powers_.assign(total, 0.0);
@@ -34,12 +87,6 @@ rc_batch::rc_batch(const rc_network& topology, std::size_t lanes)
     stable_dt_.assign(lanes_, 0.0);
     lane_dirty_.assign(lanes_, 1);
     lu_.resize(lanes_);
-    scratch_.t0.resize(total);
-    scratch_.tmp.resize(total);
-    scratch_.k1.resize(total);
-    scratch_.k2.resize(total);
-    scratch_.k3.resize(total);
-    scratch_.k4.resize(total);
     scratch_.substeps.resize(lanes_);
     scratch_.h.resize(lanes_);
     scratch_.rhs.resize(nodes_);
@@ -161,127 +208,71 @@ double rc_batch::stable_dt(std::size_t lane) const {
 void rc_batch::step_prefix(std::size_t count, util::seconds_t dt, const unsigned char* active) {
     util::ensure(dt.value() > 0.0, "rc_batch::step: non-positive dt");
     util::ensure(count <= lanes_, "rc_batch::step_prefix: more lanes than the batch holds");
-    if (count == 0) {
-        return;
-    }
     // Each lane sub-steps against its own stability bound; masked-out
-    // lanes take zero substeps.  When every lane is active with the same
-    // count (the common case) the loop runs unmasked.
+    // lanes take zero substeps.
+    int* const sub = scratch_.substeps.data();
+    double* const hs = scratch_.h.data();
     int max_sub = 0;
-    bool uniform = true;
     for (std::size_t l = 0; l < count; ++l) {
-        int sub = 0;
-        double h = 0.0;
+        sub[l] = 0;
+        hs[l] = 0.0;
         if (active == nullptr || active[l] != 0) {
             refresh_lane_cache(l);
-            sub = std::max(1, static_cast<int>(std::ceil(dt.value() / stable_dt_[l])));
-            h = dt.value() / sub;
+            sub[l] = std::max(1, static_cast<int>(std::ceil(dt.value() / stable_dt_[l])));
+            hs[l] = dt.value() / sub[l];
         }
-        scratch_.substeps[l] = sub;
-        scratch_.h[l] = h;
-        max_sub = std::max(max_sub, sub);
-        uniform = uniform && sub == scratch_.substeps[0];
+        max_sub = std::max(max_sub, sub[l]);
     }
-    if (uniform) {
-        step_uniform(count, max_sub, scratch_.h[0]);
-    } else {
-        step_ragged(count, max_sub);
+    const std::size_t n = lanes_;
+    double* const t = temps_.data();
+    const double* const p = powers_.data();
+    const double* const c = capacities_.data();
+    const double* const g = edge_g_.data();
+    for (int s = 0; s < max_sub; ++s) {
+        for (std::size_t l = 0; l < count; ++l) {
+            if (s >= sub[l]) {
+                continue;  // masked out, or its own substeps are done
+            }
+            lane_inputs in;
+            double x0[k_nodes];
+            for (std::size_t e = 0; e < k_edges; ++e) {
+                in.g[e] = g[e * n + l];
+            }
+            for (std::size_t i = 0; i < k_nodes; ++i) {
+                in.p[i] = p[i * n + l];
+                in.c[i] = c[i * n + l];
+                x0[i] = t[i * n + l];
+            }
+            in.ambient = ambient_[l];
+            const double h = hs[l];
+            double k1[k_nodes];
+            double k2[k_nodes];
+            double k3[k_nodes];
+            double k4[k_nodes];
+            double x[k_nodes];
+            derivatives(in, x0, k1);
+            for (std::size_t i = 0; i < k_nodes; ++i) {
+                x[i] = x0[i] + 0.5 * h * k1[i];
+            }
+            derivatives(in, x, k2);
+            for (std::size_t i = 0; i < k_nodes; ++i) {
+                x[i] = x0[i] + 0.5 * h * k2[i];
+            }
+            derivatives(in, x, k3);
+            for (std::size_t i = 0; i < k_nodes; ++i) {
+                x[i] = x0[i] + h * k3[i];
+            }
+            derivatives(in, x, k4);
+            for (std::size_t i = 0; i < k_nodes; ++i) {
+                t[i * n + l] = x0[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+            }
+        }
     }
     if (validate_) {
-        for (double t : temps_) {
-            util::ensure_numeric(std::isfinite(t), "rc_batch::step: non-finite temperature");
+        for (double v : temps_) {
+            util::ensure_numeric(std::isfinite(v), "rc_batch::step: non-finite temperature");
         }
     }
-}
-
-void rc_batch::step_uniform(std::size_t count, int substeps, double h) {
-    std::copy(temps_.begin(), temps_.end(), scratch_.t0.begin());
-    double* t0 = scratch_.t0.data();
-    double* tmp = scratch_.tmp.data();
-    double* k1 = scratch_.k1.data();
-    double* k2 = scratch_.k2.data();
-    double* k3 = scratch_.k3.data();
-    double* k4 = scratch_.k4.data();
-    const auto derivs = [&](const double* at, double* out) {
-        topo_.batch_derivatives_into(lanes_, count, at, powers_.data(), capacities_.data(),
-                                     ambient_.data(), edge_g_.data(), out);
-    };
-    // Visits every (node, stepped lane) cell; one flat sweep when the
-    // whole batch steps.
-    const auto cells = [&](const auto& update) {
-        if (count == lanes_) {
-            for (std::size_t i = 0; i < nodes_ * lanes_; ++i) {
-                update(i);
-            }
-            return;
-        }
-        for (std::size_t n = 0; n < nodes_; ++n) {
-            for (std::size_t i = n * lanes_; i < n * lanes_ + count; ++i) {
-                update(i);
-            }
-        }
-    };
-    for (int s = 0; s < substeps; ++s) {
-        derivs(t0, k1);
-        cells([&](std::size_t i) { tmp[i] = t0[i] + 0.5 * h * k1[i]; });
-        derivs(tmp, k2);
-        cells([&](std::size_t i) { tmp[i] = t0[i] + 0.5 * h * k2[i]; });
-        derivs(tmp, k3);
-        cells([&](std::size_t i) { tmp[i] = t0[i] + h * k3[i]; });
-        derivs(tmp, k4);
-        cells([&](std::size_t i) {
-            t0[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-        });
-    }
-    temps_.swap(scratch_.t0);
-}
-
-void rc_batch::step_ragged(std::size_t count, int max_sub) {
-    std::copy(temps_.begin(), temps_.end(), scratch_.t0.begin());
-    double* t0 = scratch_.t0.data();
-    double* tmp = scratch_.tmp.data();
-    double* k1 = scratch_.k1.data();
-    double* k2 = scratch_.k2.data();
-    double* k3 = scratch_.k3.data();
-    double* k4 = scratch_.k4.data();
-    const double* h = scratch_.h.data();
-    const int* sub = scratch_.substeps.data();
-    const auto derivs = [&](const double* at, double* out) {
-        topo_.batch_derivatives_into(lanes_, count, at, powers_.data(), capacities_.data(),
-                                     ambient_.data(), edge_g_.data(), out);
-    };
-    // The same per-lane update sequence as step_uniform; a lane whose own
-    // substeps are done is skipped for the rest of the shared loop.
-    for (int s = 0; s < max_sub; ++s) {
-        const auto stage = [&](const double* k, double factor) {
-            for (std::size_t i = 0; i < nodes_; ++i) {
-                const std::size_t base = i * lanes_;
-                for (std::size_t l = 0; l < count; ++l) {
-                    if (s < sub[l]) {
-                        tmp[base + l] = t0[base + l] + factor * h[l] * k[base + l];
-                    }
-                }
-            }
-        };
-        derivs(t0, k1);
-        stage(k1, 0.5);
-        derivs(tmp, k2);
-        stage(k2, 0.5);
-        derivs(tmp, k3);
-        stage(k3, 1.0);
-        derivs(tmp, k4);
-        for (std::size_t i = 0; i < nodes_; ++i) {
-            const std::size_t base = i * lanes_;
-            for (std::size_t l = 0; l < count; ++l) {
-                if (s < sub[l]) {
-                    t0[base + l] += h[l] / 6.0 *
-                                    (k1[base + l] + 2.0 * k2[base + l] + 2.0 * k3[base + l] +
-                                     k4[base + l]);
-                }
-            }
-        }
-    }
-    temps_.swap(scratch_.t0);
 }
 
 void rc_batch::settle_lane(std::size_t lane) {

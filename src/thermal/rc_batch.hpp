@@ -1,19 +1,28 @@
-// Structure-of-arrays lane state over a shared rc_network topology: the
-// one RC integrator and steady solver of the library.
+// Lane state over the server's thermal network: the one RC integrator
+// and steady solver of the library.
 //
-// An rc_batch steps N independent thermal "lanes" (servers) through one
-// instruction stream: temperatures, powers, capacities, ambients, and
-// edge conductances are stored lane-contiguous per node/edge, and the
-// RK4 substep loop runs the rc_network lane kernels across all lanes at
-// once.  Every lane follows the same floating-point operation sequence
-// whatever the lane count, so a lane of an N-lane batch is bitwise-equal
-// to a one-lane batch driven through the same schedule (the
-// thermal-equivalence suite pins both against a port of the seed
-// numerics).
+// An rc_batch holds N independent thermal "lanes" (servers) over one
+// network, the server's as thermal::server_thermal_model lays it out:
+//
+//   nodes  die 0, sink 0, die 1, sink 1, DIMM
+//   edges  die 0-sink 0, sink 0-ambient, die 1-sink 1, sink 1-ambient,
+//          DIMM-ambient   (insertion order)
+//
+// The constructor rejects any other topology with a precondition_error.
+// Temperatures, powers, capacities and edge conductances are stored
+// lane-contiguous per node/edge.  The RK4 step is one fused kernel for
+// that network: each substep of each lane computes all four stages in
+// locals, straight-line, with the loop over lanes innermost, and one
+// path serves every lane count, active mask and mixed substep count.
+// Every cell keeps the operation sequence of the original edge-list
+// integrator (flows accumulated from zero in edge insertion order,
+// `(flow + power) / capacity`, the classic stage sums), so a lane of an
+// N-lane batch is bitwise-equal to a one-lane batch driven through the
+// same schedule, and both to a port of the seed numerics (pinned by the
+// thermal-equivalence suite).
 //
 // Lanes may differ in conductances (per-server fan speeds), powers,
-// capacities, and ambient temperature — only the topology (node/edge
-// structure and edge order) is shared.
+// capacities, and ambient temperature.
 #pragma once
 
 #include <cmath>
@@ -48,7 +57,8 @@ class rc_batch {
 public:
     /// Copies `topology`'s structure and seeds every lane with its initial
     /// capacities, conductances and ambient, all nodes at ambient and
-    /// zero power.
+    /// zero power.  Throws precondition_error unless `topology` is the
+    /// server network (see the file comment).
     rc_batch(const rc_network& topology, std::size_t lanes);
 
     [[nodiscard]] std::size_t lane_count() const { return lanes_; }
@@ -97,9 +107,9 @@ public:
 
     // --- stepping ----------------------------------------------------------
     /// Advances every lane by `dt` with classic fourth-order Runge-Kutta,
-    /// each lane sub-stepping against its own stable_dt(); lanes with
-    /// fewer substeps are masked out of the shared substep loop once
-    /// theirs are done.
+    /// each lane sub-stepping against its own stable_dt(); a lane with
+    /// fewer substeps is skipped in the shared substep loop once its own
+    /// are done.
     ///
     /// `active` optionally masks whole lanes (ragged fleets): a lane with
     /// `active[l] == 0` takes zero substeps, so its state is left
@@ -154,8 +164,6 @@ private:
     }
 
     void refresh_lane_cache(std::size_t lane) const;
-    void step_uniform(std::size_t count, int substeps, double h);
-    void step_ragged(std::size_t count, int max_sub);
 
     rc_network topo_;
     std::size_t lanes_ = 0;
@@ -180,14 +188,9 @@ private:
     std::vector<std::optional<util::lu_decomposition>> lu_;  ///< [lane]
 
     // Stepping and solve scratch, sized at construction so neither
-    // step() nor settle_lane() allocates.
+    // step() nor settle_lane() allocates.  A step keeps its stage values
+    // in locals; only each lane's substep count and size live here.
     struct scratch {
-        std::vector<double> t0;
-        std::vector<double> tmp;
-        std::vector<double> k1;
-        std::vector<double> k2;
-        std::vector<double> k3;
-        std::vector<double> k4;
         std::vector<int> substeps;  ///< [lane]
         std::vector<double> h;      ///< [lane]
         std::vector<double> rhs;    ///< Per-lane node vector.

@@ -42,64 +42,10 @@ double rc_network::conductance(edge_id e) const {
     return edges_[e.index].conductance;
 }
 
-void rc_network::batch_derivatives_into(std::size_t lanes, std::size_t count,
-                                        const double* temps, const double* powers,
-                                        const double* capacities, const double* ambient,
-                                        const double* edge_g, double* out) const {
-    const std::size_t n = capacities_.size();
-    if (count == 1) {
-        // Lane 0 alone, strided: the lane loops' operation sequence without
-        // their per-edge loop overhead (a one-lane plant steps here).
-        for (std::size_t i = 0; i < n; ++i) {
-            out[i * lanes] = 0.0;
-        }
-        for (std::size_t k = 0; k < edges_.size(); ++k) {
-            const edge& e = edges_[k];
-            if (e.to_ambient) {
-                out[e.a * lanes] += edge_g[k * lanes] * (ambient[0] - temps[e.a * lanes]);
-            } else {
-                const double q = edge_g[k * lanes] * (temps[e.b * lanes] - temps[e.a * lanes]);
-                out[e.a * lanes] += q;
-                out[e.b * lanes] -= q;
-            }
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-            out[i * lanes] = (out[i * lanes] + powers[i * lanes]) / capacities[i * lanes];
-        }
-        return;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t l = 0; l < count; ++l) {
-            out[i * lanes + l] = 0.0;
-        }
-    }
-    for (std::size_t k = 0; k < edges_.size(); ++k) {
-        const edge& e = edges_[k];
-        const double* g = edge_g + k * lanes;
-        const double* ta = temps + e.a * lanes;
-        double* oa = out + e.a * lanes;
-        if (e.to_ambient) {
-            for (std::size_t l = 0; l < count; ++l) {
-                oa[l] += g[l] * (ambient[l] - ta[l]);
-            }
-        } else {
-            const double* tb = temps + e.b * lanes;
-            double* ob = out + e.b * lanes;
-            for (std::size_t l = 0; l < count; ++l) {
-                const double q = g[l] * (tb[l] - ta[l]);
-                oa[l] += q;
-                ob[l] -= q;
-            }
-        }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        const double* p = powers + i * lanes;
-        const double* c = capacities + i * lanes;
-        double* o = out + i * lanes;
-        for (std::size_t l = 0; l < count; ++l) {
-            o[l] = (o[l] + p[l]) / c[l];
-        }
-    }
+rc_network::edge_ends rc_network::ends(edge_id e) const {
+    util::ensure(e.index < edges_.size(), "rc_network::ends: edge out of range");
+    const edge& ed = edges_[e.index];
+    return edge_ends{ed.a, ed.b, ed.to_ambient};
 }
 
 void rc_network::lane_diagonal_into(std::size_t lanes, std::size_t lane, const double* edge_g,

@@ -8,10 +8,13 @@
 //
 // This class holds only the structure plus the initial capacities,
 // conductances and ambient; the dynamic state (temperatures, powers,
-// per-lane conductances) lives in thermal::rc_batch lanes, which run the
-// lane kernels below.  Conductances may vary at run time per lane
-// (fan-speed-dependent convection), which is the mechanism behind the
-// paper's fan-speed-dependent time constants.
+// per-lane conductances) lives in thermal::rc_batch lanes.  The builder
+// is general, but rc_batch integrates one network only, the server's as
+// thermal::server_thermal_model lays it out, and rejects any other.  The
+// steady-solve helpers below (conductance matrix, diagonal, source
+// vector) walk the edge list and serve any network.  Conductances may
+// vary at run time per lane (fan-speed-dependent convection), which is
+// the mechanism behind the paper's fan-speed-dependent time constants.
 #pragma once
 
 #include <cstddef>
@@ -60,26 +63,21 @@ public:
     /// Initial conductance of an edge (internal or ambient).
     [[nodiscard]] double conductance(edge_id e) const;
 
-    // --- lane kernels (structure-of-arrays lanes) ---------------------------
-    //
-    // These run N independent "lanes" (servers) through this topology with
-    // one instruction stream.  The lane state lives in caller-owned flat
-    // arrays:
-    //   node quantity  q of node i, lane l  ->  q[i * lanes + l]
-    //   conductance    g of edge e, lane l  ->  edge_g[e.index * lanes + l]
-    // (edge indices are the insertion-order edge_id indices, covering
-    // internal and ambient edges alike).  Every lane follows the same
-    // floating-point operation sequence, so a lane's result does not
-    // depend on the lane count or on its neighbours.
+    /// Ends of edge `e` (insertion-order id): node `a`, and node `b` for
+    /// an internal edge (`b` is 0 for an ambient coupling).
+    struct edge_ends {
+        std::size_t a = 0;
+        std::size_t b = 0;
+        bool to_ambient = false;
+    };
+    [[nodiscard]] edge_ends ends(edge_id e) const;
 
-    /// Writes dT/dt of lanes [0, count) into `out` (size node_count() *
-    /// lanes); the other lanes' entries are left alone.  Edge flows
-    /// accumulate in insertion order, then the (flow + power) / capacity
-    /// division runs per node; count == 1 runs it as one strided lane.
-    void batch_derivatives_into(std::size_t lanes, std::size_t count, const double* temps,
-                                const double* powers, const double* capacities,
-                                const double* ambient, const double* edge_g,
-                                double* out) const;
+    // --- one lane of caller-owned lane state --------------------------------
+    //
+    // The steady-solve helpers read one lane of state laid out as
+    // rc_batch keeps it: conductance g of edge e, lane l at
+    // edge_g[e.index * lanes + l], node quantity q of node i, lane l at
+    // q[i * lanes + l].  Each accumulates in edge insertion order.
 
     /// Conductance-matrix diagonal of one lane, accumulated in edge
     /// insertion order.  `diag` receives node_count() values.

@@ -17,10 +17,12 @@
 #include "power/fan_model.hpp"
 #include "power/leakage_model.hpp"
 #include "sim/experiment.hpp"
+#include "server_network.hpp"
 #include "sim/server_simulator.hpp"
-#include "thermal/rc_network.hpp"
 #include "thermal/rc_batch.hpp"
+#include "thermal/rc_network.hpp"
 #include "thermal/server_thermal_model.hpp"
+#include "util/matrix.hpp"
 #include "util/rng.hpp"
 #include "workload/paper_tests.hpp"
 
@@ -279,7 +281,10 @@ class RandomNetworks : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(RandomNetworks, SteadyStateConservesHeat) {
     // Build a random connected network with random ambient couplings and
     // verify that, at the solved steady state, injected power equals the
-    // power leaving through the ambient edges (global heat balance).
+    // power leaving through the ambient edges (global heat balance).  The
+    // steady system comes from rc_network's lane helpers, which serve any
+    // network; rc_batch integrates the server network only, so the
+    // transient half draws a random calibration of that network.
     util::pcg32 rng(GetParam());
     const double ambient_c = 20.0 + rng.uniform(0.0, 15.0);
     thermal::rc_network net(util::celsius_t{ambient_c});
@@ -308,30 +313,51 @@ TEST_P(RandomNetworks, SteadyStateConservesHeat) {
             net.add_ambient_edge(nodes[i], ambient_g[i]);
         }
     }
-    thermal::rc_batch steady(net, 1);
+    std::vector<double> powers(n);
     double injected = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-        const double p = rng.uniform(0.0, 150.0);
-        steady.set_power(nodes[i], 0, util::watts_t{p});
-        injected += p;
+        powers[i] = rng.uniform(0.0, 150.0);
+        injected += powers[i];
     }
-    thermal::rc_batch transient = steady;
-
-    steady.settle_lane(0);
+    std::vector<double> edge_g(net.edge_count());
+    for (std::size_t e = 0; e < edge_g.size(); ++e) {
+        edge_g[e] = net.conductance(thermal::edge_id{e});
+    }
+    util::matrix cond;
+    net.lane_conductance_matrix_into(1, 0, edge_g.data(), cond);
+    std::vector<double> rhs;
+    net.lane_source_vector_into(1, 0, powers.data(), ambient_c, edge_g.data(), rhs);
+    const std::vector<double> temps = util::solve(cond, rhs);
     double out_through_ambient = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-        out_through_ambient +=
-            ambient_g[i] * (steady.temperature(nodes[i], 0).value() - ambient_c);
+        out_through_ambient += ambient_g[i] * (temps[i] - ambient_c);
     }
     EXPECT_NEAR(out_through_ambient, injected, 1e-6 * std::max(1.0, injected));
 
-    // And the transient solution relaxes to the same state.
+    // The transient solution relaxes to the steady state, on a random
+    // calibration of the server network with every node powered.
+    test::server_network_values v;
+    v.ambient_c = ambient_c;
+    v.c_die = rng.uniform(5.0, 500.0);
+    v.c_sink = rng.uniform(5.0, 500.0);
+    v.c_dimm = rng.uniform(5.0, 500.0);
+    v.g_die_sink = rng.uniform(0.5, 20.0);
+    v.g_sink = rng.uniform(0.5, 5.0);
+    v.g_dimm = rng.uniform(0.5, 5.0);
+    thermal::rc_batch steady(test::server_network(v), 1);
+    steady.set_conductance(test::sink1_ambient, 0, rng.uniform(0.5, 5.0));
+    for (std::size_t i = 0; i < steady.node_count(); ++i) {
+        steady.set_power(thermal::node_id{i}, 0, util::watts_t{rng.uniform(0.0, 150.0)});
+    }
+    thermal::rc_batch transient = steady;
+    steady.settle_lane(0);
     for (int k = 0; k < 10000; ++k) {
         transient.step(util::seconds_t{5.0});
     }
-    for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_NEAR(transient.temperature(nodes[i], 0).value(),
-                    steady.temperature(nodes[i], 0).value(), 0.05)
+    for (std::size_t i = 0; i < steady.node_count(); ++i) {
+        const thermal::node_id node{i};
+        EXPECT_NEAR(transient.temperature(node, 0).value(), steady.temperature(node, 0).value(),
+                    0.05)
             << "node " << i;
     }
 }

@@ -142,7 +142,6 @@ TEST(Rollout, EvaluationIsAPureFunctionOfStateAndCandidates) {
     for (const sim::rollout_result* r : {&r2, &r3}) {
         EXPECT_EQ(r1.best, r->best);
         for (std::size_t i = 0; i < r1.scores.size(); ++i) {
-            EXPECT_EQ(r1.scores[i].score_j, r->scores[i].score_j);
             EXPECT_EQ(r1.scores[i].energy_j, r->scores[i].energy_j);
             EXPECT_EQ(r1.scores[i].peak_temp_c, r->scores[i].peak_temp_c);
             EXPECT_EQ(r1.scores[i].steps, r->scores[i].steps);
@@ -201,9 +200,46 @@ TEST(Rollout, GuardTerminatesHotCandidatesEarlyAndPenalizesThem) {
     EXPECT_LT(r.scores[0].steps, 600);  // terminated before the horizon
     EXPECT_FALSE(r.scores[1].guarded);
     EXPECT_EQ(r.scores[1].steps, 600);
-    EXPECT_EQ(r.best, 1U);  // penalty dominates the fan-power difference
-    EXPECT_GT(r.scores[0].score_j, r.scores[1].score_j);
-    EXPECT_GT(r.scores[0].score_j, opt.guard_penalty_j);
+    EXPECT_EQ(r.best, 1U);  // the guard outranks the fan-power difference
+    EXPECT_LT(r.scores[0].energy_j, r.scores[1].energy_j);
+}
+
+TEST(Rollout, AllGuardedSetRanksTheLaterTripFirst) {
+    // Every candidate trips the guard.  A guarded lane stops at its trip
+    // step, so the hottest candidate (slowest fans) integrates the
+    // fewest steps and predicts the least energy; it must not win.  The
+    // latest trip ranks first, then the smaller peak.
+    workload::utilization_profile hot("hot");
+    hot.constant(100.0, 3600_s);
+    sim::server_simulator s;
+    s.bind_workload(hot);
+    s.force_cold_start();
+    s.set_all_fans(3600_rpm);
+    s.advance(600_s);
+
+    sim::rollout_engine engine(s.config(), 4);
+    sim::rollout_options opt;
+    opt.horizon = 900_s;
+    opt.epoch = 60_s;
+    opt.guard_temp_c = s.max_cpu_sensor_temp().value() + 5.0;
+    const std::vector<sim::fan_schedule> candidates = {
+        {{1800_rpm}}, {{2100_rpm}}, {{2400_rpm}}, {{2100_rpm}}};
+    const sim::rollout_result r =
+        engine.evaluate(s.snapshot_state(), *s.workload(), nullptr, candidates, opt);
+    for (const sim::candidate_score& sc : r.scores) {
+        ASSERT_TRUE(sc.guarded);
+    }
+    ASSERT_LT(r.scores[0].steps, r.scores[1].steps);
+    ASSERT_LT(r.scores[1].steps, r.scores[2].steps);
+    EXPECT_LT(r.scores[0].energy_j, r.scores[2].energy_j);
+    EXPECT_EQ(r.best, 2U);
+
+    // Lanes 1 and 3 run the same schedule: equal trip steps and equal
+    // peaks fall to the lower index.
+    EXPECT_EQ(r.scores[1].steps, r.scores[3].steps);
+    EXPECT_EQ(r.scores[1].peak_temp_c, r.scores[3].peak_temp_c);
+    const std::vector<sim::fan_schedule> same_trip = {{{2100_rpm}}, {{2100_rpm}}};
+    EXPECT_EQ(engine.evaluate(s.snapshot_state(), *s.workload(), nullptr, same_trip, opt).best, 0U);
 }
 
 TEST(Rollout, TiesBreakToTheLowestCandidateIndex) {
@@ -219,7 +255,7 @@ TEST(Rollout, TiesBreakToTheLowestCandidateIndex) {
     const std::vector<sim::fan_schedule> twins = {{{2400_rpm}}, {{2400_rpm}}};
     const sim::rollout_result r =
         engine.evaluate(s.snapshot_state(), *s.workload(), nullptr, twins, opt);
-    EXPECT_EQ(r.scores[0].score_j, r.scores[1].score_j);
+    EXPECT_EQ(r.scores[0].energy_j, r.scores[1].energy_j);
     EXPECT_EQ(r.best, 0U);
 }
 
@@ -367,7 +403,6 @@ TEST(Rollout, GuardedLaneIsRecycledCleanlyAcrossEvaluations) {
     EXPECT_EQ(second.best, clean.best);
     ASSERT_EQ(second.scores.size(), clean.scores.size());
     for (std::size_t i = 0; i < clean.scores.size(); ++i) {
-        EXPECT_EQ(second.scores[i].score_j, clean.scores[i].score_j);
         EXPECT_EQ(second.scores[i].energy_j, clean.scores[i].energy_j);
         EXPECT_EQ(second.scores[i].peak_temp_c, clean.scores[i].peak_temp_c);
         EXPECT_EQ(second.scores[i].steps, clean.scores[i].steps);
@@ -404,7 +439,6 @@ TEST(Rollout, CandidateCountShrinkThenGrowStaysBitwise) {
     EXPECT_EQ(regrown.best, clean.best);
     ASSERT_EQ(regrown.scores.size(), clean.scores.size());
     for (std::size_t i = 0; i < clean.scores.size(); ++i) {
-        EXPECT_EQ(regrown.scores[i].score_j, clean.scores[i].score_j);
         EXPECT_EQ(regrown.scores[i].energy_j, clean.scores[i].energy_j);
         EXPECT_EQ(regrown.scores[i].peak_temp_c, clean.scores[i].peak_temp_c);
         EXPECT_EQ(regrown.scores[i].steps, clean.scores[i].steps);
@@ -626,7 +660,6 @@ TEST(Rollout, CampaignReboundInPlaceIsPreviewedAtTheNextDecision) {
     ASSERT_EQ(got.scores.size(), want.scores.size());
     for (std::size_t i = 0; i < want.scores.size(); ++i) {
         SCOPED_TRACE("candidate " + std::to_string(i));
-        EXPECT_EQ(got.scores[i].score_j, want.scores[i].score_j);
         EXPECT_EQ(got.scores[i].energy_j, want.scores[i].energy_j);
         EXPECT_EQ(got.scores[i].peak_temp_c, want.scores[i].peak_temp_c);
         EXPECT_EQ(got.scores[i].steps, want.scores[i].steps);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/fault_monitor.hpp"
+#include "server_network.hpp"
 #include "sim/fault_schedule.hpp"
 #include "sim/server_batch.hpp"
 #include "sim/server_config.hpp"
@@ -191,17 +192,19 @@ TEST(SnapshotRoundtrip, BatchLaneSnapshotLoadsIntoScalar) {
     EXPECT_EQ(batch.system_power_reading(1).value(), scalar.system_power_reading().value());
 }
 
-thermal::rc_network two_node_network() {
-    thermal::rc_network net(24_degC);
-    const auto n0 = net.add_node(50.0);
-    const auto n1 = net.add_node(400.0);
-    net.add_edge(n0, n1, 8.0);
-    net.add_ambient_edge(n1, 3.0);
-    return net;
+/// The server network with values off the paper calibration, so no
+/// default value can stand in for a restored one.
+thermal::rc_network bare_network() {
+    test::server_network_values v;
+    v.c_die = 50.0;
+    v.c_sink = 400.0;
+    v.g_die_sink = 8.0;
+    v.g_sink = 3.0;
+    return test::server_network(v);
 }
 
 TEST(SnapshotRoundtrip, RcNetworkSaveRestoreRoundTrip) {
-    const thermal::rc_network net = two_node_network();
+    const thermal::rc_network net = bare_network();
     thermal::rc_batch a(net, 1);
     a.set_power(thermal::node_id{0}, 0, 120_W);
     for (int k = 0; k < 50; ++k) {
@@ -238,7 +241,7 @@ TEST(SnapshotRoundtrip, RcNetworkSaveRestoreRoundTrip) {
 TEST(SnapshotRoundtrip, RcStateMovesBetweenNetworkAndBatchLane) {
     // A one-lane plant's state moves into lane 2 of a wider batch and
     // back out, stepping bitwise alongside the source in between.
-    const thermal::rc_network net = two_node_network();
+    const thermal::rc_network net = bare_network();
     thermal::rc_batch single(net, 1);
     single.set_power(thermal::node_id{0}, 0, 120_W);
     for (int k = 0; k < 40; ++k) {

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "server_network.hpp"
 #include "thermal/rc_batch.hpp"
 #include "thermal/rc_network.hpp"
 #include "util/error.hpp"
@@ -244,8 +245,52 @@ void run_rk4_schedule(std::size_t lanes, double dt) {
 }
 
 TEST(ThermalEquivalence, Rk4BitwiseIdenticalToSeed) {
-    run_rk4_schedule(1, 5.0);
-    run_rk4_schedule(3, 5.0);
+    // Odd widths leave a remainder after any vectorised lane loop; 8 and
+    // 67 are a rack and a fleet shard's order of magnitude.
+    for (const std::size_t lanes : {1, 3, 8, 67}) {
+        SCOPED_TRACE(lanes);
+        run_rk4_schedule(lanes, 5.0);
+    }
+}
+
+TEST(ThermalEquivalence, MaskedPrefixWithMixedSubstepsMatchesSeed) {
+    // Step a prefix of a wider batch under an active mask that changes
+    // every step, with lanes whose die-sink conductances give them
+    // different substep counts.  Each stepped lane must match its seed
+    // reference; masked lanes and lanes past the prefix stay untouched.
+    const std::size_t lanes = 9;
+    const std::size_t prefix = 7;
+    const double dt = 30.0;
+    twin t(lanes);
+    t.batch.set_validate_steps(true);
+    for (std::size_t l = 0; l < lanes; ++l) {
+        const double g = (1.0 / 0.13) * (1.0 + 0.6 * static_cast<double>(l));
+        t.set_conductance(l, 0, g);
+        t.set_conductance(l, 2, g);
+    }
+    std::vector<int> substeps;
+    for (std::size_t l = 0; l < prefix; ++l) {
+        substeps.push_back(
+            std::max(1, static_cast<int>(std::ceil(dt / t.batch.stable_dt(l)))));
+    }
+    ASSERT_NE(substeps.front(), substeps.back());
+    std::vector<unsigned char> active(lanes);
+    for (int k = 0; k < 120; ++k) {
+        for (std::size_t l = 0; l < lanes; ++l) {
+            drive_lane(t, l, l, k);
+            active[l] = (k + l) % 3 != 0 ? 1 : 0;
+            if (l < prefix && active[l] != 0) {
+                t.ref[l].step_rk4(dt);
+            }
+        }
+        t.batch.step_prefix(prefix, util::seconds_t{dt}, active.data());
+        for (std::size_t l = 0; l < lanes; ++l) {
+            t.expect_lane_identical(l, t.ref[l].temps, "step " + std::to_string(k));
+            if (::testing::Test::HasFatalFailure()) {
+                return;
+            }
+        }
+    }
 }
 
 TEST(ThermalEquivalence, OneLanePrefixOfAWiderBatchIsTheOneLaneBatch) {
@@ -373,14 +418,12 @@ TEST(ThermalEquivalence, StepValidationFlagGatesNonFiniteCheck) {
     // With validation on, a state overflowing to infinity throws; with it
     // off, the (cheaper) step completes and the caller owns the check.
     const auto blow_up = [](bool validate) {
-        rc_network net(util::celsius_t{25.0});
-        const auto a = net.add_node(1.0);
-        const auto b = net.add_node(1.0);
-        net.add_edge(a, b, 10.0);
-        net.add_ambient_edge(b, 1.0);
-        rc_batch lane(net, 1);
+        test::server_network_values v;
+        v.c_die = 1.0;
+        v.c_sink = 1.0;
+        rc_batch lane(test::server_network(v), 1);
         // Near-DBL_MAX injection: the RK4 stage sum overflows to inf.
-        lane.set_power(a, 0, util::watts_t{1.7e308});
+        lane.set_power(thermal::node_id{0}, 0, util::watts_t{1.7e308});
         lane.set_validate_steps(validate);
         for (int i = 0; i < 4; ++i) {
             lane.step(util::seconds_t{1.0});
