@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "core/bang_bang_controller.hpp"
 #include "core/characterization.hpp"
@@ -30,17 +31,27 @@ using namespace ltsc;
 using namespace ltsc::util::literals;
 
 void BM_ThermalStep(benchmark::State& state) {
-    thermal::server_thermal_model m;
-    m.set_cpu_heat(0, 0, 115_W);
-    m.set_cpu_heat(0, 1, 115_W);
-    m.set_dimm_heat(0, 145_W);
-    for (auto _ : state) {
-        m.step(1_s);
-        benchmark::DoNotOptimize(m.average_cpu_temp(0));
+    // The thermal layer alone: one server_thermal_model::step_prefix over
+    // N lanes (preheat injection plus the fused RK4 kernel), without the
+    // power model, fans, sensors or trace of a plant step.  Items are
+    // lane-steps.  6 lanes is a rollout decision's candidate width, 256 a
+    // fleet shard's order.
+    const std::size_t lanes = static_cast<std::size_t>(state.range(0));
+    const std::vector<thermal::server_thermal_config> configs(lanes);
+    thermal::server_thermal_model m(configs);
+    for (std::size_t l = 0; l < lanes; ++l) {
+        m.set_cpu_heat(l, 0, 115_W);
+        m.set_cpu_heat(l, 1, 115_W);
+        m.set_dimm_heat(l, 145_W);
     }
-    state.SetItemsProcessed(state.iterations());
+    for (auto _ : state) {
+        m.step_prefix(lanes, 1_s);
+        benchmark::DoNotOptimize(m.average_cpu_temp(lanes - 1));
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(lanes));
+    state.SetLabel("lane-steps per second");
 }
-BENCHMARK(BM_ThermalStep);
+BENCHMARK(BM_ThermalStep)->Arg(1)->Arg(6)->Arg(256);
 
 void BM_ThermalSteadyStateSolve(benchmark::State& state) {
     thermal::server_thermal_model m;

@@ -129,6 +129,8 @@ std::vector<sim::run_metrics> run_controlled_batch(
         batch.bind_workload(l, profiles[l]);
     }
     batch.force_cold_start();
+    // Every step of the run appends one row-group while any lane is live.
+    batch.reserve_trace_steps(static_cast<std::size_t>(max_steps));
     // One plant window per lane (stable addresses for the whole run), so
     // fleets of predictive controllers each see their own lane; the
     // guard detaches every controller on any exit path.

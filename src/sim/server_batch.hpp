@@ -200,6 +200,10 @@ public:
     /// Drops the lane's recorded trace rows (the telemetry poll clock is
     /// untouched, so replay stays bitwise).
     void clear_trace(std::size_t lane) { traces_.clear(lane); }
+    /// Pre-allocates the recording arena for `steps` more steps
+    /// (batch_trace::reserve_steps), so a run of known length does not
+    /// grow it by doubling.
+    void reserve_trace_steps(std::size_t steps) { traces_.reserve_steps(steps); }
 
     /// The shared lane-major recording arena (row-group publication for
     /// the streaming telemetry service reads it directly).
