@@ -66,11 +66,15 @@ power_breakdown server_power_model::breakdown_at(double u_pct, const die_temps& 
 
 void server_power_model::apply_heat(thermal::server_thermal_model& plant, std::size_t lane,
                                     double u_pct, double imbalance) const {
-    const server_heat h = heat_at(u_pct, imbalance, plant.die_temps(lane));
+    set_heat(plant, lane, heat_at(u_pct, imbalance, plant.die_temps(lane)));
+}
+
+void server_power_model::set_heat(thermal::server_thermal_model& plant, std::size_t lane,
+                                  const server_heat& heat) {
     for (std::size_t s = 0; s < 2; ++s) {
-        plant.set_cpu_heat(lane, s, util::watts_t{h.cpu_w[s]});
+        plant.set_cpu_heat(lane, s, util::watts_t{heat.cpu_w[s]});
     }
-    plant.set_dimm_heat(lane, util::watts_t{h.dimm_w});
+    plant.set_dimm_heat(lane, util::watts_t{heat.dimm_w});
 }
 
 void server_power_model::settle(thermal::server_thermal_model& plant, std::size_t lane,

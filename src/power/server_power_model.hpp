@@ -97,6 +97,9 @@ public:
     /// lane's heat inputs.  The one heat-application path of every plant.
     void apply_heat(thermal::server_thermal_model& plant, std::size_t lane, double u_pct,
                     double imbalance) const;
+    /// Sets `heat` as lane `lane`'s die and DIMM heat inputs.
+    static void set_heat(thermal::server_thermal_model& plant, std::size_t lane,
+                         const server_heat& heat);
 
     /// Jumps lane `lane` of `plant` to the self-consistent steady state at
     /// utilization `u_pct`: leakage depends on the die temperature, which

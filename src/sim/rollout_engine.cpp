@@ -136,10 +136,7 @@ const rollout_result& rollout_engine::evaluate(const server_state& start,
         const power::load_terms load = power_.load_at(u_inst, start.imbalance);
         for (std::size_t l = 0; l < span; ++l) {
             if (active_[l] != 0) {
-                const power::server_heat heat = load.heat(leak_[l]);
-                thermal_.set_cpu_heat(l, 0, util::watts_t{heat.cpu_w[0]});
-                thermal_.set_cpu_heat(l, 1, util::watts_t{heat.cpu_w[1]});
-                thermal_.set_dimm_heat(l, util::watts_t{heat.dimm_w});
+                power::server_power_model::set_heat(thermal_, l, load.heat(leak_[l]));
             }
         }
         thermal_.step_prefix(span, util::seconds_t{dt}, active_.data());

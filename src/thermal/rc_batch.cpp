@@ -31,10 +31,10 @@ bool is_server_network(const rc_network& net) {
 
 /// One lane's step inputs, node and edge order.
 struct lane_inputs {
-    double g[k_edges];
-    double p[k_nodes];
-    double c[k_nodes];
-    double ambient;
+    double g[k_edges] = {};
+    double p[k_nodes] = {};
+    double c[k_nodes] = {};
+    double ambient = 0.0;
 };
 
 /// dT/dt of one lane at `x`: flows accumulate from zero in edge
@@ -178,12 +178,15 @@ void rc_batch::refresh_lane_cache(std::size_t lane) const {
     if (!lane_dirty_[lane]) {
         return;
     }
-    double* diag = scratch_.rhs.data();
-    topo_.lane_diagonal_into(lanes_, lane, edge_g_.data(), diag);
+    // Each node's conductance-matrix diagonal, accumulated from zero in
+    // edge insertion order.
+    const auto g = [&](std::size_t e) { return edge_g_[e * lanes_ + lane]; };
+    const double diag[k_nodes] = {0.0 + g(0), 0.0 + g(0) + g(1), 0.0 + g(2), 0.0 + g(2) + g(3),
+                                  0.0 + g(4)};
     // Forward Euler on dT/dt = -T/tau is stable for dt < 2*tau; keep a
     // 10 % safety margin (tau_i = C_i / L_ii).
     double min_ratio = 1e30;
-    for (std::size_t i = 0; i < nodes_; ++i) {
+    for (std::size_t i = 0; i < k_nodes; ++i) {
         diag_[i * lanes_ + lane] = diag[i];
         if (diag[i] > 0.0) {
             min_ratio = std::min(min_ratio, capacities_[i * lanes_ + lane] / diag[i]);
@@ -233,8 +236,8 @@ void rc_batch::step_prefix(std::size_t count, util::seconds_t dt, const unsigned
             if (s >= sub[l]) {
                 continue;  // masked out, or its own substeps are done
             }
-            lane_inputs in;
-            double x0[k_nodes];
+            lane_inputs in{};
+            double x0[k_nodes] = {};
             for (std::size_t e = 0; e < k_edges; ++e) {
                 in.g[e] = g[e * n + l];
             }
@@ -245,23 +248,22 @@ void rc_batch::step_prefix(std::size_t count, util::seconds_t dt, const unsigned
             }
             in.ambient = ambient_[l];
             const double h = hs[l];
-            double k1[k_nodes];
-            double k2[k_nodes];
-            double k3[k_nodes];
-            double k4[k_nodes];
-            double x[k_nodes];
+            double k1[k_nodes] = {};
+            double k2[k_nodes] = {};
+            double k3[k_nodes] = {};
+            double k4[k_nodes] = {};
+            double x[k_nodes] = {};
+            const auto stage = [&](const double (&k)[k_nodes], double factor) {
+                for (std::size_t i = 0; i < k_nodes; ++i) {
+                    x[i] = x0[i] + factor * h * k[i];
+                }
+            };
             derivatives(in, x0, k1);
-            for (std::size_t i = 0; i < k_nodes; ++i) {
-                x[i] = x0[i] + 0.5 * h * k1[i];
-            }
+            stage(k1, 0.5);
             derivatives(in, x, k2);
-            for (std::size_t i = 0; i < k_nodes; ++i) {
-                x[i] = x0[i] + 0.5 * h * k2[i];
-            }
+            stage(k2, 0.5);
             derivatives(in, x, k3);
-            for (std::size_t i = 0; i < k_nodes; ++i) {
-                x[i] = x0[i] + h * k3[i];
-            }
+            stage(k3, 1.0);
             derivatives(in, x, k4);
             for (std::size_t i = 0; i < k_nodes; ++i) {
                 t[i * n + l] = x0[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);

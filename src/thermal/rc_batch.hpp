@@ -1,28 +1,23 @@
 // Lane state over the server's thermal network: the one RC integrator
 // and steady solver of the library.
 //
-// An rc_batch holds N independent thermal "lanes" (servers) over one
-// network, the server's as thermal::server_thermal_model lays it out:
+// An rc_batch holds N independent thermal "lanes" (servers) over the
+// network thermal::server_thermal_model lays out: nodes die 0, sink 0,
+// die 1, sink 1, DIMM; edges die 0-sink 0, sink 0-ambient, die 1-sink 1,
+// sink 1-ambient, DIMM-ambient, in that insertion order.  The
+// constructor rejects any other topology.  Temperatures, powers,
+// capacities and conductances are stored lane-contiguous per node/edge,
+// and lanes may differ in all of them and in ambient temperature.
 //
-//   nodes  die 0, sink 0, die 1, sink 1, DIMM
-//   edges  die 0-sink 0, sink 0-ambient, die 1-sink 1, sink 1-ambient,
-//          DIMM-ambient   (insertion order)
-//
-// The constructor rejects any other topology with a precondition_error.
-// Temperatures, powers, capacities and edge conductances are stored
-// lane-contiguous per node/edge.  The RK4 step is one fused kernel for
-// that network: each substep of each lane computes all four stages in
-// locals, straight-line, with the loop over lanes innermost, and one
-// path serves every lane count, active mask and mixed substep count.
-// Every cell keeps the operation sequence of the original edge-list
-// integrator (flows accumulated from zero in edge insertion order,
-// `(flow + power) / capacity`, the classic stage sums), so a lane of an
-// N-lane batch is bitwise-equal to a one-lane batch driven through the
-// same schedule, and both to a port of the seed numerics (pinned by the
-// thermal-equivalence suite).
-//
-// Lanes may differ in conductances (per-server fan speeds), powers,
-// capacities, and ambient temperature.
+// The RK4 step is one fused kernel for that network: each substep of
+// each lane runs all four stages in locals, with the loop over lanes
+// innermost, and one path serves every lane count, active mask and mixed
+// substep count.  Every cell keeps the operation sequence of the
+// original edge-list integrator (flows accumulated from zero in edge
+// insertion order, `(flow + power) / capacity`, the classic stage sums),
+// so a lane of an N-lane batch is bitwise-equal to a one-lane batch
+// driven through the same schedule, and both to a port of the seed
+// numerics (pinned by the thermal-equivalence suite).
 #pragma once
 
 #include <cmath>

@@ -48,23 +48,6 @@ rc_network::edge_ends rc_network::ends(edge_id e) const {
     return edge_ends{ed.a, ed.b, ed.to_ambient};
 }
 
-void rc_network::lane_diagonal_into(std::size_t lanes, std::size_t lane, const double* edge_g,
-                                    double* diag) const {
-    util::ensure(lane < lanes, "rc_network::lane_diagonal_into: lane out of range");
-    const std::size_t n = capacities_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        diag[i] = 0.0;
-    }
-    for (std::size_t i = 0; i < edges_.size(); ++i) {
-        const edge& e = edges_[i];
-        const double g = edge_g[i * lanes + lane];
-        diag[e.a] += g;
-        if (!e.to_ambient) {
-            diag[e.b] += g;
-        }
-    }
-}
-
 void rc_network::lane_conductance_matrix_into(std::size_t lanes, std::size_t lane,
                                               const double* edge_g, util::matrix& out) const {
     util::ensure(lane < lanes, "rc_network::lane_conductance_matrix_into: lane out of range");

@@ -11,8 +11,7 @@
 // per-lane conductances) lives in thermal::rc_batch lanes.  The builder
 // is general, but rc_batch integrates one network only, the server's as
 // thermal::server_thermal_model lays it out, and rejects any other.  The
-// steady-solve helpers below (conductance matrix, diagonal, source
-// vector) walk the edge list and serve any network.  Conductances may
+// steady-solve helpers below walk the edge list and serve any network.  Conductances may
 // vary at run time per lane (fan-speed-dependent convection), which is
 // the mechanism behind the paper's fan-speed-dependent time constants.
 #pragma once
@@ -78,11 +77,6 @@ public:
     // rc_batch keeps it: conductance g of edge e, lane l at
     // edge_g[e.index * lanes + l], node quantity q of node i, lane l at
     // q[i * lanes + l].  Each accumulates in edge insertion order.
-
-    /// Conductance-matrix diagonal of one lane, accumulated in edge
-    /// insertion order.  `diag` receives node_count() values.
-    void lane_diagonal_into(std::size_t lanes, std::size_t lane, const double* edge_g,
-                            double* diag) const;
 
     /// Full conductance (Laplacian + ambient) matrix L of one lane, such
     /// that L * T = P + G_amb * T_amb at steady state; accumulated in edge

@@ -16,8 +16,8 @@
 #include "core/lut_controller.hpp"
 #include "power/fan_model.hpp"
 #include "power/leakage_model.hpp"
-#include "sim/experiment.hpp"
 #include "server_network.hpp"
+#include "sim/experiment.hpp"
 #include "sim/server_simulator.hpp"
 #include "thermal/rc_batch.hpp"
 #include "thermal/rc_network.hpp"

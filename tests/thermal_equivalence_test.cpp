@@ -270,8 +270,7 @@ TEST(ThermalEquivalence, MaskedPrefixWithMixedSubstepsMatchesSeed) {
     }
     std::vector<int> substeps;
     for (std::size_t l = 0; l < prefix; ++l) {
-        substeps.push_back(
-            std::max(1, static_cast<int>(std::ceil(dt / t.batch.stable_dt(l)))));
+        substeps.push_back(std::max(1, static_cast<int>(std::ceil(dt / t.batch.stable_dt(l)))));
     }
     ASSERT_NE(substeps.front(), substeps.back());
     std::vector<unsigned char> active(lanes);
