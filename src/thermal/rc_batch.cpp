@@ -61,9 +61,7 @@ inline void derivatives(const lane_inputs& in, const double (&x)[k_nodes], doubl
 rc_batch::rc_batch(const rc_network& topology, std::size_t lanes)
     : topo_(topology), lanes_(lanes), nodes_(topology.node_count()) {
     util::ensure(lanes_ > 0, "rc_batch: need at least one lane");
-    util::ensure(is_server_network(topology),
-                 "rc_batch: topology is not the server network (die 0, sink 0, die 1, sink 1, "
-                 "DIMM)");
+    util::ensure(is_server_network(topology), "rc_batch: topology is not the server network");
     const std::size_t total = nodes_ * lanes_;
     temps_.resize(total);
     powers_.assign(total, 0.0);
