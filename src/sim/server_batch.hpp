@@ -245,7 +245,7 @@ private:
 
     // Per-thermal-lane active flags (ragged fleets; a live twin's mirrors
     // its server's, a dormant twin's is 0); inert_count_ counts inert
-    // servers and keeps the all-active hot path on the unmasked kernel.
+    // servers, so the all-active hot path steps with no mask.
     std::vector<unsigned char> active_;
     std::size_t inert_count_ = 0;
 
